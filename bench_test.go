@@ -6,8 +6,9 @@
 //	go test -bench=. -benchmem
 //
 // Metrics reported via b.ReportMetric use the paper's units so the shapes
-// are directly comparable; EXPERIMENTS.md records a full paper-vs-measured
-// table. cmd/curpbench prints the complete series with larger op counts.
+// are directly comparable. cmd/curpbench prints the complete series with
+// larger op counts; the real stack's measured baseline is in
+// bench/README.md.
 package curp
 
 import (
@@ -272,43 +273,6 @@ func BenchmarkFig13RedisLatencyVsThroughput(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkAblationHotKeySync measures the §4.4 preemptive-sync heuristic
-// under a skewed write-heavy workload: with the heuristic on, hot keys are
-// flushed right after responding, reducing conflicts on their next write.
-func BenchmarkAblationHotKeySync(b *testing.B) {
-	// The heuristic lives in core.MasterState and is exercised end-to-end
-	// through the real cluster.
-	run := func(b *testing.B, disable bool) {
-		var conflictFrac float64
-		for i := 0; i < b.N; i++ {
-			c, err := Start(Options{F: 1, SyncBatchSize: 1000, DisableHotKeySync: disable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cl, err := c.NewClient("bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			z := workload.NewZipfian(64, 0.99, 7)
-			const ops = 400
-			for j := 0; j < ops; j++ {
-				key := []byte(fmt.Sprintf("hot-%d", z.Next()))
-				if _, err := cl.Put(ctx, key, []byte("v")); err != nil {
-					b.Fatal(err)
-				}
-			}
-			st := cl.Stats()
-			conflictFrac = float64(st.SyncedByMaster+st.SlowPath) / ops
-			cl.Close()
-			c.Close()
-		}
-		b.ReportMetric(100*conflictFrac, "conflict-%")
-	}
-	b.Run("heuristic-on", func(b *testing.B) { run(b, false) })
-	b.Run("heuristic-off", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkShardedThroughput measures aggregate put throughput of the real

@@ -1,8 +1,7 @@
 // Command curpbench regenerates the evaluation artifacts of the CURP paper
 // (Park & Ousterhout, NSDI 2019): every figure and table of §5 and the
-// appendices, using the discrete-event simulator in internal/sim (see
-// DESIGN.md for the hardware→simulator substitution and EXPERIMENTS.md for
-// paper-vs-measured results).
+// appendices, using the discrete-event simulator in internal/sim (README.md
+// describes it; bench/README.md has the real stack's measured baseline).
 //
 // Usage:
 //
@@ -22,7 +21,7 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"comma-separated list: table1,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig12,fig13,resources,sharded,pipeline,commute,txn,failover,coordfail,traceoverhead,eventoverhead,all")
+		"comma-separated list: table1,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig12,fig13,resources,sharded,pipeline,txn,failover,coordfail,traceoverhead,eventoverhead,all")
 	ops := flag.Int("ops", 20000, "operations per simulated configuration")
 	flag.Parse()
 
@@ -43,14 +42,13 @@ func main() {
 		"resources":     func() { sim.ResourceReport(w) },
 		"sharded":       func() { Sharded(w, *ops) },
 		"pipeline":      func() { Pipeline(w, *ops) },
-		"commute":       func() { Commute(w, *ops) },
 		"txn":           func() { Txn(w, *ops) },
 		"failover":      func() { Failover(w, *ops) },
 		"coordfail":     func() { Coordfail(w, *ops) },
 		"traceoverhead": func() { TraceOverhead(w, *ops) },
 		"eventoverhead": func() { EventOverhead(w, *ops) },
 	}
-	order := []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "resources", "sharded", "pipeline", "commute", "txn", "failover", "coordfail", "traceoverhead", "eventoverhead"}
+	order := []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "resources", "sharded", "pipeline", "txn", "failover", "coordfail", "traceoverhead", "eventoverhead"}
 
 	var selected []string
 	if *experiment == "all" {

@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"curp/internal/addrbook"
 	"curp/internal/events"
 )
 
@@ -25,9 +25,8 @@ import (
 // and never touches the data path.
 
 // runEvents implements `events [--follow [interval]]`.
-func runEvents(coordBase string, shards, coordinators, f int, timeout time.Duration, args []string) {
-	eps, err := tracePorts(coordBase, shards, coordinators, f)
-	exitOn(err)
+func runEvents(book addrbook.Book, shards, coordinators, f int, timeout time.Duration, args []string) {
+	eps := obsEndpoints(book, shards, coordinators, f)
 	client := &http.Client{Timeout: timeout}
 
 	follow := false
@@ -202,18 +201,13 @@ func printEvent(ev events.Event) {
 // the partition dashboard (falling back to the failover-stable master
 // endpoint) and print the hottest key hashes with their count and
 // overestimation-error bounds.
-func runHotkeys(coordBase string, shards int, timeout time.Duration) {
-	host, portStr, err := net.SplitHostPort(coordBase)
-	exitOn(err)
-	basePort, err := strconv.Atoi(portStr)
-	exitOn(err)
+func runHotkeys(book addrbook.Book, shards int, timeout time.Duration) {
 	client := &http.Client{Timeout: timeout}
 	reached := 0
 	for s := 0; s < shards; s++ {
 		var dumps []events.HotKeyDump
 		var lastErr error
-		for _, port := range []int{basePort + s*1000 + 500, basePort + s*1000 + 501} {
-			ep := net.JoinHostPort(host, strconv.Itoa(port))
+		for _, ep := range []string{book.Metrics(s, addrbook.Coordinator, 0), book.Metrics(s, addrbook.Master, 0)} {
 			got, err := fetchHotKeyDumps(client, ep)
 			if err != nil {
 				lastErr = err

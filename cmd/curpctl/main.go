@@ -90,12 +90,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"curp/internal/addrbook"
 	"curp/internal/cluster"
 	"curp/internal/core"
 	"curp/internal/health"
@@ -146,21 +146,23 @@ func main() {
 		fmt.Println(ring.ShardString(args[1]))
 		return
 	}
+	book, err := addrbook.Parse(*coord)
+	exitOn(err)
 	if args[0] == "status" {
-		runStatus(*coord, *shards, *coordinators, *timeout)
+		runStatus(book, *shards, *coordinators, *timeout)
 		return
 	}
 	if args[0] == "top" {
 		interval, iterations := topArgs(args)
-		runTop(*coord, *shards, *coordinators, *timeout, interval, iterations)
+		runTop(book, *shards, *coordinators, *timeout, interval, iterations)
 		return
 	}
 	if args[0] == "events" {
-		runEvents(*coord, *shards, *coordinators, *fTol, *timeout, args)
+		runEvents(book, *shards, *coordinators, *fTol, *timeout, args)
 		return
 	}
 	if args[0] == "hotkeys" {
-		runHotkeys(*coord, *shards, *timeout)
+		runHotkeys(book, *shards, *timeout)
 		return
 	}
 	if args[0] == "trace" {
@@ -168,7 +170,7 @@ func main() {
 		if *traceEPs != "" {
 			extra = strings.Split(*traceEPs, ",")
 		}
-		runTrace(*coord, *shards, *coordinators, *fTol, *timeout, extra, args)
+		runTrace(book, *shards, *coordinators, *fTol, *timeout, extra, args)
 		return
 	}
 	if args[0] == "rebalance" || args[0] == "drain" {
@@ -191,7 +193,7 @@ func main() {
 		}
 		coords := make([]string, wide)
 		for s := range coords {
-			coords[s] = shardCoordAddr(*coord, s)
+			coords[s] = book.RPC(s, addrbook.Coordinator, 0)
 		}
 		md := &cluster.MigrationDriver{NW: transport.TCPNetwork{}, Self: fmt.Sprintf("curpctl-%d", os.Getpid())}
 		got, err := shard.RebalanceEndpoints(context.Background(), md, coords,
@@ -217,7 +219,7 @@ func main() {
 	perShard := make([]*cluster.Client, *shards)
 	dial := func(s int) *cluster.Client {
 		if perShard[s] == nil {
-			cl, err := cluster.NewClientMulti(nw, name, shardCoordAddrs(*coord, s, *coordinators), 1)
+			cl, err := cluster.NewClientMulti(nw, name, shardCoordAddrs(book, s, *coordinators), 1)
 			exitOn(err)
 			perShard[s] = cl
 		}
@@ -330,11 +332,11 @@ func main() {
 // control-plane quorum health, and per-node heartbeat ages. Any reachable
 // coordinator replica can answer — the health and view state is mirrored
 // from the replicated log — so the status survives a dead leader.
-func runStatus(coordBase string, shards, coordinators int, timeout time.Duration) {
+func runStatus(book addrbook.Book, shards, coordinators int, timeout time.Duration) {
 	nw := transport.TCPNetwork{}
 	self := fmt.Sprintf("curpctl-%d", os.Getpid())
 	for s := 0; s < shards; s++ {
-		addrs := shardCoordAddrs(coordBase, s, coordinators)
+		addrs := shardCoordAddrs(book, s, coordinators)
 		var ph *cluster.PartitionHealth
 		var addr string
 		reachable := 0
@@ -362,7 +364,7 @@ func runStatus(coordBase string, shards, coordinators int, timeout time.Duration
 		}
 		fmt.Printf("shard %d (coordinator %s): master=%s id=%d epoch=%d wlv=%d [%s]\n",
 			s, addr, ph.MasterAddr, ph.MasterID, ph.Epoch, ph.WitnessListVersion, heal)
-		if bi := buildInfoLine(coordBase, s, coordinators, timeout); bi != "" {
+		if bi := buildInfoLine(book, s, coordinators, timeout); bi != "" {
 			fmt.Printf("  %s\n", bi)
 		}
 		if ph.CoordReplicas > 1 {
@@ -388,35 +390,11 @@ func runStatus(coordBase string, shards, coordinators int, timeout time.Duration
 	}
 }
 
-// shardCoordAddr derives shard s's coordinator from the base address by
-// adding s*1000 to the port — the layout curpd -shards uses.
-func shardCoordAddr(base string, s int) string {
-	if s == 0 {
-		return base
-	}
-	host, portStr, err := net.SplitHostPort(base)
-	exitOn(err)
-	port, err := strconv.Atoi(portStr)
-	exitOn(err)
-	return net.JoinHostPort(host, strconv.Itoa(port+s*1000))
-}
-
-// shardCoordAddrs lists shard s's coordinator replica addresses: replica 0
-// on the shard's base port, replica i at +1+i — the curpd -coordinators
-// layout.
-func shardCoordAddrs(base string, s, replicas int) []string {
-	first := shardCoordAddr(base, s)
-	if replicas <= 1 {
-		return []string{first}
-	}
-	host, portStr, err := net.SplitHostPort(first)
-	exitOn(err)
-	port, err := strconv.Atoi(portStr)
-	exitOn(err)
-	addrs := make([]string, replicas)
-	addrs[0] = first
-	for i := 1; i < replicas; i++ {
-		addrs[i] = net.JoinHostPort(host, strconv.Itoa(port+1+i))
+// shardCoordAddrs lists shard s's coordinator replica addresses.
+func shardCoordAddrs(book addrbook.Book, s, replicas int) []string {
+	addrs := make([]string, max(replicas, 1))
+	for i := range addrs {
+		addrs[i] = book.RPC(s, addrbook.Coordinator, i)
 	}
 	return addrs
 }

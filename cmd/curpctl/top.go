@@ -5,12 +5,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"strconv"
 	"strings"
 	"time"
+
+	"curp/internal/addrbook"
 )
 
 // top is the live per-shard dashboard: it polls every shard's partition
@@ -42,7 +43,7 @@ type classVerdicts struct {
 	spec, sync float64
 }
 
-func runTop(coordBase string, shards, coordinators int, timeout, interval time.Duration, iterations int) {
+func runTop(book addrbook.Book, shards, coordinators int, timeout, interval time.Duration, iterations int) {
 	client := &http.Client{Timeout: timeout}
 	prev := make([]shardSample, shards)
 	for i := 0; iterations <= 0 || i < iterations; i++ {
@@ -51,7 +52,7 @@ func runTop(coordBase string, shards, coordinators int, timeout, interval time.D
 		}
 		cur := make([]shardSample, shards)
 		for s := 0; s < shards; s++ {
-			cur[s] = scrapeShard(client, coordBase, s, coordinators)
+			cur[s] = scrapeShard(client, book, s, coordinators)
 		}
 		render(cur, prev, interval)
 		prev = cur
@@ -63,14 +64,9 @@ func runTop(coordBase string, shards, coordinators int, timeout, interval time.D
 // down — e.g. after a SIGUSR1 leader-kill drill — the follower replicas'
 // endpoints (+501+i) are tried in rank order, so the row degrades to the
 // mirror-driven partition gauges instead of going dark.
-func scrapeShard(client *http.Client, coordBase string, s, coordinators int) shardSample {
+func scrapeShard(client *http.Client, book addrbook.Book, s, coordinators int) shardSample {
 	sample := shardSample{at: time.Now()}
-	addrs, err := shardObsAddrs(coordBase, s, coordinators)
-	if err != nil {
-		sample.err = err
-		return sample
-	}
-	for i, addr := range addrs {
+	for i, addr := range shardObsAddrs(book, s, coordinators) {
 		body, err := fetchMetrics(client, addr)
 		if err != nil {
 			sample.err = err
@@ -101,37 +97,14 @@ func fetchMetrics(client *http.Client, addr string) ([]byte, error) {
 }
 
 // shardObsAddrs lists shard s's observability endpoints in preference
-// order: the partition dashboard (+500), then each follower coordinator
-// replica's endpoint (+501+i, the curpd -coordinators layout).
-func shardObsAddrs(base string, s, coordinators int) ([]string, error) {
-	host, portStr, err := net.SplitHostPort(base)
-	if err != nil {
-		return nil, err
-	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil {
-		return nil, err
-	}
-	shardBase := port + s*1000
-	addrs := []string{net.JoinHostPort(host, strconv.Itoa(shardBase+500))}
+// order: the partition dashboard (the rank-0 coordinator's endpoint), then
+// each follower coordinator replica's.
+func shardObsAddrs(book addrbook.Book, s, coordinators int) []string {
+	addrs := []string{book.Metrics(s, addrbook.Coordinator, 0)}
 	for i := 1; i < coordinators; i++ {
-		addrs = append(addrs, net.JoinHostPort(host, strconv.Itoa(shardBase+501+i)))
+		addrs = append(addrs, book.Metrics(s, addrbook.Coordinator, i))
 	}
-	return addrs, nil
-}
-
-// shardMetricsAddr derives shard s's partition metrics endpoint from the
-// coordinator base address: port + s*1000 + 500.
-func shardMetricsAddr(base string, s int) (string, error) {
-	host, portStr, err := net.SplitHostPort(base)
-	if err != nil {
-		return "", err
-	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil {
-		return "", err
-	}
-	return net.JoinHostPort(host, strconv.Itoa(port+s*1000+500)), nil
+	return addrs
 }
 
 // parsePromText reads Prometheus text exposition, summing every series of
@@ -207,13 +180,9 @@ func parseClassVerdicts(r io.Reader) map[string]classVerdicts {
 // `curpctl status`, e.g. `build version=dev commit=c8fcb67 go=go1.22.2`.
 // Returns "" when no endpoint answers (metrics disabled): status still
 // works against a -metrics-less cluster.
-func buildInfoLine(coordBase string, s, coordinators int, timeout time.Duration) string {
+func buildInfoLine(book addrbook.Book, s, coordinators int, timeout time.Duration) string {
 	client := &http.Client{Timeout: timeout}
-	addrs, err := shardObsAddrs(coordBase, s, coordinators)
-	if err != nil {
-		return ""
-	}
-	for _, addr := range addrs {
+	for _, addr := range shardObsAddrs(book, s, coordinators) {
 		body, err := fetchMetrics(client, addr)
 		if err != nil {
 			continue

@@ -65,13 +65,3 @@ func TestShardRates(t *testing.T) {
 		t.Errorf("restarted counters rate = %v, want 0", rate)
 	}
 }
-
-func TestShardMetricsAddr(t *testing.T) {
-	got, err := shardMetricsAddr("127.0.0.1:7000", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "127.0.0.1:9500" {
-		t.Errorf("shard 2 metrics addr = %q, want 127.0.0.1:9500", got)
-	}
-}

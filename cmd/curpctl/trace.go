@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
+	"curp/internal/addrbook"
 	"curp/internal/metrics"
 )
 
@@ -22,38 +22,26 @@ import (
 // observability endpoints (curpd's RPC-port+500 convention) and never
 // touches the data path.
 
-// tracePorts derives shard s's /trace endpoints from the coordinator base
-// address under the curpd port layout: dashboard (coordinator + live
-// master) at +500, the failover-stable master endpoint at +501,
-// coordinator follower replicas at +501+i, backups at +600+i, witnesses at
-// +700+i, and the self-healing spares at +800+i / +900+i. Spares that were
-// never promoted simply refuse the connection and are skipped.
-func tracePorts(coordBase string, shards, coordinators, f int) ([]string, error) {
-	host, portStr, err := net.SplitHostPort(coordBase)
-	if err != nil {
-		return nil, err
-	}
-	basePort, err := net.LookupPort("tcp", portStr)
-	if err != nil {
-		return nil, err
-	}
+// obsEndpoints lists every node's observability endpoint (/trace, /events)
+// under the curpd port layout: per shard the dashboard (coordinator + live
+// master), the failover-stable master endpoint, the coordinator follower
+// replicas, the backups and witnesses, and the self-healing spare slots.
+// Spares that were never promoted simply refuse the connection and are
+// skipped.
+func obsEndpoints(book addrbook.Book, shards, coordinators, f int) []string {
 	var eps []string
-	add := func(p int) { eps = append(eps, net.JoinHostPort(host, fmt.Sprint(p))) }
 	for s := 0; s < shards; s++ {
-		base := basePort + s*1000
-		add(base + 500)
-		add(base + 501)
+		eps = append(eps, book.Metrics(s, addrbook.Coordinator, 0), book.Metrics(s, addrbook.Master, 0))
 		for i := 1; i < coordinators; i++ {
-			add(base + 501 + i)
+			eps = append(eps, book.Metrics(s, addrbook.Coordinator, i))
 		}
 		for i := 0; i < f; i++ {
-			add(base + 600 + i)
-			add(base + 700 + i)
-			add(base + 800 + i)
-			add(base + 900 + i)
+			eps = append(eps,
+				book.Metrics(s, addrbook.Backup, i), book.Metrics(s, addrbook.Witness, i),
+				book.Metrics(s, addrbook.Spare, i), book.Metrics(s, addrbook.SpareWitness, i))
 		}
 	}
-	return eps, nil
+	return eps
 }
 
 // fetchDumps GETs one endpoint's /trace (optionally ?id=) and decodes
@@ -95,10 +83,8 @@ func fetchDumps(client *http.Client, endpoint, id string) ([]metrics.TraceDump, 
 // runTrace implements `trace [id]`. extra lists additional /trace
 // endpoints beyond the port convention — e.g. an embedded process or a
 // benchmark client exposing its client-side collector.
-func runTrace(coordBase string, shards, coordinators, f int, timeout time.Duration, extra []string, args []string) {
-	eps, err := tracePorts(coordBase, shards, coordinators, f)
-	exitOn(err)
-	eps = append(eps, extra...)
+func runTrace(book addrbook.Book, shards, coordinators, f int, timeout time.Duration, extra []string, args []string) {
+	eps := append(obsEndpoints(book, shards, coordinators, f), extra...)
 	client := &http.Client{Timeout: timeout}
 	if len(args) < 2 {
 		listTraces(client, eps)

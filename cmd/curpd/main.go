@@ -66,8 +66,7 @@
 // distributed traces as JSON (`curpctl trace` stitches them across nodes
 // into one waterfall). -trace-threshold sets the tail-sampling promotion
 // bound on EVERY role's collector — any trace with a span at least that
-// slow is kept — and additionally logs a structured slow-op span to stderr
-// on masters. -pprof mounts the net/http/pprof suite on the same
+// slow is kept. -pprof mounts the net/http/pprof suite on the same
 // endpoints.
 //
 // Every metrics endpoint further serves GET /events — the node's flight
@@ -93,6 +92,7 @@ import (
 	"syscall"
 	"time"
 
+	"curp/internal/addrbook"
 	"curp/internal/cluster"
 	"curp/internal/events"
 	"curp/internal/health"
@@ -117,7 +117,7 @@ func main() {
 	hbInterval := flag.Duration("heartbeat", health.DefaultInterval, "cluster mode: heartbeat interval (failure declared after 8×)")
 	metricsOn := flag.Bool("metrics", true, "cluster mode: serve GET /metrics (+ /trace) on every node at RPC port + 500")
 	metricsAddr := flag.String("metrics-addr", "", "component modes: serve this node's GET /metrics (+ /trace) on this address")
-	trace := flag.Duration("trace-threshold", 0, "promote any distributed trace containing a span at least this slow (all roles); masters also log a structured slow-op span to stderr (0: only errored/conflict-synced/locked traces are kept)")
+	trace := flag.Duration("trace-threshold", 0, "tail-sampling promotion bound of every role's trace collector: keep any distributed trace containing a span at least this slow (0: only errored/conflict-synced/locked traces are kept)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof on every metrics endpoint")
 	flag.Parse()
 
@@ -125,7 +125,7 @@ func main() {
 	nw := transport.TCPNetwork{}
 	switch *mode {
 	case "cluster":
-		runShardedCluster(nw, *host, *port, *shards, *coordinators, *f, *batch, *adaptive, *selfHeal, *hbInterval, obs)
+		runShardedCluster(nw, addrbook.Book{Host: *host, Port: *port}, *shards, *coordinators, *f, *batch, *adaptive, *selfHeal, *hbInterval, obs)
 	case "backup":
 		requireAddr(*addr)
 		srv, err := cluster.NewBackupServer(nw, *addr)
@@ -159,9 +159,6 @@ func main() {
 		// (curpctl start-witness) or by an all-in-one coordinator.
 		exitOn(ms.SetWitnessList(1, split(*witnesses)))
 		ms.Trace().SetThreshold(*trace)
-		if *trace > 0 {
-			ms.SetSlowOpTracer(metrics.NewTracer(os.Stderr, *trace))
-		}
 		serveMetricsAddr(*metricsAddr, ms.Trace(), obs, map[string]http.Handler{
 			"/events":  ms.Events().Handler(),
 			"/hotkeys": ms.HotKeys().Handler(),
@@ -177,16 +174,16 @@ func main() {
 
 // obsConfig bundles the observability knobs threaded through every server
 // boot path: metrics endpoints on/off, pprof mounting, and the trace
-// promotion threshold (which doubles as the master slow-op log bound).
+// promotion threshold.
 type obsConfig struct {
 	metricsOn bool
 	pprof     bool
 	trace     time.Duration
 }
 
-// runShardedCluster boots `shards` independent partitions, shard s on the
-// port block base+s*1000, then waits for a shutdown signal.
-func runShardedCluster(nw transport.Network, host string, basePort, shards, coordinators, f, batch int, adaptive, selfHeal bool, hb time.Duration, obs obsConfig) {
+// runShardedCluster boots `shards` independent partitions at the addresses
+// book assigns them, then waits for a shutdown signal.
+func runShardedCluster(nw transport.Network, book addrbook.Book, shards, coordinators, f, batch int, adaptive, selfHeal bool, hb time.Duration, obs obsConfig) {
 	if shards < 1 {
 		shards = 1
 	}
@@ -210,7 +207,7 @@ func runShardedCluster(nw transport.Network, host string, basePort, shards, coor
 		}
 	}()
 	for s := 0; s < shards; s++ {
-		cs, reps, jf := startPartition(nw, s, host, basePort+s*1000, coordinators, f, batch, adaptive, selfHeal, hb, obs)
+		cs, reps, jf := startPartition(nw, book, s, coordinators, f, batch, adaptive, selfHeal, hb, obs)
 		closers = append(closers, cs...)
 		quorums = append(quorums, reps)
 		recorders = append(recorders, jf)
@@ -243,13 +240,13 @@ func runShardedCluster(nw transport.Network, host string, basePort, shards, coor
 }
 
 // tcpSpares provisions failover replacements inside a partition's port
-// block: promoted masters and replacement backups at base+300+ (one
-// shared sequence, so addresses never collide), replacement witnesses at
-// base+400+.
+// block: promoted masters and replacement backups in the Spare slots,
+// replacement witnesses in the SpareWitness slots (one shared sequence, so
+// addresses never collide).
 type tcpSpares struct {
 	nw         transport.Network
-	host       string
-	base       int
+	book       addrbook.Book
+	shard      int
 	coordAddrs []string
 	hb         time.Duration
 	wcfg       witness.Config
@@ -258,12 +255,12 @@ type tcpSpares struct {
 }
 
 func (s *tcpSpares) SpareMasterAddr(uint64) (string, error) {
-	return fmt.Sprintf("%s:%d", s.host, s.base+300+int(s.seq.Add(1))), nil
+	return s.book.RPC(s.shard, addrbook.Spare, int(s.seq.Add(1))), nil
 }
 
 func (s *tcpSpares) SpareBackup(uint64) (string, error) {
 	n := int(s.seq.Add(1))
-	addr := fmt.Sprintf("%s:%d", s.host, s.base+300+n)
+	addr := s.book.RPC(s.shard, addrbook.Spare, n)
 	b, err := cluster.NewBackupServer(s.nw, addr)
 	if err != nil {
 		return "", err
@@ -271,8 +268,7 @@ func (s *tcpSpares) SpareBackup(uint64) (string, error) {
 	b.Trace().SetThreshold(s.obs.trace)
 	b.StartHeartbeats(s.coordAddrs, s.hb)
 	if s.obs.metricsOn {
-		// Same RPC+500 convention as boot-time nodes: base+800+n.
-		if _, err := metrics.ServeNodeExtras(fmt.Sprintf("%s:%d", s.host, s.base+800+n),
+		if _, err := metrics.ServeNodeExtras(s.book.Metrics(s.shard, addrbook.Spare, n),
 			metrics.Handler(b.Metrics()), b.Trace().TraceHandler(), s.obs.pprof,
 			map[string]http.Handler{"/events": b.Events().Handler()}); err != nil {
 			log.Printf("metrics for replacement backup %s: %v", addr, err)
@@ -283,7 +279,7 @@ func (s *tcpSpares) SpareBackup(uint64) (string, error) {
 
 func (s *tcpSpares) SpareWitness(uint64) (string, error) {
 	n := int(s.seq.Add(1))
-	addr := fmt.Sprintf("%s:%d", s.host, s.base+400+n)
+	addr := s.book.RPC(s.shard, addrbook.SpareWitness, n)
 	w, err := cluster.NewWitnessServer(s.nw, addr, s.wcfg)
 	if err != nil {
 		return "", err
@@ -291,8 +287,7 @@ func (s *tcpSpares) SpareWitness(uint64) (string, error) {
 	w.Trace().SetThreshold(s.obs.trace)
 	w.StartHeartbeats(s.coordAddrs, s.hb)
 	if s.obs.metricsOn {
-		// Same RPC+500 convention as boot-time nodes: base+900+n.
-		if _, err := metrics.ServeNodeExtras(fmt.Sprintf("%s:%d", s.host, s.base+900+n),
+		if _, err := metrics.ServeNodeExtras(s.book.Metrics(s.shard, addrbook.SpareWitness, n),
 			metrics.Handler(w.Metrics()), w.Trace().TraceHandler(), s.obs.pprof,
 			map[string]http.Handler{"/events": w.Events().Handler()}); err != nil {
 			log.Printf("metrics for replacement witness %s: %v", addr, err)
@@ -302,21 +297,15 @@ func (s *tcpSpares) SpareWitness(uint64) (string, error) {
 }
 
 // startPartition boots one partition (coordinator quorum, master, f
-// backups, f witnesses) on sequential ports from port, returning
+// backups, f witnesses) at the addresses book assigns shard, returning
 // everything to close, the coordinator replicas (for the SIGUSR1
 // leader-kill drill), and a fetcher over the partition's event journals
 // (for the panic-time flight dump; the master journal is re-resolved so
 // failovers are reflected).
-func startPartition(nw transport.Network, shard int, host string, port, coordinators, f, batch int, adaptive, selfHeal bool, hb time.Duration, obs obsConfig) ([]interface{ Close() }, []*cluster.Coordinator, func() []*events.Journal) {
-	// Coordinator replica i>0 lives at base+1+i (the master holds +1), so
-	// a 3-replica quorum occupies base, base+2, base+3.
+func startPartition(nw transport.Network, book addrbook.Book, shard, coordinators, f, batch int, adaptive, selfHeal bool, hb time.Duration, obs obsConfig) ([]interface{ Close() }, []*cluster.Coordinator, func() []*events.Journal) {
 	coordAddrs := make([]string, coordinators)
 	for i := range coordAddrs {
-		p := port
-		if i > 0 {
-			p = port + 1 + i
-		}
-		coordAddrs[i] = fmt.Sprintf("%s:%d", host, p)
+		coordAddrs[i] = book.RPC(shard, addrbook.Coordinator, i)
 	}
 	var closers []interface{ Close() }
 	replicas := make([]*cluster.Coordinator, coordinators)
@@ -334,11 +323,11 @@ func startPartition(nw transport.Network, shard int, host string, port, coordina
 		closers = append(closers, co)
 	}
 	coord := replicas[0]
-	serveMetrics := func(rpcPort int, coll *metrics.Collector, jrn *events.Journal, regs ...*metrics.Registry) {
+	serveMetrics := func(role addrbook.Role, i int, coll *metrics.Collector, jrn *events.Journal, regs ...*metrics.Registry) {
 		if !obs.metricsOn {
 			return
 		}
-		srv, err := metrics.ServeNodeExtras(fmt.Sprintf("%s:%d", host, rpcPort+500),
+		srv, err := metrics.ServeNodeExtras(book.Metrics(shard, role, i),
 			metrics.Handler(regs...), coll.TraceHandler(), obs.pprof,
 			map[string]http.Handler{"/events": jrn.Handler()})
 		exitOn(err)
@@ -348,7 +337,7 @@ func startPartition(nw transport.Network, shard int, host string, port, coordina
 	var backupSrvs []*cluster.BackupServer
 	var witnessSrvs []*cluster.WitnessServer
 	for i := 0; i < f; i++ {
-		ba := fmt.Sprintf("%s:%d", host, port+100+i)
+		ba := book.RPC(shard, addrbook.Backup, i)
 		b, err := cluster.NewBackupServer(nw, ba)
 		exitOn(err)
 		closers = append(closers, b)
@@ -357,8 +346,8 @@ func startPartition(nw transport.Network, shard int, host string, port, coordina
 		b.Trace().SetThreshold(obs.trace)
 		b.Trace().SetShard(shard)
 		b.Events().SetShard(shard)
-		serveMetrics(port+100+i, b.Trace(), b.Events(), b.Metrics())
-		wa := fmt.Sprintf("%s:%d", host, port+200+i)
+		serveMetrics(addrbook.Backup, i, b.Trace(), b.Events(), b.Metrics())
+		wa := book.RPC(shard, addrbook.Witness, i)
 		w, err := cluster.NewWitnessServer(nw, wa, witness.DefaultConfig())
 		exitOn(err)
 		closers = append(closers, w)
@@ -367,28 +356,25 @@ func startPartition(nw transport.Network, shard int, host string, port, coordina
 		w.Trace().SetThreshold(obs.trace)
 		w.Trace().SetShard(shard)
 		w.Events().SetShard(shard)
-		serveMetrics(port+200+i, w.Trace(), w.Events(), w.Metrics())
+		serveMetrics(addrbook.Witness, i, w.Trace(), w.Events(), w.Metrics())
 	}
 	opts := cluster.DefaultMasterOptions()
 	opts.Core.SyncBatchSize = batch
 	opts.Core.AdaptiveFlush = adaptive
-	masterAddr := fmt.Sprintf("%s:%d", host, port+1)
+	masterAddr := book.RPC(shard, addrbook.Master, 0)
 	ms, err := cluster.NewMasterServer(nw, 1, masterAddr, 0, opts)
 	exitOn(err)
 	ms.SetShardIndex(shard)
 	ms.Trace().SetThreshold(obs.trace)
-	if obs.trace > 0 {
-		ms.SetSlowOpTracer(metrics.NewTracer(os.Stderr, obs.trace))
-	}
 	closers = append(closers, ms)
 	exitOn(coord.AddMaster(ms, backupAddrs, witnessAddrs))
 	if obs.metricsOn {
-		// Coordinator endpoint (base+500) doubles as the per-partition
+		// The rank-0 coordinator's endpoint doubles as the per-partition
 		// dashboard: coordinator series plus the live master's; its /trace
 		// merges both nodes' spans. The dedicated master endpoint
-		// (base+501) re-resolves the registry and collector per request so
-		// a heal-promoted replacement keeps the same URL.
-		dash, err := metrics.ServeNodeExtras(fmt.Sprintf("%s:%d", host, port+500),
+		// re-resolves the registry and collector per request so a
+		// heal-promoted replacement keeps the same URL.
+		dash, err := metrics.ServeNodeExtras(book.Metrics(shard, addrbook.Coordinator, 0),
 			metrics.DynamicHandler(func() []*metrics.Registry {
 				return []*metrics.Registry{coord.Metrics(), coord.MasterRegistry()}
 			}),
@@ -405,7 +391,7 @@ func startPartition(nw transport.Network, shard int, host string, port, coordina
 			})
 		exitOn(err)
 		closers = append(closers, errCloser{dash})
-		msrv, err := metrics.ServeNodeExtras(fmt.Sprintf("%s:%d", host, port+501),
+		msrv, err := metrics.ServeNodeExtras(book.Metrics(shard, addrbook.Master, 0),
 			metrics.DynamicHandler(func() []*metrics.Registry {
 				return []*metrics.Registry{coord.MasterRegistry()}
 			}),
@@ -423,9 +409,9 @@ func startPartition(nw transport.Network, shard int, host string, port, coordina
 		exitOn(err)
 		closers = append(closers, errCloser{msrv})
 		// Follower replicas expose their own quorum series (leader gauge,
-		// commit index, election count) on the same RPC+500 convention.
+		// commit index, election count) on their own endpoints.
 		for i := 1; i < coordinators; i++ {
-			serveMetrics(port+1+i, replicas[i].Trace(), replicas[i].Events(), replicas[i].Metrics())
+			serveMetrics(addrbook.Coordinator, i, replicas[i].Trace(), replicas[i].Events(), replicas[i].Metrics())
 		}
 	}
 	if selfHeal {
@@ -440,7 +426,7 @@ func startPartition(nw transport.Network, shard int, host string, port, coordina
 		for _, w := range witnessSrvs {
 			w.StartHeartbeats(coordAddrs, det.Interval)
 		}
-		spares := &tcpSpares{nw: nw, host: host, base: port, coordAddrs: coordAddrs, hb: det.Interval, wcfg: witness.DefaultConfig(), obs: obs}
+		spares := &tcpSpares{nw: nw, book: book, shard: shard, coordAddrs: coordAddrs, hb: det.Interval, wcfg: witness.DefaultConfig(), obs: obs}
 		for _, co := range replicas {
 			// Armed on every replica; only the leader-lease holder acts.
 			exitOn(co.EnableSelfHealing(cluster.HealthConfig{

@@ -68,15 +68,6 @@ type Options struct {
 	// SyncBatchSize is the number of speculative operations that triggers
 	// a background backup sync (default 50, the paper's ceiling).
 	SyncBatchSize int
-	// DisableHotKeySync turns off the §4.4 preemptive-sync heuristic.
-	DisableHotKeySync bool
-	// KeyGranularConflicts disables per-command commutativity classes and
-	// reverts to the paper's key-granular conflict rule: any two unsynced
-	// operations touching the same key conflict, even when both are
-	// increments (or set-adds, or bucket-takes) that commute semantically.
-	// Useful as an A/B baseline — contended counters lose the 1-RTT fast
-	// path with this set.
-	KeyGranularConflicts bool
 	// WitnessSlots and WitnessWays size each witness (defaults 4096 and
 	// 4, the paper's geometry).
 	WitnessSlots, WitnessWays int
@@ -178,12 +169,6 @@ func toFailoverEvent(shard int, ev cluster.FailoverEvent) FailoverEvent {
 	}
 }
 
-// KV is one key/value pair of a MultiPut.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
-
 // Stats summarizes a client's protocol outcomes.
 type Stats struct {
 	// FastPath is the number of updates completed in 1 RTT.
@@ -242,10 +227,6 @@ func clusterOptions(opts Options) cluster.Options {
 	if opts.SyncBatchSize > 0 {
 		copts.Master.Core.SyncBatchSize = opts.SyncBatchSize
 	}
-	if opts.DisableHotKeySync {
-		copts.Master.Core.HotKeyWindow = 0
-	}
-	copts.Master.Core.KeyGranular = opts.KeyGranularConflicts
 	if opts.WitnessSlots > 0 {
 		copts.Witness.Slots = opts.WitnessSlots
 	}
@@ -317,7 +298,7 @@ func (c *Cluster) NewClient(name string) (*Client, error) {
 	} else if coll := cl.Trace(); coll != nil {
 		coll.SetThreshold(c.opts.TraceThreshold)
 	}
-	return &Client{inner: cl}, nil
+	return &Client{verbs: cl.Verbs, inner: cl}, nil
 }
 
 // CrashMaster simulates a master crash: its connections reset and the
@@ -451,10 +432,21 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	return nil
 }
 
-// Client is a CURP key-value client.
+// Client is a CURP key-value client for one partition.
+//
+// Its operations are the promoted verb set shared with ShardedClient (one
+// definition each, in internal/kv): the 1-RTT updates Put, PutTTL, Delete,
+// Increment, CondPut, Append, SetAdd, SetRemove, BucketTake, MultiPut and
+// MultiIncrement; the reads Get (linearizable), GetNearby (paper §A.1),
+// GetStale (paper §A.3) and SetMembers; a Future-returning ...Async form
+// of every update; and NewPipeline.
 type Client struct {
+	verbs
 	inner *cluster.Client
 }
+
+// verbs is the typed operation set both clients embed.
+type verbs = kv.Verbs
 
 // Close releases the client's connections.
 func (c *Client) Close() { c.inner.Close() }
@@ -491,129 +483,6 @@ func (c *Client) DisableTracing() { c.inner.DisableTracing() }
 // traces.
 func (c *Client) TraceAll() { c.inner.SetTraceFlags(metrics.TraceFlagForce) }
 
-// Put writes value under key; it returns the object's new version.
-func (c *Client) Put(ctx context.Context, key, value []byte) (uint64, error) {
-	return c.inner.Put(ctx, key, value)
-}
-
-// Get reads key at the master (linearizable).
-func (c *Client) Get(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	return c.inner.Get(ctx, key)
-}
-
-// GetNearby reads key from a backup when a witness confirms the read
-// commutes with all outstanding speculative updates; otherwise it falls
-// back to the master. Still linearizable (paper §A.1).
-func (c *Client) GetNearby(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	return c.inner.GetNearby(ctx, key)
-}
-
-// GetStale reads the latest durable value of key without ever waiting for
-// a backup sync (paper §A.3): the result may trail the linearizable value
-// by the unsynced window. For read-mostly paths that tolerate slight
-// staleness and must not block behind hot writers.
-func (c *Client) GetStale(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	return c.inner.GetStale(ctx, key)
-}
-
-// Delete removes key.
-func (c *Client) Delete(ctx context.Context, key []byte) error {
-	return c.inner.Delete(ctx, key)
-}
-
-// ErrCounterUnavailable reports an Increment (or BucketTake) whose state
-// change applied exactly once but whose numeric return value was scrubbed
-// by crash recovery: witness replay re-executes commutative commands in an
-// arbitrary order, so the replayed total would be from a history that never
-// happened. Re-read the key (e.g. Increment with delta 0) for the current
-// total.
-var ErrCounterUnavailable = cluster.ErrCounterUnavailable
-
-// Increment atomically adds delta to the integer at key and returns the
-// new value. After a master crash, a retried Increment may return
-// ErrCounterUnavailable: the add is durably applied, only its return value
-// is lost.
-func (c *Client) Increment(ctx context.Context, key []byte, delta int64) (int64, error) {
-	return c.inner.Increment(ctx, key, delta)
-}
-
-// CondPut writes value only if key is currently at expectVersion
-// (version 0 = must not exist). applied reports whether the write took.
-func (c *Client) CondPut(ctx context.Context, key, value []byte, expectVersion uint64) (applied bool, version uint64, err error) {
-	return c.inner.CondPut(ctx, key, value, expectVersion)
-}
-
-// MultiPut writes several objects as one atomic operation; it commutes
-// only with operations touching none of its keys.
-func (c *Client) MultiPut(ctx context.Context, pairs []KV) error {
-	kvs := make([]kv.KV, len(pairs))
-	for i, p := range pairs {
-		kvs[i] = kv.KV{Key: p.Key, Value: p.Value}
-	}
-	return c.inner.MultiPut(ctx, kvs)
-}
-
-// IncrPair is one leg of a Transfer / MultiIncrement.
-type IncrPair struct {
-	Key   []byte
-	Delta int64
-}
-
-// MultiIncrement atomically adds each delta to its (distinct) key in one
-// exactly-once operation — e.g. a balance transfer — and returns the new
-// counter values.
-func (c *Client) MultiIncrement(ctx context.Context, deltas []IncrPair) ([]int64, error) {
-	ps := make([]kv.IncrPair, len(deltas))
-	for i, d := range deltas {
-		ps[i] = kv.IncrPair{Key: d.Key, Delta: d.Delta}
-	}
-	return c.inner.MultiIncrement(ctx, ps)
-}
-
-// Append atomically appends suffix to the value at key (creating it when
-// absent) and returns the value's new total length. Append is
-// order-dependent, so concurrent Appends on one key conflict and take the
-// 2-RTT path; use a Pipeline to order appends from one client cheaply.
-func (c *Client) Append(ctx context.Context, key, suffix []byte) (int64, error) {
-	return c.inner.Append(ctx, key, suffix)
-}
-
-// PutTTL writes value under key with an absolute expiry time (UnixNano);
-// after that instant the key reads as absent and is purged from the store
-// on the next background sync.
-func (c *Client) PutTTL(ctx context.Context, key, value []byte, expireAt int64) (uint64, error) {
-	return c.inner.PutTTL(ctx, key, value, expireAt)
-}
-
-// SetAdd adds member to the set at key (creating the set when absent).
-// Concurrent SetAdds on one key commute — they keep the 1-RTT fast path
-// even under contention.
-func (c *Client) SetAdd(ctx context.Context, key, member []byte) error {
-	return c.inner.SetAdd(ctx, key, member)
-}
-
-// SetRemove removes member from the set at key. Concurrent SetRemoves
-// commute with each other but not with SetAdds (observed-remove
-// semantics: an add/remove pair on one member is order-dependent).
-func (c *Client) SetRemove(ctx context.Context, key, member []byte) error {
-	return c.inner.SetRemove(ctx, key, member)
-}
-
-// SetMembers reads the members of the set at key, sorted bytewise. A
-// missing key reads as an empty set.
-func (c *Client) SetMembers(ctx context.Context, key []byte) ([][]byte, error) {
-	return c.inner.SetMembers(ctx, key)
-}
-
-// BucketTake takes n tokens from the rate-limiter bucket at key; granted
-// reports whether they were available, remaining is the balance after the
-// take. Grants commute with each other, so admitting traffic under the
-// limit stays 1 RTT; a denial (or draining the bucket) syncs first, so a
-// granted=false answer is never speculative.
-func (c *Client) BucketTake(ctx context.Context, key []byte, n int64) (granted bool, remaining int64, err error) {
-	return c.inner.BucketTake(ctx, key, n)
-}
-
 // DurableCache is a Redis-like in-memory data-structure store made durable
 // and consistent by CURP (paper §5.4): commands complete without waiting
 // for the append-only file to fsync, because each command is recorded on
@@ -628,7 +497,7 @@ type DurableCache struct {
 
 // NewDurableCache creates a cache configured exactly like Start configures
 // a cluster: opts.F witnesses (default 3), opts.SyncBatchSize as the
-// fsync batching ceiling, the §4.4 hot-key heuristic unless disabled, and
+// fsync batching ceiling, the §4.4 hot-key heuristic, and
 // opts.WitnessSlots/WitnessWays for witness geometry. The zero Options
 // value gives the paper's defaults.
 func NewDurableCache(opts Options) (*DurableCache, error) {

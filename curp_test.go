@@ -34,7 +34,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if err != nil || !applied {
 		t.Fatalf("condput: %v %v", err, applied)
 	}
-	if err := cl.MultiPut(ctx, []KV{{[]byte("a"), []byte("1")}, {[]byte("b"), []byte("2")}}); err != nil {
+	if err := cl.MultiPut(ctx, []KV{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Delete(ctx, []byte("k")); err != nil {

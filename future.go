@@ -1,432 +1,38 @@
 package curp
 
-import (
-	"context"
-	"sync"
+import "curp/internal/kv"
 
-	"curp/internal/cluster"
-	"curp/internal/kv"
-	"curp/internal/shard"
-)
+// The async and pipelined forms of the verbs, and the value types they
+// share, are defined once in internal/kv; these aliases are their public
+// names.
 
 // Future is the handle to an asynchronous update. Every update verb has a
 // Future-returning async form (PutAsync, IncrementAsync, ...), and
-// Pipeline hands one out per queued operation.
-//
-// A Future resolves exactly once: with a result, or with an error after
-// the client's retries are exhausted (ErrUpdateFailed wrapping the last
-// cause — the operation may or may not have executed; re-issuing it is
-// safe on a Client/ShardedClient because RIFL gives each submission a
-// fresh exactly-once identity). The operation is durable — f-fault
-// tolerant — exactly when the error is nil.
-//
-// Wait blocks with a context; the typed accessors (Version, Counter,
-// Applied, Values) block until the operation completes and then return
-// the decoded result. All methods are safe for concurrent use.
-type Future struct {
-	wait func(ctx context.Context) (*kv.Result, error)
+// Pipeline hands one out per queued operation. It resolves exactly once;
+// the operation is durable exactly when its error is nil. Wait blocks
+// with a context, Err without one, and the typed accessors Version,
+// Applied, Counter, Values, Granted and Length block until completion and
+// return the decoded result. All methods are safe for concurrent use.
+type Future = kv.Future
 
-	mu   sync.Mutex
-	done bool
-	res  *kv.Result
-	err  error
-}
+// Pipeline queues update operations — one method per update verb, each
+// returning the operation's Future — and Flush submits them as coalesced
+// RPCs: one UpdateBatch per master, one RecordBatch per witness. Each
+// operation keeps its own 1-RTT completion rule, and queue order is
+// preserved per key. Open one with Client.NewPipeline or
+// ShardedClient.NewPipeline; a Pipeline is not safe for concurrent use.
+type Pipeline = kv.Pipeline
 
-func wrapClusterFuture(f *cluster.Future) *Future { return &Future{wait: f.Wait} }
-func wrapShardFuture(f *shard.Future) *Future     { return &Future{wait: f.Wait} }
+// KV is one key/value pair of a MultiPut.
+type KV = kv.KV
 
-// resolve waits for the underlying operation and caches its final
-// outcome. A ctx that ends first does not finalize the future.
-func (f *Future) resolve(ctx context.Context) (*kv.Result, error) {
-	f.mu.Lock()
-	if f.done {
-		defer f.mu.Unlock()
-		return f.res, f.err
-	}
-	f.mu.Unlock()
-	res, err := f.wait(ctx)
-	if err != nil && ctx.Err() != nil {
-		return nil, err // interrupted wait, not the operation's outcome
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.done {
-		f.done, f.res, f.err = true, res, err
-	}
-	return f.res, f.err
-}
+// IncrPair is one leg of a Transfer / MultiIncrement.
+type IncrPair = kv.IncrPair
 
-// Wait blocks until the operation completes and returns its error (nil =
-// durable). If ctx ends first, Wait returns ctx's error; the operation
-// keeps running and a later Wait or accessor still observes its outcome.
-func (f *Future) Wait(ctx context.Context) error {
-	_, err := f.resolve(ctx)
-	return err
-}
-
-// Err blocks until the operation completes and returns its final error.
-func (f *Future) Err() error {
-	_, err := f.resolve(context.Background())
-	return err
-}
-
-// Version returns the object's version after the write (Put, CondPut). It
-// blocks until the operation completes.
-func (f *Future) Version() (uint64, error) {
-	res, err := f.resolve(context.Background())
-	if err != nil {
-		return 0, err
-	}
-	return res.Version, nil
-}
-
-// Applied reports whether a CondPut's condition held and the write took.
-// It blocks until the operation completes.
-func (f *Future) Applied() (bool, error) {
-	res, err := f.resolve(context.Background())
-	if err != nil {
-		return false, err
-	}
-	return res.Found, nil
-}
-
-// Counter returns the new counter value of an Increment. It blocks until
-// the operation completes.
-func (f *Future) Counter() (int64, error) {
-	res, err := f.resolve(context.Background())
-	if err != nil {
-		return 0, err
-	}
-	return cluster.ParseCounter(res)
-}
-
-// Values returns the new counter values of a MultiIncrement, aligned with
-// the deltas. It blocks until the operation completes.
-func (f *Future) Values() ([]int64, error) {
-	res, err := f.resolve(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return cluster.ParseCounters(res)
-}
-
-// Granted reports whether a BucketTake's tokens were available and taken.
-// It blocks until the operation completes.
-func (f *Future) Granted() (bool, error) {
-	res, err := f.resolve(context.Background())
-	if err != nil {
-		return false, err
-	}
-	return res.Found, nil
-}
-
-// Length returns the value's new total length after an Append. It blocks
-// until the operation completes.
-func (f *Future) Length() (int64, error) {
-	res, err := f.resolve(context.Background())
-	if err != nil {
-		return 0, err
-	}
-	return cluster.ParseCounter(res)
-}
-
-// PutAsync writes value under key without blocking; Future.Version holds
-// the object's new version.
-func (c *Client) PutAsync(ctx context.Context, key, value []byte) *Future {
-	return wrapClusterFuture(c.inner.PutAsync(ctx, key, value))
-}
-
-// DeleteAsync removes key without blocking.
-func (c *Client) DeleteAsync(ctx context.Context, key []byte) *Future {
-	return wrapClusterFuture(c.inner.DeleteAsync(ctx, key))
-}
-
-// IncrementAsync adds delta to the counter at key without blocking;
-// Future.Counter holds the new value.
-func (c *Client) IncrementAsync(ctx context.Context, key []byte, delta int64) *Future {
-	return wrapClusterFuture(c.inner.IncrementAsync(ctx, key, delta))
-}
-
-// CondPutAsync writes value only if key is at expectVersion, without
-// blocking; Future.Applied reports whether the write took.
-func (c *Client) CondPutAsync(ctx context.Context, key, value []byte, expectVersion uint64) *Future {
-	return wrapClusterFuture(c.inner.CondPutAsync(ctx, key, value, expectVersion))
-}
-
-// MultiPutAsync writes several objects as one atomic operation, without
-// blocking.
-func (c *Client) MultiPutAsync(ctx context.Context, pairs []KV) *Future {
-	return wrapClusterFuture(c.inner.MultiPutAsync(ctx, toKVs(pairs)))
-}
-
-// MultiIncrementAsync atomically applies every delta, without blocking;
-// Future.Values holds the new counter values.
-func (c *Client) MultiIncrementAsync(ctx context.Context, deltas []IncrPair) *Future {
-	return wrapClusterFuture(c.inner.MultiIncrementAsync(ctx, toIncrPairs(deltas)))
-}
-
-// AppendAsync appends suffix to the value at key without blocking;
-// Future.Length holds the value's new total length.
-func (c *Client) AppendAsync(ctx context.Context, key, suffix []byte) *Future {
-	return wrapClusterFuture(c.inner.AppendAsync(ctx, key, suffix))
-}
-
-// PutTTLAsync writes value under key with an absolute UnixNano expiry,
-// without blocking.
-func (c *Client) PutTTLAsync(ctx context.Context, key, value []byte, expireAt int64) *Future {
-	return wrapClusterFuture(c.inner.PutTTLAsync(ctx, key, value, expireAt))
-}
-
-// SetAddAsync adds member to the set at key without blocking. Concurrent
-// SetAdds commute, so a hot set keeps the 1-RTT fast path.
-func (c *Client) SetAddAsync(ctx context.Context, key, member []byte) *Future {
-	return wrapClusterFuture(c.inner.SetAddAsync(ctx, key, member))
-}
-
-// SetRemoveAsync removes member from the set at key without blocking.
-func (c *Client) SetRemoveAsync(ctx context.Context, key, member []byte) *Future {
-	return wrapClusterFuture(c.inner.SetRemoveAsync(ctx, key, member))
-}
-
-// BucketTakeAsync takes n tokens from the bucket at key without blocking;
-// Future.Granted reports whether they were available.
-func (c *Client) BucketTakeAsync(ctx context.Context, key []byte, n int64) *Future {
-	return wrapClusterFuture(c.inner.BucketTakeAsync(ctx, key, n))
-}
-
-// NewPipeline opens an empty pipeline bound to this client. Queue
-// operations with the update verbs, then Flush once to submit them all as
-// coalesced RPCs.
-func (c *Client) NewPipeline() *Pipeline {
-	return &Pipeline{cp: c.inner.NewPipeline()}
-}
-
-// PutAsync writes value under key on its owning shard without blocking.
-func (c *ShardedClient) PutAsync(ctx context.Context, key, value []byte) *Future {
-	return wrapShardFuture(c.inner.PutAsync(ctx, key, value))
-}
-
-// DeleteAsync removes key on its owning shard without blocking.
-func (c *ShardedClient) DeleteAsync(ctx context.Context, key []byte) *Future {
-	return wrapShardFuture(c.inner.DeleteAsync(ctx, key))
-}
-
-// IncrementAsync adds delta to the counter at key without blocking.
-func (c *ShardedClient) IncrementAsync(ctx context.Context, key []byte, delta int64) *Future {
-	return wrapShardFuture(c.inner.IncrementAsync(ctx, key, delta))
-}
-
-// CondPutAsync writes value only if key is at expectVersion, without
-// blocking.
-func (c *ShardedClient) CondPutAsync(ctx context.Context, key, value []byte, expectVersion uint64) *Future {
-	return wrapShardFuture(c.inner.CondPutAsync(ctx, key, value, expectVersion))
-}
-
-// MultiPutAsync writes the pairs without blocking — atomic per shard, not
-// across shards (see the ShardedClient contract).
-func (c *ShardedClient) MultiPutAsync(ctx context.Context, pairs []KV) *Future {
-	return wrapShardFuture(c.inner.MultiPutAsync(ctx, toKVs(pairs)))
-}
-
-// MultiIncrementAsync applies the deltas without blocking — atomic and
-// exactly-once per shard, independent across shards; Future.Values holds
-// the new counter values.
-func (c *ShardedClient) MultiIncrementAsync(ctx context.Context, deltas []IncrPair) *Future {
-	return wrapShardFuture(c.inner.MultiIncrementAsync(ctx, toIncrPairs(deltas)))
-}
-
-// AppendAsync appends suffix to the value at key without blocking;
-// Future.Length holds the value's new total length.
-func (c *ShardedClient) AppendAsync(ctx context.Context, key, suffix []byte) *Future {
-	return wrapShardFuture(c.inner.AppendAsync(ctx, key, suffix))
-}
-
-// PutTTLAsync writes value under key with an absolute UnixNano expiry,
-// without blocking.
-func (c *ShardedClient) PutTTLAsync(ctx context.Context, key, value []byte, expireAt int64) *Future {
-	return wrapShardFuture(c.inner.PutTTLAsync(ctx, key, value, expireAt))
-}
-
-// SetAddAsync adds member to the set at key without blocking.
-func (c *ShardedClient) SetAddAsync(ctx context.Context, key, member []byte) *Future {
-	return wrapShardFuture(c.inner.SetAddAsync(ctx, key, member))
-}
-
-// SetRemoveAsync removes member from the set at key without blocking.
-func (c *ShardedClient) SetRemoveAsync(ctx context.Context, key, member []byte) *Future {
-	return wrapShardFuture(c.inner.SetRemoveAsync(ctx, key, member))
-}
-
-// BucketTakeAsync takes n tokens from the bucket at key without blocking;
-// Future.Granted reports whether they were available.
-func (c *ShardedClient) BucketTakeAsync(ctx context.Context, key []byte, n int64) *Future {
-	return wrapShardFuture(c.inner.BucketTakeAsync(ctx, key, n))
-}
-
-// NewPipeline opens an empty pipeline bound to this client. Operations
-// are grouped by owning shard at flush time and every shard's group is
-// submitted as one coalesced batch; sub-operations bounced by a live
-// Rebalance re-route automatically.
-func (c *ShardedClient) NewPipeline() *Pipeline {
-	return &Pipeline{sp: c.inner.NewPipeline()}
-}
-
-func toKVs(pairs []KV) []kv.KV {
-	kvs := make([]kv.KV, len(pairs))
-	for i, p := range pairs {
-		kvs[i] = kv.KV{Key: p.Key, Value: p.Value}
-	}
-	return kvs
-}
-
-func toIncrPairs(deltas []IncrPair) []kv.IncrPair {
-	ps := make([]kv.IncrPair, len(deltas))
-	for i, d := range deltas {
-		ps[i] = kv.IncrPair{Key: d.Key, Delta: d.Delta}
-	}
-	return ps
-}
-
-// Pipeline queues update operations and flushes them as coalesced RPCs:
-// one UpdateBatch RPC per master, one RecordBatch RPC per witness, at
-// most one slow-path Sync per flush, and one Drop per witness for
-// redirect-abandoned operations — O(servers) RPCs per flush instead of
-// O(operations × servers).
-//
-// Completion semantics are per operation and identical to the blocking
-// verbs: each queued operation completes on CURP's 1-RTT rule (master
-// executed speculatively AND all f witnesses accepted its record), or on
-// the master-synced / slow-path rules otherwise, independently of its
-// batch-mates. Queue order is preserved, so two operations on the same
-// key apply in the order they were queued; operations on distinct keys
-// commute (that is CURP's point) and may interleave freely with other
-// clients'.
-//
-// On a ShardedClient, operations are grouped by owning shard at flush
-// time, shard groups fly in parallel, and operations bounced by a live
-// migration re-route to the new owner automatically.
-//
-// A Pipeline is not safe for concurrent use; open one per goroutine.
-// Futures may be waited on from any goroutine.
-type Pipeline struct {
-	cp *cluster.Pipeline
-	sp *shard.Pipeline
-}
-
-// Len reports how many operations are queued and unflushed.
-func (p *Pipeline) Len() int {
-	if p.cp != nil {
-		return p.cp.Len()
-	}
-	return p.sp.Len()
-}
-
-// Put queues a write of value under key; the future's Version holds the
-// object's new version.
-func (p *Pipeline) Put(key, value []byte) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.Put(key, value))
-	}
-	return wrapShardFuture(p.sp.Put(key, value))
-}
-
-// Delete queues a removal of key.
-func (p *Pipeline) Delete(key []byte) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.Delete(key))
-	}
-	return wrapShardFuture(p.sp.Delete(key))
-}
-
-// Increment queues adding delta to the counter at key; the future's
-// Counter holds the new value.
-func (p *Pipeline) Increment(key []byte, delta int64) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.Increment(key, delta))
-	}
-	return wrapShardFuture(p.sp.Increment(key, delta))
-}
-
-// CondPut queues a conditional write of value at expectVersion; the
-// future's Applied reports whether the write took.
-func (p *Pipeline) CondPut(key, value []byte, expectVersion uint64) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.CondPut(key, value, expectVersion))
-	}
-	return wrapShardFuture(p.sp.CondPut(key, value, expectVersion))
-}
-
-// Append queues appending suffix to the value at key; the future's Length
-// holds the value's new total length.
-func (p *Pipeline) Append(key, suffix []byte) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.Append(key, suffix))
-	}
-	return wrapShardFuture(p.sp.Append(key, suffix))
-}
-
-// PutTTL queues a write of value under key with an absolute UnixNano
-// expiry.
-func (p *Pipeline) PutTTL(key, value []byte, expireAt int64) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.PutTTL(key, value, expireAt))
-	}
-	return wrapShardFuture(p.sp.PutTTL(key, value, expireAt))
-}
-
-// SetAdd queues adding member to the set at key.
-func (p *Pipeline) SetAdd(key, member []byte) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.SetAdd(key, member))
-	}
-	return wrapShardFuture(p.sp.SetAdd(key, member))
-}
-
-// SetRemove queues removing member from the set at key.
-func (p *Pipeline) SetRemove(key, member []byte) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.SetRemove(key, member))
-	}
-	return wrapShardFuture(p.sp.SetRemove(key, member))
-}
-
-// BucketTake queues taking n tokens from the bucket at key; the future's
-// Granted reports whether they were available.
-func (p *Pipeline) BucketTake(key []byte, n int64) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.BucketTake(key, n))
-	}
-	return wrapShardFuture(p.sp.BucketTake(key, n))
-}
-
-// MultiPut queues an atomic multi-object write (atomic per shard on a
-// ShardedClient).
-func (p *Pipeline) MultiPut(pairs []KV) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.MultiPut(toKVs(pairs)))
-	}
-	return wrapShardFuture(p.sp.MultiPut(toKVs(pairs)))
-}
-
-// MultiIncrement queues an atomic multi-counter increment (atomic per
-// shard on a ShardedClient); the future's Values holds the new counter
-// values.
-func (p *Pipeline) MultiIncrement(deltas []IncrPair) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.MultiIncrement(toIncrPairs(deltas)))
-	}
-	return wrapShardFuture(p.sp.MultiIncrement(toIncrPairs(deltas)))
-}
-
-// Flush submits every queued operation as coalesced batches and blocks
-// until each has completed or failed. Per-operation outcomes land on the
-// futures; Flush returns the join of all failures (nil when every
-// operation succeeded). The pipeline is empty afterwards and can be
-// reused; operations queued after a Flush are ordered after the flushed
-// ones.
-func (p *Pipeline) Flush(ctx context.Context) error {
-	if p.cp != nil {
-		return p.cp.Flush(ctx)
-	}
-	return p.sp.Flush(ctx)
-}
+// ErrCounterUnavailable reports an Increment (or BucketTake) whose state
+// change applied exactly once but whose numeric return value was scrubbed
+// by crash recovery: witness replay re-executes commutative commands in an
+// arbitrary order, so the replayed total would be from a history that never
+// happened. Re-read the key (e.g. Increment with delta 0) for the current
+// total.
+var ErrCounterUnavailable = kv.ErrCounterUnavailable

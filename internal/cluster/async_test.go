@@ -26,7 +26,7 @@ func TestPipelineOverWire(t *testing.T) {
 	ctx := context.Background()
 
 	p := cl.NewPipeline()
-	var puts []*Future
+	var puts []*kv.Future
 	for i := 0; i < 16; i++ {
 		puts = append(puts, p.Put([]byte(fmt.Sprintf("pk%d", i)), []byte(fmt.Sprintf("v%d", i))))
 	}
@@ -41,7 +41,7 @@ func TestPipelineOverWire(t *testing.T) {
 		t.Fatalf("len after flush = %d", p.Len())
 	}
 	for i, f := range puts {
-		res, err := f.Wait(ctx)
+		res, err := f.Result(ctx)
 		if err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
@@ -49,9 +49,9 @@ func TestPipelineOverWire(t *testing.T) {
 			t.Fatalf("put %d: version = 0", i)
 		}
 	}
-	if res, err := incr.Wait(ctx); err != nil {
+	if res, err := incr.Result(ctx); err != nil {
 		t.Fatal(err)
-	} else if n, err := ParseCounter(res); err != nil || n != 5 {
+	} else if n, err := kv.ParseCounter(res); err != nil || n != 5 {
 		t.Fatalf("incr = %d (%v)", n, err)
 	}
 
@@ -82,7 +82,7 @@ func TestPipelineSameKeyOrder(t *testing.T) {
 	if err := p.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	res, err := last.Wait(ctx)
+	res, err := last.Result(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,23 +110,23 @@ func TestPipelineMixedVerbs(t *testing.T) {
 	if err := p.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if res, _ := put.Wait(ctx); res.Version != 1 {
+	if res, _ := put.Result(ctx); res.Version != 1 {
 		t.Fatalf("put version = %d", res.Version)
 	}
-	if res, _ := cond.Wait(ctx); !res.Found {
+	if res, _ := cond.Result(ctx); !res.Found {
 		t.Fatal("condput did not apply")
 	}
-	if _, err := del.Wait(ctx); err != nil {
+	if _, err := del.Result(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mp.Wait(ctx); err != nil {
+	if _, err := mp.Result(ctx); err != nil {
 		t.Fatal(err)
 	}
-	res, err := mi.Wait(ctx)
+	res, err := mi.Result(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := ParseCounters(res)
+	vals, err := kv.ParseCounters(res)
 	if err != nil || len(vals) != 2 || vals[0] != 2 || vals[1] != 3 {
 		t.Fatalf("multi-increment = %v (%v)", vals, err)
 	}
@@ -142,25 +142,25 @@ func TestAsyncVerbsOverWire(t *testing.T) {
 	_, cl := startAsyncCluster(t, 2)
 	ctx := context.Background()
 
-	var futs []*Future
+	var futs []*kv.Future
 	for i := 0; i < 32; i++ {
 		futs = append(futs, cl.PutAsync(ctx, []byte(fmt.Sprintf("ak%d", i)), []byte("v")))
 	}
 	inc := cl.IncrementAsync(ctx, []byte("actr"), 1)
 	for i, f := range futs {
-		if _, err := f.Wait(ctx); err != nil {
+		if _, err := f.Result(ctx); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	res, err := inc.Wait(ctx)
+	res, err := inc.Result(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := ParseCounter(res); n != 1 {
+	if n, _ := kv.ParseCounter(res); n != 1 {
 		t.Fatalf("counter = %d", n)
 	}
 	// A second wait returns the same cached outcome.
-	res2, err := inc.Wait(ctx)
+	res2, err := inc.Result(ctx)
 	if err != nil || res2 != res {
 		t.Fatalf("second wait: %v %p %p", err, res2, res)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"curp/internal/core"
@@ -261,8 +260,10 @@ func (p *coordViewProvider) close() {
 
 // Client is a CURP key-value client bound to one partition (master). It
 // registers with the coordinator for a RIFL identity, fetches views, and
-// exposes the kv command set with 1-RTT updates.
+// implements kv.Backend — the generic submission path — from which the
+// embedded kv.Verbs gives it the typed command set with 1-RTT updates.
 type Client struct {
+	kv.Verbs
 	name     string
 	provider *coordViewProvider
 	curp     *core.Client
@@ -310,6 +311,7 @@ func NewClientMulti(nw transport.Network, name string, coordAddrs []string, mast
 		provider: provider,
 		curp:     core.NewClient(rifl.NewSession(clientID), provider, cfg),
 	}
+	c.Verbs = kv.VerbsOf(c)
 	return c, nil
 }
 
@@ -338,226 +340,10 @@ func (c *Client) CountTxnAbort(orphan bool) { c.curp.CountTxnAbort(orphan) }
 // Session exposes the client's RIFL session.
 func (c *Client) Session() *rifl.Session { return c.curp.Session() }
 
-// Put writes value under key and returns the object's new version.
-func (c *Client) Put(ctx context.Context, key, value []byte) (uint64, error) {
-	cmd := &kv.Command{Op: kv.OpPut, Key: key, Value: value}
-	res, err := c.update(ctx, cmd)
-	if err != nil {
-		return 0, err
-	}
-	return res.Version, nil
-}
-
-// Get reads key at the master. ok is false if the key does not exist.
-func (c *Client) Get(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	cmd := &kv.Command{Op: kv.OpGet, Key: key}
-	out, err := c.curp.Read(ctx, cmd.KeyHashes(), cmd.Encode())
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := kv.DecodeResult(out)
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Value, res.Found, nil
-}
-
-// GetStale reads the latest DURABLE value of key from the master without
-// waiting for any sync (§A.3): if the key has speculative (unsynced)
-// updates, the returned value may trail the linearizable one by the
-// unsynced window. Use for read-mostly paths that tolerate slight
-// staleness and must never block behind a hot writer.
-func (c *Client) GetStale(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	cmd := &kv.Command{Op: kv.OpGet, Key: key}
-	view, err := c.provider.View(ctx, false)
-	if err != nil {
-		return nil, false, err
-	}
-	req := &core.Request{KeyHashes: cmd.KeyHashes(), ReadOnly: true, Payload: cmd.Encode()}
-	mc, okConv := view.Master.(*masterConn)
-	if !okConv {
-		return nil, false, errors.New("cluster: stale reads require a cluster master connection")
-	}
-	out, err := mc.peer.Call(ctx, OpReadStale, req.Encode())
-	if err != nil {
-		return nil, false, err
-	}
-	reply, err := core.DecodeReply(out)
-	if err != nil {
-		return nil, false, err
-	}
-	if reply.Status == core.StatusKeyMoved {
-		// Typed, so the shard routing layer re-routes stale reads after a
-		// migration like every other operation.
-		return nil, false, core.ErrKeyMoved
-	}
-	if reply.Status != core.StatusOK {
-		return nil, false, fmt.Errorf("cluster: stale read: %v %s", reply.Status, reply.Err)
-	}
-	res, err := kv.DecodeResult(reply.Payload)
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Value, res.Found, nil
-}
-
-// GetNearby reads key from a backup when a witness confirms safety,
-// falling back to the master (§A.1).
-func (c *Client) GetNearby(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	cmd := &kv.Command{Op: kv.OpGet, Key: key}
-	out, err := c.curp.ReadNearby(ctx, cmd.KeyHashes(), cmd.Encode())
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := kv.DecodeResult(out)
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Value, res.Found, nil
-}
-
-// Delete removes key.
-func (c *Client) Delete(ctx context.Context, key []byte) error {
-	cmd := &kv.Command{Op: kv.OpDelete, Key: key}
-	_, err := c.update(ctx, cmd)
-	return err
-}
-
-// Increment atomically adds delta to the integer value at key and returns
-// the new value.
-func (c *Client) Increment(ctx context.Context, key []byte, delta int64) (int64, error) {
-	cmd := &kv.Command{Op: kv.OpIncrement, Key: key, Delta: delta}
-	res, err := c.update(ctx, cmd)
-	if err != nil {
-		return 0, err
-	}
-	return ParseCounter(res)
-}
-
-// Append atomically appends suffix to the value at key (creating it when
-// absent) and returns the value's new total length. Append is ClassWrite:
-// two appends do NOT commute — their results (and the stored bytes) depend
-// on order — so contended appends take the sync path like puts.
-func (c *Client) Append(ctx context.Context, key, suffix []byte) (int64, error) {
-	cmd := &kv.Command{Op: kv.OpAppend, Key: key, Value: suffix}
-	res, err := c.update(ctx, cmd)
-	if err != nil {
-		return 0, err
-	}
-	return ParseCounter(res)
-}
-
-// PutTTL writes value under key with an absolute expiry time (UnixNano);
-// expireAt 0 clears any TTL. Reads treat the key as absent once expireAt
-// passes; the master's sync tail purges it physically.
-func (c *Client) PutTTL(ctx context.Context, key, value []byte, expireAt int64) (uint64, error) {
-	cmd := &kv.Command{Op: kv.OpPut, Key: key, Value: value, ExpireAt: expireAt}
-	res, err := c.update(ctx, cmd)
-	if err != nil {
-		return 0, err
-	}
-	return res.Version, nil
-}
-
-// SetAdd adds member to the set at key (creating it when absent).
-// Concurrent SetAdds on one key commute — the stored representation is
-// canonical (sorted, deduplicated) — so a hot set stays on the 1-RTT path.
-func (c *Client) SetAdd(ctx context.Context, key, member []byte) error {
-	cmd := &kv.Command{Op: kv.OpSetAdd, Key: key, Value: member}
-	_, err := c.update(ctx, cmd)
-	return err
-}
-
-// SetRemove removes member from the set at key. Concurrent SetRemoves
-// commute with each other but NOT with SetAdds: an add/remove pair on one
-// key forces a sync between them, which is what gives the pair its
-// observed-remove ordering.
-func (c *Client) SetRemove(ctx context.Context, key, member []byte) error {
-	cmd := &kv.Command{Op: kv.OpSetRemove, Key: key, Value: member}
-	_, err := c.update(ctx, cmd)
-	return err
-}
-
-// SetMembers reads the members of the set at key, sorted bytewise. A
-// missing key is an empty set, not an error.
-func (c *Client) SetMembers(ctx context.Context, key []byte) ([][]byte, error) {
-	cmd := &kv.Command{Op: kv.OpSetMembers, Key: key}
-	out, err := c.curp.Read(ctx, cmd.KeyHashes(), cmd.Encode())
-	if err != nil {
-		return nil, err
-	}
-	res, err := kv.DecodeResult(out)
-	if err != nil {
-		return nil, err
-	}
-	return res.Values, nil
-}
-
-// BucketTake takes n tokens from the rate-limiter bucket at key (refilled
-// with Increment). granted reports whether the bucket held n tokens;
-// remaining is the balance after the take. Grants commute while the bucket
-// stays positive, so admission checks under a healthy budget run at 1 RTT;
-// a take that denies or drains the bucket demotes itself to the sync path.
-// After a master crash the remaining balance of an in-flight take may be
-// unreported (remaining 0 with granted still valid).
-func (c *Client) BucketTake(ctx context.Context, key []byte, n int64) (granted bool, remaining int64, err error) {
-	cmd := &kv.Command{Op: kv.OpBucketTake, Key: key, Delta: n}
-	res, err := c.update(ctx, cmd)
-	if err != nil {
-		return false, 0, err
-	}
-	if len(res.Value) > 0 {
-		if remaining, err = ParseCounter(res); err != nil {
-			return false, 0, err
-		}
-	}
-	return res.Found, remaining, nil
-}
-
-// CondPut writes value only if key is at expectVersion. applied reports
-// whether the write happened; version is the object's (new or current)
-// version.
-func (c *Client) CondPut(ctx context.Context, key, value []byte, expectVersion uint64) (applied bool, version uint64, err error) {
-	cmd := &kv.Command{Op: kv.OpCondPut, Key: key, Value: value, ExpectVersion: expectVersion}
-	res, err := c.update(ctx, cmd)
-	if err != nil {
-		return false, 0, err
-	}
-	return res.Found, res.Version, nil
-}
-
-// MultiPut writes several objects in one atomic command; it commutes only
-// with operations touching none of the keys.
-func (c *Client) MultiPut(ctx context.Context, pairs []kv.KV) error {
-	cmd := &kv.Command{Op: kv.OpMultiPut, Pairs: pairs}
-	_, err := c.update(ctx, cmd)
-	return err
-}
-
-// MultiIncrement atomically adds a delta to each (distinct) key's counter
-// in one exactly-once operation, e.g. a balance transfer. It returns the
-// new counter values, aligned with deltas.
-func (c *Client) MultiIncrement(ctx context.Context, deltas []kv.IncrPair) ([]int64, error) {
-	cmd := &kv.Command{Op: kv.OpMultiIncr}
-	for _, d := range deltas {
-		cmd.Pairs = append(cmd.Pairs, kv.KV{Key: d.Key, Value: []byte(fmt.Sprint(d.Delta))})
-	}
-	res, err := c.update(ctx, cmd)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(res.Values))
-	for i, v := range res.Values {
-		n, err := strconv.ParseInt(string(v), 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = n
-	}
-	return out, nil
-}
-
-func (c *Client) update(ctx context.Context, cmd *kv.Command) (*kv.Result, error) {
+// Submit executes one update command and returns once it is durable —
+// the blocking path under every typed verb: straight into the core
+// client's Update, no future, no goroutine hop.
+func (c *Client) Submit(ctx context.Context, cmd kv.Command) (*kv.Result, error) {
 	out, err := c.curp.Update(ctx, cmd.KeyHashes(), cmd.Encode(), cmd.Class())
 	if err != nil {
 		return nil, err
@@ -565,9 +351,82 @@ func (c *Client) update(ctx context.Context, cmd *kv.Command) (*kv.Result, error
 	return kv.DecodeResult(out)
 }
 
-// Submit executes one kv command synchronously — the generic blocking
-// form of the typed verbs, used by routing layers that build commands
-// themselves.
-func (c *Client) Submit(ctx context.Context, cmd *kv.Command) (*kv.Result, error) {
-	return c.update(ctx, cmd)
+// SubmitAsync issues one update command without blocking.
+func (c *Client) SubmitAsync(ctx context.Context, cmd kv.Command) *kv.Future {
+	return kv.Submitted(c.curp.UpdateAsync(ctx, cmd.KeyHashes(), cmd.Encode(), cmd.Class()))
+}
+
+// SubmitBatch issues a batch of update commands as coalesced RPCs: one
+// UpdateBatch to the master and one RecordBatch per witness, with per-
+// command completion (see core.Client.UpdateBatchAsync). Futures are
+// aligned with cmds.
+func (c *Client) SubmitBatch(ctx context.Context, cmds []kv.Command) []*core.Future {
+	ops := make([]core.BatchOp, len(cmds))
+	for i := range cmds {
+		cmd := &cmds[i]
+		ops[i] = core.BatchOp{KeyHashes: cmd.KeyHashes(), Payload: cmd.Encode(), Class: cmd.Class()}
+	}
+	return c.curp.UpdateBatchAsync(ctx, ops)
+}
+
+// FlushBatch submits a pipeline's queue as one coalesced batch. It does
+// not wait: every slot is bound to its in-flight operation, which
+// completes on its own 1-RTT rule.
+func (c *Client) FlushBatch(ctx context.Context, b *kv.Batch) {
+	for i, src := range c.SubmitBatch(ctx, b.Cmds) {
+		b.Bind(i, src)
+	}
+}
+
+// Read executes one read-only command: at the master, from a backup when a
+// witness confirms safety (§A.1), or — ReadStale — the latest DURABLE
+// value from the master without waiting for any sync (§A.3).
+func (c *Client) Read(ctx context.Context, cmd kv.Command, mode kv.ReadMode) (*kv.Result, error) {
+	var out []byte
+	var err error
+	switch mode {
+	case kv.ReadNearby:
+		out, err = c.curp.ReadNearby(ctx, cmd.KeyHashes(), cmd.Encode())
+	case kv.ReadStale:
+		out, err = c.readStale(ctx, &cmd)
+	default:
+		out, err = c.curp.Read(ctx, cmd.KeyHashes(), cmd.Encode())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return kv.DecodeResult(out)
+}
+
+// readStale sends cmd to the master's stale-read endpoint: if a key has
+// speculative (unsynced) updates, the returned value may trail the
+// linearizable one by the unsynced window, and the read never blocks
+// behind a hot writer.
+func (c *Client) readStale(ctx context.Context, cmd *kv.Command) ([]byte, error) {
+	view, err := c.provider.View(ctx, false)
+	if err != nil {
+		return nil, err
+	}
+	req := &core.Request{KeyHashes: cmd.KeyHashes(), ReadOnly: true, Payload: cmd.Encode()}
+	mc, ok := view.Master.(*masterConn)
+	if !ok {
+		return nil, errors.New("cluster: stale reads require a cluster master connection")
+	}
+	out, err := mc.peer.Call(ctx, OpReadStale, req.Encode())
+	if err != nil {
+		return nil, err
+	}
+	reply, err := core.DecodeReply(out)
+	if err != nil {
+		return nil, err
+	}
+	if reply.Status == core.StatusKeyMoved {
+		// Typed, so the shard routing layer re-routes stale reads after a
+		// migration like every other operation.
+		return nil, core.ErrKeyMoved
+	}
+	if reply.Status != core.StatusOK {
+		return nil, fmt.Errorf("cluster: stale read: %v %s", reply.Status, reply.Err)
+	}
+	return reply.Payload, nil
 }

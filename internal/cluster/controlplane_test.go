@@ -129,7 +129,7 @@ func TestControlPlaneLinearizable(t *testing.T) {
 			p := cl.NewPipeline()
 			type pending struct {
 				key, val string
-				fut      *Future
+				fut      *kv.Future
 			}
 			var batch []pending
 			for j := 0; j < 4; j++ {
@@ -143,7 +143,7 @@ func TestControlPlaneLinearizable(t *testing.T) {
 				continue
 			}
 			for _, b := range batch {
-				if _, err := b.fut.Wait(cctx); err == nil {
+				if _, err := b.fut.Result(cctx); err == nil {
 					mu.Lock()
 					pipeOK[b.key] = b.val
 					mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -352,16 +353,7 @@ func (c *Coordinator) forwardPropose(ctx context.Context, leaderAddr string, cmd
 // transport flattens errors to strings).
 func isStaleErr(err error) bool {
 	return errors.Is(err, controlplane.ErrStale) ||
-		(err != nil && stringContains(err.Error(), "lost a reconfiguration race"))
-}
-
-func stringContains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
+		(err != nil && strings.Contains(err.Error(), "lost a reconfiguration race"))
 }
 
 // applyCtrl mirrors every committed control command into this replica's

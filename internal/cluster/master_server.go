@@ -117,9 +117,8 @@ type MasterServer struct {
 
 	rpc *rpc.Server
 
-	// Observability: the per-node registry served at /metrics, the
-	// pre-bound instruments the hot paths record into, and the slow-op
-	// tracer (nil-safe; disabled unless SetSlowOpTracer is called).
+	// Observability: the per-node registry served at /metrics and the
+	// pre-bound instruments the hot paths record into.
 	metrics      *metrics.Registry
 	mLatUpdate   *metrics.Histogram
 	mLatBatch    *metrics.Histogram
@@ -138,8 +137,6 @@ type MasterServer struct {
 	mClassSpec   []*metrics.Counter
 	mClassSync   []*metrics.Counter
 	lastSyncNano atomic.Int64
-	shardIdx     atomic.Int64 // -1 until the deployment layer assigns one
-	tracer       atomic.Pointer[metrics.Tracer]
 	// coll holds this master's distributed-trace spans; requests arriving
 	// with a wire trace context record their server-side stage attribution
 	// (master-queue, apply, sync-wait, backup-append, lock-wait) here.
@@ -173,7 +170,6 @@ func NewMasterServer(nw transport.Network, id uint64, addr string, epoch uint64,
 		rpc:     rpc.NewServer(),
 	}
 	ms.durableOld = make(map[string]staleEntry)
-	ms.shardIdx.Store(-1)
 	ms.coll = metrics.NewCollector(addr, "master", 0)
 	if !opts.DisableEvents {
 		ms.jrn = events.NewJournal(addr, "master")
@@ -308,17 +304,12 @@ func (ms *MasterServer) buildMetrics() {
 func (ms *MasterServer) Metrics() *metrics.Registry { return ms.metrics }
 
 // SetShardIndex tells the master which shard of a sharded deployment it
-// serves, for slow-op span attribution (-1, the default, means unknown).
+// serves; its trace spans, journal events and hot-key reports carry it.
 func (ms *MasterServer) SetShardIndex(s int) {
-	ms.shardIdx.Store(int64(s))
 	ms.coll.SetShard(s)
 	ms.jrn.SetShard(s)
 	ms.hot.SetShard(s)
 }
-
-// SetSlowOpTracer installs (or, with nil, removes) the structured slow-op
-// trace log for this master's RPC spans.
-func (ms *MasterServer) SetSlowOpTracer(t *metrics.Tracer) { ms.tracer.Store(t) }
 
 // Trace returns the master's distributed-trace collector (the /trace data
 // source for this node).
@@ -332,28 +323,12 @@ func (ms *MasterServer) Events() *events.Journal { return ms.jrn }
 // /hotkeys data source for this node.
 func (ms *MasterServer) HotKeys() *events.TopK { return ms.hot }
 
-// observeOp records one handled RPC: its latency histogram sample, a wire
-// span (stage "apply") when the request carries a trace context, and, when
-// the configured threshold is crossed, a slow-op log line with the
-// operation type, routing key hash, shard, and path verdict.
-func (ms *MasterServer) observeOp(ctx context.Context, h *metrics.Histogram, op string, keyHashes []uint64, verdict, errText string, start time.Time) {
+// observeOp records one handled RPC: its latency histogram sample and,
+// when the request carries a trace context, a wire span (stage "apply").
+func (ms *MasterServer) observeOp(ctx context.Context, h *metrics.Histogram, op, verdict, errText string, start time.Time) {
 	d := time.Since(start)
 	h.ObserveDuration(d)
 	ms.coll.RecordSpan(ctx, "apply", op, verdict, start, d, errText)
-	if t := ms.tracer.Load(); t != nil && t.Slow(d) {
-		var kh uint64
-		if len(keyHashes) > 0 {
-			kh = keyHashes[0]
-		}
-		t.Trace(metrics.Span{
-			Op:      op,
-			KeyHash: kh,
-			Shard:   int(ms.shardIdx.Load()),
-			Verdict: verdict,
-			Dur:     d,
-			Err:     errText,
-		})
-	}
 }
 
 // StartHeartbeat runs a resident beater reporting this master's liveness
@@ -853,7 +828,7 @@ func (ms *MasterServer) handleUpdate(ctx context.Context, payload []byte) ([]byt
 			ex.reply.Synced = true
 		}
 	}
-	ms.observeOp(ctx, ms.mLatUpdate, "update", req.KeyHashes, verdict, ex.reply.Err, start)
+	ms.observeOp(ctx, ms.mLatUpdate, "update", verdict, ex.reply.Err, start)
 	return ex.reply.Encode(), nil
 }
 
@@ -909,11 +884,7 @@ func (ms *MasterServer) handleUpdateBatch(ctx context.Context, payload []byte) (
 	for i := range exs {
 		replies[i] = exs[i].reply
 	}
-	var firstHashes []uint64
-	if len(reqs) > 0 {
-		firstHashes = reqs[0].KeyHashes
-	}
-	ms.observeOp(ctx, ms.mLatBatch, "update_batch", firstHashes, verdict, "", start)
+	ms.observeOp(ctx, ms.mLatBatch, "update_batch", verdict, "", start)
 	return encodeReplyBatch(replies), nil
 }
 
@@ -955,13 +926,13 @@ func (ms *MasterServer) handleRead(ctx context.Context, payload []byte) ([]byte,
 					ms.mLockWait.Observe(int64(lerr.Age))
 					ms.coll.RecordSpan(ctx, "lock-wait", "read", "locked", time.Now().Add(-lerr.Age), lerr.Age, "")
 					ms.maybeResolve(lerr)
-					ms.observeOp(ctx, ms.mLatRead, "read", req.KeyHashes, "locked", "", start)
+					ms.observeOp(ctx, ms.mLatRead, "read", "locked", "", start)
 					return (&core.Reply{Status: core.StatusTxnLocked}).Encode(), nil
 				}
-				ms.observeOp(ctx, ms.mLatRead, "read", req.KeyHashes, "error", err.Error(), start)
+				ms.observeOp(ctx, ms.mLatRead, "read", "error", err.Error(), start)
 				return (&core.Reply{Status: core.StatusError, Err: err.Error()}).Encode(), nil
 			}
-			ms.observeOp(ctx, ms.mLatRead, "read", req.KeyHashes, verdict, "", start)
+			ms.observeOp(ctx, ms.mLatRead, "read", verdict, "", start)
 			return (&core.Reply{Status: core.StatusOK, Synced: true, Payload: res.Encode()}).Encode(), nil
 		}
 		ms.execMu.Unlock()
@@ -974,7 +945,7 @@ func (ms *MasterServer) handleRead(ctx context.Context, payload []byte) ([]byte,
 		ssp.End()
 		if serr != nil {
 			reply := ms.syncFailReply(serr)
-			ms.observeOp(ctx, ms.mLatRead, "read", req.KeyHashes, "error", reply.Err, start)
+			ms.observeOp(ctx, ms.mLatRead, "read", "error", reply.Err, start)
 			return reply.Encode(), nil
 		}
 	}
@@ -1137,19 +1108,19 @@ func (ms *MasterServer) purgeExpired() {
 	ms.execMu.Lock()
 	defer ms.execMu.Unlock()
 	now := time.Now().UnixNano()
-	keys := ms.store.ExpiredKeys(now, 64)
-	cmd := &kv.Command{Op: kv.OpPurgeExpired, Delta: now}
-	for _, k := range keys {
+	var keys [][]byte
+	for _, k := range ms.store.ExpiredKeys(now, 64) {
 		// Keys in migrating or moved ranges transfer (or transferred) with
 		// their expiry stamps; purging them here would mutate a frozen range.
 		if !ms.migr.blockedKey(k) {
-			cmd.Pairs = append(cmd.Pairs, kv.KV{Key: k})
+			keys = append(keys, k)
 		}
 	}
-	if len(cmd.Pairs) == 0 {
+	if len(keys) == 0 {
 		return
 	}
-	if _, lsn, err := ms.store.Apply(cmd, rifl.RPCID{}); err == nil && lsn > 0 {
+	cmd := kv.PurgeExpired(now, keys)
+	if _, lsn, err := ms.store.Apply(&cmd, rifl.RPCID{}); err == nil && lsn > 0 {
 		ms.state.NoteMutation(cmd.KeyHashes(), uint64(lsn), commute.ClassWrite)
 		ms.TriggerSync()
 	}

@@ -501,12 +501,9 @@ func (ms *MasterServer) handleMigrateInstall(ctx context.Context, payload []byte
 		return nil, fmt.Errorf("master %d: migrate-install addressed to %d", ms.id, masterID)
 	}
 	for _, o := range bundle.Objects {
-		cmd := &kv.Command{Op: kv.OpMigrateObject, Key: o.Key, Value: o.Value, ExpectVersion: o.Version}
-		if o.Tombstone {
-			cmd.Delta = 1
-		}
+		cmd := o.Command()
 		ms.execMu.Lock()
-		_, lsn, err := ms.store.Apply(cmd, rifl.RPCID{})
+		_, lsn, err := ms.store.Apply(&cmd, rifl.RPCID{})
 		if err == nil && lsn > 0 {
 			ms.state.NoteMutation(cmd.KeyHashes(), uint64(lsn), commute.ClassWrite)
 		}
@@ -520,14 +517,14 @@ func (ms *MasterServer) handleMigrateInstall(ctx context.Context, payload []byte
 		// zero entry ID (its RIFL completion record travels separately in
 		// bundle.Completions). Idempotent: the store keeps the first
 		// outcome.
-		cmd := &kv.Command{Op: kv.OpTxnDecide, Txn: &kv.TxnCommand{
+		cmd := kv.TxnDecide(&kv.TxnCommand{
 			ID:         dec.ID,
 			Commit:     dec.Commit,
 			HomeRecord: true,
 			Home:       kv.TxnHome{MasterID: ms.id, Addr: ms.addr, KeyHash: dec.HomeHash},
-		}}
+		})
 		ms.execMu.Lock()
-		_, lsn, err := ms.store.Apply(cmd, rifl.RPCID{})
+		_, lsn, err := ms.store.Apply(&cmd, rifl.RPCID{})
 		if err == nil && lsn > 0 {
 			ms.state.NoteMutation([]uint64{dec.HomeHash}, uint64(lsn), commute.ClassWrite)
 		}
@@ -537,14 +534,14 @@ func (ms *MasterServer) handleMigrateInstall(ctx context.Context, payload []byte
 		}
 	}
 	for _, c := range bundle.Completions {
-		cmd := &kv.Command{Op: kv.OpMigrateRecord, Value: c.Result, Hashes: c.KeyHashes}
+		cmd := kv.MigrateRecord(c.Result, c.KeyHashes)
 		ms.execMu.Lock()
 		outcome, _ := ms.tracker.Begin(c.ID, 0)
 		if outcome != rifl.New {
 			ms.execMu.Unlock()
 			continue // already installed (e.g. a retried install)
 		}
-		res, _, err := ms.store.Apply(cmd, c.ID)
+		res, _, err := ms.store.Apply(&cmd, c.ID)
 		if err == nil {
 			ms.tracker.RecordKeyed(c.ID, res.Encode(), c.KeyHashes)
 		}

@@ -22,12 +22,7 @@ import (
 // including the object's version — the read-set entry a transaction
 // revalidates at commit.
 func (c *Client) GetVersioned(ctx context.Context, key []byte) (*kv.Result, error) {
-	cmd := &kv.Command{Op: kv.OpGet, Key: key}
-	out, err := c.curp.Read(ctx, cmd.KeyHashes(), cmd.Encode())
-	if err != nil {
-		return nil, err
-	}
-	return kv.DecodeResult(out)
+	return c.Read(ctx, kv.Get(key), kv.ReadMaster)
 }
 
 // TxnHomeInfo returns the partition's home-shard coordinates (master ID and
@@ -69,12 +64,12 @@ func (c *Client) TxnDecide(ctx context.Context, cmd *kv.Command) (*kv.Result, er
 // lock-timeout resolver recorded an abort first (the RIFL-anchored race
 // resolution).
 func (c *Client) TxnDecideHome(ctx context.Context, id rifl.RPCID, commit bool, homeHash uint64) (bool, error) {
-	cmd := &kv.Command{Op: kv.OpTxnDecide, Txn: &kv.TxnCommand{
+	cmd := kv.TxnDecide(&kv.TxnCommand{
 		ID:         id,
 		Commit:     commit,
 		HomeRecord: true,
 		Home:       kv.TxnHome{KeyHash: homeHash},
-	}}
+	})
 	out, err := c.curp.UpdateWithIDAsync(ctx, id, []uint64{homeHash}, cmd.Encode()).Wait(ctx)
 	if err != nil {
 		return false, err
@@ -93,11 +88,11 @@ func (c *Client) TxnDecideHome(ctx context.Context, id rifl.RPCID, commit bool, 
 // already succeeded, and a lost forget merely parks the record until
 // lease expiry reclaims it.
 func (c *Client) ForgetTxnDecision(ctx context.Context, id rifl.RPCID, homeHash uint64) {
-	cmd := &kv.Command{Op: kv.OpTxnForget, Txn: &kv.TxnCommand{
+	cmd := kv.TxnForget(&kv.TxnCommand{
 		ID:         id,
 		HomeRecord: true, // footprint = the home key hash
 		Home:       kv.TxnHome{KeyHash: homeHash},
-	}}
+	})
 	c.curp.UpdateAsync(ctx, []uint64{homeHash}, cmd.Encode(), cmd.Class())
 }
 
@@ -186,8 +181,7 @@ func (c *Client) txnCall(ctx context.Context, op uint16, cmd *kv.Command) (*kv.R
 // commutes with the unsynced window. The result's Found reports whether
 // validation held.
 func (c *Client) SubmitTxnApply(ctx context.Context, t *kv.TxnCommand) (*kv.Result, error) {
-	cmd := &kv.Command{Op: kv.OpTxnApply, Txn: t}
-	return c.Submit(ctx, cmd)
+	return c.Submit(ctx, kv.TxnApply(t))
 }
 
 // singleTxnBackend adapts one partition to the transaction coordinator's

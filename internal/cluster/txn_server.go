@@ -60,7 +60,7 @@ func (ms *MasterServer) handleTxnPrepare(ctx context.Context, payload []byte) ([
 	ms.mTxnPrepares.Inc()
 	start := time.Now()
 	out, err := ms.handleTxnPhase(ctx, payload, kv.OpTxnPrepare)
-	ms.observeOp(ctx, ms.mLatPrepare, "txn_prepare", nil, txnPhaseVerdict(out, err), "", start)
+	ms.observeOp(ctx, ms.mLatPrepare, "txn_prepare", txnPhaseVerdict(out, err), "", start)
 	return out, err
 }
 
@@ -71,7 +71,7 @@ func (ms *MasterServer) handleTxnDecide(ctx context.Context, payload []byte) ([]
 	ms.mTxnDecides.Inc()
 	start := time.Now()
 	out, err := ms.handleTxnPhase(ctx, payload, kv.OpTxnDecide)
-	ms.observeOp(ctx, ms.mLatDecide, "txn_decide", nil, txnPhaseVerdict(out, err), "", start)
+	ms.observeOp(ctx, ms.mLatDecide, "txn_decide", txnPhaseVerdict(out, err), "", start)
 	return out, err
 }
 
@@ -254,12 +254,12 @@ func (ms *MasterServer) homeResolve(id rifl.RPCID, homeHash uint64, resolve, all
 
 	// No decision exists: presume abort, anchoring it in RIFL so a late
 	// coordinator decide under this ID gets the abort back.
-	cmd := &kv.Command{Op: kv.OpTxnDecide, Txn: &kv.TxnCommand{
+	cmd := kv.TxnDecide(&kv.TxnCommand{
 		ID:         id,
 		Commit:     false,
 		HomeRecord: true,
 		Home:       kv.TxnHome{MasterID: ms.id, Addr: ms.addr, KeyHash: homeHash},
-	}}
+	})
 	entryID := id
 	switch o, saved := ms.tracker.Begin(id, 0); o {
 	case rifl.Completed:
@@ -289,7 +289,7 @@ func (ms *MasterServer) homeResolve(id rifl.RPCID, homeHash uint64, resolve, all
 		ms.execMu.Unlock()
 		return false, nil
 	}
-	res, lsn, err := ms.store.Apply(cmd, entryID)
+	res, lsn, err := ms.store.Apply(&cmd, entryID)
 	if err != nil {
 		ms.execMu.Unlock()
 		return false, err
@@ -446,8 +446,8 @@ func (ms *MasterServer) applyResolvedDecision(id rifl.RPCID, commit bool) error 
 		ms.execMu.Unlock()
 		return nil // already decided here
 	}
-	cmd := &kv.Command{Op: kv.OpTxnDecide, Txn: &kv.TxnCommand{ID: id, Commit: commit}}
-	_, lsn, err := ms.store.Apply(cmd, rifl.RPCID{})
+	cmd := kv.TxnDecide(&kv.TxnCommand{ID: id, Commit: commit})
+	_, lsn, err := ms.store.Apply(&cmd, rifl.RPCID{})
 	if err == nil && lsn > 0 {
 		ms.state.NoteMutation(hashes, uint64(lsn), commute.ClassWrite)
 	}

@@ -38,11 +38,6 @@ type MasterConfig struct {
 	// aims for: roughly how long a speculative operation may wait before
 	// a background flush starts (default 500µs).
 	TargetFlushDelay time.Duration
-	// KeyGranular disables per-command commutativity classes and restores
-	// the paper's key-granular conflict rule: every operation is treated as
-	// commute.ClassWrite, so any two pending operations on the same key
-	// conflict. Used as the evaluation baseline for the commute experiment.
-	KeyGranular bool
 	// WitnessBurstLimit bounds a single key's run of unsynced COMMUTING
 	// mutations: when the run reaches this length, NoteMutation reports
 	// hot=true so the caller syncs right after replying. Commuting records
@@ -180,9 +175,6 @@ func (m *MasterState) Config() MasterConfig { return m.cfg }
 func (m *MasterState) Conflicts(keyHashes []uint64, class commute.Class) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cfg.KeyGranular {
-		class = commute.ClassWrite
-	}
 	for _, kh := range keyHashes {
 		if km, ok := m.lastMutation[kh]; ok && km.lsn > m.syncedLSN && !commute.Commutes(km.class, class) {
 			return true
@@ -202,9 +194,6 @@ func (m *MasterState) Conflicts(keyHashes []uint64, class commute.Class) bool {
 func (m *MasterState) NoteMutation(keyHashes []uint64, lsn uint64, class commute.Class) (hot bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cfg.KeyGranular {
-		class = commute.ClassWrite
-	}
 	if lsn > m.headLSN {
 		m.headLSN = lsn
 	}

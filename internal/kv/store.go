@@ -591,6 +591,34 @@ type MigratedObject struct {
 	ExpireAt int64
 }
 
+// Command returns the OpMigrateObject command that installs the object on
+// its new shard: ExpectVersion carries the source version and a non-zero
+// Delta marks a tombstone.
+func (o MigratedObject) Command() Command {
+	cmd := Command{Op: OpMigrateObject, Key: o.Key, Value: o.Value, ExpectVersion: o.Version}
+	if o.Tombstone {
+		cmd.Delta = 1
+	}
+	return cmd
+}
+
+// MigrateRecord returns the command installing one migrated RIFL
+// completion record: result is the original operation's encoded Result,
+// hashes its commutativity footprint.
+func MigrateRecord(result []byte, hashes []uint64) Command {
+	return Command{Op: OpMigrateRecord, Value: result, Hashes: hashes}
+}
+
+// PurgeExpired returns the command deleting those of keys whose stored
+// expiry is ≤ cutoff.
+func PurgeExpired(cutoff int64, keys [][]byte) Command {
+	cmd := Command{Op: OpPurgeExpired, Delta: cutoff, Pairs: make([]KV, len(keys))}
+	for i, k := range keys {
+		cmd.Pairs[i] = KV{Key: k}
+	}
+	return cmd
+}
+
 // ExportRange returns every object (live or tombstoned) whose key matches
 // pred, for transfer to another shard.
 func (s *Store) ExportRange(pred func(key []byte) bool) []MigratedObject {

@@ -89,6 +89,22 @@ type TxnCommand struct {
 	Writes []TxnWrite
 }
 
+// Transactional command constructors: the payload's role is the op.
+
+// TxnPrepare is phase one on a participant shard: validate t.Reads, lock
+// the keys and stash t.Writes.
+func TxnPrepare(t *TxnCommand) Command { return Command{Op: OpTxnPrepare, Txn: t} }
+
+// TxnDecide is phase two: record the outcome (t.HomeRecord) or apply/discard
+// a participant's prepared writes.
+func TxnDecide(t *TxnCommand) Command { return Command{Op: OpTxnDecide, Txn: t} }
+
+// TxnForget prunes a settled transaction's decision record.
+func TxnForget(t *TxnCommand) Command { return Command{Op: OpTxnForget, Txn: t} }
+
+// TxnApply commits a single-shard transaction in one atomic command.
+func TxnApply(t *TxnCommand) Command { return Command{Op: OpTxnApply, Txn: t} }
+
 // marshal appends the txn payload's wire form to e.
 func (t *TxnCommand) marshal(e *rpc.Encoder) {
 	e.U64(uint64(t.ID.Client))

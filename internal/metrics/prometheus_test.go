@@ -113,30 +113,3 @@ func TestHistogramBucketCumulativity(t *testing.T) {
 		t.Errorf("+Inf bucket = %d, want _count = %d", prev, count)
 	}
 }
-
-// TestTracerThreshold checks the slow-op tracer logs exactly the spans at
-// or above its threshold, and that nil/zero tracers are no-ops.
-func TestTracerThreshold(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf, 10*time.Millisecond)
-	tr.Trace(Span{Op: "update", Dur: 5 * time.Millisecond, Verdict: "fast"})
-	if buf.Len() != 0 {
-		t.Errorf("fast span logged: %q", buf.String())
-	}
-	tr.Trace(Span{Op: "update", Shard: 2, KeyHash: 0xabc, Dur: 15 * time.Millisecond, Verdict: "conflict-sync", Err: "x"})
-	line := buf.String()
-	for _, want := range []string{"slowop ", "op=update", "shard=2", "key=0000000000000abc", "verdict=conflict-sync", `err="x"`} {
-		if !strings.Contains(line, want) {
-			t.Errorf("span line missing %q: %q", want, line)
-		}
-	}
-	var nilTracer *Tracer
-	if nilTracer.Slow(time.Hour) {
-		t.Error("nil tracer claims slow")
-	}
-	nilTracer.SetThreshold(time.Second) // must not panic
-	tr.SetThreshold(0)
-	if tr.Slow(time.Hour) {
-		t.Error("zero threshold must disable tracing")
-	}
-}

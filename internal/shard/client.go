@@ -70,6 +70,7 @@ const (
 // protocol on top; callers needing only exactly-once totals (counters,
 // transfers) get them as-is.
 type Client struct {
+	kv.Verbs
 	src  RingSource                           // nil: never refresh
 	dial func(s int) (*cluster.Client, error) // nil: cannot reach new shards
 
@@ -90,7 +91,13 @@ func NewRoutedClient(ring *Ring, shards []*cluster.Client) (*Client, error) {
 	if len(shards) != ring.Shards() {
 		return nil, fmt.Errorf("shard: %d clients for a %d-shard ring", len(shards), ring.Shards())
 	}
-	return &Client{ring: ring, shards: shards}, nil
+	return newClient(ring, shards), nil
+}
+
+func newClient(ring *Ring, shards []*cluster.Client) *Client {
+	c := &Client{ring: ring, shards: shards}
+	c.Verbs = kv.VerbsOf(c)
+	return c
 }
 
 // WithRingSource installs a ring refresher and a dialer for shards the
@@ -240,168 +247,88 @@ func (c *Client) Stats() core.ClientStats {
 	return total
 }
 
-// Put writes value under key on its owning shard.
-func (c *Client) Put(ctx context.Context, key, value []byte) (uint64, error) {
-	var ver uint64
-	err := c.do(ctx, key, func(sc *cluster.Client) error {
-		v, err := sc.Put(ctx, key, value)
-		ver = v
+// Submit executes one update on the shard(s) owning its key(s): a
+// single-key command goes to its owner unchanged; a multi-key command
+// (MultiPut, MultiIncrement) is split per owning shard — see the
+// cross-shard contract in the Client doc.
+func (c *Client) Submit(ctx context.Context, cmd kv.Command) (*kv.Result, error) {
+	if cmd.MultiKey() {
+		return c.submitGrouped(ctx, cmd)
+	}
+	var res *kv.Result
+	err := c.do(ctx, cmd.Key, func(sc *cluster.Client) (err error) {
+		res, err = sc.Submit(ctx, cmd)
 		return err
 	})
-	return ver, err
+	return res, err
 }
 
-// Get reads key at its shard's master (linearizable).
-func (c *Client) Get(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	err = c.do(ctx, key, func(sc *cluster.Client) error {
-		var gerr error
-		value, ok, gerr = sc.Get(ctx, key)
-		return gerr
-	})
-	return value, ok, err
+// SubmitAsync runs one update asynchronously with the same redirect
+// handling as Submit: a bounced command refreshes the ring and re-issues
+// against the new owner.
+func (c *Client) SubmitAsync(ctx context.Context, cmd kv.Command) *kv.Future {
+	return kv.Go(func() (*kv.Result, error) { return c.Submit(ctx, cmd) })
 }
 
-// GetNearby reads key from one of its shard's backups when a witness
-// confirms safety (§A.1).
-func (c *Client) GetNearby(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	err = c.do(ctx, key, func(sc *cluster.Client) error {
-		var gerr error
-		value, ok, gerr = sc.GetNearby(ctx, key)
-		return gerr
-	})
-	return value, ok, err
-}
-
-// GetStale reads key's latest durable value at its shard (§A.3).
-func (c *Client) GetStale(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	err = c.do(ctx, key, func(sc *cluster.Client) error {
-		var gerr error
-		value, ok, gerr = sc.GetStale(ctx, key)
-		return gerr
-	})
-	return value, ok, err
-}
-
-// Delete removes key on its owning shard.
-func (c *Client) Delete(ctx context.Context, key []byte) error {
-	return c.do(ctx, key, func(sc *cluster.Client) error {
-		return sc.Delete(ctx, key)
-	})
-}
-
-// Increment atomically adds delta to the counter at key on its shard.
-func (c *Client) Increment(ctx context.Context, key []byte, delta int64) (int64, error) {
-	var n int64
-	err := c.do(ctx, key, func(sc *cluster.Client) error {
-		v, err := sc.Increment(ctx, key, delta)
-		n = v
+// Read executes one read-only command at the shard owning its key.
+func (c *Client) Read(ctx context.Context, cmd kv.Command, mode kv.ReadMode) (*kv.Result, error) {
+	var res *kv.Result
+	err := c.do(ctx, cmd.Key, func(sc *cluster.Client) (err error) {
+		res, err = sc.Read(ctx, cmd, mode)
 		return err
 	})
-	return n, err
+	return res, err
 }
 
-// CondPut writes value only if key is at expectVersion on its shard.
-func (c *Client) CondPut(ctx context.Context, key, value []byte, expectVersion uint64) (applied bool, version uint64, err error) {
-	err = c.do(ctx, key, func(sc *cluster.Client) error {
-		var cerr error
-		applied, version, cerr = sc.CondPut(ctx, key, value, expectVersion)
-		return cerr
-	})
-	return applied, version, err
-}
-
-// Append atomically appends suffix to the value at key on its shard and
-// returns the value's new total length.
-func (c *Client) Append(ctx context.Context, key, suffix []byte) (int64, error) {
-	var n int64
-	err := c.do(ctx, key, func(sc *cluster.Client) error {
-		v, err := sc.Append(ctx, key, suffix)
-		n = v
-		return err
-	})
-	return n, err
-}
-
-// PutTTL writes value under key with an absolute UnixNano expiry on its
-// shard.
-func (c *Client) PutTTL(ctx context.Context, key, value []byte, expireAt int64) (uint64, error) {
-	var ver uint64
-	err := c.do(ctx, key, func(sc *cluster.Client) error {
-		v, err := sc.PutTTL(ctx, key, value, expireAt)
-		ver = v
-		return err
-	})
-	return ver, err
-}
-
-// SetAdd adds member to the set at key on its shard. Concurrent SetAdds on
-// one key commute and stay on the 1-RTT path.
-func (c *Client) SetAdd(ctx context.Context, key, member []byte) error {
-	return c.do(ctx, key, func(sc *cluster.Client) error {
-		return sc.SetAdd(ctx, key, member)
-	})
-}
-
-// SetRemove removes member from the set at key on its shard.
-func (c *Client) SetRemove(ctx context.Context, key, member []byte) error {
-	return c.do(ctx, key, func(sc *cluster.Client) error {
-		return sc.SetRemove(ctx, key, member)
-	})
-}
-
-// SetMembers reads the members of the set at key, sorted bytewise.
-func (c *Client) SetMembers(ctx context.Context, key []byte) ([][]byte, error) {
-	var members [][]byte
-	err := c.do(ctx, key, func(sc *cluster.Client) error {
-		m, err := sc.SetMembers(ctx, key)
-		members = m
-		return err
-	})
-	return members, err
-}
-
-// BucketTake takes n tokens from the rate-limiter bucket at key on its
-// shard.
-func (c *Client) BucketTake(ctx context.Context, key []byte, n int64) (granted bool, remaining int64, err error) {
-	err = c.do(ctx, key, func(sc *cluster.Client) error {
-		var berr error
-		granted, remaining, berr = sc.BucketTake(ctx, key, n)
-		return berr
-	})
-	return granted, remaining, err
-}
-
-// runGrouped partitions items by owning shard and issues one sub-operation
-// per group, concurrently. Groups bounced by a migration (core.ErrKeyMoved)
-// are re-grouped under a refreshed ring and re-issued; groups that applied
-// are never re-sent, preserving per-shard exactly-once across a rebalance.
-func runGrouped[T any](ctx context.Context, c *Client, items []T, keyOf func(T) []byte, issue func(sc *cluster.Client, group []T) error) error {
-	remaining := items
+// submitGrouped partitions a multi-key command's pairs by owning shard and
+// issues one atomic sub-command per group, concurrently. Groups bounced by
+// a migration (core.ErrKeyMoved) are re-grouped under a refreshed ring and
+// re-issued; groups that applied are never re-sent, preserving per-shard
+// exactly-once across a rebalance (no double increments). The merged
+// result's Values are aligned with cmd.Pairs.
+func (c *Client) submitGrouped(ctx context.Context, cmd kv.Command) (*kv.Result, error) {
+	// values is allocated when a sub-result first reports per-pair values.
+	var values [][]byte
+	remaining := make([]int, len(cmd.Pairs)) // indices into cmd.Pairs
+	for i := range remaining {
+		remaining[i] = i
+	}
 	var deadline time.Time
 	for attempt := 0; ; attempt++ {
 		ring, shards := c.snapshot()
-		groups := make(map[int][]T)
-		for _, it := range remaining {
-			s := ring.Shard(keyOf(it))
-			groups[s] = append(groups[s], it)
+		groups := make(map[int][]int)
+		for _, i := range remaining {
+			s := ring.Shard(cmd.Pairs[i].Key)
+			groups[s] = append(groups[s], i)
 		}
 		var wg sync.WaitGroup
 		var gmu sync.Mutex
-		var moved, hardItems []T
+		var moved, hardItems []int
 		var hard []error
 		for s, g := range groups {
 			wg.Add(1)
-			go func(s int, g []T) {
+			go func(s int, g []int) {
 				defer wg.Done()
-				err := issue(shards[s], g)
-				if err == nil {
-					return
+				sub := kv.Command{Op: cmd.Op, Pairs: make([]kv.KV, len(g))}
+				for j, i := range g {
+					sub.Pairs[j] = cmd.Pairs[i]
 				}
+				res, err := shards[s].Submit(ctx, sub)
 				gmu.Lock()
 				defer gmu.Unlock()
-				if errors.Is(err, core.ErrKeyMoved) {
+				switch {
+				case err == nil:
+					for j, i := range g {
+						if j < len(res.Values) {
+							if values == nil {
+								values = make([][]byte, len(cmd.Pairs))
+							}
+							values[i] = res.Values[j]
+						}
+					}
+				case errors.Is(err, core.ErrKeyMoved):
 					moved = append(moved, g...)
-				} else {
+				default:
 					hard = append(hard, fmt.Errorf("shard %d: %w", s, err))
 					hardItems = append(hardItems, g...)
 				}
@@ -415,78 +342,24 @@ func runGrouped[T any](ctx context.Context, c *Client, items []T, keyOf func(T) 
 			// bounced (never executed) its moved ranges from the freeze
 			// onward, so re-issuing the failed groups is not a duplicate.
 			if !c.refreshRing() {
-				return errors.Join(hard...)
+				return nil, errors.Join(hard...)
 			}
 			remaining = append(moved, hardItems...)
 			continue
 		}
 		if len(moved) == 0 {
-			return nil
+			return &kv.Result{Values: values}, nil
 		}
 		if deadline.IsZero() {
 			deadline = time.Now().Add(maxRedirectWait)
 		} else if time.Now().After(deadline) {
-			return fmt.Errorf("shard: %d items still moving after %v (%d redirects): %w", len(moved), maxRedirectWait, attempt, core.ErrKeyMoved)
+			return nil, fmt.Errorf("shard: %d items still moving after %v (%d redirects): %w", len(moved), maxRedirectWait, attempt, core.ErrKeyMoved)
 		}
 		if !c.refreshRing() {
 			if perr := pauseRedirect(ctx, attempt); perr != nil {
-				return perr
+				return nil, perr
 			}
 		}
 		remaining = moved
 	}
-}
-
-// MultiPut writes the pairs, atomically per shard (see the cross-shard
-// contract in the Client doc). Pairs owned by one shard form a single
-// atomic MultiPut there; the per-shard sub-operations run concurrently.
-// Sub-operations bounced by a migration are re-grouped under the new ring
-// and re-issued; already-applied groups are never re-sent.
-func (c *Client) MultiPut(ctx context.Context, pairs []kv.KV) error {
-	return runGrouped(ctx, c, pairs,
-		func(p kv.KV) []byte { return p.Key },
-		func(sc *cluster.Client, group []kv.KV) error {
-			return sc.MultiPut(ctx, group)
-		})
-}
-
-// MultiIncrement adds each delta to its key's counter, atomically and
-// exactly-once per shard (see the cross-shard contract in the Client doc),
-// and returns the new counter values aligned with deltas. The per-shard
-// sub-operations run concurrently; sub-operations bounced by a migration
-// are re-grouped under the new ring and re-issued, and applied groups are
-// never re-sent (no double increments across a rebalance).
-func (c *Client) MultiIncrement(ctx context.Context, deltas []kv.IncrPair) ([]int64, error) {
-	out := make([]int64, len(deltas))
-	var outMu sync.Mutex
-	type item struct {
-		pair kv.IncrPair
-		idx  int
-	}
-	items := make([]item, len(deltas))
-	for i, d := range deltas {
-		items[i] = item{pair: d, idx: i}
-	}
-	err := runGrouped(ctx, c, items,
-		func(it item) []byte { return it.pair.Key },
-		func(sc *cluster.Client, group []item) error {
-			pairs := make([]kv.IncrPair, len(group))
-			for i, it := range group {
-				pairs[i] = it.pair
-			}
-			vals, err := sc.MultiIncrement(ctx, pairs)
-			if err != nil {
-				return err
-			}
-			outMu.Lock()
-			for i, it := range group {
-				out[it.idx] = vals[i]
-			}
-			outMu.Unlock()
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -251,7 +251,8 @@ func (c *Cluster) RemoveShard(ctx context.Context) error {
 // and dials new shards on demand.
 func (c *Cluster) NewClient(name string) (*Client, error) {
 	ring := c.CurrentRing()
-	cl := &Client{ring: ring, src: c}
+	cl := newClient(ring, nil)
+	cl.src = c
 	cl.dial = func(s int) (*cluster.Client, error) {
 		parts := c.partsSnapshot()
 		if s >= len(parts) {

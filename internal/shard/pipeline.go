@@ -4,287 +4,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
-	"curp/internal/cluster"
 	"curp/internal/core"
 	"curp/internal/kv"
 )
 
-// Future is the handle to an asynchronous operation routed across shards.
-// It resolves once the operation is durable on its owning shard(s) — even
-// if the owner changed mid-flight — or has failed for good.
-type Future struct {
-	done chan struct{}
-	res  *kv.Result
-	err  error
-}
-
-func newFuture() *Future { return &Future{done: make(chan struct{})} }
-
-func (f *Future) complete(res *kv.Result) {
-	f.res = res
-	close(f.done)
-}
-
-func (f *Future) fail(err error) {
-	f.err = err
-	close(f.done)
-}
-
-// Wait blocks until the operation completes and returns its result. If
-// ctx ends first Wait returns ctx's error; the operation keeps running and
-// a later Wait can still observe its outcome.
-func (f *Future) Wait(ctx context.Context) (*kv.Result, error) {
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-f.done:
-		return f.res, f.err
-	}
-}
-
-// submitAsync runs one single-key command asynchronously with the same
-// redirect handling as the blocking verbs: a bounced command refreshes the
-// ring and re-issues against the new owner.
-func (c *Client) submitAsync(ctx context.Context, key []byte, cmd *kv.Command) *Future {
-	f := newFuture()
-	go func() {
-		var res *kv.Result
-		err := c.do(ctx, key, func(sc *cluster.Client) error {
-			r, err := sc.Submit(ctx, cmd)
-			res = r
-			return err
-		})
-		if err != nil {
-			f.fail(err)
-			return
-		}
-		f.complete(res)
-	}()
-	return f
-}
-
-// PutAsync writes value under key on its owning shard without blocking.
-func (c *Client) PutAsync(ctx context.Context, key, value []byte) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpPut, Key: key, Value: value})
-}
-
-// DeleteAsync removes key on its owning shard without blocking.
-func (c *Client) DeleteAsync(ctx context.Context, key []byte) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpDelete, Key: key})
-}
-
-// IncrementAsync adds delta to the counter at key without blocking.
-func (c *Client) IncrementAsync(ctx context.Context, key []byte, delta int64) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpIncrement, Key: key, Delta: delta})
-}
-
-// CondPutAsync conditionally writes value at expectVersion without
-// blocking.
-func (c *Client) CondPutAsync(ctx context.Context, key, value []byte, expectVersion uint64) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpCondPut, Key: key, Value: value, ExpectVersion: expectVersion})
-}
-
-// AppendAsync appends suffix to the value at key without blocking; the
-// future's counter result is the value's new total length.
-func (c *Client) AppendAsync(ctx context.Context, key, suffix []byte) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpAppend, Key: key, Value: suffix})
-}
-
-// PutTTLAsync writes value under key with an absolute UnixNano expiry
-// without blocking.
-func (c *Client) PutTTLAsync(ctx context.Context, key, value []byte, expireAt int64) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpPut, Key: key, Value: value, ExpireAt: expireAt})
-}
-
-// SetAddAsync adds member to the set at key without blocking.
-func (c *Client) SetAddAsync(ctx context.Context, key, member []byte) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpSetAdd, Key: key, Value: member})
-}
-
-// SetRemoveAsync removes member from the set at key without blocking.
-func (c *Client) SetRemoveAsync(ctx context.Context, key, member []byte) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpSetRemove, Key: key, Value: member})
-}
-
-// BucketTakeAsync takes n tokens from the bucket at key without blocking;
-// the future's Granted reports whether the tokens were available.
-func (c *Client) BucketTakeAsync(ctx context.Context, key []byte, n int64) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpBucketTake, Key: key, Delta: n})
-}
-
-// MultiPutAsync writes the pairs without blocking — atomic per shard, not
-// across shards (the blocking MultiPut's contract).
-func (c *Client) MultiPutAsync(ctx context.Context, pairs []kv.KV) *Future {
-	f := newFuture()
-	go func() {
-		if err := c.MultiPut(ctx, pairs); err != nil {
-			f.fail(err)
-			return
-		}
-		f.complete(&kv.Result{})
-	}()
-	return f
-}
-
-// MultiIncrementAsync applies the deltas without blocking — atomic and
-// exactly-once per shard, independent across shards. The future's result
-// Values carry the new counter values in decimal, aligned with deltas.
-func (c *Client) MultiIncrementAsync(ctx context.Context, deltas []kv.IncrPair) *Future {
-	f := newFuture()
-	go func() {
-		vals, err := c.MultiIncrement(ctx, deltas)
-		if err != nil {
-			f.fail(err)
-			return
-		}
-		f.complete(&kv.Result{Values: encodeCounters(vals)})
-	}()
-	return f
-}
-
-func encodeCounters(vals []int64) [][]byte {
-	out := make([][]byte, len(vals))
-	for i, v := range vals {
-		out[i] = []byte(strconv.FormatInt(v, 10))
-	}
-	return out
-}
-
-// pipeOp is one queued pipeline operation. Single-key operations carry
-// their command directly; multi-key operations carry legs that are
-// regrouped by owning shard at every flush attempt (a rebalance between
-// attempts may move legs between shards).
+// pipeOp is one queued pipeline command being driven to completion. A
+// single-key command is one unit of work; a multi-key command is one leg
+// per pair, regrouped by owning shard at every flush attempt (a rebalance
+// between attempts may move legs between shards).
 type pipeOp struct {
-	fut *Future
-	op  kv.CommandOp
+	slot int // index in the batch
+	cmd  *kv.Command
 
-	// Single-key operations.
-	key []byte
-	cmd *kv.Command
+	// Multi-key commands only: per-leg progress.
+	legDone []bool
+	legVal  [][]byte
 
-	// Multi-key operations: exactly one of pairs/incrs is set; legDone and
-	// legVal are per leg.
-	pairs       []kv.KV
-	incrs       []kv.IncrPair
-	legDone     []bool
-	legVal      [][]byte
-	outstanding int
+	outstanding int // units of work not yet applied
 	failed      error
-}
-
-func (op *pipeOp) legKey(i int) []byte {
-	if op.pairs != nil {
-		return op.pairs[i].Key
-	}
-	return op.incrs[i].Key
-}
-
-func (op *pipeOp) legs() int {
-	if op.pairs != nil {
-		return len(op.pairs)
-	}
-	return len(op.incrs)
-}
-
-// Pipeline queues update operations against a sharded deployment and
-// flushes them scatter/gather: operations are grouped by owning shard
-// under the current ring, every shard's group is submitted as ONE
-// coalesced batch (one UpdateBatch RPC to that shard's master, one
-// RecordBatch per witness), and the groups fly in parallel. Sub-
-// operations bounced by a live migration (core.ErrKeyMoved) are regrouped
-// under a refreshed ring and re-issued — with fresh RIFL IDs, which is
-// safe because a bounced operation never executed and its witness records
-// were retracted — so a pipeline survives a Rebalance; completed
-// sub-operations are never re-sent.
-//
-// Queue order is preserved per shard group, so two operations on the same
-// key apply in the order they were queued. Multi-key operations keep the
-// routed client's cross-shard contract: atomic and exactly-once per
-// shard, independent across shards.
-//
-// A Pipeline is not safe for concurrent use; open one per goroutine
-// (futures may be waited on from anywhere).
-type Pipeline struct {
-	c   *Client
-	ops []*pipeOp
-}
-
-// NewPipeline opens an empty pipeline.
-func (c *Client) NewPipeline() *Pipeline { return &Pipeline{c: c} }
-
-// Len reports how many operations are queued and unflushed.
-func (p *Pipeline) Len() int { return len(p.ops) }
-
-func (p *Pipeline) enqueue(op *pipeOp) *Future {
-	op.fut = newFuture()
-	if op.cmd != nil {
-		op.outstanding = 1
-	} else {
-		op.outstanding = op.legs()
-		op.legDone = make([]bool, op.legs())
-		op.legVal = make([][]byte, op.legs())
-	}
-	p.ops = append(p.ops, op)
-	return op.fut
-}
-
-// Put queues a write of value under key.
-func (p *Pipeline) Put(key, value []byte) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpPut, key: key, cmd: &kv.Command{Op: kv.OpPut, Key: key, Value: value}})
-}
-
-// Delete queues a removal of key.
-func (p *Pipeline) Delete(key []byte) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpDelete, key: key, cmd: &kv.Command{Op: kv.OpDelete, Key: key}})
-}
-
-// Increment queues adding delta to the counter at key.
-func (p *Pipeline) Increment(key []byte, delta int64) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpIncrement, key: key, cmd: &kv.Command{Op: kv.OpIncrement, Key: key, Delta: delta}})
-}
-
-// CondPut queues a conditional write of value at expectVersion.
-func (p *Pipeline) CondPut(key, value []byte, expectVersion uint64) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpCondPut, key: key, cmd: &kv.Command{Op: kv.OpCondPut, Key: key, Value: value, ExpectVersion: expectVersion}})
-}
-
-// Append queues appending suffix to the value at key.
-func (p *Pipeline) Append(key, suffix []byte) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpAppend, key: key, cmd: &kv.Command{Op: kv.OpAppend, Key: key, Value: suffix}})
-}
-
-// PutTTL queues a write of value under key with an absolute UnixNano
-// expiry.
-func (p *Pipeline) PutTTL(key, value []byte, expireAt int64) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpPut, key: key, cmd: &kv.Command{Op: kv.OpPut, Key: key, Value: value, ExpireAt: expireAt}})
-}
-
-// SetAdd queues adding member to the set at key.
-func (p *Pipeline) SetAdd(key, member []byte) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpSetAdd, key: key, cmd: &kv.Command{Op: kv.OpSetAdd, Key: key, Value: member}})
-}
-
-// SetRemove queues removing member from the set at key.
-func (p *Pipeline) SetRemove(key, member []byte) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpSetRemove, key: key, cmd: &kv.Command{Op: kv.OpSetRemove, Key: key, Value: member}})
-}
-
-// BucketTake queues taking n tokens from the bucket at key.
-func (p *Pipeline) BucketTake(key []byte, n int64) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpBucketTake, key: key, cmd: &kv.Command{Op: kv.OpBucketTake, Key: key, Delta: n}})
-}
-
-// MultiPut queues an atomic-per-shard multi-object write.
-func (p *Pipeline) MultiPut(pairs []kv.KV) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpMultiPut, pairs: pairs})
-}
-
-// MultiIncrement queues an atomic-per-shard multi-counter increment.
-func (p *Pipeline) MultiIncrement(deltas []kv.IncrPair) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpMultiIncr, incrs: deltas})
 }
 
 // segment is the part of one operation going to one shard in one flush
@@ -293,34 +32,27 @@ func (p *Pipeline) MultiIncrement(deltas []kv.IncrPair) *Future {
 type segment struct {
 	op      *pipeOp
 	legIdxs []int // nil for single-key operations
-	cmd     *kv.Command
 }
 
-// buildCmd materializes the segment's shard-atomic sub-command.
-func (s *segment) buildCmd() {
-	if s.op.cmd != nil {
-		s.cmd = s.op.cmd
-		return
+// command materializes the segment's shard-atomic sub-command.
+func (s *segment) command() kv.Command {
+	if s.legIdxs == nil {
+		return *s.op.cmd
 	}
-	cmd := &kv.Command{Op: s.op.op}
-	for _, i := range s.legIdxs {
-		if s.op.pairs != nil {
-			cmd.Pairs = append(cmd.Pairs, s.op.pairs[i])
-		} else {
-			d := s.op.incrs[i]
-			cmd.Pairs = append(cmd.Pairs, kv.KV{Key: d.Key, Value: []byte(strconv.FormatInt(d.Delta, 10))})
-		}
+	sub := kv.Command{Op: s.op.cmd.Op, Pairs: make([]kv.KV, len(s.legIdxs))}
+	for j, i := range s.legIdxs {
+		sub.Pairs[j] = s.op.cmd.Pairs[i]
 	}
-	s.cmd = cmd
+	return sub
 }
 
-// credit applies a successful segment result to its operation and
-// completes the future when the operation has no outstanding work left.
-func (s *segment) credit(res *kv.Result) {
+// credit applies a successful segment result to its operation and resolves
+// the batch slot when the operation has no outstanding work left.
+func (s *segment) credit(b *kv.Batch, res *kv.Result) {
 	op := s.op
-	if op.cmd != nil {
+	if s.legIdxs == nil {
 		op.outstanding = 0
-		op.fut.complete(res)
+		b.Resolve(op.slot, res, nil)
 		return
 	}
 	for j, i := range s.legIdxs {
@@ -329,69 +61,79 @@ func (s *segment) credit(res *kv.Result) {
 		}
 		op.legDone[i] = true
 		op.outstanding--
-		if op.incrs != nil && j < len(res.Values) {
+		if j < len(res.Values) {
+			if op.legVal == nil {
+				op.legVal = make([][]byte, len(op.legDone))
+			}
 			op.legVal[i] = res.Values[j]
 		}
 	}
 	if op.outstanding == 0 && op.failed == nil {
-		if op.incrs != nil {
-			op.fut.complete(&kv.Result{Values: op.legVal})
-		} else {
-			op.fut.complete(&kv.Result{})
-		}
+		b.Resolve(op.slot, &kv.Result{Values: op.legVal}, nil)
 	}
 }
 
-// Flush submits every queued operation, scatter/gathered per shard, and
-// blocks until each has completed or failed. Per-operation outcomes land
-// on the futures; Flush returns the join of all failures. The queue is
-// empty afterwards, so the pipeline can be reused; operations queued
-// after a Flush are ordered after the flushed ones.
-func (p *Pipeline) Flush(ctx context.Context) error {
-	ops := p.ops
-	p.ops = nil
-	if len(ops) == 0 {
-		return nil
+// FlushBatch submits a pipeline's queue scatter/gather: operations are
+// grouped by owning shard under the current ring, every shard's group is
+// submitted as ONE coalesced batch (one UpdateBatch RPC to that shard's
+// master, one RecordBatch per witness), and the groups fly in parallel.
+// Sub-operations bounced by a live migration (core.ErrKeyMoved) are
+// regrouped under a refreshed ring and re-issued — with fresh RIFL IDs,
+// which is safe because a bounced operation never executed and its witness
+// records were retracted — so a pipeline survives a Rebalance; completed
+// sub-operations are never re-sent. It blocks until every slot is
+// resolved.
+//
+// Queue order is preserved per shard group, so two operations on the same
+// key apply in the order they were queued. Multi-key operations keep the
+// routed client's cross-shard contract: atomic and exactly-once per
+// shard, independent across shards.
+func (c *Client) FlushBatch(ctx context.Context, b *kv.Batch) {
+	ops := make([]*pipeOp, len(b.Cmds))
+	for i := range b.Cmds {
+		op := &pipeOp{slot: i, cmd: &b.Cmds[i], outstanding: 1}
+		if op.cmd.MultiKey() {
+			op.outstanding = len(op.cmd.Pairs)
+			op.legDone = make([]bool, len(op.cmd.Pairs))
+			if op.outstanding == 0 {
+				b.Resolve(i, &kv.Result{}, nil) // no pairs: nothing to apply
+			}
+		}
+		ops[i] = op
 	}
 	var deadline time.Time
 	for attempt := 0; ; attempt++ {
-		ring, shards := p.c.snapshot()
+		ring, shards := c.snapshot()
 
 		// Scatter: group outstanding work by owning shard, preserving
 		// queue order within each group. A multi-key operation contributes
 		// at most one shard-atomic segment per shard.
 		shardSegs := make(map[int][]*segment)
-		pending := 0
 		for _, op := range ops {
 			if op.failed != nil || op.outstanding == 0 {
 				continue
 			}
-			if op.cmd != nil {
-				s := ring.Shard(op.key)
-				shardSegs[s] = append(shardSegs[s], &segment{op: op, cmd: op.cmd})
-				pending++
+			if op.legDone == nil {
+				s := ring.Shard(op.cmd.Key)
+				shardSegs[s] = append(shardSegs[s], &segment{op: op})
 				continue
 			}
 			segByShard := make(map[int]*segment)
-			for i := 0; i < op.legs(); i++ {
-				if op.legDone[i] {
+			for i, done := range op.legDone {
+				if done {
 					continue
 				}
-				s := ring.Shard(op.legKey(i))
+				s := ring.Shard(op.cmd.Pairs[i].Key)
 				seg := segByShard[s]
 				if seg == nil {
 					seg = &segment{op: op}
 					segByShard[s] = seg
 					shardSegs[s] = append(shardSegs[s], seg)
-					pending++
 				}
 				seg.legIdxs = append(seg.legIdxs, i)
 			}
-			for _, seg := range segByShard {
-				seg.buildCmd()
-			}
 		}
-		if pending == 0 {
+		if len(shardSegs) == 0 {
 			break
 		}
 
@@ -399,27 +141,30 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 		// are asynchronous, so the groups fly in parallel.
 		type issued struct {
 			seg *segment
-			fut *cluster.Future
+			fut *core.Future
 		}
 		var all []issued
 		for s, segs := range shardSegs {
-			cmds := make([]*kv.Command, len(segs))
+			cmds := make([]kv.Command, len(segs))
 			for i, seg := range segs {
-				cmds[i] = seg.cmd
+				cmds[i] = seg.command()
 			}
-			futs := shards[s].SubmitBatch(ctx, cmds)
-			for i, seg := range segs {
-				all = append(all, issued{seg: seg, fut: futs[i]})
+			for i, fut := range shards[s].SubmitBatch(ctx, cmds) {
+				all = append(all, issued{seg: segs[i], fut: fut})
 			}
 		}
 
 		// Gather.
 		movedAny := false
 		for _, iss := range all {
-			res, err := iss.fut.Wait(ctx)
+			var res *kv.Result
+			out, err := iss.fut.Wait(ctx)
+			if err == nil {
+				res, err = kv.DecodeResult(out)
+			}
 			switch {
 			case err == nil:
-				iss.seg.credit(res)
+				iss.seg.credit(b, res)
 			case errors.Is(err, core.ErrKeyMoved):
 				movedAny = true // segment's legs stay outstanding; regroup
 			default:
@@ -428,37 +173,25 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 				}
 			}
 		}
-		if !movedAny {
-			break
-		}
-		if ctx.Err() != nil {
+		if !movedAny || ctx.Err() != nil {
 			break
 		}
 		if deadline.IsZero() {
 			deadline = time.Now().Add(maxRedirectWait)
 		} else if time.Now().After(deadline) {
-			for _, op := range ops {
-				if op.failed == nil && op.outstanding > 0 {
-					op.failed = fmt.Errorf("shard: pipeline op still moving after %v (%d redirects): %w", maxRedirectWait, attempt, core.ErrKeyMoved)
-				}
-			}
+			failOutstanding(ops, fmt.Errorf("shard: pipeline op still moving after %v (%d redirects): %w", maxRedirectWait, attempt, core.ErrKeyMoved))
 			break
 		}
-		if !p.c.refreshRing() {
+		if !c.refreshRing() {
 			// Same ring: the ranges are mid-transfer. Wait for the flip.
 			if perr := pauseRedirect(ctx, attempt); perr != nil {
-				for _, op := range ops {
-					if op.failed == nil && op.outstanding > 0 {
-						op.failed = perr
-					}
-				}
+				failOutstanding(ops, perr)
 				break
 			}
 		}
 	}
 
-	// Resolve failures (successes completed eagerly in credit).
-	var errs []error
+	// Resolve failures (successes resolved eagerly in credit).
 	for i, op := range ops {
 		if op.failed == nil && op.outstanding > 0 {
 			op.failed = ctx.Err()
@@ -467,9 +200,17 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 			}
 		}
 		if op.failed != nil {
-			op.fut.fail(op.failed)
-			errs = append(errs, fmt.Errorf("op %d (%v): %w", i, op.op, op.failed))
+			b.Resolve(i, nil, op.failed)
 		}
 	}
-	return errors.Join(errs...)
+}
+
+// failOutstanding marks every operation that still has work left as failed
+// with err.
+func failOutstanding(ops []*pipeOp, err error) {
+	for _, op := range ops {
+		if op.failed == nil && op.outstanding > 0 {
+			op.failed = err
+		}
+	}
 }

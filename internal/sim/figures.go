@@ -12,7 +12,7 @@ import (
 // This file contains one driver per evaluation artifact of the paper.
 // Each driver runs the relevant simulations and renders the same rows or
 // series the paper reports, so `cmd/curpbench` and the bench harness print
-// directly comparable output. See EXPERIMENTS.md for paper-vs-measured.
+// directly comparable output.
 
 // FigureOps scales every figure driver; benchmarks lower it for speed.
 var FigureOps = 20000

@@ -4,7 +4,7 @@
 // partitions, and blackholes — the test double standing in for the paper's
 // InfiniBand and 10GbE fabrics. The protocol figures depend on RTT counts,
 // not absolute wire speed, so an in-memory fabric with configured delays
-// preserves the behaviour being measured (see DESIGN.md §3).
+// preserves the behaviour being measured.
 package transport
 
 import (

@@ -407,13 +407,13 @@ func (t *Txn) commitCross(ctx context.Context, groups []*shardGroup) error {
 	votes := make(chan voteRes, len(groups))
 	for _, g := range groups {
 		go func(g *shardGroup) {
-			cmd := &kv.Command{Op: kv.OpTxnPrepare, Txn: &kv.TxnCommand{
+			cmd := kv.TxnPrepare(&kv.TxnCommand{
 				ID:     id,
 				Home:   homeInfo,
 				Reads:  g.reads,
 				Writes: g.writes,
-			}}
-			res, err := t.b.Prepare(ctx, g.shard, cmd)
+			})
+			res, err := t.b.Prepare(ctx, g.shard, &cmd)
 			if err != nil {
 				votes <- voteRes{g: g, err: err}
 				return
@@ -539,12 +539,9 @@ func (t *Txn) distributeDecide(ctx context.Context, id rifl.RPCID, commit bool, 
 	done := make(chan outcome, len(groups))
 	for _, g := range groups {
 		go func(g *shardGroup) {
-			cmd := &kv.Command{
-				Op:     kv.OpTxnDecide,
-				Txn:    &kv.TxnCommand{ID: id, Commit: commit},
-				Hashes: g.hashes(),
-			}
-			_, err := t.b.Decide(ctx, g.shard, cmd)
+			cmd := kv.TxnDecide(&kv.TxnCommand{ID: id, Commit: commit})
+			cmd.Hashes = g.hashes()
+			_, err := t.b.Decide(ctx, g.shard, &cmd)
 			done <- outcome{
 				settled: err == nil || errors.Is(err, core.ErrKeyMoved),
 				applied: err == nil,

@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"curp/internal/cluster"
-	"curp/internal/kv"
 	"curp/internal/metrics"
 	"curp/internal/shard"
 	"curp/internal/transport"
@@ -93,7 +92,7 @@ func (c *ShardedCluster) NewClient(name string) (*ShardedClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedClient{inner: cl}, nil
+	return &ShardedClient{verbs: cl.Verbs, inner: cl}, nil
 }
 
 // CrashMaster simulates a crash of shard s's master; the remaining shards
@@ -191,10 +190,13 @@ func (c *ShardedCluster) WriteMetrics(w io.Writer) error {
 // failed shard's legs are not rolled back elsewhere — see
 // internal/shard.Client for the full contract.
 //
-// Every update verb also has a Future-returning async form (PutAsync,
-// ...), and NewPipeline batches updates into per-shard coalesced RPCs
-// with automatic re-routing across live rebalances; see Pipeline.
+// The operations are the promoted verb set shared with Client (listed
+// there), each routed to the shard owning its key. Every update verb also
+// has a Future-returning async form (PutAsync, ...), and NewPipeline
+// batches updates into per-shard coalesced RPCs with automatic re-routing
+// across live rebalances; see Pipeline.
 type ShardedClient struct {
+	verbs
 	inner *shard.Client
 }
 
@@ -207,97 +209,4 @@ func (c *ShardedClient) ShardFor(key []byte) int { return c.inner.ShardFor(key) 
 // Stats returns protocol counters summed over every shard's client.
 func (c *ShardedClient) Stats() Stats {
 	return toStats(c.inner.Stats())
-}
-
-// Put writes value under key on its owning shard; it returns the object's
-// new version.
-func (c *ShardedClient) Put(ctx context.Context, key, value []byte) (uint64, error) {
-	return c.inner.Put(ctx, key, value)
-}
-
-// Get reads key at its shard's master (linearizable).
-func (c *ShardedClient) Get(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	return c.inner.Get(ctx, key)
-}
-
-// GetNearby reads key from one of its shard's backups when safe (§A.1).
-func (c *ShardedClient) GetNearby(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	return c.inner.GetNearby(ctx, key)
-}
-
-// GetStale reads key's latest durable value without blocking (§A.3).
-func (c *ShardedClient) GetStale(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	return c.inner.GetStale(ctx, key)
-}
-
-// Delete removes key on its owning shard.
-func (c *ShardedClient) Delete(ctx context.Context, key []byte) error {
-	return c.inner.Delete(ctx, key)
-}
-
-// Increment atomically adds delta to the counter at key and returns the
-// new value.
-func (c *ShardedClient) Increment(ctx context.Context, key []byte, delta int64) (int64, error) {
-	return c.inner.Increment(ctx, key, delta)
-}
-
-// CondPut writes value only if key is currently at expectVersion on its
-// shard (version 0 = must not exist).
-func (c *ShardedClient) CondPut(ctx context.Context, key, value []byte, expectVersion uint64) (applied bool, version uint64, err error) {
-	return c.inner.CondPut(ctx, key, value, expectVersion)
-}
-
-// MultiPut writes the pairs, atomically within each shard; pairs on
-// different shards land independently (see the type doc).
-func (c *ShardedClient) MultiPut(ctx context.Context, pairs []KV) error {
-	kvs := make([]kv.KV, len(pairs))
-	for i, p := range pairs {
-		kvs[i] = kv.KV{Key: p.Key, Value: p.Value}
-	}
-	return c.inner.MultiPut(ctx, kvs)
-}
-
-// MultiIncrement adds each delta to its key's counter — atomic and
-// exactly-once within each shard, independent across shards (see the type
-// doc) — and returns the new counter values aligned with deltas.
-func (c *ShardedClient) MultiIncrement(ctx context.Context, deltas []IncrPair) ([]int64, error) {
-	ps := make([]kv.IncrPair, len(deltas))
-	for i, d := range deltas {
-		ps[i] = kv.IncrPair{Key: d.Key, Delta: d.Delta}
-	}
-	return c.inner.MultiIncrement(ctx, ps)
-}
-
-// Append atomically appends suffix to the value at key on its owning
-// shard and returns the value's new total length.
-func (c *ShardedClient) Append(ctx context.Context, key, suffix []byte) (int64, error) {
-	return c.inner.Append(ctx, key, suffix)
-}
-
-// PutTTL writes value under key with an absolute UnixNano expiry on its
-// owning shard.
-func (c *ShardedClient) PutTTL(ctx context.Context, key, value []byte, expireAt int64) (uint64, error) {
-	return c.inner.PutTTL(ctx, key, value, expireAt)
-}
-
-// SetAdd adds member to the set at key on its owning shard; concurrent
-// SetAdds commute and keep the 1-RTT fast path.
-func (c *ShardedClient) SetAdd(ctx context.Context, key, member []byte) error {
-	return c.inner.SetAdd(ctx, key, member)
-}
-
-// SetRemove removes member from the set at key on its owning shard.
-func (c *ShardedClient) SetRemove(ctx context.Context, key, member []byte) error {
-	return c.inner.SetRemove(ctx, key, member)
-}
-
-// SetMembers reads the members of the set at key, sorted bytewise.
-func (c *ShardedClient) SetMembers(ctx context.Context, key []byte) ([][]byte, error) {
-	return c.inner.SetMembers(ctx, key)
-}
-
-// BucketTake takes n tokens from the rate-limiter bucket at key on its
-// owning shard; see Client.BucketTake for the commutativity contract.
-func (c *ShardedClient) BucketTake(ctx context.Context, key []byte, n int64) (granted bool, remaining int64, err error) {
-	return c.inner.BucketTake(ctx, key, n)
 }

@@ -144,7 +144,7 @@ func TestShardedSingleShardMatchesStart(t *testing.T) {
 	if n, err := cl.Increment(ctx, []byte("n"), 41); err != nil || n != 41 {
 		t.Fatalf("incr: %v %d", err, n)
 	}
-	if err := cl.MultiPut(ctx, []KV{{[]byte("a"), []byte("1")}, {[]byte("b"), []byte("2")}}); err != nil {
+	if err := cl.MultiPut(ctx, []KV{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}}); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := cl.GetNearby(ctx, []byte("k"))
