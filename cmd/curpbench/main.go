@@ -21,7 +21,7 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"comma-separated list: table1,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig12,fig13,resources,sharded,pipeline,txn,failover,coordfail,traceoverhead,eventoverhead,all")
+		"comma-separated list: table1,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig12,fig13,resources,sharded,pipeline,txn,failover,coordfail,all")
 	ops := flag.Int("ops", 20000, "operations per simulated configuration")
 	flag.Parse()
 
@@ -29,26 +29,24 @@ func main() {
 	w := os.Stdout
 
 	runners := map[string]func(){
-		"table1":        func() { sim.Table1(w) },
-		"fig5":          func() { sim.Fig5(w) },
-		"fig6":          func() { sim.Fig6(w) },
-		"fig7":          func() { sim.Fig7(w) },
-		"fig8":          func() { sim.Fig8(w) },
-		"fig9":          func() { sim.Fig9(w) },
-		"fig10":         func() { sim.Fig10(w) },
-		"fig11":         func() { sim.Fig11(w) },
-		"fig12":         func() { sim.Fig12(w) },
-		"fig13":         func() { sim.Fig13(w) },
-		"resources":     func() { sim.ResourceReport(w) },
-		"sharded":       func() { Sharded(w, *ops) },
-		"pipeline":      func() { Pipeline(w, *ops) },
-		"txn":           func() { Txn(w, *ops) },
-		"failover":      func() { Failover(w, *ops) },
-		"coordfail":     func() { Coordfail(w, *ops) },
-		"traceoverhead": func() { TraceOverhead(w, *ops) },
-		"eventoverhead": func() { EventOverhead(w, *ops) },
+		"table1":    func() { sim.Table1(w) },
+		"fig5":      func() { sim.Fig5(w) },
+		"fig6":      func() { sim.Fig6(w) },
+		"fig7":      func() { sim.Fig7(w) },
+		"fig8":      func() { sim.Fig8(w) },
+		"fig9":      func() { sim.Fig9(w) },
+		"fig10":     func() { sim.Fig10(w) },
+		"fig11":     func() { sim.Fig11(w) },
+		"fig12":     func() { sim.Fig12(w) },
+		"fig13":     func() { sim.Fig13(w) },
+		"resources": func() { sim.ResourceReport(w) },
+		"sharded":   func() { Sharded(w, *ops) },
+		"pipeline":  func() { Pipeline(w, *ops) },
+		"txn":       func() { Txn(w, *ops) },
+		"failover":  func() { Failover(w, *ops) },
+		"coordfail": func() { Coordfail(w, *ops) },
 	}
-	order := []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "resources", "sharded", "pipeline", "txn", "failover", "coordfail", "traceoverhead", "eventoverhead"}
+	order := []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "resources", "sharded", "pipeline", "txn", "failover", "coordfail"}
 
 	var selected []string
 	if *experiment == "all" {

@@ -122,19 +122,9 @@ type Options struct {
 	// /trace and curpctl trace). Zero keeps only the default promotion
 	// rules — errors, conflict syncs, lock waits, and redirects.
 	TraceThreshold time.Duration
-	// DisableTracing turns off distributed-trace minting in clients opened
-	// on this cluster (span recording on servers then never triggers,
-	// since no request carries a trace context).
-	DisableTracing bool
 	// Profiling mounts net/http/pprof on NodeHandler (and, through
 	// cmd/curpd's -pprof flag, on every node's metrics endpoint).
 	Profiling bool
-	// DisableEvents turns off the cluster flight recorder on masters (the
-	// structured event journal and the hot-key sketch). Coordinator and
-	// replica journals stay on — they are off the data path. Used as the
-	// control arm of the eventoverhead benchmark; production deployments
-	// should leave events enabled.
-	DisableEvents bool
 }
 
 // FailoverEvent describes one self-healing action (Options.OnFailover).
@@ -255,7 +245,6 @@ func clusterOptions(opts Options) cluster.Options {
 		copts.Master.Core.WitnessBurstLimit = copts.Witness.Ways
 	}
 	copts.Master.Core.AdaptiveFlush = opts.AdaptiveFlush
-	copts.Master.DisableEvents = opts.DisableEvents
 	if opts.SelfHealing {
 		copts.Health = &cluster.HealthOptions{
 			HeartbeatInterval: opts.HeartbeatInterval,
@@ -293,11 +282,7 @@ func (c *Cluster) NewClient(name string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.opts.DisableTracing {
-		cl.DisableTracing()
-	} else if coll := cl.Trace(); coll != nil {
-		coll.SetThreshold(c.opts.TraceThreshold)
-	}
+	cl.Trace().SetThreshold(c.opts.TraceThreshold)
 	return &Client{verbs: cl.Verbs, inner: cl}, nil
 }
 
@@ -473,10 +458,6 @@ func (c *Client) Stats() Stats {
 	return toStats(c.inner.Stats())
 }
 
-// DisableTracing turns off distributed-trace minting for this client: its
-// operations carry no trace context and record no spans anywhere.
-func (c *Client) DisableTracing() { c.inner.DisableTracing() }
-
 // TraceAll switches this client to 100% trace sampling: every operation's
 // trace is promoted regardless of outcome or latency. For debugging and
 // overhead measurement — the default tail sampling keeps only interesting
@@ -523,6 +504,7 @@ func newCache(copts cluster.Options, durableLog []byte, replayWitness *witness.W
 	for i := 0; i < copts.F; i++ {
 		w, err := witness.New(1, copts.Witness)
 		if err != nil {
+			engine.Close()
 			return nil, fmt.Errorf("curp: durable cache witness: %w", err)
 		}
 		ws = append(ws, w)

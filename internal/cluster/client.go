@@ -303,8 +303,8 @@ func NewClientMulti(nw transport.Network, name string, coordAddrs []string, mast
 	}
 	cfg := core.DefaultClientConfig()
 	// Tracing defaults on: the client mints one trace context per flush and
-	// keeps spans in its own collector. Tail-based sampling makes the
-	// default near-free; DisableTracing turns minting off entirely.
+	// keeps spans in its own collector; tail-based sampling keeps only the
+	// interesting traces.
 	cfg.Trace = metrics.NewCollector(name, "client", 0)
 	c := &Client{
 		name:     name,
@@ -318,12 +318,8 @@ func NewClientMulti(nw transport.Network, name string, coordAddrs []string, mast
 // Close releases the client's connections.
 func (c *Client) Close() { c.provider.close() }
 
-// Trace returns the client's span collector (nil when tracing is off).
+// Trace returns the client's span collector.
 func (c *Client) Trace() *metrics.Collector { return c.curp.TraceCollector() }
-
-// DisableTracing stops the client from minting trace contexts; RPC frames
-// revert to the untraced encoding.
-func (c *Client) DisableTracing() { c.curp.SetTrace(nil) }
 
 // SetTraceFlags sets the sampling flags on minted traces
 // (metrics.TraceFlagForce = keep every trace).

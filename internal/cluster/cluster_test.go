@@ -328,16 +328,16 @@ func TestZombieMasterCannotSync(t *testing.T) {
 	_ = nw
 	// The zombie tries to sync: backups reject its stale epoch, and it
 	// freezes itself.
-	err := zombie.syncAndWait(context.Background(), zombie.store.Head())
+	err := zombie.eng.Sync(context.Background())
 	if err == nil && zombie.store.Head() > 0 {
 		// An empty unsynced suffix makes sync a no-op; force an entry.
 		zombie.store.Apply(&kv.Command{Op: kv.OpPut, Key: []byte("z"), Value: []byte("z")}, ridTest(99, 1))
-		err = zombie.syncAndWait(context.Background(), zombie.store.Head())
+		err = zombie.eng.Sync(context.Background())
 	}
 	if err == nil {
 		t.Fatal("zombie sync should be rejected by fenced backups")
 	}
-	if !zombie.state.Frozen() {
+	if !zombie.State().Frozen() {
 		t.Fatal("zombie should freeze itself after deposal")
 	}
 	// New master serves normally.
@@ -483,7 +483,7 @@ func TestMigration(t *testing.T) {
 	if err != nil || !ok || string(v) != "v" {
 		t.Fatalf("read after migration: %v %v %q", err, ok, v)
 	}
-	if !old.state.Frozen() {
+	if !old.State().Frozen() {
 		t.Fatal("old master should be frozen")
 	}
 }

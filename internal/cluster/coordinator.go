@@ -1530,10 +1530,10 @@ func (c *Coordinator) Migrate(masterID uint64, newAddr string, newWitnessAddrs [
 	// past the freeze are covered by the witness replay inside
 	// RecoverMaster — migration is literally recovery of a frozen master.
 	old.Freeze()
-	old.execMu.Lock()
-	head := old.store.Head()
-	old.execMu.Unlock()
-	if err := old.syncAndWait(context.Background(), head); err != nil {
+	old.eng.Lock()
+	head := old.Head()
+	old.eng.Unlock()
+	if err := old.eng.SyncTo(context.Background(), head); err != nil {
 		return nil, err
 	}
 	return c.recoverMasterLocked(masterID, newAddr, newWitnessAddrs, opts)

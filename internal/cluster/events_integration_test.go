@@ -161,33 +161,3 @@ func TestHotKeySketchFeedsFromUpdates(t *testing.T) {
 		t.Fatalf("hottest key count = %+v, want the hammered key with >= 50", d.Keys)
 	}
 }
-
-// TestDisableEventsControlArm: the eventoverhead benchmark's control arm
-// must leave the journal and sketch fully off while the cluster still
-// serves traffic.
-func TestDisableEventsControlArm(t *testing.T) {
-	nw := transport.NewMemNetwork(nil)
-	opts := DefaultOptions()
-	opts.Master.DisableEvents = true
-	c, err := Start(nw, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	cl, err := c.NewClient("ctl-client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := cl.Put(ctx, []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if hk := c.CurrentMaster().HotKeys(); hk != nil {
-		t.Fatalf("DisableEvents left the hot-key sketch on: %+v", hk.Dump())
-	}
-	if d := c.CurrentMaster().Events().Dump(); len(d.Events) != 0 {
-		t.Fatalf("DisableEvents journal recorded %d events", len(d.Events))
-	}
-}

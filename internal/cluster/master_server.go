@@ -32,9 +32,6 @@ type MasterOptions struct {
 	// (decision lookup at the home shard, abort by default). It must
 	// comfortably exceed a healthy coordinator's prepare→decide gap.
 	TxnLockTimeout time.Duration
-	// DisableEvents turns the flight recorder off: no event journal, no
-	// hot-key sketch (the eventoverhead benchmark's control arm).
-	DisableEvents bool
 }
 
 // DefaultTxnLockTimeout is the default orphaned-prepare resolution
@@ -50,11 +47,12 @@ func DefaultMasterOptions() MasterOptions {
 	}
 }
 
-// MasterServer is a CURP master for one data partition: it executes client
-// commands speculatively against a kv.Store, enforces commutativity among
-// unsynced operations, replicates its log to f backups in batched
-// asynchronous syncs, and garbage-collects synced requests from its
-// witnesses (paper §3.2.3, §4.3–§4.6).
+// MasterServer is a CURP master for one data partition: the kv substrate of
+// core.Engine, which owns execution order, RIFL, the commutativity gate and
+// the sync/GC discipline (paper §3.2.3, §4.3–§4.6). This type supplies the
+// RAMCloud-like deployment: the store, the backup fan-out with stale-epoch
+// fencing, the witness peers, live migration, the §A.3 durable-value
+// cache, the transaction resolver, and the node's observability.
 type MasterServer struct {
 	id    uint64
 	addr  string
@@ -62,40 +60,15 @@ type MasterServer struct {
 	nw    transport.Network
 	opts  MasterOptions
 
-	store   *kv.Store
-	tracker *rifl.Tracker
-	state   *core.MasterState
-
-	// execMu serializes command execution — the equivalent of the
-	// paper's single dispatch thread ordering operations on a master.
-	execMu sync.Mutex
+	store *kv.Store
+	eng   *core.Engine
 
 	peersMu   sync.Mutex
 	backups   []*rpc.Peer
 	witnesses []*rpc.Peer
 
-	// syncMu guards the one-outstanding-sync discipline (§C.1: "RAMCloud
-	// allows only one outstanding sync", which batches naturally).
-	syncMu     sync.Mutex
-	syncCond   *sync.Cond
-	syncActive bool
-
-	// syncKick feeds the single background-sync goroutine (capacity 1: a
-	// kick while one is pending coalesces). Before this existed every
-	// speculative op past the batch threshold spawned its own goroutine
-	// into syncAndWait, where they parked on syncCond and were all woken
-	// by every completed sync — a thundering herd that throttled the
-	// pipelined path. One resident syncer keeps background syncs O(1)
-	// goroutines regardless of load.
-	syncKick  chan struct{}
 	closeOnce sync.Once
 	closed    chan struct{}
-
-	// pendingGC carries (keyHash, rpcID) pairs that must be re-sent in
-	// the next gc RPC: suspected uncollected garbage reported by
-	// witnesses (§4.5).
-	gcMu      sync.Mutex
-	pendingGC []witness.GCKey
 
 	// resolveKick feeds the resident orphaned-transaction resolver;
 	// resolveBusy dedups in-flight resolutions (see txn_server.go).
@@ -106,8 +79,8 @@ type MasterServer struct {
 	// durableOld is the §A.3 durable-value cache: for each key with an
 	// unsynced update, the last value that IS on the backups. Populated
 	// when a durable value is first overwritten speculatively; cleared as
-	// syncs make the new values durable. Guarded by execMu (entries are
-	// written on the execution path) plus staleMu for readers.
+	// syncs make the new values durable. Entries are written on the
+	// execution path (under the engine's lock); staleMu is for readers.
 	staleMu    sync.Mutex
 	durableOld map[string]staleEntry
 
@@ -131,19 +104,17 @@ type MasterServer struct {
 	mTxnPrepares *metrics.Counter
 	mTxnDecides  *metrics.Counter
 	mTxnOrphans  *metrics.Counter
-	// mClassSpec / mClassSync are indexed by commute.Class: per-class
-	// fast-path verdict counters, pre-bound so the execution path never
-	// touches the registry's label map.
-	mClassSpec   []*metrics.Counter
-	mClassSync   []*metrics.Counter
+	// mClass[path][class] are the per-class fast-path verdict counters,
+	// pre-bound so the execution path never touches the registry's label
+	// map (core.PathNone has none).
+	mClass       [3][]*metrics.Counter
 	lastSyncNano atomic.Int64
 	// coll holds this master's distributed-trace spans; requests arriving
 	// with a wire trace context record their server-side stage attribution
 	// (master-queue, apply, sync-wait, backup-append, lock-wait) here.
 	coll *metrics.Collector
 	// jrn is this master's flight-recorder journal; hot the space-saving
-	// hot-key sketch fed by the update path. Both nil (disabled) under
-	// MasterOptions.DisableEvents.
+	// hot-key sketch fed by the update path.
 	jrn *events.Journal
 	hot *events.TopK
 }
@@ -159,29 +130,23 @@ func NewMasterServer(nw transport.Network, id uint64, addr string, epoch uint64,
 		opts.TxnLockTimeout = DefaultTxnLockTimeout
 	}
 	ms := &MasterServer{
-		id:      id,
-		addr:    addr,
-		epoch:   epoch,
-		nw:      nw,
-		opts:    opts,
-		store:   kv.NewStore(),
-		tracker: rifl.NewTracker(),
-		state:   core.NewMasterState(opts.Core),
-		rpc:     rpc.NewServer(),
+		id:    id,
+		addr:  addr,
+		epoch: epoch,
+		nw:    nw,
+		opts:  opts,
+		store: kv.NewStore(),
+		rpc:   rpc.NewServer(),
 	}
 	ms.durableOld = make(map[string]staleEntry)
 	ms.coll = metrics.NewCollector(addr, "master", 0)
-	if !opts.DisableEvents {
-		ms.jrn = events.NewJournal(addr, "master")
-		ms.hot = events.NewTopK(addr, events.DefaultHotKeys)
-	}
+	ms.jrn = events.NewJournal(addr, "master")
+	ms.hot = events.NewTopK(addr, events.DefaultHotKeys)
+	ms.eng = core.NewEngine(ms, opts.Core, ms.coll)
 	ms.buildMetrics()
-	ms.syncCond = sync.NewCond(&ms.syncMu)
-	ms.syncKick = make(chan struct{}, 1)
 	ms.resolveKick = make(chan txnResolveReq, 64)
 	ms.resolveBusy = make(map[rifl.RPCID]bool)
 	ms.closed = make(chan struct{})
-	go ms.backgroundSync()
 	go ms.txnResolver()
 	ms.rpc.Handle(OpUpdate, ms.handleUpdate)
 	ms.rpc.Handle(OpUpdateBatch, ms.handleUpdateBatch)
@@ -198,6 +163,7 @@ func NewMasterServer(nw transport.Network, id uint64, addr string, epoch uint64,
 	ms.registerTxnHandlers()
 	l, err := nw.Listen(addr)
 	if err != nil {
+		ms.Close()
 		return nil, err
 	}
 	ms.rpc.Go(l)
@@ -214,7 +180,7 @@ func (ms *MasterServer) ID() uint64 { return ms.id }
 func (ms *MasterServer) Epoch() uint64 { return ms.epoch }
 
 // State exposes protocol counters for tests and benchmarks.
-func (ms *MasterServer) State() *core.MasterState { return ms.state }
+func (ms *MasterServer) State() *core.MasterState { return ms.eng.State() }
 
 // Options returns the master's resolved configuration (the coordinator
 // reuses it when it promotes a replacement during automatic failover).
@@ -227,7 +193,7 @@ func (ms *MasterServer) buildMetrics() {
 	r := metrics.NewRegistry()
 	r.SetConstLabels(metrics.L("node", ms.addr))
 	st := func(f func(core.MasterStats) uint64) func() uint64 {
-		return func() uint64 { return f(ms.state.Stats()) }
+		return func() uint64 { return f(ms.State().Stats()) }
 	}
 	r.CounterFunc("curp_master_speculative_ops_total",
 		"Updates completed on the 1-RTT speculative fast path.",
@@ -249,11 +215,11 @@ func (ms *MasterServer) buildMetrics() {
 		st(func(s core.MasterStats) uint64 { return s.ReadBlocks }))
 	r.GaugeFunc("curp_master_sync_lag_ops",
 		"Unsynced window size: log entries not yet replicated to backups.",
-		func() float64 { return float64(ms.state.UnsyncedCount()) })
+		func() float64 { return float64(ms.State().UnsyncedCount()) })
 	r.GaugeFunc("curp_master_sync_lag_seconds",
 		"Age of the oldest unsynced state: time since the last completed backup sync while the window is non-empty.",
 		func() float64 {
-			if ms.state.UnsyncedCount() == 0 {
+			if ms.State().UnsyncedCount() == 0 {
 				return 0
 			}
 			last := ms.lastSyncNano.Load()
@@ -264,13 +230,13 @@ func (ms *MasterServer) buildMetrics() {
 		})
 	r.GaugeFunc("curp_master_flush_threshold_ops",
 		"Current background-flush batch threshold (load-adaptive when AdaptiveFlush is on).",
-		func() float64 { return float64(ms.state.FlushThreshold()) })
+		func() float64 { return float64(ms.State().FlushThreshold()) })
 	r.GaugeFunc("curp_master_epoch",
 		"Recovery epoch of this master.",
 		func() float64 { return float64(ms.epoch) })
 	r.GaugeFunc("curp_master_witness_list_version",
 		"Version of the witness configuration the master currently enforces.",
-		func() float64 { return float64(ms.state.WitnessListVersion()) })
+		func() float64 { return float64(ms.State().WitnessListVersion()) })
 	const latHelp = "Master-side RPC handling latency by operation type."
 	ms.mLatUpdate = r.Histogram("curp_master_op_latency_seconds", latHelp, metrics.L("op", "update"))
 	ms.mLatBatch = r.Histogram("curp_master_op_latency_seconds", latHelp, metrics.L("op", "update_batch"))
@@ -291,9 +257,9 @@ func (ms *MasterServer) buildMetrics() {
 		"Orphaned prepared transactions settled by the resident resolver.")
 	const classHelp = "Update conflict verdicts by commutativity class: speculative stayed on the 1-RTT path, sync was gated behind a backup sync."
 	for _, cl := range commute.Classes() {
-		ms.mClassSpec = append(ms.mClassSpec, r.Counter("curp_master_class_verdicts_total", classHelp,
+		ms.mClass[core.PathSpeculative] = append(ms.mClass[core.PathSpeculative], r.Counter("curp_master_class_verdicts_total", classHelp,
 			metrics.L("class", cl.String()), metrics.L("verdict", "speculative")))
-		ms.mClassSync = append(ms.mClassSync, r.Counter("curp_master_class_verdicts_total", classHelp,
+		ms.mClass[core.PathConflict] = append(ms.mClass[core.PathConflict], r.Counter("curp_master_class_verdicts_total", classHelp,
 			metrics.L("class", cl.String()), metrics.L("verdict", "sync")))
 	}
 	metrics.RegisterBuildInfo(r)
@@ -315,12 +281,12 @@ func (ms *MasterServer) SetShardIndex(s int) {
 // source for this node).
 func (ms *MasterServer) Trace() *metrics.Collector { return ms.coll }
 
-// Events returns the master's flight-recorder journal (nil when disabled)
-// — the /events data source for this node.
+// Events returns the master's flight-recorder journal — the /events data
+// source for this node.
 func (ms *MasterServer) Events() *events.Journal { return ms.jrn }
 
-// HotKeys returns the master's hot-key sketch (nil when disabled) — the
-// /hotkeys data source for this node.
+// HotKeys returns the master's hot-key sketch — the /hotkeys data source
+// for this node.
 func (ms *MasterServer) HotKeys() *events.TopK { return ms.hot }
 
 // observeOp records one handled RPC: its latency histogram sample and,
@@ -348,15 +314,15 @@ func (ms *MasterServer) StartHeartbeats(coordAddrs []string, interval time.Durat
 		// One Stats() call covers the load counters AND the flush
 		// threshold: the beater must not take the master's lock twice per
 		// beat, or a busy master delays its own liveness signal.
-		st := ms.state.Stats()
+		st := ms.State().Stats()
 		return health.Beat{
 			Role:               health.RoleMaster,
 			Addr:               ms.addr,
 			MasterID:           ms.id,
 			Epoch:              ms.epoch,
 			HeadLSN:            uint64(ms.store.Head()),
-			Unsynced:           uint64(ms.state.UnsyncedCount()),
-			WitnessListVersion: ms.state.WitnessListVersion(),
+			Unsynced:           uint64(ms.State().UnsyncedCount()),
+			WitnessListVersion: ms.State().WitnessListVersion(),
 			FlushThreshold:     st.FlushThreshold,
 			SpeculativeOps:     st.SpeculativeOps,
 			ConflictSyncs:      st.ConflictSyncs,
@@ -406,6 +372,7 @@ func (ms *MasterServer) Store() *kv.Store { return ms.store }
 func (ms *MasterServer) Close() {
 	ms.closeOnce.Do(func() {
 		close(ms.closed)
+		ms.eng.Close()
 		events.FlightDump(ms.jrn)
 	})
 	ms.rpc.Close()
@@ -437,7 +404,7 @@ func (ms *MasterServer) SetBackups(addrs []string) {
 // recorded only on the old witnesses are durable before those witnesses
 // stop being consulted.
 func (ms *MasterServer) SetWitnessList(version uint64, addrs []string) error {
-	if err := ms.syncAndWait(context.Background(), kv.LSN(ms.store.Head())); err != nil {
+	if err := ms.eng.Sync(context.Background()); err != nil {
 		return err
 	}
 	ms.peersMu.Lock()
@@ -449,7 +416,7 @@ func (ms *MasterServer) SetWitnessList(version uint64, addrs []string) error {
 		ms.witnesses = append(ms.witnesses, rpc.NewPeer(ms.nw, ms.addr, a))
 	}
 	ms.peersMu.Unlock()
-	ms.state.SetWitnessListVersion(version)
+	ms.State().SetWitnessListVersion(version)
 	return nil
 }
 
@@ -493,23 +460,10 @@ func (ms *MasterServer) ReplaceBackup(oldAddr, newAddr string) error {
 	// Surviving backups must hold everything executed so far: the store's
 	// log is about to become the seed image, and recovery reasons about
 	// backup logs as prefixes of it.
-	if err := ms.syncAndWait(context.Background(), kv.LSN(ms.store.Head())); err != nil {
+	if err := ms.eng.Sync(context.Background()); err != nil {
 		return err
 	}
-	ms.syncMu.Lock()
-	for ms.syncActive {
-		ms.syncCond.Wait()
-	}
-	ms.syncActive = true
-	ms.syncMu.Unlock()
-
-	err := ms.seedAndSwapBackup(oldAddr, newAddr)
-
-	ms.syncMu.Lock()
-	ms.syncActive = false
-	ms.syncCond.Broadcast()
-	ms.syncMu.Unlock()
-	return err
+	return ms.eng.HoldSync(func() error { return ms.seedAndSwapBackup(oldAddr, newAddr) })
 }
 
 // seedAndSwapBackup does ReplaceBackup's work under the sync exclusion:
@@ -517,15 +471,9 @@ func (ms *MasterServer) ReplaceBackup(oldAddr, newAddr string) error {
 // must not keep old state), push the full log, swap the peer.
 func (ms *MasterServer) seedAndSwapBackup(oldAddr, newAddr string) error {
 	p := rpc.NewPeer(ms.nw, ms.addr, newAddr)
-	resetPayload := func() []byte {
-		e := rpc.NewEncoder(16)
-		e.U64(ms.id)
-		e.U64(ms.epoch)
-		return e.Bytes()
-	}()
 	ctx, cancel := context.WithTimeout(context.Background(), ms.opts.RPCTimeout)
 	defer cancel()
-	if _, err := p.Call(ctx, OpBackupReset, resetPayload); err != nil {
+	if _, err := p.Call(ctx, OpBackupReset, ms.idPayload(true)); err != nil {
 		p.Close()
 		return fmt.Errorf("master %d: reset replacement backup %s: %w", ms.id, newAddr, err)
 	}
@@ -552,16 +500,16 @@ func (ms *MasterServer) seedAndSwapBackup(oldAddr, newAddr string) error {
 }
 
 // Freeze stops the master from serving (migration final step or deposal).
-func (ms *MasterServer) Freeze() { ms.state.Freeze() }
+func (ms *MasterServer) Freeze() { ms.State().Freeze() }
 
 // ExpireClientLease drops a client's completion records after syncing all
 // operations to backups — the §4.8 ordering requirement that keeps witness
 // replay safe.
 func (ms *MasterServer) ExpireClientLease(c rifl.ClientID) error {
-	if err := ms.syncAndWait(context.Background(), kv.LSN(ms.store.Head())); err != nil {
+	if err := ms.eng.Sync(context.Background()); err != nil {
 		return err
 	}
-	ms.tracker.ExpireLease(c)
+	ms.eng.Tracker().ExpireLease(c)
 	return nil
 }
 
@@ -575,10 +523,10 @@ type staleEntry struct {
 
 // captureDurableValue snapshots key's current (durable) value before a
 // speculative overwrite, so OpReadStale can serve it without waiting for a
-// sync. Must hold execMu; only captures when the key's current state is
-// durable and no snapshot exists yet.
+// sync. Runs under the engine's execution lock; only captures when the
+// key's current state is durable and no snapshot exists yet.
 func (ms *MasterServer) captureDurableValue(key []byte) {
-	if uint64(ms.store.KeyLSN(key)) > ms.state.SyncedLSN() {
+	if uint64(ms.store.KeyLSN(key)) > ms.State().SyncedLSN() {
 		return // current value is itself unsynced; snapshot already taken
 	}
 	ms.staleMu.Lock()
@@ -589,12 +537,12 @@ func (ms *MasterServer) captureDurableValue(key []byte) {
 	ms.staleMu.Unlock()
 }
 
-// pruneDurableValues drops cache entries whose keys are durable again.
-func (ms *MasterServer) pruneDurableValues() {
-	synced := ms.state.SyncedLSN()
+// pruneDurableValues drops cache entries whose keys are durable again now
+// that the backups hold the log up to synced.
+func (ms *MasterServer) pruneDurableValues(synced kv.LSN) {
 	ms.staleMu.Lock()
 	for k := range ms.durableOld {
-		if uint64(ms.store.KeyLSN([]byte(k))) <= synced {
+		if ms.store.KeyLSN([]byte(k)) <= synced {
 			delete(ms.durableOld, k)
 		}
 	}
@@ -609,7 +557,7 @@ func (ms *MasterServer) handleReadStale(ctx context.Context, payload []byte) ([]
 	if err != nil {
 		return nil, err
 	}
-	if ms.state.Frozen() {
+	if ms.State().Frozen() {
 		return (&core.Reply{Status: core.StatusWrongMaster}).Encode(), nil
 	}
 	cmd, err := kv.DecodeCommand(req.Payload)
@@ -629,7 +577,7 @@ func (ms *MasterServer) handleReadStale(ctx context.Context, payload []byte) ([]
 	switch {
 	case cached:
 		res = kv.Result{Found: entry.found, Value: entry.value}
-	case uint64(ms.store.KeyLSN(cmd.Key)) > ms.state.SyncedLSN():
+	case uint64(ms.store.KeyLSN(cmd.Key)) > ms.State().SyncedLSN():
 		// Created after the last sync with no durable predecessor: the
 		// durable view does not contain it.
 		res = kv.Result{}
@@ -640,160 +588,76 @@ func (ms *MasterServer) handleReadStale(ctx context.Context, payload []byte) ([]
 	return (&core.Reply{Status: core.StatusOK, Synced: true, Payload: res.Encode()}).Encode(), nil
 }
 
-// updateExec is the outcome of executing one update before its (optional)
-// sync: the reply to send, and whether revealing it must wait for a
-// backup sync. Batch handlers coalesce the syncs of several executions
-// into one syncAndWait before revealing any gated reply.
-type updateExec struct {
-	reply *core.Reply
-	// syncTo, when non-zero, is the LSN the master must have replicated
-	// before the reply may be revealed; the reply is then tagged Synced so
-	// the client skips its own sync RPC.
-	syncTo kv.LSN
-	// conflictSync marks syncs forced by a non-commutative new execution
-	// (counted as ConflictSyncs; duplicate-result syncs are not).
-	conflictSync bool
-}
-
-// executeUpdate runs the client update path (§3.2.3) up to — but not
-// including — any backup sync the reply must wait for. It is the shared
-// execution step of handleUpdate and handleUpdateBatch.
-func (ms *MasterServer) executeUpdate(ctx context.Context, req *core.Request) (updateExec, error) {
-	if ms.state.Frozen() {
-		return updateExec{reply: &core.Reply{Status: core.StatusWrongMaster}}, nil
-	}
-	if !ms.state.CheckWitnessList(req.WitnessListVersion) {
-		return updateExec{reply: &core.Reply{Status: core.StatusStaleWitnessList}}, nil
-	}
-
-	qStart := time.Now()
-	ms.execMu.Lock()
-	if wait := time.Since(qStart); wait > time.Microsecond {
-		ms.coll.RecordSpan(ctx, "master-queue", "", "", qStart, wait, "")
-	}
-	outcome, saved := ms.tracker.Begin(req.ID, req.Ack)
-	switch outcome {
-	case rifl.Completed:
-		// Duplicate: return the saved result. If the original's effects
-		// are still unsynced, sync first so the retried client can
-		// complete without witness help. ClassWrite: a duplicate reply must
-		// wait out ANY unsynced mutation of its keys, commutative or not.
-		conflict := ms.state.Conflicts(req.KeyHashes, commute.ClassWrite)
-		head := kv.LSN(ms.store.Head())
-		ms.execMu.Unlock()
-		ex := updateExec{reply: &core.Reply{Status: core.StatusOK, Synced: true, Payload: saved}}
-		if conflict {
-			ex.syncTo = head
-		}
-		return ex, nil
-	case rifl.Stale, rifl.Expired:
-		ms.execMu.Unlock()
-		return updateExec{reply: &core.Reply{Status: core.StatusIgnored}}, nil
-	}
-
+// Execute implements core.Substrate: decode the command, apply its mode's
+// admission rule, run it against the store. The engine has already answered
+// RIFL duplicates — so a retry of an operation that executed before a range
+// froze still gets its saved result, while a NEW operation on a migrating
+// or moved range bounces here (its effects would miss the transfer or
+// resurrect handed-off keys).
+func (ms *MasterServer) Execute(ctx context.Context, req *core.Request, mode core.Mode) core.Executed {
 	cmd, err := kv.DecodeCommand(req.Payload)
 	if err != nil {
-		ms.execMu.Unlock()
-		return updateExec{}, err
+		return core.Executed{Status: core.StatusError, Err: err.Error()}
 	}
-	// Migration check, inside the execution lock so it serializes with the
-	// freeze in handleMigrateCollect: a new operation on a migrating or
-	// moved range must not execute here (its effects would miss the
-	// transfer or resurrect handed-off keys). Duplicates of operations
-	// that executed before the freeze were answered above from their
-	// completion records.
-	if ms.migr.blockedAny(req.KeyHashes) {
-		ms.execMu.Unlock()
-		return updateExec{reply: &core.Reply{Status: core.StatusKeyMoved}}, nil
+	switch mode {
+	case core.ReadOnly:
+		if !cmd.IsReadOnly() {
+			return core.Executed{Status: core.StatusError, Err: "master: OpRead requires a read-only command"}
+		}
+		fallthrough
+	case core.Speculative, core.Durable:
+		if ms.migr.blockedAny(req.KeyHashes) {
+			return core.Executed{Status: core.StatusKeyMoved}
+		}
+	case core.Replay:
+		// Only ranges whose handoff COMMITTED are skipped (their operations
+		// transferred with the range or bounced without executing). Frozen
+		// ranges still belong here: skipping them could lose a
+		// completed-but-unsynced operation.
+		if ms.migr.movedAny(req.KeyHashes) {
+			return core.Executed{Status: core.StatusKeyMoved}
+		}
 	}
-	// Key-space analytics: count the access on the same hashes the
-	// witnesses key on, so the sketch's "hot" matches what conflicts.
-	// Only NEW executions count — duplicates returned above would double.
-	ms.hot.ObserveAll(req.KeyHashes)
-	// Commutativity check must precede execution: afterwards the op's own
-	// keys are unsynced and would self-conflict. The class is re-derived
-	// from the decoded command, not taken from the envelope: a client
-	// cannot widen its own fast path by mislabeling an operation.
-	class := cmd.Class()
-	conflict := ms.state.Conflicts(req.KeyHashes, class)
-	if !cmd.IsReadOnly() {
-		// §A.3 durable-value cache: preserve the outgoing durable values.
-		if len(cmd.Pairs) > 0 {
-			for _, pr := range cmd.Pairs {
-				ms.captureDurableValue(pr.Key)
+	if mode == core.Speculative {
+		// Key-space analytics, on the hashes the witnesses key on so "hot"
+		// matches what conflicts; only NEW executions reach here.
+		ms.hot.ObserveAll(req.KeyHashes)
+		if !cmd.IsReadOnly() {
+			// §A.3 durable-value cache: preserve the outgoing durable values.
+			if len(cmd.Pairs) > 0 {
+				for _, pr := range cmd.Pairs {
+					ms.captureDurableValue(pr.Key)
+				}
+			} else {
+				ms.captureDurableValue(cmd.Key)
 			}
-		} else {
-			ms.captureDurableValue(cmd.Key)
 		}
 	}
 	res, lsn, err := ms.store.Apply(cmd, req.ID)
 	if err != nil {
-		ms.execMu.Unlock()
 		if lerr, ok := err.(*kv.LockedError); ok {
-			// Blocked behind a prepared transaction: the client retries
-			// with backoff; an expired lock triggers orphan resolution.
+			// Blocked behind a prepared transaction: the client retries with
+			// backoff; an expired lock triggers orphan resolution.
 			ms.mLockWait.Observe(int64(lerr.Age))
-			ms.coll.RecordSpan(ctx, "lock-wait", "update", "locked", time.Now().Add(-lerr.Age), lerr.Age, "")
+			ms.coll.RecordSpan(ctx, "lock-wait", cmd.Op.String(), "locked", time.Now().Add(-lerr.Age), lerr.Age, "")
 			ms.maybeResolve(lerr)
-			return updateExec{reply: &core.Reply{Status: core.StatusTxnLocked}}, nil
+			return core.Executed{Status: core.StatusTxnLocked}
 		}
-		return updateExec{reply: &core.Reply{Status: core.StatusError, Err: err.Error()}}, nil
+		return core.Executed{Status: core.StatusError, Err: err.Error()}
 	}
-	hot := false
-	if lsn > 0 {
-		hot = ms.state.NoteMutation(req.KeyHashes, uint64(lsn), class)
+	class := cmd.Class()
+	if mode == core.Replay && class != commute.ClassWrite {
+		// Arbitrary-order replay (§3.3) is safe for commutative commands
+		// because their STATE effects commute; their return values do not.
+		// Scrub them (the DEVIATION note on core.Engine.Recover).
+		res = &kv.Result{Found: res.Found}
 	}
-	if res.Demote {
-		// The command executed but demoted itself off the speculative path
-		// (a BucketTake that denied or drained the bucket): its result must
-		// not be revealed until it is durable, exactly like a conflict.
-		conflict = true
-	}
-	enc := res.Encode() // one encoding serves the completion record and the reply
-	ms.tracker.RecordKeyed(req.ID, enc, req.KeyHashes)
-	ms.execMu.Unlock()
-
-	if conflict {
-		// Non-commutative with the unsynced suffix: the caller must sync
-		// (which covers this op too) before revealing the result (§3.2.3).
-		if int(class) < len(ms.mClassSync) {
-			ms.mClassSync[class].Inc()
-		}
-		return updateExec{
-			reply:        &core.Reply{Status: core.StatusOK, Payload: enc},
-			syncTo:       kv.LSN(lsn),
-			conflictSync: true,
-		}, nil
-	}
-
-	// Speculative (1-RTT) path.
-	ms.state.CountSpeculative()
-	if int(class) < len(ms.mClassSpec) {
-		ms.mClassSpec[class].Inc()
-	}
-	if hot || ms.state.NeedsBatchSync() {
-		if ms.state.NeedsBatchSync() {
-			ms.state.CountBatchSync()
-		}
-		ms.TriggerSync()
-	}
-	return updateExec{reply: &core.Reply{Status: core.StatusOK, Synced: false, Payload: enc}}, nil
+	// One encoding serves the completion record and the reply.
+	return core.Executed{Result: res.Encode(), LSN: uint64(lsn), Class: class, Demote: res.Demote}
 }
 
-// syncFailReply maps a failed reply-gating sync onto the client-visible
-// reply. A master frozen mid-request was deposed (zombie fencing caught it
-// during the sync, or the coordinator fenced it directly): the withheld
-// reply was never revealed, so the operation is safely retryable at the
-// successor — answer StatusWrongMaster exactly as post-freeze requests do,
-// and the client refetches the view and retries transparently (the
-// self-healing contract in heal.go). Only a live master's genuine
-// replication failure surfaces as a terminal error.
-func (ms *MasterServer) syncFailReply(serr error) *core.Reply {
-	if ms.state.Frozen() {
-		return &core.Reply{Status: core.StatusWrongMaster}
-	}
-	return &core.Reply{Status: core.StatusError, Err: serr.Error()}
-}
+// Head implements core.Substrate.
+func (ms *MasterServer) Head() uint64 { return uint64(ms.store.Head()) }
 
 // handleUpdate is the client update path (§3.2.3), one request per RPC.
 func (ms *MasterServer) handleUpdate(ctx context.Context, payload []byte) ([]byte, error) {
@@ -802,235 +666,76 @@ func (ms *MasterServer) handleUpdate(ctx context.Context, payload []byte) ([]byt
 		return nil, err
 	}
 	start := time.Now()
-	ex, err := ms.executeUpdate(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	verdict := "fast"
-	if ex.syncTo > 0 {
-		verdict = "sync"
-		if ex.conflictSync {
-			ms.state.CountConflictSync()
-			verdict = "conflict-sync"
-		}
-		sctx, ssp := ms.coll.StartSpan(ctx, "sync-wait")
-		serr := ms.syncAndWait(sctx, ex.syncTo)
-		ssp.SetVerdict(verdict)
-		ssp.SetErr(serr)
-		ssp.End()
-		if serr != nil {
-			ex.reply = ms.syncFailReply(serr)
-			verdict = "error"
-			if ex.reply.Status == core.StatusWrongMaster {
-				verdict = "wrong-master"
-			}
-		} else {
-			ex.reply.Synced = true
-		}
-	}
-	ms.observeOp(ctx, ms.mLatUpdate, "update", verdict, ex.reply.Err, start)
-	return ex.reply.Encode(), nil
+	outs := [1]core.Outcome{ms.eng.Execute(ctx, req, core.Speculative)}
+	ms.countClass(&outs[0])
+	verdict := ms.eng.Reveal(ctx, outs[:])
+	ms.observeOp(ctx, ms.mLatUpdate, "update", verdict, outs[0].Reply.Err, start)
+	return outs[0].Reply.Encode(), nil
 }
 
 // handleUpdateBatch is the pipelined update path: execute every request in
-// order, then satisfy all their sync obligations with ONE coalesced
-// syncAndWait before revealing any sync-gated reply. Per-request outcomes
-// (redirects, RIFL filtering, execution errors) stay independent.
+// order, then satisfy all their sync obligations with ONE sync before
+// revealing any gated reply (the client's half of the amortization is one
+// slow-path Sync RPC for all its rejected records). Per-request outcomes
+// stay independent.
 func (ms *MasterServer) handleUpdateBatch(ctx context.Context, payload []byte) ([]byte, error) {
 	reqs, err := decodeUpdateBatch(payload)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	verdict := "fast"
-	exs := make([]updateExec, len(reqs))
-	var syncTo kv.LSN
+	outs := make([]core.Outcome, len(reqs))
 	for i, req := range reqs {
-		ex, err := ms.executeUpdate(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		exs[i] = ex
-		if ex.syncTo > syncTo {
-			syncTo = ex.syncTo
-			verdict = "sync"
-		}
-		if ex.conflictSync {
-			ms.state.CountConflictSync()
-			verdict = "conflict-sync"
-		}
+		outs[i] = ms.eng.Execute(ctx, req, core.Speculative)
+		ms.countClass(&outs[i])
 	}
-	if syncTo > 0 {
-		// One sync covers every gated operation of the batch — the
-		// server-side half of the batch amortization (the client's half is
-		// the single slow-path Sync RPC for all its rejected records).
-		sctx, ssp := ms.coll.StartSpan(ctx, "sync-wait")
-		serr := ms.syncAndWait(sctx, syncTo)
-		ssp.SetVerdict(verdict)
-		ssp.SetErr(serr)
-		ssp.End()
-		for i := range exs {
-			if exs[i].syncTo == 0 {
-				continue
-			}
-			if serr != nil {
-				exs[i].reply = ms.syncFailReply(serr)
-			} else {
-				exs[i].reply.Synced = true
-			}
-		}
-	}
-	replies := make([]*core.Reply, len(exs))
-	for i := range exs {
-		replies[i] = exs[i].reply
-	}
+	verdict := ms.eng.Reveal(ctx, outs)
 	ms.observeOp(ctx, ms.mLatBatch, "update_batch", verdict, "", start)
-	return encodeReplyBatch(replies), nil
+	return encodeReplyBatch(outs), nil
 }
 
-// handleRead serves linearizable reads: a read touching an unsynced object
-// waits for a sync first, so no result ever depends on state that could be
-// lost in a crash (§3.2.3, §A.3).
+// countClass ticks the per-class verdict counter of a fresh speculative-path
+// execution.
+func (ms *MasterServer) countClass(out *core.Outcome) {
+	if counters := ms.mClass[out.Path]; int(out.Class) < len(counters) {
+		counters[out.Class].Inc()
+	}
+}
+
+// handleRead serves linearizable reads through the engine's
+// block-on-unsynced loop (§3.2.3, §A.3).
 func (ms *MasterServer) handleRead(ctx context.Context, payload []byte) ([]byte, error) {
 	req, err := core.DecodeRequest(payload)
 	if err != nil {
 		return nil, err
 	}
-	cmd, err := kv.DecodeCommand(req.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if !cmd.IsReadOnly() {
-		return (&core.Reply{Status: core.StatusError, Err: "master: OpRead requires a read-only command"}).Encode(), nil
-	}
 	start := time.Now()
-	verdict := "fast"
-	for {
-		if ms.state.Frozen() {
-			return (&core.Reply{Status: core.StatusWrongMaster}).Encode(), nil
-		}
-		ms.execMu.Lock()
-		if ms.migr.blockedAny(req.KeyHashes) {
-			ms.execMu.Unlock()
-			return (&core.Reply{Status: core.StatusKeyMoved}).Encode(), nil
-		}
-		// Reads never commute with pending mutations, commutative or not:
-		// a counter value read mid-window would expose unsynced state.
-		if !ms.state.Conflicts(req.KeyHashes, commute.ClassWrite) {
-			res, _, err := ms.store.Apply(cmd, req.ID)
-			ms.execMu.Unlock()
-			if err != nil {
-				if lerr, ok := err.(*kv.LockedError); ok {
-					// A prepared write may commit under this read; it must
-					// wait for the decision like any other operation.
-					ms.mLockWait.Observe(int64(lerr.Age))
-					ms.coll.RecordSpan(ctx, "lock-wait", "read", "locked", time.Now().Add(-lerr.Age), lerr.Age, "")
-					ms.maybeResolve(lerr)
-					ms.observeOp(ctx, ms.mLatRead, "read", "locked", "", start)
-					return (&core.Reply{Status: core.StatusTxnLocked}).Encode(), nil
-				}
-				ms.observeOp(ctx, ms.mLatRead, "read", "error", err.Error(), start)
-				return (&core.Reply{Status: core.StatusError, Err: err.Error()}).Encode(), nil
-			}
-			ms.observeOp(ctx, ms.mLatRead, "read", verdict, "", start)
-			return (&core.Reply{Status: core.StatusOK, Synced: true, Payload: res.Encode()}).Encode(), nil
-		}
-		ms.execMu.Unlock()
-		ms.state.CountReadBlock()
-		verdict = "blocked"
-		sctx, ssp := ms.coll.StartSpan(ctx, "sync-wait")
-		serr := ms.syncAndWait(sctx, kv.LSN(ms.store.Head()))
-		ssp.SetVerdict(verdict)
-		ssp.SetErr(serr)
-		ssp.End()
-		if serr != nil {
-			reply := ms.syncFailReply(serr)
-			ms.observeOp(ctx, ms.mLatRead, "read", "error", reply.Err, start)
-			return reply.Encode(), nil
-		}
+	reply, verdict := ms.eng.Read(ctx, req)
+	switch reply.Status {
+	case core.StatusTxnLocked: // a prepared write may commit under this read
+		verdict = "locked"
+	case core.StatusError:
+		verdict = "error"
 	}
+	ms.observeOp(ctx, ms.mLatRead, "read", verdict, reply.Err, start)
+	return reply.Encode(), nil
 }
 
 // handleSync is the client's slow-path sync RPC (§3.2.1).
 func (ms *MasterServer) handleSync(ctx context.Context, payload []byte) ([]byte, error) {
-	if ms.state.Frozen() {
+	if ms.State().Frozen() {
 		return nil, errors.New("master: frozen")
 	}
-	start := time.Now()
-	err := ms.syncAndWait(ctx, kv.LSN(ms.store.Head()))
-	var errText string
-	if err != nil {
-		errText = err.Error()
-	}
-	ms.coll.RecordSpan(ctx, "sync-wait", "sync", "sync", start, time.Since(start), errText)
-	if err != nil {
-		return nil, err
-	}
-	return nil, nil
+	return nil, ms.eng.Sync(ctx)
 }
 
-// TriggerSync asks the background syncer to run (coalescing with any
-// already-pending kick). It never blocks the caller.
-func (ms *MasterServer) TriggerSync() {
-	select {
-	case ms.syncKick <- struct{}{}:
-	default: // a kick is already pending; the syncer will cover this op
-	}
-}
-
-// backgroundSync is the master's one resident background syncer: each
-// kick replicates everything up to the CURRENT head, so any number of
-// triggers while a sync runs collapse into a single follow-up pass.
-func (ms *MasterServer) backgroundSync() {
-	for {
-		select {
-		case <-ms.closed:
-			return
-		case <-ms.syncKick:
-			_ = ms.syncAndWait(context.Background(), kv.LSN(ms.store.Head()))
-		}
-	}
-}
-
-// syncAndWait blocks until every log entry up to target is replicated to
-// all backups, driving syncs itself when none is in progress. Concurrent
-// callers coalesce onto one outstanding sync (§4.4's natural batching).
-// The ctx carries the trace context of the waiter that ends up DRIVING
-// the sync: its backup-append spans join that waiter's trace (coalesced
-// waiters keep their own sync-wait spans but not the append detail).
-func (ms *MasterServer) syncAndWait(ctx context.Context, target kv.LSN) error {
-	for {
-		if kv.LSN(ms.state.SyncedLSN()) >= target {
-			return nil
-		}
-		ms.syncMu.Lock()
-		if ms.syncActive {
-			ms.syncCond.Wait()
-			ms.syncMu.Unlock()
-			continue
-		}
-		ms.syncActive = true
-		ms.syncMu.Unlock()
-
-		err := ms.doSync(ctx)
-
-		ms.syncMu.Lock()
-		ms.syncActive = false
-		ms.syncCond.Broadcast()
-		ms.syncMu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// doSync replicates the unsynced log suffix to all backups and then
-// garbage-collects the synced requests from witnesses.
-func (ms *MasterServer) doSync(ctx context.Context) error {
-	synced := kv.LSN(ms.state.SyncedLSN())
-	entries := ms.store.EntriesSince(synced)
+// Flush implements core.Substrate: "sync" here is appending the unsynced
+// log suffix to every backup in parallel. A stale-epoch rejection deposes
+// this master.
+func (ms *MasterServer) Flush(ctx context.Context, synced uint64) (uint64, []witness.GCKey, error) {
+	entries := ms.store.EntriesSince(kv.LSN(synced))
 	if len(entries) == 0 {
-		return nil
+		return synced, nil, nil
 	}
 	syncStart := time.Now()
 	head := entries[len(entries)-1].LSN
@@ -1073,26 +778,31 @@ func (ms *MasterServer) doSync(ctx context.Context) error {
 		if staleErr != nil {
 			// A newer master exists: this one is a zombie. Stop serving
 			// (§4.7).
-			ms.state.Freeze()
+			ms.State().Freeze()
 			tc, _ := metrics.TraceFromContext(ctx)
 			ms.jrn.RecordTrace(tc.TraceID, events.Event{
 				Kind: events.KindZombieFenced, MasterID: ms.id, Epoch: ms.epoch,
 				Err: staleErr.Error(),
 			})
-			return fmt.Errorf("master %d deposed: %w", ms.id, staleErr)
+			return 0, nil, fmt.Errorf("master %d deposed: %w", ms.id, staleErr)
 		}
 		if firstErr != nil {
-			return fmt.Errorf("master %d: backup sync failed: %w", ms.id, firstErr)
+			return 0, nil, fmt.Errorf("master %d: backup sync failed: %w", ms.id, firstErr)
 		}
 	}
-	ms.state.NoteSync(uint64(head))
 	ms.mSyncEntries.Observe(int64(len(entries)))
 	ms.mSyncLat.ObserveDuration(time.Since(syncStart))
 	ms.lastSyncNano.Store(time.Now().UnixNano())
-	ms.pruneDurableValues()
-	ms.gcWitnesses(entries)
+	ms.pruneDurableValues(head)
+	keys := make([]witness.GCKey, 0, len(entries))
+	for i := range entries {
+		en := &entries[i]
+		for _, kh := range en.Cmd.KeyHashes() {
+			keys = append(keys, witness.GCKey{KeyHash: kh, ID: en.ID})
+		}
+	}
 	ms.purgeExpired()
-	return nil
+	return uint64(head), keys, nil
 }
 
 // purgeExpired is the eager half of TTL support (the lazy half is reads
@@ -1102,12 +812,12 @@ func (ms *MasterServer) doSync(ctx context.Context) error {
 // replay the same deletions at the same positions, and the wall clock is
 // consulted exactly once, here.
 func (ms *MasterServer) purgeExpired() {
-	if ms.state.Frozen() {
-		return
-	}
-	ms.execMu.Lock()
-	defer ms.execMu.Unlock()
 	now := time.Now().UnixNano()
+	if ms.State().Frozen() || len(ms.store.ExpiredKeys(now, 1)) == 0 {
+		return // the common case: leave the execution lock alone
+	}
+	ms.eng.Lock()
+	defer ms.eng.Unlock()
 	var keys [][]byte
 	for _, k := range ms.store.ExpiredKeys(now, 64) {
 		// Keys in migrating or moved ranges transfer (or transferred) with
@@ -1120,92 +830,62 @@ func (ms *MasterServer) purgeExpired() {
 		return
 	}
 	cmd := kv.PurgeExpired(now, keys)
-	if _, lsn, err := ms.store.Apply(&cmd, rifl.RPCID{}); err == nil && lsn > 0 {
-		ms.state.NoteMutation(cmd.KeyHashes(), uint64(lsn), commute.ClassWrite)
-		ms.TriggerSync()
+	if out := ms.applyInternal(cmd, rifl.RPCID{}, cmd.KeyHashes()); out.SyncTo > 0 {
+		ms.eng.Kick()
 	}
 }
 
-// gcWitnesses sends batched gc RPCs for the just-synced entries plus any
-// pending retries, and handles suspected-uncollected-garbage returns
-// (§4.5).
-func (ms *MasterServer) gcWitnesses(entries []kv.Entry) {
-	keys := ms.takePendingGC()
-	for i := range entries {
-		en := &entries[i]
-		for _, kh := range en.Cmd.KeyHashes() {
-			keys = append(keys, witness.GCKey{KeyHash: kh, ID: en.ID})
-		}
-	}
-	if len(keys) == 0 {
-		return
-	}
+// applyInternal logs a master-originated command (RIFL-tracked only when id
+// is set), marking keyHashes unsynced. The caller holds the engine's lock
+// and owns the wait for out.SyncTo.
+func (ms *MasterServer) applyInternal(cmd kv.Command, id rifl.RPCID, keyHashes []uint64) core.Outcome {
+	req := core.Request{ID: id, KeyHashes: keyHashes, Payload: cmd.Encode()}
+	return ms.eng.ExecuteLocked(context.Background(), &req, core.Internal)
+}
+
+// CollectGarbage implements core.Substrate: one batched gc RPC per witness
+// (§4.5). Best effort — an unreachable witness's records age into the
+// stale reports of a later pass.
+func (ms *MasterServer) CollectGarbage(keys []witness.GCKey) []witness.Record {
 	ms.peersMu.Lock()
 	witnesses := append([]*rpc.Peer(nil), ms.witnesses...)
 	ms.peersMu.Unlock()
 	if len(witnesses) == 0 {
-		return
+		return nil
 	}
 	payload := (&gcRequest{MasterID: ms.id, Keys: keys}).encode()
+	stale := make([][]witness.Record, len(witnesses))
 	var wg sync.WaitGroup
-	for _, w := range witnesses {
+	for i, w := range witnesses {
 		wg.Add(1)
-		go func(w *rpc.Peer) {
+		go func(i int, w *rpc.Peer) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), ms.opts.RPCTimeout)
 			defer cancel()
 			out, err := w.Call(ctx, OpWitnessGC, payload)
 			if err != nil {
-				return // best effort; retried with the next sync
-			}
-			stale, err := decodeWitnessRecords(out)
-			if err != nil || len(stale) == 0 {
 				return
 			}
-			ms.retryStaleRecords(stale)
-		}(w)
+			stale[i], _ = decodeWitnessRecords(out)
+		}(i, w)
 	}
 	wg.Wait()
-}
-
-// retryStaleRecords re-executes requests a witness reported as uncollected
-// garbage — most are duplicates RIFL filters — and queues their gc keys
-// for the next gc RPC (§4.5). Records touching migrating or moved ranges
-// are never executed (the request either transferred with the range or
-// bounced before executing); their slots are still freed, which is how
-// witness state for a moved range drains away.
-func (ms *MasterServer) retryStaleRecords(stale []witness.Record) {
-	for _, rec := range stale {
-		cmd, err := kv.DecodeCommand(rec.Request)
-		if err != nil {
-			continue
-		}
-		ms.execMu.Lock()
-		outcome, _ := ms.tracker.Begin(rec.ID, 0)
-		if outcome == rifl.New && !ms.migr.blockedAny(rec.KeyHashes) {
-			if res, lsn, err := ms.store.Apply(cmd, rec.ID); err == nil {
-				if lsn > 0 {
-					ms.state.NoteMutation(rec.KeyHashes, uint64(lsn), cmd.Class())
-				}
-				ms.tracker.RecordKeyed(rec.ID, res.Encode(), rec.KeyHashes)
-			}
-		}
-		ms.execMu.Unlock()
-		ms.gcMu.Lock()
-		for _, kh := range rec.KeyHashes {
-			ms.pendingGC = append(ms.pendingGC, witness.GCKey{KeyHash: kh, ID: rec.ID})
-		}
-		ms.gcMu.Unlock()
+	var all []witness.Record
+	for _, recs := range stale {
+		all = append(all, recs...)
 	}
-	ms.TriggerSync()
+	return all
 }
 
-func (ms *MasterServer) takePendingGC() []witness.GCKey {
-	ms.gcMu.Lock()
-	defer ms.gcMu.Unlock()
-	keys := ms.pendingGC
-	ms.pendingGC = nil
-	return keys
+// idPayload encodes this master's ID, and optionally its epoch: the
+// request of the backup fetch/reset and witness recovery-data RPCs.
+func (ms *MasterServer) idPayload(withEpoch bool) []byte {
+	e := rpc.NewEncoder(16)
+	e.U64(ms.id)
+	if withEpoch {
+		e.U64(ms.epoch)
+	}
+	return e.Bytes()
 }
 
 // applyRecoveredEntry rebuilds one log entry during recovery restoration.
@@ -1214,7 +894,7 @@ func (ms *MasterServer) applyRecoveredEntry(en *kv.Entry) error {
 		return err
 	}
 	if !en.ID.IsZero() { // migration object installs carry no RPC identity
-		ms.tracker.RecordKeyed(en.ID, en.Result.Encode(), en.Cmd.KeyHashes())
+		ms.eng.Tracker().RecordKeyed(en.ID, en.Result.Encode(), en.Cmd.KeyHashes())
 	}
 	return nil
 }
@@ -1237,11 +917,7 @@ func (ms *MasterServer) RecoverFrom(backupAddrs []string, witnessAddr string) er
 
 	// Step 1: fetch all reachable backup logs, keep the longest.
 	var longest []kv.Entry
-	fetchPayload := func() []byte {
-		e := rpc.NewEncoder(8)
-		e.U64(ms.id)
-		return e.Bytes()
-	}()
+	fetchPayload := ms.idPayload(false)
 	reachable := 0
 	for _, addr := range backupAddrs {
 		p := rpc.NewPeer(ms.nw, ms.addr, addr)
@@ -1275,16 +951,11 @@ func (ms *MasterServer) RecoverFrom(backupAddrs []string, witnessAddr string) er
 	}
 	// Backups are reset below and re-seeded by the final sync, so the
 	// restored log counts as unsynced until then.
-	ms.state.InitRestored(uint64(ms.store.Head()), 0)
+	ms.State().InitRestored(uint64(ms.store.Head()), 0)
 
 	// Step 2: reset backups under the new epoch, then re-seed below via a
 	// full sync (backup logs restart from LSN 1).
-	resetPayload := func() []byte {
-		e := rpc.NewEncoder(16)
-		e.U64(ms.id)
-		e.U64(ms.epoch)
-		return e.Bytes()
-	}()
+	resetPayload := ms.idPayload(true)
 	for _, addr := range backupAddrs {
 		p := rpc.NewPeer(ms.nw, ms.addr, addr)
 		if _, err := p.Call(ctx, OpBackupReset, resetPayload); err != nil {
@@ -1308,53 +979,17 @@ func (ms *MasterServer) RecoverFrom(backupAddrs []string, witnessAddr string) er
 		if err != nil {
 			return err
 		}
-		ms.tracker.SetRecoveryMode(true)
-		for _, rec := range records {
-			if ms.migr.movedAny(rec.KeyHashes) {
-				// The record's range migrated away before the crash: its
-				// operation either transferred with the range (completion
-				// record lives at the target) or bounced without
-				// executing. Replaying it here would resurrect the range
-				// on the wrong side of the handoff. Frozen (mid-transfer)
-				// ranges DO replay — they still belong here, and skipping
-				// them could lose a completed-but-unsynced operation.
-				continue
-			}
-			outcome, _ := ms.tracker.Begin(rec.ID, 0)
-			if outcome != rifl.New {
-				continue // already restored from the backup log
-			}
-			cmd, err := kv.DecodeCommand(rec.Request)
-			if err != nil {
-				continue
-			}
-			res, lsn, err := ms.store.Apply(cmd, rec.ID)
-			if err != nil {
-				continue
-			}
-			if lsn > 0 {
-				ms.state.NoteMutation(rec.KeyHashes, uint64(lsn), cmd.Class())
-			}
-			enc := res.Encode()
-			if cmd.Class() != commute.ClassWrite {
-				// Witness replay happens in arbitrary order (§3.3), which is
-				// safe for commutative commands only because their STATE
-				// effects commute — their return values do not (the counter
-				// total depends on replay position). Scrub order-dependent
-				// fields from the completion record so a retrying client can
-				// never observe a value from a history that did not happen.
-				enc = (&kv.Result{Found: res.Found}).Encode()
-			}
-			ms.tracker.RecordKeyed(rec.ID, enc, rec.KeyHashes)
-		}
-		ms.tracker.SetRecoveryMode(false)
+		// Replay through the engine: RIFL skips what the backup log already
+		// restored, acks are ignored (§4.8), moved ranges are skipped and
+		// commutative results scrubbed by Execute's Replay mode.
+		ms.eng.Recover(ctx, records)
 	}
 
 	// Step 4: make the replayed operations durable.
 	// The full log is pushed because backups were reset. Entries synced
 	// here are garbage-collected from witnesses lazily; the frozen
 	// witness is decommissioned by the coordinator anyway.
-	if err := ms.syncAndWait(context.Background(), kv.LSN(ms.store.Head())); err != nil {
+	if err := ms.eng.Sync(context.Background()); err != nil {
 		return fmt.Errorf("recovery: final sync: %w", err)
 	}
 	return nil

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
 	"curp/internal/commute"
+	"curp/internal/core"
 	"curp/internal/events"
 	"curp/internal/kv"
 	"curp/internal/metrics"
@@ -360,7 +362,7 @@ func (ms *MasterServer) handleMigrateCollect(ctx context.Context, payload []byte
 	if masterID != ms.id {
 		return nil, fmt.Errorf("master %d: migrate-collect addressed to %d", ms.id, masterID)
 	}
-	if ms.state.Frozen() {
+	if ms.State().Frozen() {
 		return nil, fmt.Errorf("master %d: frozen", ms.id)
 	}
 	tc, _ := metrics.TraceFromContext(ctx)
@@ -368,15 +370,15 @@ func (ms *MasterServer) handleMigrateCollect(ctx context.Context, payload []byte
 	// operation that got past the range check has executed and is ≤ head;
 	// every later one bounces. Draining to head therefore makes the
 	// exported state complete and final.
-	ms.execMu.Lock()
+	ms.eng.Lock()
 	ms.migr.markMigrating(rs)
-	head := ms.store.Head()
-	ms.execMu.Unlock()
+	head := ms.Head()
+	ms.eng.Unlock()
 	ms.jrn.RecordTrace(tc.TraceID, events.Event{
 		Kind: events.KindMigrationFreeze, MasterID: ms.id, Epoch: ms.epoch,
 		Detail: migrDetail(rs),
 	})
-	if err := ms.syncAndWait(context.Background(), head); err != nil {
+	if err := ms.eng.SyncTo(context.Background(), head); err != nil {
 		ms.migr.unmark(rs)
 		ms.jrn.RecordTrace(tc.TraceID, events.Event{
 			Kind: events.KindMigrationAbort, MasterID: ms.id, Epoch: ms.epoch,
@@ -405,7 +407,7 @@ func (ms *MasterServer) handleMigrateCollect(ctx context.Context, payload []byte
 		Objects: ms.store.ExportRange(func(key []byte) bool {
 			return witness.RangesContain(rs, witness.RingPoint(key))
 		}),
-		Completions: ms.tracker.ExportRange(func(kh uint64) bool {
+		Completions: ms.eng.Tracker().ExportRange(func(kh uint64) bool {
 			return witness.RangesContainHash(rs, kh)
 		}),
 		Decisions: ms.store.ExportDecisions(func(h uint64) bool {
@@ -451,13 +453,12 @@ func (ms *MasterServer) collectWitnessRecords(rs []witness.HashRange, executed m
 	ms.peersMu.Lock()
 	witnesses := append([]*rpc.Peer(nil), ms.witnesses...)
 	ms.peersMu.Unlock()
-	payload := rpc.NewEncoder(8)
-	payload.U64(ms.id)
+	payload := ms.idPayload(false)
 	seen := make(map[rifl.RPCID]bool)
 	var out []witness.Record
 	for _, w := range witnesses {
 		ctx, cancel := context.WithTimeout(context.Background(), ms.opts.RPCTimeout)
-		raw, err := w.Call(ctx, OpWitnessSnapshot, payload.Bytes())
+		raw, err := w.Call(ctx, OpWitnessSnapshot, payload)
 		cancel()
 		if err != nil {
 			continue
@@ -500,15 +501,20 @@ func (ms *MasterServer) handleMigrateInstall(ctx context.Context, payload []byte
 	if masterID != ms.id {
 		return nil, fmt.Errorf("master %d: migrate-install addressed to %d", ms.id, masterID)
 	}
+	// Every install is a master-originated log entry (the engine's Internal
+	// mode); one sync at the end covers them all.
+	install := func(cmd kv.Command, id rifl.RPCID, keyHashes []uint64) error {
+		ms.eng.Lock()
+		out := ms.applyInternal(cmd, id, keyHashes)
+		ms.eng.Unlock()
+		if out.Reply.Status == core.StatusError {
+			return errors.New(out.Reply.Err)
+		}
+		return nil
+	}
 	for _, o := range bundle.Objects {
 		cmd := o.Command()
-		ms.execMu.Lock()
-		_, lsn, err := ms.store.Apply(&cmd, rifl.RPCID{})
-		if err == nil && lsn > 0 {
-			ms.state.NoteMutation(cmd.KeyHashes(), uint64(lsn), commute.ClassWrite)
-		}
-		ms.execMu.Unlock()
-		if err != nil {
+		if err := install(cmd, rifl.RPCID{}, cmd.KeyHashes()); err != nil {
 			return nil, fmt.Errorf("master %d: install object %q: %w", ms.id, o.Key, err)
 		}
 	}
@@ -523,34 +529,17 @@ func (ms *MasterServer) handleMigrateInstall(ctx context.Context, payload []byte
 			HomeRecord: true,
 			Home:       kv.TxnHome{MasterID: ms.id, Addr: ms.addr, KeyHash: dec.HomeHash},
 		})
-		ms.execMu.Lock()
-		_, lsn, err := ms.store.Apply(&cmd, rifl.RPCID{})
-		if err == nil && lsn > 0 {
-			ms.state.NoteMutation([]uint64{dec.HomeHash}, uint64(lsn), commute.ClassWrite)
-		}
-		ms.execMu.Unlock()
-		if err != nil {
+		if err := install(cmd, rifl.RPCID{}, []uint64{dec.HomeHash}); err != nil {
 			return nil, fmt.Errorf("master %d: install decision %v: %w", ms.id, dec.ID, err)
 		}
 	}
 	for _, c := range bundle.Completions {
-		cmd := kv.MigrateRecord(c.Result, c.KeyHashes)
-		ms.execMu.Lock()
-		outcome, _ := ms.tracker.Begin(c.ID, 0)
-		if outcome != rifl.New {
-			ms.execMu.Unlock()
-			continue // already installed (e.g. a retried install)
-		}
-		res, _, err := ms.store.Apply(&cmd, c.ID)
-		if err == nil {
-			ms.tracker.RecordKeyed(c.ID, res.Encode(), c.KeyHashes)
-		}
-		ms.execMu.Unlock()
-		if err != nil {
+		// Under the original RPC ID: RIFL skips what a retried install redoes.
+		if err := install(kv.MigrateRecord(c.Result, c.KeyHashes), c.ID, c.KeyHashes); err != nil {
 			return nil, fmt.Errorf("master %d: install completion %v: %w", ms.id, c.ID, err)
 		}
 	}
-	if err := ms.syncAndWait(context.Background(), kv.LSN(ms.store.Head())); err != nil {
+	if err := ms.eng.Sync(context.Background()); err != nil {
 		return nil, fmt.Errorf("master %d: install sync: %w", ms.id, err)
 	}
 	ms.installWitnessRecords(bundle.WitnessRecords)
@@ -605,10 +594,10 @@ func (ms *MasterServer) handleMigrateComplete(ctx context.Context, payload []byt
 	if masterID != ms.id {
 		return nil, fmt.Errorf("master %d: migrate-complete addressed to %d", ms.id, masterID)
 	}
-	ms.execMu.Lock()
+	ms.eng.Lock()
 	ms.migr.markMoved(rs, destAddr)
 	n := ms.dropMovedObjects(rs)
-	ms.execMu.Unlock()
+	ms.eng.Unlock()
 	tc, _ := metrics.TraceFromContext(ctx)
 	ms.jrn.RecordTrace(tc.TraceID, events.Event{
 		Kind: events.KindMigrationCommit, MasterID: ms.id, Epoch: ms.epoch,
@@ -652,9 +641,9 @@ func (ms *MasterServer) handleMigrateDrop(ctx context.Context, payload []byte) (
 	if masterID != ms.id {
 		return nil, fmt.Errorf("master %d: migrate-drop addressed to %d", ms.id, masterID)
 	}
-	ms.execMu.Lock()
+	ms.eng.Lock()
 	n := ms.dropMovedObjects(rs)
-	ms.execMu.Unlock()
+	ms.eng.Unlock()
 	e := rpc.NewEncoder(8)
 	e.U32(uint32(n))
 	return e.Bytes(), nil

@@ -295,12 +295,12 @@ func decodeUpdateBatch(b []byte) ([]*core.Request, error) {
 	return reqs, nil
 }
 
-// encodeReplyBatch serializes an OpUpdateBatch response.
-func encodeReplyBatch(replies []*core.Reply) []byte {
-	e := rpc.NewEncoder(32 * (1 + len(replies)))
-	e.U32(uint32(len(replies)))
-	for _, r := range replies {
-		r.Marshal(e)
+// encodeReplyBatch serializes an OpUpdateBatch response, in request order.
+func encodeReplyBatch(outs []core.Outcome) []byte {
+	e := rpc.NewEncoder(32 * (1 + len(outs)))
+	e.U32(uint32(len(outs)))
+	for i := range outs {
+		outs[i].Reply.Marshal(e)
 	}
 	return e.Bytes()
 }

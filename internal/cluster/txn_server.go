@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"time"
 
-	"curp/internal/commute"
 	"curp/internal/core"
 	"curp/internal/events"
 	"curp/internal/kv"
+	"curp/internal/metrics"
 	"curp/internal/rifl"
 	"curp/internal/rpc"
 	"curp/internal/witness"
@@ -58,10 +58,7 @@ func (ms *MasterServer) registerTxnHandlers() {
 // and make the vote durable before revealing it.
 func (ms *MasterServer) handleTxnPrepare(ctx context.Context, payload []byte) ([]byte, error) {
 	ms.mTxnPrepares.Inc()
-	start := time.Now()
-	out, err := ms.handleTxnPhase(ctx, payload, kv.OpTxnPrepare)
-	ms.observeOp(ctx, ms.mLatPrepare, "txn_prepare", txnPhaseVerdict(out, err), "", start)
-	return out, err
+	return ms.handleTxnPhase(ctx, payload, kv.OpTxnPrepare, ms.mLatPrepare, "txn_prepare")
 }
 
 // handleTxnDecide is phase two on a participant: apply or discard the
@@ -69,105 +66,39 @@ func (ms *MasterServer) handleTxnPrepare(ctx context.Context, payload []byte) ([
 // acknowledging.
 func (ms *MasterServer) handleTxnDecide(ctx context.Context, payload []byte) ([]byte, error) {
 	ms.mTxnDecides.Inc()
+	return ms.handleTxnPhase(ctx, payload, kv.OpTxnDecide, ms.mLatDecide, "txn_decide")
+}
+
+// handleTxnPhase is the shared participant path of prepare and decide, run
+// in the engine's Durable mode: the lock set (prepare) or the applied
+// writes (decide) must be on the backups before the caller may act on the
+// reply — a vote that dies with the master would let the coordinator commit
+// a transaction whose participant forgot its half. A duplicate re-syncs
+// too: the original's reply may never have reached the client, and the
+// retried caller inherits the same durability guarantee.
+func (ms *MasterServer) handleTxnPhase(ctx context.Context, payload []byte, want kv.CommandOp, lat *metrics.Histogram, op string) ([]byte, error) {
 	start := time.Now()
-	out, err := ms.handleTxnPhase(ctx, payload, kv.OpTxnDecide)
-	ms.observeOp(ctx, ms.mLatDecide, "txn_decide", txnPhaseVerdict(out, err), "", start)
-	return out, err
-}
-
-// txnPhaseVerdict classifies a txn-phase reply for the slow-op trace:
-// "ok", "locked", or the reply status ("error" on transport failures).
-func txnPhaseVerdict(out []byte, err error) string {
-	if err != nil || out == nil {
-		return "error"
-	}
-	reply, derr := core.DecodeReply(out)
-	if derr != nil {
-		return "error"
-	}
-	switch reply.Status {
-	case core.StatusOK:
-		return "ok"
-	case core.StatusTxnLocked:
-		return "locked"
-	default:
-		return reply.Status.String()
-	}
-}
-
-// handleTxnPhase is the shared participant path of prepare and decide.
-func (ms *MasterServer) handleTxnPhase(ctx context.Context, payload []byte, want kv.CommandOp) ([]byte, error) {
 	req, err := core.DecodeRequest(payload)
 	if err != nil {
+		ms.observeOp(ctx, lat, op, "error", "", start)
 		return nil, err
 	}
-	if ms.state.Frozen() {
-		return (&core.Reply{Status: core.StatusWrongMaster}).Encode(), nil
+	var outs [1]core.Outcome
+	// The op code leads the command encoding: check it before the engine
+	// decodes, so a prepare RPC can only ever run a prepare.
+	if len(req.Payload) == 0 || kv.CommandOp(req.Payload[0]) != want {
+		outs[0].Reply = core.Reply{Status: core.StatusError, Err: fmt.Sprintf("master: txn phase wants %v", want)}
+	} else {
+		outs[0] = ms.eng.Execute(ctx, req, core.Durable)
+		ms.eng.Reveal(ctx, outs[:])
 	}
-
-	ms.execMu.Lock()
-	outcome, saved := ms.tracker.Begin(req.ID, req.Ack)
-	switch outcome {
-	case rifl.Completed:
-		head := kv.LSN(ms.store.Head())
-		ms.execMu.Unlock()
-		// The original execution synced before replying, but that reply
-		// may never have reached the client; re-sync so the retried caller
-		// inherits the same durability guarantee.
-		if err := ms.syncAndWait(ctx, head); err != nil {
-			return ms.syncFailReply(err).Encode(), nil
-		}
-		return (&core.Reply{Status: core.StatusOK, Synced: true, Payload: saved}).Encode(), nil
-	case rifl.Stale, rifl.Expired:
-		ms.execMu.Unlock()
-		return (&core.Reply{Status: core.StatusIgnored}).Encode(), nil
+	// The slow-op trace verdict: "ok", "locked", or the reply status.
+	verdict := outs[0].Reply.Status.String()
+	if outs[0].Reply.Status == core.StatusTxnLocked {
+		verdict = "locked"
 	}
-
-	cmd, err := kv.DecodeCommand(req.Payload)
-	if err != nil {
-		ms.execMu.Unlock()
-		return nil, err
-	}
-	if cmd.Op != want || cmd.Txn == nil {
-		ms.execMu.Unlock()
-		return (&core.Reply{Status: core.StatusError, Err: fmt.Sprintf("master: txn phase wants %v", want)}).Encode(), nil
-	}
-	if ms.migr.blockedAny(req.KeyHashes) {
-		ms.execMu.Unlock()
-		return (&core.Reply{Status: core.StatusKeyMoved}).Encode(), nil
-	}
-	res, lsn, err := ms.store.Apply(cmd, req.ID)
-	if err != nil {
-		ms.execMu.Unlock()
-		if lerr, ok := err.(*kv.LockedError); ok {
-			ms.mLockWait.Observe(int64(lerr.Age))
-			ms.coll.RecordSpan(ctx, "lock-wait", want.String(), "locked", time.Now().Add(-lerr.Age), lerr.Age, "")
-			ms.maybeResolve(lerr)
-			return (&core.Reply{Status: core.StatusTxnLocked}).Encode(), nil
-		}
-		return (&core.Reply{Status: core.StatusError, Err: err.Error()}).Encode(), nil
-	}
-	if lsn > 0 {
-		ms.state.NoteMutation(req.KeyHashes, uint64(lsn), commute.ClassWrite)
-	}
-	enc := res.Encode()
-	ms.tracker.RecordKeyed(req.ID, enc, req.KeyHashes)
-	ms.execMu.Unlock()
-
-	if lsn > 0 {
-		// The lock set (prepare) or the applied writes (decide) must be on
-		// the backups before the caller may act on the reply: a vote that
-		// dies with the master would let the coordinator commit a
-		// transaction whose participant forgot its half.
-		sctx, ssp := ms.coll.StartSpan(ctx, "sync-wait")
-		serr := ms.syncAndWait(sctx, kv.LSN(lsn))
-		ssp.SetErr(serr)
-		ssp.End()
-		if serr != nil {
-			return ms.syncFailReply(serr).Encode(), nil
-		}
-	}
-	return (&core.Reply{Status: core.StatusOK, Synced: true, Payload: enc}).Encode(), nil
+	ms.observeOp(ctx, lat, op, verdict, "", start)
+	return outs[0].Reply.Encode(), nil
 }
 
 // handleTxnStatus serves decision lookups on the home shard, recording an
@@ -177,7 +108,7 @@ func (ms *MasterServer) handleTxnStatus(ctx context.Context, payload []byte) ([]
 	if err != nil {
 		return nil, err
 	}
-	if ms.state.Frozen() {
+	if ms.State().Frozen() {
 		return (&core.Reply{Status: core.StatusWrongMaster}).Encode(), nil
 	}
 	outcomeReply := func(commit bool) ([]byte, error) {
@@ -223,60 +154,50 @@ var (
 // export and the ring flip they would be silently lost — and gets
 // errTxnMoved to retry after the migration settles.
 func (ms *MasterServer) homeResolve(id rifl.RPCID, homeHash uint64, resolve, allowFrozen bool) (bool, error) {
-	ms.execMu.Lock()
+	ctx := context.Background()
+	ms.eng.Lock()
 	if ms.migr.movedAny([]uint64{homeHash}) {
-		ms.execMu.Unlock()
+		ms.eng.Unlock()
 		return false, errTxnMoved
 	}
 	// Existing decisions are served even while the range is frozen: the
 	// source stays authoritative for reads until the handoff commits.
 	if commit, known := ms.store.TxnDecision(id); known {
-		head := kv.LSN(ms.store.Head())
-		ms.execMu.Unlock()
+		head := ms.Head()
+		ms.eng.Unlock()
 		// The decision may have arrived through the speculative update
 		// path and still be witness-only. A resolver acting on it makes it
 		// irreversible at a participant, so it must be on the backups
 		// first — otherwise a home crash could lose the decision after one
 		// participant applied it, forking the outcome.
-		if err := ms.syncAndWait(context.Background(), head); err != nil {
+		if err := ms.eng.SyncTo(ctx, head); err != nil {
 			return false, err
 		}
 		return commit, nil
 	}
 	if !resolve {
-		ms.execMu.Unlock()
+		ms.eng.Unlock()
 		return false, errTxnUnknown
 	}
 	if !allowFrozen && ms.migr.blockedAny([]uint64{homeHash}) {
-		ms.execMu.Unlock()
+		ms.eng.Unlock()
 		return false, errTxnMoved
 	}
 
-	// No decision exists: presume abort, anchoring it in RIFL so a late
-	// coordinator decide under this ID gets the abort back.
+	// No decision exists: presume abort, anchored in RIFL under the
+	// transaction's own ID so a late coordinator decide gets the abort back.
+	// Internal mode: the range checks above are this write's admission —
+	// the migration's pre-export resolution writes into a range it froze.
 	cmd := kv.TxnDecide(&kv.TxnCommand{
 		ID:         id,
 		Commit:     false,
 		HomeRecord: true,
 		Home:       kv.TxnHome{MasterID: ms.id, Addr: ms.addr, KeyHash: homeHash},
 	})
-	entryID := id
-	switch o, saved := ms.tracker.Begin(id, 0); o {
-	case rifl.Completed:
-		// The decide executed but the decision table misses it (cannot
-		// happen on the normal paths — they update both together — but a
-		// saved result is authoritative if it does).
-		head := kv.LSN(ms.store.Head())
-		ms.execMu.Unlock()
-		res, derr := kv.DecodeResult(saved)
-		if derr != nil {
-			return false, derr
-		}
-		if err := ms.syncAndWait(context.Background(), head); err != nil {
-			return false, err
-		}
-		return res.Found, nil
-	case rifl.Stale, rifl.Expired:
+	out := ms.applyInternal(cmd, id, []uint64{homeHash})
+	ms.eng.Unlock()
+	switch out.Reply.Status {
+	case core.StatusIgnored:
 		// The coordinator's session acked the ID (possible only after
 		// every participant applied its decide) or its lease expired with
 		// no decision recorded; either way no commit can be pending and
@@ -286,30 +207,23 @@ func (ms *MasterServer) homeResolve(id rifl.RPCID, homeHash uint64, resolve, all
 		// a commit's decision-GC (the forget already pruned the real
 		// outcome) and re-grow the decision table with an entry nothing
 		// will ever read.
-		ms.execMu.Unlock()
 		return false, nil
+	case core.StatusError:
+		return false, fmt.Errorf("master %d: resolve txn %v: %s", ms.id, id, out.Reply.Err)
 	}
-	res, lsn, err := ms.store.Apply(&cmd, entryID)
+	// A fresh abort, or a saved decide the decision table missed (the normal
+	// paths update both together, but a saved result is authoritative).
+	// Either must be durable before any participant acts on it: were it
+	// lost in a crash, a late coordinator could still commit a transaction
+	// whose participants already rolled back.
+	res, err := kv.DecodeResult(out.Reply.Payload)
 	if err != nil {
-		ms.execMu.Unlock()
 		return false, err
 	}
-	if lsn > 0 {
-		ms.state.NoteMutation([]uint64{homeHash}, uint64(lsn), commute.ClassWrite)
+	if err := ms.eng.SyncTo(ctx, out.SyncTo); err != nil {
+		return false, err
 	}
-	if !entryID.IsZero() {
-		ms.tracker.RecordKeyed(entryID, res.Encode(), []uint64{homeHash})
-	}
-	ms.execMu.Unlock()
-	// The abort must be durable before any participant acts on it: if it
-	// were lost in a crash, a late coordinator could still commit a
-	// transaction whose participants already rolled back.
-	if lsn > 0 {
-		if err := ms.syncAndWait(context.Background(), kv.LSN(lsn)); err != nil {
-			return false, err
-		}
-	}
-	return false, nil
+	return res.Found, nil
 }
 
 // maybeResolve queues an orphaned-lock resolution when the lock has
@@ -440,25 +354,18 @@ func (ms *MasterServer) applyResolvedDecision(id rifl.RPCID, commit bool) error 
 	if kv.TxnTrace != nil {
 		kv.TxnTrace("master %d (%s): applyResolvedDecision %v commit=%v", ms.id, ms.addr, id, commit)
 	}
-	ms.execMu.Lock()
+	ms.eng.Lock()
 	hashes := ms.store.PreparedKeyHashes(id)
 	if hashes == nil {
-		ms.execMu.Unlock()
+		ms.eng.Unlock()
 		return nil // already decided here
 	}
-	cmd := kv.TxnDecide(&kv.TxnCommand{ID: id, Commit: commit})
-	_, lsn, err := ms.store.Apply(&cmd, rifl.RPCID{})
-	if err == nil && lsn > 0 {
-		ms.state.NoteMutation(hashes, uint64(lsn), commute.ClassWrite)
+	out := ms.applyInternal(kv.TxnDecide(&kv.TxnCommand{ID: id, Commit: commit}), rifl.RPCID{}, hashes)
+	ms.eng.Unlock()
+	if out.Reply.Status != core.StatusOK {
+		return fmt.Errorf("master %d: apply resolved txn %v: %v %s", ms.id, id, out.Reply.Status, out.Reply.Err)
 	}
-	ms.execMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("master %d: apply resolved txn %v: %w", ms.id, id, err)
-	}
-	if lsn > 0 {
-		return ms.syncAndWait(context.Background(), kv.LSN(lsn))
-	}
-	return nil
+	return ms.eng.SyncTo(context.Background(), out.SyncTo)
 }
 
 // resolveLockedRange settles every prepared transaction holding locks

@@ -189,7 +189,7 @@ func (c *Client) flushOnce(ctx context.Context, view *View, pending []*asyncOp, 
 	// of the whole coalesced round trip, and the trace context rides every
 	// RPC below via ctx. With no collector attached this is a nil no-op and
 	// the frames keep the untraced encoding.
-	ctx, flushSpan := c.trace.Load().StartTrace(ctx, "client-flush", uint8(c.traceFlags.Load()))
+	ctx, flushSpan := c.cfg.Trace.StartTrace(ctx, "client-flush", uint8(c.traceFlags.Load()))
 	flushSpan.SetOp("update_batch")
 	flushSpan.SetVerdict("fast")
 	defer flushSpan.End()
@@ -217,7 +217,7 @@ func (c *Client) flushOnce(ctx context.Context, view *View, pending []*asyncOp, 
 	recCh := make(chan recRes, len(view.Witnesses))
 	for _, w := range view.Witnesses {
 		go func(w WitnessAPI) {
-			wctx, sp := c.trace.Load().StartSpan(ctx, "witness-record")
+			wctx, sp := c.cfg.Trace.StartSpan(ctx, "witness-record")
 			results, err := w.RecordBatch(wctx, view.MasterID, recs)
 			sp.SetErr(err)
 			for _, res := range results {
@@ -231,7 +231,7 @@ func (c *Client) flushOnce(ctx context.Context, view *View, pending []*asyncOp, 
 		}(w)
 	}
 
-	mctx, masterSpan := c.trace.Load().StartSpan(ctx, "master-update")
+	mctx, masterSpan := c.cfg.Trace.StartSpan(ctx, "master-update")
 	replies, merr := view.Master.UpdateBatch(mctx, reqs)
 	masterSpan.SetErr(merr)
 	masterSpan.End()
@@ -337,7 +337,7 @@ func (c *Client) flushOnce(ctx context.Context, view *View, pending []*asyncOp, 
 	// executed operations), instead of one sync per rejected operation.
 	if len(needSync) > 0 {
 		flushSpan.SetVerdict("conflict-sync")
-		sctx, syncSpan := c.trace.Load().StartSpan(ctx, "sync-wait")
+		sctx, syncSpan := c.cfg.Trace.StartSpan(ctx, "sync-wait")
 		syncSpan.SetVerdict("conflict-sync")
 		serr := view.Master.Sync(sctx)
 		syncSpan.SetErr(serr)

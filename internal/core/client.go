@@ -180,7 +180,6 @@ type Client struct {
 	views   ViewProvider
 	cfg     ClientConfig
 
-	trace      atomic.Pointer[metrics.Collector]
 	traceFlags atomic.Uint32 // metrics.TraceFlag* stamped on minted traces
 
 	fastPath       atomic.Uint64
@@ -208,18 +207,12 @@ func NewClient(session *rifl.Session, views ViewProvider, cfg ClientConfig) *Cli
 	if cfg.MaxRetryBackoff == 0 {
 		cfg.MaxRetryBackoff = defaultMaxRetryBackoff
 	}
-	c := &Client{session: session, views: views, cfg: cfg}
-	if cfg.Trace != nil {
-		c.trace.Store(cfg.Trace)
-	}
-	return c
+	return &Client{session: session, views: views, cfg: cfg}
 }
 
-// SetTrace replaces the client's span collector (nil disables tracing).
-func (c *Client) SetTrace(coll *metrics.Collector) { c.trace.Store(coll) }
-
-// TraceCollector returns the client's span collector (nil when disabled).
-func (c *Client) TraceCollector() *metrics.Collector { return c.trace.Load() }
+// TraceCollector returns the client's span collector (nil when the client
+// was configured without one).
+func (c *Client) TraceCollector() *metrics.Collector { return c.cfg.Trace }
 
 // SetTraceFlags sets the sampling flags stamped on every minted trace
 // (metrics.TraceFlagForce selects 100% sampling).
@@ -348,7 +341,7 @@ func (c *Client) Read(ctx context.Context, keyHashes []uint64, payload []byte) (
 			ReadOnly:           true,
 			Payload:            payload,
 		}
-		rctx, span := c.trace.Load().StartTrace(ctx, "client-read", uint8(c.traceFlags.Load()))
+		rctx, span := c.cfg.Trace.StartTrace(ctx, "client-read", uint8(c.traceFlags.Load()))
 		span.SetOp("read")
 		reply, err := view.Master.Read(rctx, req)
 		span.SetErr(err)

@@ -3,58 +3,36 @@ package dstore
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"curp/internal/commute"
 	"curp/internal/core"
-	"curp/internal/rifl"
 	"curp/internal/witness"
 )
 
 // Engine is a CURP-enabled data-structure store server — the paper's
 // modified Redis (§5.4): commands execute immediately and append to the
 // AOF, but the fsync happens off the critical path; durability in the
-// window before the fsync comes from client-recorded witnesses. The AOF
-// plays the role backups play in the KV cluster: "syncing" means fsyncing
-// the log (the paper: "In this experiment the log data is not replicated,
-// but the same mechanism could be used to replicate the log data as
-// well").
+// window before the fsync comes from client-recorded witnesses. It is the
+// dstore substrate of core.Engine, which supplies the whole master
+// protocol; here "syncing" means fsyncing the log (the paper: "In this
+// experiment the log data is not replicated, but the same mechanism could
+// be used to replicate the log data as well").
 type Engine struct {
-	execMu  sync.Mutex
-	store   *Store
-	aof     *AOF
-	tracker *rifl.Tracker
-	state   *core.MasterState
-	id      uint64
+	eng   *core.Engine
+	store *Store
+	aof   *AOF
+	id    uint64
 
-	syncMu     sync.Mutex
-	syncCond   *sync.Cond
-	syncActive bool
-
-	// syncKick feeds the single resident background syncer (capacity 1: a
-	// kick while one is pending coalesces) — the same pattern as the kv
-	// master's backgroundSync. Before this existed, every speculative
-	// command past the batch threshold spawned its own goroutine into
-	// syncAndWait, where the herd parked on syncCond and was woken en
-	// masse by every completed fsync.
-	syncKick  chan struct{}
-	closeOnce sync.Once
-	closed    chan struct{}
-
-	// pendingGC accumulates the (keyHash, rpcID) pairs of appended-but-not-
-	// yet-fsynced commands; each successful fsync collects exactly these
-	// from the witnesses — one batched GC per witness per sync. (The old
-	// snapshot-everything GC could drop a witness record whose command was
-	// recorded in parallel with an Update still in flight: the record was
-	// the command's ONLY durability until its AOF append, so a crash in
-	// that window lost a completed operation.) lastGC holds the previous
-	// pass's pairs for one retry round: a record that landed after its
-	// pair's first collection (clients record in parallel with the update
-	// RPC) is swept by the next sync instead of lingering to §4.5
-	// staleness.
-	gcMu      sync.Mutex
-	pendingGC []witness.GCKey
-	lastGC    []witness.GCKey
+	// unflushed holds the witness gc pairs of appended-but-not-yet-fsynced
+	// commands (the AOF keeps bytes, not entries); appendErr is the first
+	// AOF append failure. The core engine's execution lock guards both.
+	unflushed []witness.GCKey
+	appendErr error
+	// lastFlushed holds the previous fsync's pairs, which Flush hands out
+	// once more: the co-hosted witnesses are collected microseconds after
+	// the fsync, often before the client's parallel record lands, and a
+	// second look is cheaper here than aging the record into a §4.5 retry.
+	lastFlushed []witness.GCKey
 
 	witnesses []*witness.Witness
 }
@@ -62,151 +40,50 @@ type Engine struct {
 // NewEngine builds a CURP data-structure engine over an AOF. cfg tunes the
 // sync (fsync) batching policy.
 func NewEngine(id uint64, aof *AOF, cfg core.MasterConfig) *Engine {
-	e := &Engine{
-		store:   NewStore(),
-		aof:     aof,
-		tracker: rifl.NewTracker(),
-		state:   core.NewMasterState(cfg),
-		id:      id,
-	}
-	e.syncCond = sync.NewCond(&e.syncMu)
-	e.syncKick = make(chan struct{}, 1)
-	e.closed = make(chan struct{})
-	go e.backgroundSync()
+	e := &Engine{store: NewStore(), aof: aof, id: id}
+	e.eng = core.NewEngine(e, cfg, nil)
 	return e
 }
 
 // Close stops the resident background syncer. Idempotent.
-func (e *Engine) Close() {
-	e.closeOnce.Do(func() { close(e.closed) })
-}
-
-// TriggerSync asks the background syncer to run (coalescing with any
-// already-pending kick). It never blocks the caller.
-func (e *Engine) TriggerSync() {
-	select {
-	case e.syncKick <- struct{}{}:
-	default: // a kick is already pending; the syncer will cover this op
-	}
-}
-
-// backgroundSync is the engine's one resident background syncer: each kick
-// fsyncs everything appended so far, so any number of triggers while a
-// sync runs collapse into a single follow-up pass.
-func (e *Engine) backgroundSync() {
-	for {
-		select {
-		case <-e.closed:
-			return
-		case <-e.syncKick:
-			e.syncAndWait(e.head())
-		}
-	}
-}
-
-// noteAppend queues a just-appended command's witness GC pairs for the
-// fsync that will make it durable.
-func (e *Engine) noteAppend(keyHashes []uint64, id rifl.RPCID) {
-	e.gcMu.Lock()
-	e.pendingGC = append(e.pendingGC, witness.GCKeys(keyHashes, id)...)
-	e.gcMu.Unlock()
-}
+func (e *Engine) Close() { e.eng.Close() }
 
 // AttachWitnesses registers the engine's witnesses (co-hosted instances;
 // in the paper they are separate Redis servers reached over TCP). They
 // receive gc RPC equivalents after each fsync.
 func (e *Engine) AttachWitnesses(ws []*witness.Witness) {
 	e.witnesses = ws
-	e.state.SetWitnessListVersion(1)
+	e.eng.State().SetWitnessListVersion(1)
 }
 
 // Store exposes the underlying store (tests).
 func (e *Engine) Store() *Store { return e.store }
 
 // State exposes protocol counters.
-func (e *Engine) State() *core.MasterState { return e.state }
+func (e *Engine) State() *core.MasterState { return e.eng.State() }
 
 // ID returns the engine's master ID.
 func (e *Engine) ID() uint64 { return e.id }
 
-// lsn tracks executed mutations; the AOF append index is the log position.
-func (e *Engine) head() uint64 { return e.aof.Appended() }
-
-// Update implements core.MasterAPI: execute a mutating command, append it
-// to the AOF, and reply speculatively unless it conflicts with an
-// un-fsynced command on the same key.
+// Update executes one mutating command: speculatively unless it conflicts
+// with an un-fsynced command on the same key.
 func (e *Engine) Update(ctx context.Context, req *core.Request) (*core.Reply, error) {
-	if !e.state.CheckWitnessList(req.WitnessListVersion) {
-		return &core.Reply{Status: core.StatusStaleWitnessList}, nil
-	}
-	e.execMu.Lock()
-	outcome, saved := e.tracker.Begin(req.ID, req.Ack)
-	switch outcome {
-	case rifl.Completed:
-		conflict := e.state.Conflicts(req.KeyHashes, commute.ClassWrite)
-		e.execMu.Unlock()
-		if conflict {
-			if err := e.syncAndWait(e.head()); err != nil {
-				return &core.Reply{Status: core.StatusError, Err: err.Error()}, nil
-			}
-		}
-		return &core.Reply{Status: core.StatusOK, Synced: true, Payload: saved}, nil
-	case rifl.Stale, rifl.Expired:
-		e.execMu.Unlock()
-		return &core.Reply{Status: core.StatusIgnored}, nil
-	}
-	cmd, err := DecodeCommand(req.Payload)
-	if err != nil {
-		e.execMu.Unlock()
-		return nil, err
-	}
-	conflict := e.state.Conflicts(req.KeyHashes, commute.ClassWrite)
-	res, err := e.store.Apply(cmd)
-	if err != nil {
-		e.execMu.Unlock()
-		return &core.Reply{Status: core.StatusError, Err: err.Error()}, nil
-	}
-	if err := e.aof.Append(cmd, req.ID); err != nil {
-		e.execMu.Unlock()
-		return &core.Reply{Status: core.StatusError, Err: fmt.Sprintf("aof: %v", err)}, nil
-	}
-	lsn := e.aof.Appended()
-	hot := e.state.NoteMutation(req.KeyHashes, lsn, commute.ClassWrite)
-	e.tracker.Record(req.ID, res.Encode())
-	e.noteAppend(req.KeyHashes, req.ID)
-	e.execMu.Unlock()
-
-	if conflict {
-		e.state.CountConflictSync()
-		if err := e.syncAndWait(lsn); err != nil {
-			return &core.Reply{Status: core.StatusError, Err: err.Error()}, nil
-		}
-		return &core.Reply{Status: core.StatusOK, Synced: true, Payload: res.Encode()}, nil
-	}
-	e.state.CountSpeculative()
-	if hot || e.state.NeedsBatchSync() {
-		if e.state.NeedsBatchSync() {
-			e.state.CountBatchSync()
-		}
-		e.TriggerSync()
-	}
-	return &core.Reply{Status: core.StatusOK, Synced: false, Payload: res.Encode()}, nil
+	replies, err := e.UpdateBatch(ctx, []*core.Request{req})
+	return replies[0], err
 }
 
 // UpdateBatch implements core.MasterAPI: execute a pipelined batch of
-// commands in order. Each command succeeds or fails independently; the
-// AOF sync policy (and the conflict path's fsync-before-reply) is the
-// same as for single updates, so a batch with several conflicting
-// commands coalesces naturally onto the engine's one-outstanding-sync
-// discipline.
+// commands in order. Each command succeeds or fails independently, and all
+// the batch's conflicts wait on ONE fsync.
 func (e *Engine) UpdateBatch(ctx context.Context, reqs []*core.Request) ([]*core.Reply, error) {
-	replies := make([]*core.Reply, len(reqs))
+	outs := make([]core.Outcome, len(reqs))
 	for i, req := range reqs {
-		reply, err := e.Update(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		replies[i] = reply
+		outs[i] = e.eng.Execute(ctx, req, core.Speculative)
+	}
+	e.eng.Reveal(ctx, outs)
+	replies := make([]*core.Reply, len(outs))
+	for i := range outs {
+		replies[i] = &outs[i].Reply
 	}
 	return replies, nil
 }
@@ -214,197 +91,127 @@ func (e *Engine) UpdateBatch(ctx context.Context, reqs []*core.Request) ([]*core
 // Read implements core.MasterAPI: linearizable reads, fsyncing first when
 // the key has un-fsynced updates.
 func (e *Engine) Read(ctx context.Context, req *core.Request) (*core.Reply, error) {
-	cmd, err := DecodeCommand(req.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if !cmd.IsReadOnly() {
-		return &core.Reply{Status: core.StatusError, Err: "dstore: Read requires a read-only command"}, nil
-	}
-	for {
-		e.execMu.Lock()
-		if !e.state.Conflicts(req.KeyHashes, commute.ClassWrite) {
-			res, err := e.store.Apply(cmd)
-			e.execMu.Unlock()
-			if err != nil {
-				return &core.Reply{Status: core.StatusError, Err: err.Error()}, nil
-			}
-			return &core.Reply{Status: core.StatusOK, Synced: true, Payload: res.Encode()}, nil
-		}
-		e.execMu.Unlock()
-		e.state.CountReadBlock()
-		if err := e.syncAndWait(e.head()); err != nil {
-			return &core.Reply{Status: core.StatusError, Err: err.Error()}, nil
-		}
-	}
+	reply, _ := e.eng.Read(ctx, req)
+	return &reply, nil
 }
 
 // Sync implements core.MasterAPI: the client's slow-path sync RPC.
-func (e *Engine) Sync(ctx context.Context) error {
-	return e.syncAndWait(e.head())
-}
+func (e *Engine) Sync(ctx context.Context) error { return e.eng.Sync(ctx) }
 
-// syncAndWait drives fsyncs with the one-outstanding-sync discipline and
-// garbage-collects witnesses afterwards.
-func (e *Engine) syncAndWait(target uint64) error {
-	for {
-		if e.state.SyncedLSN() >= target {
-			return nil
-		}
-		e.syncMu.Lock()
-		if e.syncActive {
-			e.syncCond.Wait()
-			e.syncMu.Unlock()
-			continue
-		}
-		e.syncActive = true
-		e.syncMu.Unlock()
-
-		head := e.head()
-		// Snapshot the GC pairs before the fsync: everything queued by now
-		// was appended by now, so this exact set becomes durable with the
-		// fsync — and nothing recorded later (possibly for a command still
-		// in flight) is touched. The previous pass's pairs ride along once
-		// more to catch records that arrived after their first collection.
-		e.gcMu.Lock()
-		fresh := e.pendingGC
-		e.pendingGC = nil
-		gcKeys := append(append([]witness.GCKey(nil), e.lastGC...), fresh...)
-		e.gcMu.Unlock()
-		err := e.aof.Sync()
-		if err == nil {
-			e.state.NoteSync(head)
-			e.gcWitnesses(gcKeys)
-			e.gcMu.Lock()
-			e.lastGC = fresh
-			e.gcMu.Unlock()
-		} else {
-			// The fsync failed; the fresh pairs are not durable yet.
-			// Requeue them for the next attempt.
-			e.gcMu.Lock()
-			e.pendingGC = append(fresh, e.pendingGC...)
-			e.gcMu.Unlock()
-		}
-
-		e.syncMu.Lock()
-		e.syncActive = false
-		e.syncCond.Broadcast()
-		e.syncMu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// gcWitnesses collects exactly the just-fsynced commands' records from
-// every witness: one batched GC pass per witness per sync (the paper's
-// batched gc-by-RPC-ID-list, §4.5). Collecting by exact ID matters beyond
-// RPC economy: a record may exist for a command whose Update RPC is still
-// in flight (clients record in parallel), and that record is the command's
-// only durability until its AOF append — the old snapshot-everything flush
-// could drop it, losing a completed operation to a crash in that window.
-//
-// Records a witness flags as suspected uncollected garbage (they survived
-// several passes — e.g. their gc pairs were consumed by a sync that raced
-// the record's arrival) get the kv master's §4.5 treatment: re-execute
-// through RIFL (a duplicate is filtered; an orphan becomes durable) and
-// queue their pairs for the next pass.
-func (e *Engine) gcWitnesses(keys []witness.GCKey) {
-	if len(keys) == 0 {
-		return
-	}
-	var requeue []witness.GCKey
-	for _, w := range e.witnesses {
-		for _, rec := range w.GC(keys) {
-			e.retryStaleRecord(rec)
-			requeue = append(requeue, witness.GCKeys(rec.KeyHashes, rec.ID)...)
-		}
-	}
-	if len(requeue) > 0 {
-		e.gcMu.Lock()
-		e.pendingGC = append(e.pendingGC, requeue...)
-		e.gcMu.Unlock()
-	}
-}
-
-// retryStaleRecord re-executes a suspected-uncollected witness record;
-// RIFL filters the (overwhelmingly common) duplicates.
-func (e *Engine) retryStaleRecord(rec witness.Record) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	if outcome, _ := e.tracker.Begin(rec.ID, 0); outcome != rifl.New {
-		return
-	}
-	cmd, err := DecodeCommand(rec.Request)
+// Execute implements core.Substrate: apply one command to the store and
+// append it to the AOF; the append index is the log position. Every dstore
+// command is in the write class (the paper's key-granular rule).
+func (e *Engine) Execute(ctx context.Context, req *core.Request, mode core.Mode) core.Executed {
+	cmd, err := DecodeCommand(req.Payload)
 	if err != nil {
-		return
+		return core.Executed{Status: core.StatusError, Err: err.Error()}
+	}
+	readOnly := cmd.IsReadOnly()
+	if mode == core.ReadOnly && !readOnly {
+		return core.Executed{Status: core.StatusError, Err: "dstore: Read requires a read-only command"}
 	}
 	res, err := e.store.Apply(cmd)
 	if err != nil {
-		return
+		return core.Executed{Status: core.StatusError, Err: err.Error()}
 	}
-	if err := e.aof.Append(cmd, rec.ID); err != nil {
-		return
+	ex := core.Executed{Result: res.Encode(), Class: commute.ClassWrite}
+	if readOnly {
+		return ex
 	}
-	e.state.NoteMutation(rec.KeyHashes, e.aof.Appended(), commute.ClassWrite)
-	e.tracker.Record(rec.ID, res.Encode())
+	if err := e.aof.Append(cmd, req.ID); err != nil {
+		if e.appendErr == nil {
+			e.appendErr = err
+		}
+		return core.Executed{Status: core.StatusError, Err: fmt.Sprintf("aof: %v", err)}
+	}
+	ex.LSN = e.aof.Appended()
+	e.unflushed = append(e.unflushed, witness.GCKeys(req.KeyHashes, req.ID)...)
+	return ex
+}
+
+// Head implements core.Substrate.
+func (e *Engine) Head() uint64 { return e.aof.Appended() }
+
+// Flush implements core.Substrate (PAPER §5.4: an fsync is this substrate's
+// "sync"). The gc pairs are taken with the head under the execution lock,
+// so they name exactly the commands the fsync makes durable.
+func (e *Engine) Flush(ctx context.Context, synced uint64) (uint64, []witness.GCKey, error) {
+	e.eng.Lock()
+	head, keys := e.aof.Appended(), e.unflushed
+	e.unflushed = nil
+	e.eng.Unlock()
+	if head <= synced {
+		return synced, nil, nil
+	}
+	if err := e.aof.Sync(); err != nil {
+		// Not durable: the pairs go back for the next attempt.
+		e.eng.Lock()
+		e.unflushed = append(keys, e.unflushed...)
+		e.eng.Unlock()
+		return 0, nil, err
+	}
+	again := e.lastFlushed
+	e.lastFlushed = keys
+	return head, append(again, keys...), nil
+}
+
+// CollectGarbage implements core.Substrate: one batched GC pass per witness
+// per sync (the paper's gc-by-RPC-ID-list, §4.5).
+func (e *Engine) CollectGarbage(keys []witness.GCKey) []witness.Record {
+	var stale []witness.Record
+	for _, w := range e.witnesses {
+		stale = append(stale, w.GC(keys)...)
+	}
+	return stale
 }
 
 // Recover rebuilds an engine after a crash: replay the durable AOF prefix
 // (rebuilding the RIFL completion-record table from the IDs each record
 // carries), then replay witness records with RIFL filtering duplicates,
 // then fsync — the same restore-then-replay recipe as §3.3, with the AOF
-// standing in for backups.
+// standing in for backups. The witness freezes, so clients of the old
+// engine cannot complete updates anymore.
 func Recover(id uint64, durableLog []byte, w *witness.Witness, newAOF *AOF, cfg core.MasterConfig) (*Engine, error) {
-	store, tracker, _, err := Replay(durableLog)
+	records, err := DecodeLog(durableLog)
 	if err != nil {
 		return nil, err
 	}
 	e := NewEngine(id, newAOF, cfg)
-	e.store = store
-	e.tracker = tracker
-	// Reconstruct the AOF so future recoveries see the restored prefix.
-	// Records are re-appended without fsync; the final Sync covers them.
-	rebuilt, err := DecodeLog(durableLog)
-	if err != nil {
+	if err := e.restore(records, w); err != nil {
+		e.Close()
 		return nil, err
 	}
-	for _, rec := range rebuilt {
+	return e, nil
+}
+
+// restore is Recover's body on a fresh engine.
+func (e *Engine) restore(records []AOFRecord, w *witness.Witness) error {
+	// Rebuild the store, the completion records and the AOF itself, so
+	// future recoveries see the restored prefix. Records are re-appended
+	// without fsync; the final Sync covers them.
+	for i, rec := range records {
+		res, err := e.store.Apply(rec.Cmd)
+		if err != nil {
+			return fmt.Errorf("dstore: replay record %d: %w", i, err)
+		}
+		if !rec.ID.IsZero() {
+			e.eng.Tracker().Record(rec.ID, res.Encode())
+		}
 		if err := e.aof.Append(rec.Cmd, rec.ID); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	// Witness replay, exactly-once: requests whose IDs already appear in
-	// the restored log are filtered by the tracker. The witness freezes,
-	// so clients of the old engine cannot complete updates anymore.
 	if w != nil {
-		e.tracker.SetRecoveryMode(true)
-		for _, rec := range w.GetRecoveryData() {
-			outcome, _ := e.tracker.Begin(rec.ID, 0)
-			if outcome != rifl.New {
-				continue
-			}
-			cmd, err := DecodeCommand(rec.Request)
-			if err != nil {
-				continue
-			}
-			res, err := e.store.Apply(cmd)
-			if err != nil {
-				continue
-			}
-			if err := e.aof.Append(cmd, rec.ID); err != nil {
-				return nil, err
-			}
-			e.state.NoteMutation(rec.KeyHashes, e.aof.Appended(), commute.ClassWrite)
-			e.tracker.Record(rec.ID, res.Encode())
+		e.eng.Recover(context.Background(), w.GetRecoveryData())
+		if e.appendErr != nil {
+			return e.appendErr
 		}
-		e.tracker.SetRecoveryMode(false)
 	}
 	if err := e.aof.Sync(); err != nil {
-		return nil, err
+		return err
 	}
-	e.state.InitRestored(e.aof.Appended(), e.aof.Appended())
-	return e, nil
+	e.eng.State().InitRestored(e.aof.Appended(), e.aof.Appended())
+	return nil
 }
 
 // WitnessAdapter adapts an in-process witness.Witness to core.WitnessAPI,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"curp/internal/commute"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -91,7 +92,7 @@ func TestEngineConflictFsyncsBeforeReply(t *testing.T) {
 		for _, rec := range w.SnapshotRecords() {
 			keys = append(keys, witness.GCKeys(rec.KeyHashes, rec.ID)...)
 		}
-		r.engine.gcWitnesses(keys)
+		r.engine.CollectGarbage(keys)
 	}
 	if r.witnesses[0].Len() != 0 {
 		t.Fatalf("witness len = %d after gc", r.witnesses[0].Len())
@@ -268,5 +269,88 @@ func BenchmarkEngineSet(b *testing.B) {
 		if _, err := cl.Update(ctx, cmd.KeyHashes(), cmd.Encode(), commute.ClassWrite); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestEngineBatchConflictsCostOneFsync: a pipelined batch of k commands on
+// one key has k-1 conflicts; the engine gates them all behind ONE fsync
+// instead of one each.
+func TestEngineBatchConflictsCostOneFsync(t *testing.T) {
+	r := newRig(t, 1, core.MasterConfig{SyncBatchSize: 1000})
+	const k = 8
+	reqs := make([]*core.Request, k)
+	for i := range reqs {
+		cmd := &Command{Op: OpIncr, Key: []byte("hot"), Delta: 1}
+		reqs[i] = &core.Request{
+			ID:                 rifl.RPCID{Client: 7, Seq: rifl.Seq(i + 1)},
+			WitnessListVersion: 1,
+			KeyHashes:          cmd.KeyHashes(),
+			Payload:            cmd.Encode(),
+		}
+	}
+	replies, err := r.engine.UpdateBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range replies {
+		if rep.Status != core.StatusOK || rep.Synced != (i > 0) {
+			t.Fatalf("reply %d = %+v (only the first commutes)", i, rep)
+		}
+	}
+	if r.dev.SyncCount != 1 {
+		t.Fatalf("fsyncs = %d for %d same-key commands, want 1", r.dev.SyncCount, k)
+	}
+	if cs := r.engine.State().Stats().ConflictSyncs; cs != k-1 {
+		t.Fatalf("conflict syncs = %d, want %d", cs, k-1)
+	}
+}
+
+// TestRecoverFailureStopsSyncer: a recovery that fails must not leave the
+// engine's resident syncer goroutine behind.
+func TestRecoverFailureStopsSyncer(t *testing.T) {
+	// A durable log of two commands to restore.
+	r := newRig(t, 1, core.MasterConfig{SyncBatchSize: 1000})
+	defer r.engine.Close()
+	r.do(t, &Command{Op: OpSet, Key: []byte("a"), Value: []byte("1")})
+	r.do(t, &Command{Op: OpSet, Key: []byte("b"), Value: []byte("2")})
+	if err := r.engine.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	good := r.dev.DurableBytes()
+	corrupt := append([]byte(nil), good...)
+	corrupt[20] = 0xff // first record's op code: not a command
+
+	cases := []struct {
+		name      string
+		log       []byte
+		failOps   int  // device operations that fail
+		witnessed bool // nothing to restore, one witnessed command to replay
+	}{
+		{"corrupt log", corrupt, 0, false},
+		{"re-append fails", good, 1, false},
+		{"witness replay append fails", nil, 1, true},
+	}
+	before := runtime.NumGoroutine()
+	for _, tc := range cases {
+		for i := 0; i < 10; i++ {
+			var w *witness.Witness
+			if tc.witnessed {
+				w = witness.MustNew(1, witness.DefaultConfig())
+				cmd := &Command{Op: OpSet, Key: []byte("w"), Value: []byte("v")}
+				w.Record(1, cmd.KeyHashes(), rifl.RPCID{Client: 3, Seq: 1}, cmd.Encode(), commute.ClassWrite)
+			}
+			dev := &MemDevice{FailNextOps: tc.failOps}
+			if e, err := Recover(1, tc.log, w, NewAOF(dev, FsyncOnDemand), core.MasterConfig{}); err == nil {
+				e.Close()
+				t.Fatalf("%s: recovery succeeded", tc.name)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after 30 failed recoveries", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

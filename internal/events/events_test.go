@@ -145,7 +145,7 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
-// TestNilJournalDisabled: a nil *Journal is the DisableEvents control arm —
+// TestNilJournalDisabled: a nil *Journal is the disabled journal —
 // every method must be a safe no-op.
 func TestNilJournalDisabled(t *testing.T) {
 	var j *Journal

@@ -79,7 +79,7 @@ func TestTopKDumpOrder(t *testing.T) {
 	}
 }
 
-// TestNilTopKDisabled: nil sketch (DisableEvents control arm) is a no-op.
+// TestNilTopKDisabled: nil sketch is a no-op.
 func TestNilTopKDisabled(t *testing.T) {
 	var s *TopK
 	s.Observe(1)

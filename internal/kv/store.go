@@ -173,9 +173,13 @@ func (s *Store) stampKeys(cmd *Command, lsn LSN) {
 // exec runs the command against the object table. Must hold s.mu.
 func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 	switch cmd.Op {
-	case OpMigrateObject, OpMigrateRecord, OpTxnPrepare, OpTxnDecide, OpTxnForget, OpTxnApply:
-		// Transactional ops handle locks themselves; migration installs
-		// bypass them (installed state was resolved before export).
+	case OpTxnPrepare, OpTxnDecide, OpTxnForget, OpTxnApply:
+		if cmd.Txn == nil { // a malformed command off the wire
+			return nil, false, fmt.Errorf("kv: %v without txn payload", cmd.Op)
+		}
+	case OpMigrateObject, OpMigrateRecord:
+		// Transactional ops (above) handle locks themselves; migration
+		// installs bypass them (installed state was resolved before export).
 	default:
 		// An operation touching a key locked by a prepared transaction
 		// must wait for the decision: its outcome would otherwise race the

@@ -468,9 +468,6 @@ func (s *Store) execTxnDecide(cmd *Command) (*Result, bool, error) {
 // (vote-abort transactions). Must hold s.mu.
 func (s *Store) execTxnForget(cmd *Command) (*Result, bool, error) {
 	t := cmd.Txn
-	if t == nil {
-		return nil, false, fmt.Errorf("kv: txn-forget without txn payload")
-	}
 	if _, ok := s.decisions[t.ID]; !ok {
 		return &Result{Found: false}, false, nil
 	}

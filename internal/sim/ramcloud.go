@@ -177,7 +177,7 @@ type kvSim struct {
 
 	// pendingSynced lists executed-but-unsynced op records for witness gc.
 	pendingSynced []witness.GCKey
-	syncActive    bool
+	syncingNow    bool
 	syncWaiters   []syncWaiter
 
 	completed int
@@ -516,14 +516,14 @@ func (k *kvSim) joinSync(target uint64, fn func()) {
 // maybeStartSync starts a sync round if none is outstanding (the paper's
 // single-outstanding-sync discipline, which batches naturally, §C.1).
 func (k *kvSim) maybeStartSync() {
-	if k.syncActive || len(k.backups) == 0 {
+	if k.syncingNow || len(k.backups) == 0 {
 		return
 	}
 	head := k.mstate.Head()
 	if head <= k.mstate.SyncedLSN() {
 		return
 	}
-	k.syncActive = true
+	k.syncingNow = true
 	covered := head
 	batch := int(head - k.mstate.SyncedLSN())
 	k.res.Syncs++
@@ -587,7 +587,7 @@ func (k *kvSim) finishSync(covered uint64, gcKeys []witness.GCKey) {
 			})
 		}
 	}
-	k.syncActive = false
+	k.syncingNow = false
 	if len(k.syncWaiters) > 0 || k.mstate.NeedsBatchSync() {
 		k.maybeStartSync()
 	}
