@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,16 +197,15 @@ func (c *Cluster) enableSelfHealing(h HealthOptions) error {
 	for _, w := range c.Witnesses {
 		w.StartHeartbeats(coordAddrs, det.Interval)
 	}
-	// Intercept witness replacements to retire the dead server from the
-	// runtime's list: a stale entry would poison a later manual
-	// Recover's witness set and misreport membership.
+	// Intercept replacements to retire the dead server from the runtime's
+	// list.
 	userEvent := h.OnEvent
 	onEvent := func(ev FailoverEvent) {
-		if ev.Kind == EventWitnessReplaced {
-			c.retireWitnessServer(ev.OldAddr)
-		}
-		if ev.Kind == EventBackupReplaced {
-			c.retireBackupServer(ev.OldAddr)
+		switch ev.Kind {
+		case EventWitnessReplaced:
+			retire(c, &c.Witnesses, ev.OldAddr)
+		case EventBackupReplaced:
+			retire(c, &c.Backups, ev.OldAddr)
 		}
 		if userEvent != nil {
 			userEvent(ev)
@@ -260,40 +260,23 @@ func (c *Cluster) CrashCoordinator(i int) {
 	co.Close()
 }
 
-// retireWitnessServer closes and drops the witness server at addr from
-// the runtime's list (it was replaced by a spare).
-func (c *Cluster) retireWitnessServer(addr string) {
+// retire closes and drops the server at addr from one of the runtime's
+// lists (it was replaced by a spare): a stale entry would poison a later
+// manual Recover's witness set and misreport membership.
+func retire[S interface {
+	Addr() string
+	Close()
+}](c *Cluster, list *[]S, addr string) {
 	c.mu.Lock()
-	var retired *WitnessServer
-	for i, w := range c.Witnesses {
-		if w.Addr() == addr {
-			retired = w
-			c.Witnesses = append(c.Witnesses[:i], c.Witnesses[i+1:]...)
-			break
-		}
+	i := slices.IndexFunc(*list, func(s S) bool { return s.Addr() == addr })
+	if i < 0 {
+		c.mu.Unlock()
+		return
 	}
+	retired := (*list)[i]
+	*list = slices.Delete(*list, i, i+1)
 	c.mu.Unlock()
-	if retired != nil {
-		retired.Close() // idempotent; usually already crashed
-	}
-}
-
-// retireBackupServer closes and drops the backup server at addr from the
-// runtime's list (it was replaced by a spare).
-func (c *Cluster) retireBackupServer(addr string) {
-	c.mu.Lock()
-	var retired *BackupServer
-	for i, b := range c.Backups {
-		if b.Addr() == addr {
-			retired = b
-			c.Backups = append(c.Backups[:i], c.Backups[i+1:]...)
-			break
-		}
-	}
-	c.mu.Unlock()
-	if retired != nil {
-		retired.Close() // idempotent; usually already crashed
-	}
+	retired.Close() // idempotent; usually already crashed
 }
 
 // setMaster rebinds the in-process master handle after a recovery.

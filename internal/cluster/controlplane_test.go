@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"curp/internal/controlplane"
 	"curp/internal/core"
 	"curp/internal/kv"
 	"curp/internal/transport"
@@ -396,5 +398,49 @@ func TestControlPlaneLeaderKillMidMigration(t *testing.T) {
 	// The new leader is a survivor, and leadership stays exclusive.
 	if lead := c.CoordinatorLeader(); lead == nil || lead == c.CoordReplicas[leadIdx] {
 		t.Fatalf("leader after kill = %v", lead)
+	}
+}
+
+// TestStaleVerdictSurvivesForwardHop races two reservations of the same
+// recovery epoch through a 3-replica quorum. The log serializes them: one
+// commits, the other applies as controlplane.ErrStale — the dual-depose
+// fence — and the loser must see that verdict as ErrStale whether it asked
+// the leader directly or a follower that forwarded it over OpCtrlPropose
+// (where it once crossed as an error string and was recovered by matching
+// the message text).
+func TestStaleVerdictSurvivesForwardHop(t *testing.T) {
+	opts := testOptions()
+	opts.ControlPlaneReplicas = 3
+	c, _ := startTestCluster(t, opts)
+	lead := coordLeaderIndex(c)
+	if lead < 0 {
+		t.Fatal("no coordinator holds the lease")
+	}
+	leader, follower := c.CoordReplicas[lead], c.CoordReplicas[(lead+1)%3]
+	// The follower must know its leader before it can forward.
+	waitFor(t, 5*time.Second, func() bool {
+		return follower.ControlPlaneStatus().LeaderAddr == leader.Addr()
+	}, "follower to learn the leader")
+
+	epoch := uint64(0) // AddMaster registered the partition at epoch 0
+	for _, tc := range []struct {
+		name          string
+		winner, loser *Coordinator
+	}{
+		{"loser asks the leader", follower, leader},
+		{"loser asks a follower", leader, follower},
+		{"both ask a follower", follower, c.CoordReplicas[(lead+2)%3]},
+	} {
+		epoch++
+		reserve := &controlplane.Command{
+			Kind: controlplane.CmdBeginRecovery, Partition: 1, Epoch: epoch, Addr: "rival",
+		}
+		if got, err := tc.winner.propose(reserve); err != nil || got != epoch {
+			t.Fatalf("%s: first reservation of epoch %d = (%d, %v)", tc.name, epoch, got, err)
+		}
+		_, err := tc.loser.propose(reserve)
+		if !errors.Is(err, controlplane.ErrStale) {
+			t.Fatalf("%s: second reservation of epoch %d: err = %v, want ErrStale", tc.name, epoch, err)
+		}
 	}
 }

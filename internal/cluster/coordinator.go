@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,65 +18,31 @@ import (
 	"curp/internal/witness"
 )
 
-// masterInfo is the coordinator's record for one data partition. Since the
-// control plane became replicated it is a MIRROR: every field except the
-// in-process runtime handles (server, opts) is rebuilt from committed
-// control-log commands by applyCtrl, never written directly.
-type masterInfo struct {
-	id                 uint64
-	addr               string
-	epoch              uint64
-	reservedEpoch      uint64
-	witnessAddrs       []string
-	witnessListVersion uint64
-	backupAddrs        []string
-	server             *MasterServer // in-process handle, nil for remote masters
-	// opts is the master's resolved configuration, reused when the heal
-	// loop promotes a replacement.
-	opts MasterOptions
-	// movedAway are ring arcs this partition handed off via live
-	// migration. Recovery seeds replacement masters with them so restored
-	// backup logs and witness replays cannot resurrect migrated keys.
-	movedAway []witness.HashRange
-	// forwards pairs handed-off arcs with the target master address that
-	// received them. Recovery seeds replacement masters with them so
-	// transaction decision lookups on moved home ranges keep being
-	// forwarded after the source master that performed the handoff dies.
-	forwards []MovedForward
-	// frozen are ring arcs a migration step is currently transferring
-	// out of this partition (recorded by the driver before Collect,
-	// withdrawn on abort or commit). Recovery seeds replacement masters
-	// with them as MIGRATING: the master-side freeze lives in memory, and
-	// a replacement serving a mid-transfer range would split-brain with
-	// the target the moment the step commits.
-	frozen []witness.HashRange
-}
-
 // Coordinator is the cluster configuration manager (the paper's "system
 // configuration manager", §3.6): it owns the master → {backups, witnesses,
 // WitnessListVersion} mapping, issues RIFL client IDs and leases, and
 // orchestrates master crash recovery and witness reconfiguration. The
 // paper assumes this role is replicated with consensus (§2); here it is:
 // every Coordinator is one replica of a 2f+1 control-plane quorum
-// (internal/controlplane), and every configuration mutation is proposed to
-// the quorum leader, committed by majority replication, and mirrored into
-// this replica's serving tables by applyCtrl. A quorum of one (the
-// default) degenerates to the old single-coordinator behavior through the
-// exact same code path.
+// (internal/controlplane), every configuration mutation is proposed to the
+// quorum leader and committed by majority replication, and every
+// configuration read is served from this replica's applied copy of the
+// replicated state (partition / partitions) — there is no second table. A
+// quorum of one (the default) degenerates to the old single-coordinator
+// behavior through the exact same code path.
 //
-// Locking: c.mu guards the mirror (masters map); the control-plane node
-// has its own lock. applyCtrl runs under the node lock and takes c.mu, so
-// no code path may call into the node (Propose/Status/HoldingLease) while
-// holding c.mu.
+// Locking: the control-plane node's lock guards the configuration; c.mu
+// guards only the in-process runtime handles (localMasters) and the heal
+// pointer. applyCtrl runs under the node lock and takes c.mu to find a
+// deposed master's handle, so no code path may call into the node
+// (Propose/View/Status/HoldingLease) while holding c.mu — every c.mu
+// section is a map or pointer access and nothing else.
 type Coordinator struct {
 	nw   transport.Network
 	addr string
 
-	mu      sync.Mutex
-	masters map[uint64]*masterInfo
-
-	// cp is this replica's control-plane consensus node; cpPeers/cpRank
-	// its quorum membership.
+	// cp is this replica's control-plane consensus node — its applied
+	// State is the configuration; cpPeers/cpRank its quorum membership.
 	cp      *controlplane.Node
 	cpPeers []string
 	cpRank  int
@@ -84,12 +50,16 @@ type Coordinator struct {
 	// registration sequence numbers.
 	clientNS uint64
 
+	mu sync.Mutex
 	// localMasters holds in-process master handles by ADDRESS, registered
-	// by whichever replica booted the server; applyCtrl attaches them to
-	// the mirror when a committed command names that address. Guarded by
-	// c.mu.
+	// by whichever replica booted the server: "the partition's current
+	// in-process master" is localMasters[p.MasterAddr], nil when another
+	// replica or process runs it. An entry leaves when its deposition
+	// commits (onPartitionChange). Guarded by mu.
 	localMasters map[string]*MasterServer
-	localOpts    map[string]MasterOptions
+	// heal is the resident detector + heal loop (nil until
+	// EnableSelfHealing). Guarded by mu.
+	heal *healManager
 
 	leases *rifl.LeaseServer
 	rpc    *rpc.Server
@@ -104,7 +74,6 @@ type Coordinator struct {
 	// and OpHealthStatus renders it — but only drives recovery when
 	// EnableSelfHealing started the heal loop.
 	table *health.Table
-	heal  *healManager
 
 	metrics *metrics.Registry
 	// coll records distributed-trace spans for traced control-plane RPCs.
@@ -150,8 +119,9 @@ func NewCoordinator(nw transport.Network, addr string, leaseTTL time.Duration) (
 
 // NewCoordinatorReplica creates and starts one replica of a coordinator
 // quorum. Every replica serves reads (views, health, lease renewal) from
-// its own mirror and forwards mutations to the quorum leader; heal actions
-// run only on the replica holding the leader lease.
+// its own applied copy of the replicated state and forwards mutations to
+// the quorum leader; heal actions run only on the replica holding the
+// leader lease.
 func NewCoordinatorReplica(nw transport.Network, leaseTTL time.Duration, q QuorumOptions) (*Coordinator, error) {
 	if len(q.Peers) == 0 {
 		return nil, errors.New("coordinator: quorum needs at least one peer")
@@ -162,11 +132,9 @@ func NewCoordinatorReplica(nw transport.Network, leaseTTL time.Duration, q Quoru
 	c := &Coordinator{
 		nw:           nw,
 		addr:         q.Peers[q.Rank],
-		masters:      make(map[uint64]*masterInfo),
 		cpPeers:      append([]string(nil), q.Peers...),
 		cpRank:       q.Rank,
 		localMasters: make(map[string]*MasterServer),
-		localOpts:    make(map[string]MasterOptions),
 		leases:       rifl.NewLeaseServer(leaseTTL, nil),
 		rpc:          rpc.NewServer(),
 		table:        health.NewTable(),
@@ -221,16 +189,40 @@ func NewCoordinatorReplica(nw transport.Network, leaseTTL time.Duration, q Quoru
 	return c, nil
 }
 
+// call is the coordinator's one outbound RPC: a fresh dial per call —
+// control traffic is a few small messages, and a fresh dial after a server
+// restart beats holding a poisoned connection — bounded by RPCTimeout on
+// top of whatever deadline ctx carries.
+func (c *Coordinator) call(ctx context.Context, addr string, op uint16, payload []byte) ([]byte, error) {
+	return dialCall(ctx, c.nw, c.addr, addr, c.RPCTimeout, op, payload)
+}
+
+// callEach sends one payload to every address in turn, stopping at the
+// first failure; what names the step for the error.
+func (c *Coordinator) callEach(addrs []string, op uint16, payload []byte, what string) error {
+	for _, addr := range addrs {
+		if _, err := c.call(context.Background(), addr, op, payload); err != nil {
+			return fmt.Errorf("coordinator: %s %s: %w", what, addr, err)
+		}
+	}
+	return nil
+}
+
+// u64Payload encodes a payload of fixed-width integers.
+func u64Payload(vs ...uint64) []byte {
+	e := rpc.NewEncoder(8 * len(vs))
+	for _, v := range vs {
+		e.U64(v)
+	}
+	return e.Bytes()
+}
+
 // ctrlSender carries control-plane consensus RPCs over the cluster's
-// transport. Peers are dialed per call: consensus traffic is a few small
-// messages per heartbeat interval, and a fresh dial after a replica
-// restart beats holding a poisoned connection.
+// transport.
 type ctrlSender struct{ c *Coordinator }
 
 func (s *ctrlSender) AppendEntries(ctx context.Context, addr string, req *controlplane.AppendRequest) (*controlplane.AppendReply, error) {
-	p := rpc.NewPeer(s.c.nw, s.c.addr, addr)
-	defer p.Close()
-	out, err := p.Call(ctx, OpCtrlAppend, req.Encode())
+	out, err := s.c.call(ctx, addr, OpCtrlAppend, req.Encode())
 	if err != nil {
 		return nil, err
 	}
@@ -238,9 +230,7 @@ func (s *ctrlSender) AppendEntries(ctx context.Context, addr string, req *contro
 }
 
 func (s *ctrlSender) RequestVote(ctx context.Context, addr string, req *controlplane.VoteRequest) (*controlplane.VoteReply, error) {
-	p := rpc.NewPeer(s.c.nw, s.c.addr, addr)
-	defer p.Close()
-	out, err := p.Call(ctx, OpCtrlVote, req.Encode())
+	out, err := s.c.call(ctx, addr, OpCtrlVote, req.Encode())
 	if err != nil {
 		return nil, err
 	}
@@ -264,6 +254,10 @@ func (c *Coordinator) handleCtrlVote(ctx context.Context, payload []byte) ([]byt
 }
 
 // handleCtrlPropose commits a command forwarded from a follower replica.
+// The reply is (result, stale, message): a stale verdict is the leader's
+// deterministic ANSWER, not a failure of the hop, so it travels as data
+// and the proposer can tell it from a transport error whatever the
+// message says.
 func (c *Coordinator) handleCtrlPropose(ctx context.Context, payload []byte) ([]byte, error) {
 	cmd, err := controlplane.DecodeCommand(payload)
 	if err != nil {
@@ -272,22 +266,55 @@ func (c *Coordinator) handleCtrlPropose(ctx context.Context, payload []byte) ([]
 	ctx, cancel := context.WithTimeout(ctx, c.RPCTimeout)
 	defer cancel()
 	res, err := c.cp.Propose(ctx, cmd)
-	if err != nil {
+	stale := errors.Is(err, controlplane.ErrStale)
+	if err != nil && !stale {
 		return nil, err
 	}
-	e := rpc.NewEncoder(8)
+	var msg string
+	if stale {
+		msg = err.Error()
+	}
+	e := rpc.NewEncoder(16 + len(msg))
 	e.U64(res)
+	e.Bool(stale)
+	e.String(msg)
 	return e.Bytes(), nil
 }
 
+// staleVerdict is controlplane.ErrStale as it arrives over OpCtrlPropose:
+// the flag carries the verdict, the text is the leader's for humans.
+type staleVerdict string
+
+func (e staleVerdict) Error() string        { return string(e) }
+func (e staleVerdict) Is(target error) bool { return target == controlplane.ErrStale }
+
+func (c *Coordinator) forwardPropose(ctx context.Context, leaderAddr string, cmd *controlplane.Command) (uint64, error) {
+	out, err := c.call(ctx, leaderAddr, OpCtrlPropose, cmd.Encode())
+	if err != nil {
+		return 0, err
+	}
+	d := rpc.NewDecoder(out)
+	res, stale, msg := d.U64(), d.Bool(), d.String()
+	if err := d.Err(); err != nil {
+		return 0, err
+	}
+	if stale {
+		return 0, staleVerdict(msg)
+	}
+	return res, nil
+}
+
 // propose commits one control command: directly when this replica leads,
-// else forwarded to the leader, retrying through elections until ctx ends.
-func (c *Coordinator) propose(ctx context.Context, cmd *controlplane.Command) (uint64, error) {
-	pctx, psp := c.coll.StartSpan(ctx, "ctrl-propose")
-	psp.SetOp(fmt.Sprintf("%v", cmd.Kind))
-	res, err := c.proposeRetry(pctx, cmd)
-	psp.SetErr(err)
-	psp.End()
+// else forwarded to the leader, retrying through elections under a
+// deadline generous enough to ride out one of them.
+func (c *Coordinator) propose(cmd *controlplane.Command) (uint64, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 4*c.RPCTimeout)
+	defer cancel()
+	ctx, sp := c.coll.StartSpan(ctx, "ctrl-propose")
+	sp.SetOp(cmd.Kind.String())
+	res, err := c.proposeRetry(ctx, cmd)
+	sp.SetErr(err)
+	sp.End()
 	return res, err
 }
 
@@ -303,13 +330,10 @@ func (c *Coordinator) proposeRetry(ctx context.Context, cmd *controlplane.Comman
 		case errors.As(err, &nl):
 			if nl.LeaderAddr != "" {
 				res, ferr := c.forwardPropose(ctx, nl.LeaderAddr, cmd)
-				if ferr == nil {
-					return res, nil
-				}
-				// A stale-command verdict is a real (deterministic) answer
-				// from the leader, not a transport failure — surface it.
-				if isStaleErr(ferr) {
-					return 0, ferr
+				// A stale verdict is a real answer from the leader, not a
+				// transport failure — surface it like success.
+				if ferr == nil || errors.Is(ferr, controlplane.ErrStale) {
+					return res, ferr
 				}
 				lastErr = ferr
 			} else {
@@ -331,149 +355,123 @@ func (c *Coordinator) proposeRetry(ctx context.Context, cmd *controlplane.Comman
 	}
 }
 
-// proposeCtx is the default deadline for control-plane commits: generous
-// enough to ride out one leader election.
-func (c *Coordinator) proposeCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), 4*c.RPCTimeout)
-}
-
-func (c *Coordinator) forwardPropose(ctx context.Context, leaderAddr string, cmd *controlplane.Command) (uint64, error) {
-	p := rpc.NewPeer(c.nw, c.addr, leaderAddr)
-	defer p.Close()
-	out, err := p.Call(ctx, OpCtrlPropose, cmd.Encode())
-	if err != nil {
-		return 0, err
-	}
-	d := rpc.NewDecoder(out)
-	res := d.U64()
-	return res, d.Err()
-}
-
-// isStaleErr recognizes controlplane.ErrStale across an RPC hop (the
-// transport flattens errors to strings).
-func isStaleErr(err error) bool {
-	return errors.Is(err, controlplane.ErrStale) ||
-		(err != nil && strings.Contains(err.Error(), "lost a reconfiguration race"))
-}
-
-// applyCtrl mirrors every committed control command into this replica's
-// serving tables. It runs on ALL replicas, in log order, under the
-// control-plane node's lock — the one place the mirror is written, which
-// is what lets a restarted or promoted replica rebuild purely from the
-// log.
-func (c *Coordinator) applyCtrl(cmd *controlplane.Command, st *controlplane.State, res uint64, err error) {
+// applyCtrl reacts to every committed control command. It runs on ALL
+// replicas, in log order, under the control-plane node's lock, and acts
+// only on what the node hands it — it never reads state back.
+func (c *Coordinator) applyCtrl(cmd *controlplane.Command, prev, next *controlplane.Partition, res uint64, err error) {
 	if err != nil {
 		return // stale commands changed nothing
 	}
-	switch cmd.Kind {
-	case controlplane.CmdRegisterClient:
+	if cmd.Kind == controlplane.CmdRegisterClient {
 		// Adopt the replicated ID so lease renewals and expiry work on
 		// every replica, whichever one registered the client.
 		c.leases.AdoptID(rifl.ClientID(c.clientNS + res))
-	case controlplane.CmdAddPartition, controlplane.CmdBeginRecovery,
-		controlplane.CmdSetMaster, controlplane.CmdSetWitnessList,
-		controlplane.CmdSetBackups, controlplane.CmdAddMoved,
-		controlplane.CmdDelMoved, controlplane.CmdAddFrozen,
-		controlplane.CmdDelFrozen:
-		c.mirrorPartition(st.Partition(cmd.Partition))
+	} else if next != nil {
+		c.onPartitionChange(prev, next)
 	}
 }
 
-// mirrorPartition overwrites the mirror record for one partition from its
-// committed state, attaching in-process runtime handles where this replica
-// has them, and re-keys the health table to the new membership.
-func (c *Coordinator) mirrorPartition(p *controlplane.Partition) {
-	if p == nil {
-		return
-	}
-	fwds := make([]MovedForward, 0, len(p.Forwards))
-	for _, f := range p.Forwards {
-		fwds = append(fwds, MovedForward{Ranges: f.Ranges, DestAddr: f.Addr})
-	}
-	c.mu.Lock()
-	old := c.masters[p.ID]
-	mi := &masterInfo{
-		id:                 p.ID,
-		addr:               p.MasterAddr,
-		epoch:              p.Epoch,
-		reservedEpoch:      p.ReservedEpoch,
-		witnessAddrs:       p.Witnesses,
-		witnessListVersion: p.WLV,
-		backupAddrs:        p.Backups,
-		movedAway:          p.Moved,
-		frozen:             p.Frozen,
-		forwards:           fwds,
-	}
-	if ms := c.localMasters[p.MasterAddr]; ms != nil {
-		mi.server = ms
-		mi.opts = c.localOpts[p.MasterAddr]
-	}
-	c.masters[p.ID] = mi
-	var fencedZombie string
-	if old != nil && old.addr != p.MasterAddr {
-		// The displaced master is deposed; fence it directly when it runs
-		// in-process. A false-positive failover leaves the old master alive
-		// and serving — without the freeze it keeps accepting requests
-		// until its next backup sync trips over the epoch fence, and the
-		// unlucky in-flight operations see that discovery as an error
-		// instead of the retryable StatusWrongMaster the healing contract
-		// promises. Freezing here closes that window at the moment the
-		// deposition commits; a genuinely crashed master no-ops.
-		if zombie := c.localMasters[old.addr]; zombie != nil {
+// onPartitionChange is everything a committed configuration transition
+// does on this replica besides changing the configuration (prev is nil
+// when the command registered the partition).
+func (c *Coordinator) onPartitionChange(prev, next *controlplane.Partition) {
+	if prev != nil && prev.MasterAddr != next.MasterAddr {
+		// PAPER §4.7: a deposed master must stop serving. The paper relies
+		// on the epoch fence alone — the zombie finds out at its next
+		// backup sync.
+		// DEVIATION: when the deposed master runs in this process the
+		// coordinator freezes it directly, the moment the deposition
+		// commits. A false-positive failover leaves the old master alive;
+		// without the freeze it keeps accepting requests until that next
+		// sync trips over the fence, and the unlucky in-flight operations
+		// see the discovery as an error instead of the retryable
+		// StatusWrongMaster the healing contract promises. A genuinely
+		// crashed master no-ops.
+		c.mu.Lock()
+		zombie := c.localMasters[prev.MasterAddr]
+		delete(c.localMasters, prev.MasterAddr)
+		c.mu.Unlock()
+		if zombie != nil {
 			zombie.Freeze()
-			fencedZombie = old.addr
+			c.jrn.Record(events.Event{
+				Kind: events.KindZombieFenced, MasterID: next.ID, Epoch: next.Epoch,
+				OldAddr: prev.MasterAddr, NewAddr: next.MasterAddr,
+				Detail: "deposed in-process master frozen at deposition commit",
+			})
 		}
-		delete(c.localMasters, old.addr)
-		delete(c.localOpts, old.addr)
 	}
-	c.mu.Unlock()
+	// Flight recorder: a function of the committed log, so every replica
+	// journals the same flips.
+	if prev != nil && next.Epoch > prev.Epoch {
+		c.jrn.Record(events.Event{
+			Kind: events.KindEpochFlip, MasterID: next.ID, Epoch: next.Epoch,
+			OldAddr: prev.MasterAddr, NewAddr: next.MasterAddr,
+		})
+	}
+	if prev != nil && next.WLV > prev.WLV {
+		c.jrn.Record(events.Event{
+			Kind: events.KindWitnessListChange, MasterID: next.ID,
+			WitnessListVersion: next.WLV,
+		})
+	}
+	// Watch exactly the committed membership; members present before and
+	// after keep their beat history.
+	members := make(map[string]health.Role, 1+len(next.Backups)+len(next.Witnesses))
+	for _, a := range next.Backups {
+		members[a] = health.RoleBackup
+	}
+	for _, a := range next.Witnesses {
+		members[a] = health.RoleWitness
+	}
+	members[next.MasterAddr] = health.RoleMaster
+	c.table.SetMembers(next.ID, members)
+}
 
-	// Flight recorder: configuration flips this replica just mirrored.
-	if old != nil && p.Epoch > old.epoch {
-		c.jrn.Record(events.Event{
-			Kind: events.KindEpochFlip, MasterID: p.ID, Epoch: p.Epoch,
-			OldAddr: old.addr, NewAddr: p.MasterAddr,
-		})
+// partition returns a deep copy of one partition's committed record. With
+// partitions it is the only way configuration is read: callers own the
+// copy, so nothing they do after this returns can race a later commit.
+func (c *Coordinator) partition(masterID uint64) (*controlplane.Partition, error) {
+	var p *controlplane.Partition
+	c.cp.View(func(st *controlplane.State) { p = st.Partition(masterID) })
+	if p == nil {
+		return nil, fmt.Errorf("coordinator: unknown master %d", masterID)
 	}
-	if old != nil && p.WLV > old.witnessListVersion {
-		c.jrn.Record(events.Event{
-			Kind: events.KindWitnessListChange, MasterID: p.ID,
-			WitnessListVersion: p.WLV,
-		})
-	}
-	if fencedZombie != "" {
-		c.jrn.Record(events.Event{
-			Kind: events.KindZombieFenced, MasterID: p.ID, Epoch: p.Epoch,
-			OldAddr: fencedZombie, NewAddr: p.MasterAddr,
-			Detail: "deposed in-process master frozen at deposition commit",
-		})
-	}
+	return p, nil
+}
 
-	// Health-table re-key: watch newly committed members, drop nodes that
-	// left the membership. Nodes present in both old and new membership
-	// keep their beat history — Register resets it.
-	tracked := make(map[string]health.Role, 1+len(p.Backups)+len(p.Witnesses))
-	tracked[p.MasterAddr] = health.RoleMaster
-	for _, a := range p.Backups {
-		tracked[a] = health.RoleBackup
-	}
-	for _, a := range p.Witnesses {
-		tracked[a] = health.RoleWitness
-	}
-	prev := make(map[string]bool)
-	if old != nil {
-		for _, a := range append(append([]string{old.addr}, old.backupAddrs...), old.witnessAddrs...) {
-			prev[a] = true
-			if _, still := tracked[a]; !still {
-				c.table.Forget(a)
-			}
+// partitions returns a deep copy of every partition's committed record.
+// The per-partition endpoints (status, gauges, the Master* handles) serve
+// the first: a deployed coordinator manages exactly one partition.
+func (c *Coordinator) partitions() []*controlplane.Partition {
+	var ps []*controlplane.Partition
+	c.cp.View(func(st *controlplane.State) {
+		for id := range st.Partitions {
+			ps = append(ps, st.Partition(id))
+		}
+	})
+	return ps
+}
+
+// localMaster returns the in-process handle of the master at addr, nil
+// when another replica or process booted it.
+func (c *Coordinator) localMaster(addr string) *MasterServer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.localMasters[addr]
+}
+
+// servingMasters returns the in-process handles of the partitions' CURRENT
+// masters. It tracks failovers: after a replacement is published the next
+// call returns the replacement — the stable handle a per-partition
+// /metrics endpoint re-fetches each scrape.
+func (c *Coordinator) servingMasters() []*MasterServer {
+	var out []*MasterServer
+	for _, p := range c.partitions() {
+		if ms := c.localMaster(p.MasterAddr); ms != nil {
+			out = append(out, ms)
 		}
 	}
-	for addr, role := range tracked {
-		if !prev[addr] {
-			c.table.Register(role, addr, p.ID)
-		}
-	}
+	return out
 }
 
 // Addr returns the coordinator's address.
@@ -490,59 +488,37 @@ func (c *Coordinator) Trace() *metrics.Collector { return c.coll }
 func (c *Coordinator) Events() *events.Journal { return c.jrn }
 
 // MasterEvents returns the partition's current in-process master's journal
-// (nil for remote masters), tracking failovers the same way MasterRegistry
-// does.
+// (nil for remote masters).
 func (c *Coordinator) MasterEvents() *events.Journal {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, mi := range c.masters {
-		if mi.server != nil {
-			return mi.server.jrn
-		}
+	if ms := c.servingMasters(); len(ms) > 0 {
+		return ms[0].jrn
 	}
 	return nil
 }
 
 // MasterHotKeys returns the partition's current in-process master's hot-key
-// sketch (nil for remote masters), tracking failovers the same way
-// MasterRegistry does.
+// sketch (nil for remote masters).
 func (c *Coordinator) MasterHotKeys() *events.TopK {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, mi := range c.masters {
-		if mi.server != nil {
-			return mi.server.hot
-		}
+	if ms := c.servingMasters(); len(ms) > 0 {
+		return ms[0].hot
 	}
 	return nil
 }
 
 // MasterRegistry returns the partition's current in-process master's
-// metric registry (nil for remote masters). It tracks failovers: after the
-// heal loop promotes a replacement, the next call returns the
-// replacement's registry — the stable handle a per-partition /metrics
-// endpoint re-fetches each scrape.
+// metric registry (nil for remote masters).
 func (c *Coordinator) MasterRegistry() *metrics.Registry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, mi := range c.masters {
-		if mi.server != nil {
-			return mi.server.metrics
-		}
+	if ms := c.servingMasters(); len(ms) > 0 {
+		return ms[0].metrics
 	}
 	return nil
 }
 
 // MasterTrace returns the partition's current in-process master's
-// distributed-trace collector (nil for remote masters), tracking failovers
-// the same way MasterRegistry does.
+// distributed-trace collector (nil for remote masters).
 func (c *Coordinator) MasterTrace() *metrics.Collector {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, mi := range c.masters {
-		if mi.server != nil {
-			return mi.server.coll
-		}
+	if ms := c.servingMasters(); len(ms) > 0 {
+		return ms[0].coll
 	}
 	return nil
 }
@@ -577,20 +553,16 @@ func (c *Coordinator) buildMetrics() {
 	r.GaugeFunc("curp_partition_epoch",
 		"Current recovery epoch of the partition's master.",
 		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			for _, mi := range c.masters {
-				return float64(mi.epoch)
+			for _, p := range c.partitions() {
+				return float64(p.Epoch)
 			}
 			return 0
 		})
 	r.GaugeFunc("curp_partition_witness_list_version",
 		"Current witness-list version of the partition.",
 		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			for _, mi := range c.masters {
-				return float64(mi.witnessListVersion)
+			for _, p := range c.partitions() {
+				return float64(p.WLV)
 			}
 			return 0
 		})
@@ -815,15 +787,10 @@ func (c *Coordinator) handleHealthStatus(ctx context.Context, payload []byte) ([
 // HealthStatus returns the partition's membership and per-node liveness
 // (in-process form of OpHealthStatus).
 func (c *Coordinator) HealthStatus() *PartitionHealth {
-	// Copy the partition scalars under the lock: recovery and witness
-	// replacement mutate the masterInfo in place.
-	c.mu.Lock()
-	p := &PartitionHealth{SelfHealing: c.heal != nil}
-	for _, mi := range c.masters {
-		// Single-partition coordinators hold exactly one entry.
-		p.MasterID, p.MasterAddr, p.Epoch, p.WitnessListVersion = mi.id, mi.addr, mi.epoch, mi.witnessListVersion
+	p := &PartitionHealth{SelfHealing: c.healMgr() != nil}
+	for _, q := range c.partitions() {
+		p.MasterID, p.MasterAddr, p.Epoch, p.WitnessListVersion = q.ID, q.MasterAddr, q.Epoch, q.WLV
 	}
-	c.mu.Unlock()
 	cs := c.cp.Status()
 	p.CoordRank = cs.Rank
 	p.CoordLeaderAddr = cs.LeaderAddr
@@ -867,18 +834,9 @@ func (c *Coordinator) handleGetView(ctx context.Context, payload []byte) ([]byte
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	mi := c.masters[masterID]
-	if mi == nil {
-		return nil, fmt.Errorf("coordinator: unknown master %d", masterID)
-	}
-	v := &ViewInfo{
-		MasterID:           mi.id,
-		MasterAddr:         mi.addr,
-		WitnessListVersion: mi.witnessListVersion,
-		WitnessAddrs:       append([]string(nil), mi.witnessAddrs...),
-		BackupAddrs:        append([]string(nil), mi.backupAddrs...),
+	v, err := c.View(masterID)
+	if err != nil {
+		return nil, err
 	}
 	return v.encode(), nil
 }
@@ -888,9 +846,7 @@ func (c *Coordinator) handleRegisterClient(ctx context.Context, payload []byte) 
 	// unique across coordinator failovers: any replica can serve the
 	// registration, the sequence commits on a majority, and every
 	// replica's lease table adopts the ID in applyCtrl.
-	ctx, cancel := c.proposeCtx()
-	defer cancel()
-	seq, err := c.propose(ctx, &controlplane.Command{Kind: controlplane.CmdRegisterClient})
+	seq, err := c.propose(&controlplane.Command{Kind: controlplane.CmdRegisterClient})
 	if err != nil {
 		return nil, err
 	}
@@ -899,9 +855,7 @@ func (c *Coordinator) handleRegisterClient(ctx context.Context, payload []byte) 
 	// forwarding follower the apply may still be in flight, and the
 	// client's first renewal must not race it.
 	c.leases.AdoptID(id)
-	e := rpc.NewEncoder(8)
-	e.U64(uint64(id))
-	return e.Bytes(), nil
+	return u64Payload(uint64(id)), nil
 }
 
 func (c *Coordinator) handleRenewLease(ctx context.Context, payload []byte) ([]byte, error) {
@@ -923,11 +877,12 @@ func (c *Coordinator) handleRenewLease(ctx context.Context, payload []byte) ([]b
 // destAddr, when non-empty, is the target master the arcs moved to; it is
 // replayed into replacement masters as a decision-lookup forward.
 func (c *Coordinator) NoteMovedRanges(masterID uint64, rs []witness.HashRange, destAddr string) error {
-	ctx, cancel := c.proposeCtx()
-	defer cancel()
-	_, err := c.propose(ctx, &controlplane.Command{
-		Kind: controlplane.CmdAddMoved, Partition: masterID, Ranges: rs, Addr: destAddr,
-	})
+	return c.proposeRanges(controlplane.CmdAddMoved, masterID, rs, destAddr)
+}
+
+// proposeRanges commits one migration-record command.
+func (c *Coordinator) proposeRanges(kind controlplane.Kind, masterID uint64, rs []witness.HashRange, destAddr string) error {
+	_, err := c.propose(&controlplane.Command{Kind: kind, Partition: masterID, Ranges: rs, Addr: destAddr})
 	return err
 }
 
@@ -935,20 +890,13 @@ func (c *Coordinator) NoteMovedRanges(masterID uint64, rs []witness.HashRange, d
 // moved-away record (the undo path of an aborted multi-source rebalance
 // step), along with any forwards recorded for exactly those arcs.
 func (c *Coordinator) ForgetMovedRanges(masterID uint64, rs []witness.HashRange) error {
-	ctx, cancel := c.proposeCtx()
-	defer cancel()
-	_, err := c.propose(ctx, &controlplane.Command{
-		Kind: controlplane.CmdDelMoved, Partition: masterID, Ranges: rs,
-	})
-	return err
+	return c.proposeRanges(controlplane.CmdDelMoved, masterID, rs, "")
 }
 
 // MovedRanges returns a copy of a partition's moved-away arcs.
 func (c *Coordinator) MovedRanges(masterID uint64) []witness.HashRange {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if mi := c.masters[masterID]; mi != nil {
-		return append([]witness.HashRange(nil), mi.movedAway...)
+	if p, err := c.partition(masterID); err == nil {
+		return p.Moved
 	}
 	return nil
 }
@@ -956,23 +904,13 @@ func (c *Coordinator) MovedRanges(masterID uint64) []witness.HashRange {
 // NoteFrozenRanges records arcs a migration step is transferring out of a
 // partition, so a recovery during the step keeps them frozen.
 func (c *Coordinator) NoteFrozenRanges(masterID uint64, rs []witness.HashRange) error {
-	ctx, cancel := c.proposeCtx()
-	defer cancel()
-	_, err := c.propose(ctx, &controlplane.Command{
-		Kind: controlplane.CmdAddFrozen, Partition: masterID, Ranges: rs,
-	})
-	return err
+	return c.proposeRanges(controlplane.CmdAddFrozen, masterID, rs, "")
 }
 
 // ForgetFrozenRanges withdraws freeze records after a step aborts or
 // commits.
 func (c *Coordinator) ForgetFrozenRanges(masterID uint64, rs []witness.HashRange) error {
-	ctx, cancel := c.proposeCtx()
-	defer cancel()
-	_, err := c.propose(ctx, &controlplane.Command{
-		Kind: controlplane.CmdDelFrozen, Partition: masterID, Ranges: rs,
-	})
-	return err
+	return c.proposeRanges(controlplane.CmdDelFrozen, masterID, rs, "")
 }
 
 // handleAddMoved decodes OpCoordAddMoved's (masterID, ranges, destAddr)
@@ -1012,15 +950,12 @@ func (c *Coordinator) AddMaster(ms *MasterServer, backupAddrs, witnessAddrs []st
 	if err := ms.SetWitnessList(1, witnessAddrs); err != nil {
 		return err
 	}
-	// Register the in-process handle BEFORE proposing, so the apply
-	// mirror attaches it the moment the command commits.
+	// Register the in-process handle BEFORE proposing, so it is findable
+	// the moment the command commits.
 	c.mu.Lock()
 	c.localMasters[ms.Addr()] = ms
-	c.localOpts[ms.Addr()] = ms.Options()
 	c.mu.Unlock()
-	ctx, cancel := c.proposeCtx()
-	defer cancel()
-	_, err := c.propose(ctx, &controlplane.Command{
+	_, err := c.propose(&controlplane.Command{
 		Kind:      controlplane.CmdAddPartition,
 		Partition: ms.ID(),
 		Epoch:     ms.Epoch(),
@@ -1034,37 +969,13 @@ func (c *Coordinator) AddMaster(ms *MasterServer, backupAddrs, witnessAddrs []st
 
 // startWitnesses sends start RPCs to the given witness servers.
 func (c *Coordinator) startWitnesses(masterID uint64, addrs []string) error {
-	payload := func() []byte {
-		e := rpc.NewEncoder(8)
-		e.U64(masterID)
-		return e.Bytes()
-	}()
-	for _, addr := range addrs {
-		p := rpc.NewPeer(c.nw, c.addr, addr)
-		ctx, cancel := context.WithTimeout(context.Background(), c.RPCTimeout)
-		_, err := p.Call(ctx, OpWitnessStart, payload)
-		cancel()
-		p.Close()
-		if err != nil {
-			return fmt.Errorf("coordinator: start witness %s: %w", addr, err)
-		}
-	}
-	return nil
+	return c.callEach(addrs, OpWitnessStart, u64Payload(masterID), "start witness")
 }
 
 // endWitnesses decommissions witness instances, best effort.
 func (c *Coordinator) endWitnesses(masterID uint64, addrs []string) {
-	payload := func() []byte {
-		e := rpc.NewEncoder(8)
-		e.U64(masterID)
-		return e.Bytes()
-	}()
 	for _, addr := range addrs {
-		p := rpc.NewPeer(c.nw, c.addr, addr)
-		ctx, cancel := context.WithTimeout(context.Background(), c.RPCTimeout)
-		p.Call(ctx, OpWitnessEnd, payload)
-		cancel()
-		p.Close()
+		c.call(context.Background(), addr, OpWitnessEnd, u64Payload(masterID))
 	}
 }
 
@@ -1074,191 +985,86 @@ func (c *Coordinator) endWitnesses(masterID uint64, addrs []string) {
 // new view. Clients using the old list get StatusStaleWitnessList from the
 // master and refetch.
 func (c *Coordinator) ReplaceWitness(masterID uint64, oldAddr, newAddr string) error {
-	c.reconfMu.Lock()
-	defer c.reconfMu.Unlock()
-	c.mu.Lock()
-	mi := c.masters[masterID]
-	var wlv uint64
-	var masterAddr string
-	var server *MasterServer
-	var witnessAddrs []string
-	if mi != nil {
-		wlv = mi.witnessListVersion
-		masterAddr = mi.addr
-		server = mi.server
-		witnessAddrs = append(witnessAddrs, mi.witnessAddrs...)
-	}
-	c.mu.Unlock()
-	if mi == nil {
-		return fmt.Errorf("coordinator: unknown master %d", masterID)
-	}
-	newList := make([]string, 0, len(witnessAddrs))
-	found := false
-	for _, a := range witnessAddrs {
-		if a == oldAddr {
-			found = true
-			newList = append(newList, newAddr)
-		} else {
-			newList = append(newList, a)
-		}
-	}
-	if !found {
-		return fmt.Errorf("coordinator: %s is not a witness of master %d", oldAddr, masterID)
-	}
-	if err := c.startWitnesses(masterID, []string{newAddr}); err != nil {
-		return err
-	}
-	// The master syncs to backups before accepting the new list (§3.6),
-	// inside SetWitnessList — via the in-process handle when this replica
-	// has one, by RPC otherwise.
-	if err := c.masterSetWitnessList(server, masterAddr, wlv+1, newList); err != nil {
-		return err
-	}
-	// Publish through the log; applyCtrl re-keys the mirror and the
-	// health table on every replica.
-	ctx, cancel := c.proposeCtx()
-	defer cancel()
-	if _, err := c.propose(ctx, &controlplane.Command{
-		Kind: controlplane.CmdSetWitnessList, Partition: masterID,
-		WLV: wlv + 1, Witnesses: newList,
-	}); err != nil {
-		return err
-	}
-	// Best effort: free the old instance if the server is still up.
-	c.endWitnesses(masterID, []string{oldAddr})
-	return nil
-}
-
-// masterSetWitnessList installs a witness list on a partition's master:
-// directly through the in-process handle when this replica booted the
-// server, over OpMasterSetWitnessList when another replica did.
-func (c *Coordinator) masterSetWitnessList(server *MasterServer, masterAddr string, version uint64, addrs []string) error {
-	if server != nil {
-		return server.SetWitnessList(version, addrs)
-	}
-	e := rpc.NewEncoder(32 + 16*len(addrs))
-	e.U64(version)
-	e.U32(uint32(len(addrs)))
-	for _, a := range addrs {
-		e.String(a)
-	}
-	p := rpc.NewPeer(c.nw, c.addr, masterAddr)
-	defer p.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), c.RPCTimeout)
-	defer cancel()
-	_, err := p.Call(ctx, OpMasterSetWitnessList, e.Bytes())
-	return err
+	return c.replaceMember(masterID, health.RoleWitness, oldAddr, newAddr)
 }
 
 // ReplaceBackup swaps a dead backup out of a partition's sync set for a
 // fresh server: the master seeds the replacement with its full log image
 // and swaps it into the sync set (MasterServer.ReplaceBackup), then the
-// new set is published through the control log so every replica's mirror
-// and health table re-key. The partition keeps serving throughout — no
-// deposal, no epoch bump.
+// new set is published through the control log. The partition keeps
+// serving throughout — no deposal, no epoch bump.
 func (c *Coordinator) ReplaceBackup(masterID uint64, oldAddr, newAddr string) error {
+	return c.replaceMember(masterID, health.RoleBackup, oldAddr, newAddr)
+}
+
+// replaceMember swaps oldAddr for newAddr in a partition's witness list or
+// backup set: reconfigure the master first, then publish the new
+// membership through the log, whose commit re-keys the health table on
+// every replica.
+//
+// PAPER §3.6: the master syncs to backups BEFORE it accepts a new witness
+// list (inside SetWitnessList), and the list's version is bumped so
+// clients recording on the old list are told to refetch.
+func (c *Coordinator) replaceMember(masterID uint64, role health.Role, oldAddr, newAddr string) error {
 	c.reconfMu.Lock()
 	defer c.reconfMu.Unlock()
-	c.mu.Lock()
-	mi := c.masters[masterID]
-	var masterAddr string
-	var server *MasterServer
-	var backupAddrs []string
-	if mi != nil {
-		masterAddr = mi.addr
-		server = mi.server
-		backupAddrs = append(backupAddrs, mi.backupAddrs...)
-	}
-	c.mu.Unlock()
-	if mi == nil {
-		return fmt.Errorf("coordinator: unknown master %d", masterID)
-	}
-	newSet := make([]string, 0, len(backupAddrs))
-	found := false
-	for _, a := range backupAddrs {
-		if a == oldAddr {
-			found = true
-			newSet = append(newSet, newAddr)
-		} else {
-			newSet = append(newSet, a)
-		}
-	}
-	if !found {
-		return fmt.Errorf("coordinator: %s is not a backup of master %d", oldAddr, masterID)
-	}
-	if err := c.masterReplaceBackup(server, masterAddr, oldAddr, newAddr); err != nil {
+	p, err := c.partition(masterID)
+	if err != nil {
 		return err
 	}
-	ctx, cancel := c.proposeCtx()
-	defer cancel()
-	_, err := c.propose(ctx, &controlplane.Command{
-		Kind: controlplane.CmdSetBackups, Partition: masterID, Backups: newSet,
-	})
-	return err
-}
-
-// masterReplaceBackup runs the seed-and-swap on a partition's master:
-// directly through the in-process handle when this replica booted the
-// server, over OpMasterReplaceBackup otherwise.
-func (c *Coordinator) masterReplaceBackup(server *MasterServer, masterAddr, oldAddr, newAddr string) error {
-	if server != nil {
-		return server.ReplaceBackup(oldAddr, newAddr)
+	set := p.Backups
+	if role == health.RoleWitness {
+		set = p.Witnesses
 	}
-	e := rpc.NewEncoder(16 + len(oldAddr) + len(newAddr))
-	e.String(oldAddr)
-	e.String(newAddr)
-	p := rpc.NewPeer(c.nw, c.addr, masterAddr)
-	defer p.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), c.RPCTimeout)
-	defer cancel()
-	_, err := p.Call(ctx, OpMasterReplaceBackup, e.Bytes())
-	return err
-}
-
-// AddSpare registers a pre-provisioned spare node of the given role in
-// the replicated inventory. The heal loop claims from this pool before
-// asking the runtime's SpareProvider, so operators can stage replacement
-// capacity ahead of failures.
-func (c *Coordinator) AddSpare(role health.Role, addr string) error {
-	ctx, cancel := c.proposeCtx()
-	defer cancel()
-	_, err := c.propose(ctx, &controlplane.Command{
-		Kind: controlplane.CmdAddSpare, Role: uint8(role), Addr: addr,
-	})
-	return err
-}
-
-// Spares lists the unclaimed spare inventory for a role.
-func (c *Coordinator) Spares(role health.Role) []string {
-	var out []string
-	c.cp.View(func(st *controlplane.State) {
-		out = append(out, st.Spares[uint8(role)]...)
-	})
-	return out
-}
-
-// claimSpare takes one spare of the role from the replicated inventory
-// ("" if the pool is empty). Two replicas racing for the same spare are
-// serialized by the log: the loser's CmdTakeSpare applies as ErrStale and
-// it moves on to the next pool entry.
-func (c *Coordinator) claimSpare(role health.Role) string {
-	for {
-		pool := c.Spares(role)
-		if len(pool) == 0 {
-			return ""
-		}
-		ctx, cancel := c.proposeCtx()
-		_, err := c.propose(ctx, &controlplane.Command{
-			Kind: controlplane.CmdTakeSpare, Role: uint8(role), Addr: pool[0],
-		})
-		cancel()
-		if err == nil {
-			return pool[0]
-		}
-		if !isStaleErr(err) {
-			return ""
-		}
+	i := slices.Index(set, oldAddr)
+	if i < 0 {
+		return fmt.Errorf("coordinator: %s is not a %v of master %d", oldAddr, role, masterID)
 	}
+	set[i] = newAddr // p is this call's own copy
+	var cmd *controlplane.Command
+	if role == health.RoleWitness {
+		if err := c.startWitnesses(masterID, []string{newAddr}); err != nil {
+			return err
+		}
+		wlv := p.WLV + 1
+		e := rpc.NewEncoder(32 + 16*len(set))
+		e.U64(wlv)
+		e.Strings(set)
+		err = c.onMaster(p.MasterAddr, func(ms *MasterServer) error {
+			return ms.SetWitnessList(wlv, set)
+		}, OpMasterSetWitnessList, e.Bytes())
+		cmd = &controlplane.Command{Kind: controlplane.CmdSetWitnessList, Partition: masterID, WLV: wlv, Witnesses: set}
+	} else {
+		e := rpc.NewEncoder(16 + len(oldAddr) + len(newAddr))
+		e.String(oldAddr)
+		e.String(newAddr)
+		err = c.onMaster(p.MasterAddr, func(ms *MasterServer) error {
+			return ms.ReplaceBackup(oldAddr, newAddr)
+		}, OpMasterReplaceBackup, e.Bytes())
+		cmd = &controlplane.Command{Kind: controlplane.CmdSetBackups, Partition: masterID, Backups: set}
+	}
+	if err != nil {
+		return err
+	}
+	if _, err := c.propose(cmd); err != nil {
+		return err
+	}
+	if role == health.RoleWitness {
+		// Best effort: free the old instance if the server is still up.
+		c.endWitnesses(masterID, []string{oldAddr})
+	}
+	return nil
+}
+
+// onMaster runs one reconfiguration step on the master at addr: directly
+// through the in-process handle when this replica booted the server, over
+// the step's remote form (op, payload) when another replica did.
+func (c *Coordinator) onMaster(addr string, local func(*MasterServer) error, op uint16, payload []byte) error {
+	if ms := c.localMaster(addr); ms != nil {
+		return local(ms)
+	}
+	_, err := c.call(context.Background(), addr, op, payload)
+	return err
 }
 
 // RecoverMaster replaces a crashed master (§3.3, §4.6): it fences the old
@@ -1273,22 +1079,13 @@ func (c *Coordinator) RecoverMaster(masterID uint64, newAddr string, newWitnessA
 }
 
 // recoverMasterLocked is RecoverMaster's body; the caller holds reconfMu
-// (Migrate shares it without re-locking).
+// (Migrate shares it without re-locking). p, read once here, is the
+// configuration the whole recovery works from: a deep copy, so no commit
+// that lands while recovery runs can change it underfoot.
 func (c *Coordinator) recoverMasterLocked(masterID uint64, newAddr string, newWitnessAddrs []string, opts MasterOptions) (*MasterServer, error) {
-	c.mu.Lock()
-	mi := c.masters[masterID]
-	var movedAway, frozen []witness.HashRange
-	var forwards []MovedForward
-	var reservedEpoch uint64
-	if mi != nil {
-		movedAway = append(movedAway, mi.movedAway...)
-		frozen = append(frozen, mi.frozen...)
-		forwards = append(forwards, mi.forwards...)
-		reservedEpoch = mi.reservedEpoch
-	}
-	c.mu.Unlock()
-	if mi == nil {
-		return nil, fmt.Errorf("coordinator: unknown master %d", masterID)
+	p, err := c.partition(masterID)
+	if err != nil {
+		return nil, err
 	}
 
 	// The whole recovery runs under one force-sampled trace; every stage
@@ -1302,18 +1099,15 @@ func (c *Coordinator) recoverMasterLocked(masterID uint64, newAddr string, newWi
 
 	// Reserve the recovery epoch through the replicated log BEFORE
 	// touching any backup. The reservation must be exactly
-	// reservedEpoch+1: if another coordinator replica (a deposed leader
+	// ReservedEpoch+1: if another coordinator replica (a deposed leader
 	// still running, a promoted one racing us) committed a reservation
 	// first, this propose fails deterministically and we stand down —
 	// dual-depose is impossible even across control-plane failovers.
-	newEpoch := reservedEpoch + 1
-	rctx, rcancel := c.proposeCtx()
-	_, err := c.propose(rctx, &controlplane.Command{
+	newEpoch := p.ReservedEpoch + 1
+	if _, err := c.propose(&controlplane.Command{
 		Kind: controlplane.CmdBeginRecovery, Partition: masterID,
 		Epoch: newEpoch, Addr: newAddr,
-	})
-	rcancel()
-	if err != nil {
+	}); err != nil {
 		fsp.SetErr(err)
 		return nil, fmt.Errorf("coordinator: reserve recovery epoch %d: %w", newEpoch, err)
 	}
@@ -1322,59 +1116,47 @@ func (c *Coordinator) recoverMasterLocked(masterID uint64, newAddr string, newWi
 		NewAddr: newAddr,
 	})
 
-	// Fence: no stale-epoch master may sync to backups from here on
-	// (§4.7 zombie neutralization).
-	fencePayload := func() []byte {
-		e := rpc.NewEncoder(16)
-		e.U64(masterID)
-		e.U64(newEpoch)
-		return e.Bytes()
-	}()
-	for _, addr := range mi.backupAddrs {
-		p := rpc.NewPeer(c.nw, c.addr, addr)
-		ctx, cancel := context.WithTimeout(context.Background(), c.RPCTimeout)
-		_, err := p.Call(ctx, OpBackupSetEpoch, fencePayload)
-		cancel()
-		p.Close()
-		if err != nil {
-			fsp.SetErr(err)
-			return nil, fmt.Errorf("coordinator: fence backup %s: %w", addr, err)
-		}
+	// PAPER §4.7 (zombie neutralization): fence the backups at the new
+	// epoch, so no stale-epoch master may sync to them from here on.
+	if err := c.callEach(p.Backups, OpBackupSetEpoch, u64Payload(masterID, newEpoch), "fence backup"); err != nil {
+		fsp.SetErr(err)
+		return nil, err
 	}
 	c.jrn.RecordTrace(tid, events.Event{
 		Kind: events.KindFailoverFence, MasterID: masterID, Epoch: newEpoch,
-		Detail: fmt.Sprintf("%d backups fenced", len(mi.backupAddrs)),
+		Detail: fmt.Sprintf("%d backups fenced", len(p.Backups)),
 	})
 
-	// Pick the first reachable witness for replay; freezing it via
-	// getRecoveryData stops clients completing updates against the old
-	// witness set (§3.3: "the new master must wait" if none is
-	// reachable — we surface that as an error instead).
 	newMaster, err := NewMasterServer(c.nw, masterID, newAddr, newEpoch, opts)
 	if err != nil {
 		return nil, err
 	}
-	newMaster.SetBackups(mi.backupAddrs)
+	newMaster.SetBackups(p.Backups)
 	// Seed the replacement with the partition's handed-off arcs BEFORE
 	// restore/replay: the drop of migrated keys and the witness-replay
 	// filter both depend on it. Arcs a live migration step is still
 	// transferring stay frozen (data kept, requests bounced) so the
 	// replacement cannot split-brain with the step's target; a rebalance
 	// re-run converges from that state.
-	newMaster.SetMovedRanges(movedAway)
-	newMaster.SetMovedForwards(forwards)
-	newMaster.SetFrozenRanges(frozen)
+	newMaster.SetMovedRanges(p.Moved)
+	newMaster.SetMovedForwards(p.Forwards)
+	newMaster.SetFrozenRanges(p.Frozen)
+	// PAPER §3.3/§4.6: restore from a backup, then replay the requests of
+	// ONE witness. Pick the first reachable one; freezing it via
+	// getRecoveryData stops clients completing updates against the old
+	// witness set ("the new master must wait" if none is reachable — we
+	// surface that as an error instead).
 	var recovered bool
 	var lastErr error
-	for _, wAddr := range mi.witnessAddrs {
-		if err := newMaster.RecoverFrom(mi.backupAddrs, wAddr); err != nil {
+	for _, wAddr := range p.Witnesses {
+		if err := newMaster.RecoverFrom(p.Backups, wAddr); err != nil {
 			lastErr = err
 			continue
 		}
 		recovered = true
 		break
 	}
-	if !recovered && len(mi.witnessAddrs) > 0 {
+	if !recovered && len(p.Witnesses) > 0 {
 		newMaster.Close()
 		fsp.SetErr(lastErr)
 		return nil, fmt.Errorf("coordinator: recovery failed on all witnesses: %w", lastErr)
@@ -1389,28 +1171,21 @@ func (c *Coordinator) recoverMasterLocked(masterID uint64, newAddr string, newWi
 	// recovery, which wiped their moved-range marks and re-materialized
 	// handed-off keys; re-apply the migration drop from the coordinator's
 	// record.
-	if len(movedAway) > 0 {
-		dropPayload := encodeRangesPayload(masterID, movedAway)
-		for _, addr := range mi.backupAddrs {
-			p := rpc.NewPeer(c.nw, c.addr, addr)
-			ctx, cancel := context.WithTimeout(context.Background(), c.RPCTimeout)
-			_, err := p.Call(ctx, OpBackupDropRange, dropPayload)
-			cancel()
-			p.Close()
-			if err != nil {
-				newMaster.Close()
-				return nil, fmt.Errorf("coordinator: re-mark moved ranges on backup %s: %w", addr, err)
-			}
+	if len(p.Moved) > 0 {
+		if err := c.callEach(p.Backups, OpBackupDropRange, encodeRangesPayload(masterID, p.Moved), "re-mark moved ranges on backup"); err != nil {
+			newMaster.Close()
+			return nil, err
 		}
 	}
 
-	// Fresh witness set for the new master under a bumped version.
-	c.endWitnesses(masterID, mi.witnessAddrs)
+	// PAPER §3.6: fresh witness set for the new master under a bumped
+	// version.
+	c.endWitnesses(masterID, p.Witnesses)
 	if err := c.startWitnesses(masterID, newWitnessAddrs); err != nil {
 		newMaster.Close()
 		return nil, err
 	}
-	newVersion := mi.witnessListVersion + 1
+	newVersion := p.WLV + 1
 	if err := newMaster.SetWitnessList(newVersion, newWitnessAddrs); err != nil {
 		newMaster.Close()
 		return nil, err
@@ -1422,25 +1197,20 @@ func (c *Coordinator) recoverMasterLocked(masterID uint64, newAddr string, newWi
 	// the half-built replacement is torn down. Migration records
 	// (moved/frozen/forwards) are NOT carried by this command — they live
 	// in the replicated state and any AddMoved/DelFrozen that landed
-	// while recovery ran is already ordered in the log. The apply mirror
-	// installs the new view and re-keys the health table on every
-	// replica.
+	// while recovery ran is already ordered in the log. The commit
+	// installs the new view, freezes a still-running old master and
+	// re-keys the health table on every replica (onPartitionChange).
 	c.mu.Lock()
 	c.localMasters[newAddr] = newMaster
-	c.localOpts[newAddr] = opts
 	c.mu.Unlock()
-	pctx, pcancel := c.proposeCtx()
-	_, err = c.propose(pctx, &controlplane.Command{
+	if _, err := c.propose(&controlplane.Command{
 		Kind: controlplane.CmdSetMaster, Partition: masterID,
 		Epoch: newEpoch, WLV: newVersion, Addr: newAddr,
-		Witnesses: newWitnessAddrs, Backups: mi.backupAddrs,
-	})
-	pcancel()
-	if err != nil {
+		Witnesses: newWitnessAddrs, Backups: p.Backups,
+	}); err != nil {
 		newMaster.Close()
 		c.mu.Lock()
 		delete(c.localMasters, newAddr)
-		delete(c.localOpts, newAddr)
 		c.mu.Unlock()
 		fsp.SetErr(err)
 		return nil, fmt.Errorf("coordinator: publish recovered master: %w", err)
@@ -1472,14 +1242,7 @@ func (c *Coordinator) ExpireStaleLeases() error {
 	if len(expired) == 0 {
 		return nil
 	}
-	c.mu.Lock()
-	var servers []*MasterServer
-	for _, mi := range c.masters {
-		if mi.server != nil {
-			servers = append(servers, mi.server)
-		}
-	}
-	c.mu.Unlock()
+	servers := c.servingMasters()
 	for _, cid := range expired {
 		for _, ms := range servers {
 			if err := ms.ExpireClientLease(cid); err != nil {
@@ -1491,20 +1254,23 @@ func (c *Coordinator) ExpireStaleLeases() error {
 	return nil
 }
 
-// View returns the current view for a master (in-process convenience).
+// View returns the current view for a master — the in-process form of
+// OpGetView.
+//
+// PAPER §3.6: clients fetch {master, witness list, WitnessListVersion} from
+// the configuration manager and refetch when a master rejects their
+// version.
 func (c *Coordinator) View(masterID uint64) (*ViewInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	mi := c.masters[masterID]
-	if mi == nil {
-		return nil, fmt.Errorf("coordinator: unknown master %d", masterID)
+	p, err := c.partition(masterID)
+	if err != nil {
+		return nil, err
 	}
 	return &ViewInfo{
-		MasterID:           mi.id,
-		MasterAddr:         mi.addr,
-		WitnessListVersion: mi.witnessListVersion,
-		WitnessAddrs:       append([]string(nil), mi.witnessAddrs...),
-		BackupAddrs:        append([]string(nil), mi.backupAddrs...),
+		MasterID:           p.ID,
+		MasterAddr:         p.MasterAddr,
+		WitnessListVersion: p.WLV,
+		WitnessAddrs:       p.Witnesses,
+		BackupAddrs:        p.Backups,
 	}, nil
 }
 
@@ -1518,13 +1284,14 @@ func (c *Coordinator) View(masterID uint64) (*ViewInfo, error) {
 func (c *Coordinator) Migrate(masterID uint64, newAddr string, newWitnessAddrs []string, opts MasterOptions) (*MasterServer, error) {
 	c.reconfMu.Lock()
 	defer c.reconfMu.Unlock()
-	c.mu.Lock()
-	mi := c.masters[masterID]
-	c.mu.Unlock()
-	if mi == nil || mi.server == nil {
-		return nil, fmt.Errorf("coordinator: unknown master %d", masterID)
+	p, err := c.partition(masterID)
+	if err != nil {
+		return nil, err
 	}
-	old := mi.server
+	old := c.localMaster(p.MasterAddr)
+	if old == nil {
+		return nil, fmt.Errorf("coordinator: master %d does not run in this process", masterID)
+	}
 	// Final step first: stop servicing, then drain the execution pipeline
 	// and sync the complete partition to backups. Operations that slip
 	// past the freeze are covered by the witness replay inside

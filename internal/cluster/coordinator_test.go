@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"curp/internal/controlplane"
 	"curp/internal/rpc"
 	"curp/internal/transport"
 )
@@ -129,5 +130,78 @@ func TestMigrateErrors(t *testing.T) {
 	c, _ := startTestCluster(t, testOptions())
 	if _, err := c.Coord.Migrate(99, "x", nil, c.Opts.Master); err == nil {
 		t.Fatal("unknown master accepted")
+	}
+}
+
+// TestOversizedCountDoesNotKillCoordinator sends control-plane payloads
+// whose witness-count field claims 2^31-1 strings in a one-byte remainder.
+// The count used to size an allocation straight off the wire, killing the
+// process with an out-of-memory fault; it must be a decode error, and the
+// coordinator must keep serving.
+func TestOversizedCountDoesNotKillCoordinator(t *testing.T) {
+	nw := transport.NewMemNetwork(nil)
+	coord, err := NewCoordinator(nw, "coord", time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	// A 34-byte command: kind, partition, epoch, wlv, empty addr, then the
+	// hostile witness count and one trailing byte.
+	e := rpc.NewEncoder(34)
+	e.U8(uint8(controlplane.CmdSetWitnessList))
+	e.U64(1)
+	e.U64(0)
+	e.U64(2)
+	e.String("")
+	e.U32(0x7fffffff)
+	e.U8(0)
+	cmd := e.Bytes()
+	// The same command as the single entry of a replication round.
+	a := rpc.NewEncoder(80)
+	a.U64(1)       // term
+	a.U64(0)       // leader rank
+	a.String("")   // leader addr
+	a.U64(0)       // commit
+	a.U32(1)       // entries
+	a.U64(1)       // entry term
+	a.Bytes32(cmd) // entry command
+	p := rpc.NewPeer(nw, "attacker", coord.Addr())
+	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for op, payload := range map[uint16][]byte{OpCtrlPropose: cmd, OpCtrlAppend: a.Bytes()} {
+		if _, err := p.Call(ctx, op, payload); err == nil {
+			t.Fatalf("op %d accepted a count of 2^31-1 in a %d-byte payload", op, len(payload))
+		}
+	}
+
+	// Still alive: registers a partition and serves its view over the wire.
+	b, err := NewBackupServer(nw, "b1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	w, err := NewWitnessServer(nw, "w1", testOptions().Witness)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	m, err := NewMasterServer(nw, 1, "m1", 0, DefaultMasterOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := coord.AddMaster(m, []string{b.Addr()}, []string{w.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	q := rpc.NewEncoder(8)
+	q.U64(1)
+	out, err := p.Call(ctx, OpGetView, q.Bytes())
+	if err != nil {
+		t.Fatalf("coordinator stopped answering OpGetView: %v", err)
+	}
+	if v, err := decodeViewInfo(out); err != nil || v.MasterAddr != "m1" {
+		t.Fatalf("view after hostile payloads = %+v, %v", v, err)
 	}
 }

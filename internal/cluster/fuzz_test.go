@@ -1,0 +1,94 @@
+package cluster
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"curp/internal/health"
+	"curp/internal/rpc"
+	"curp/internal/witness"
+)
+
+// The coordinator's wire decoders, fuzzed from their encoders' own output:
+// no panic, no room reserved for more elements than the payload could hold,
+// and decode(encode(x)) == x for everything a decoder accepts.
+
+// fits fails the test when a decoder produced (or reserved room for) more
+// elements than the payload could possibly hold.
+func fits(t *testing.T, what string, elems, minElemBytes, payloadBytes int) {
+	t.Helper()
+	if elems*minElemBytes > payloadBytes {
+		t.Fatalf("%s: room for %d elements of >= %d bytes from a %d-byte payload", what, elems, minElemBytes, payloadBytes)
+	}
+}
+
+// FuzzDecodeViewInfo: every client decodes an OpGetView reply at boot and
+// after each WrongMaster / StaleWitnessList bounce.
+func FuzzDecodeViewInfo(f *testing.F) {
+	f.Add((&ViewInfo{}).encode())
+	f.Add((&ViewInfo{
+		MasterID: 1, MasterAddr: "master1", WitnessListVersion: 7,
+		WitnessAddrs: []string{"w1", "w2", "w3"}, BackupAddrs: []string{"b1", ""},
+	}).encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, err := decodeViewInfo(b)
+		if err != nil {
+			return
+		}
+		fits(t, "witnesses", cap(v.WitnessAddrs), 4, len(b))
+		fits(t, "backups", cap(v.BackupAddrs), 4, len(b))
+		again, err := decodeViewInfo(v.encode())
+		if err != nil || !reflect.DeepEqual(v, again) {
+			t.Fatalf("round trip: %+v -> %+v (%v)", v, again, err)
+		}
+	})
+}
+
+// FuzzDecodePartitionHealth: curpctl status decodes an OpHealthStatus reply
+// from whichever coordinator replica answered.
+func FuzzDecodePartitionHealth(f *testing.F) {
+	f.Add((&PartitionHealth{}).encode())
+	f.Add((&PartitionHealth{
+		MasterID: 1, MasterAddr: "master1", Epoch: 2, WitnessListVersion: 3, SelfHealing: true,
+		CoordRank: 1, CoordLeaderAddr: "coord", CoordTerm: 4, CoordCommit: 9, CoordReplicas: 3, CoordLeased: true,
+		Nodes: []health.NodeStatus{
+			{Role: health.RoleMaster, Addr: "master1", MasterID: 1, Age: time.Millisecond, Beats: 12,
+				MeanGap: 2 * time.Millisecond, Alive: true,
+				Last: health.Beat{Role: health.RoleMaster, Addr: "master1", MasterID: 1, Epoch: 2, HeadLSN: 40, Unsynced: 3}},
+			{Role: health.RoleWitness, Addr: "w1", MasterID: 1, Age: time.Second},
+		},
+	}).encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := decodePartitionHealth(b)
+		if err != nil {
+			return
+		}
+		// Role, empty addr, master ID, age, beats, gap, alive, empty beat.
+		fits(t, "nodes", len(p.Nodes), 1+4+8+8+8+8+1+4, len(b))
+		again, err := decodePartitionHealth(p.encode())
+		if err != nil || !reflect.DeepEqual(p, again) {
+			t.Fatalf("round trip: %+v -> %+v (%v)", p, again, err)
+		}
+	})
+}
+
+// FuzzRangesPayload: the (masterID, ranges) prefix every OpCoord*/OpMigrate*
+// payload starts with, decoded by coordinators, masters and backups.
+func FuzzRangesPayload(f *testing.F) {
+	f.Add(encodeRangesPayload(0, nil))
+	f.Add(encodeRangesPayload(7, []witness.HashRange{{Lo: 1, Hi: 2}, {Lo: ^uint64(0), Hi: 5}}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		d := rpc.NewDecoder(b)
+		masterID, rs := rangesIn(d)
+		fits(t, "ranges", cap(rs), 16, len(b))
+		if d.Err() != nil {
+			return
+		}
+		d = rpc.NewDecoder(encodeRangesPayload(masterID, rs))
+		againID, again := rangesIn(d)
+		if d.Err() != nil || againID != masterID || !reflect.DeepEqual(rs, again) {
+			t.Fatalf("round trip: (%d, %v) -> (%d, %v) (%v)", masterID, rs, againID, again, d.Err())
+		}
+	})
+}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,8 +16,8 @@ import (
 // dead" verdict into the recovery choreography the coordinator already
 // knows how to perform — RecoverMaster for a dead master (fence the old
 // epoch, restore backup image + witness replay, fresh witness set under a
-// bumped WitnessListVersion), ReplaceWitness for a dead witness (master
-// sync, then install the replacement under a bumped version). Clients
+// bumped WitnessListVersion), ReplaceWitness / ReplaceBackup for a dead
+// witness or backup. Clients
 // learn the new configuration through the existing epoch-fenced paths:
 // a deposed or frozen master answers StatusWrongMaster, stale witness
 // lists answer StatusStaleWitnessList, and both make the client refetch
@@ -142,7 +143,7 @@ type healManager struct {
 	closed   chan struct{}
 	done     chan struct{} // closed when run() returns
 
-	// spareByDead caches the spare witness allocated for a dead witness
+	// spareByDead caches the spare allocated for a dead witness or backup
 	// address, so a retried heal attempt reuses it instead of booting a
 	// fresh server per retry. Touched only from the run goroutine.
 	spareByDead map[string]string
@@ -240,94 +241,71 @@ func (h *healManager) retryAfter() time.Time {
 }
 
 func (h *healManager) healNode(n health.NodeStatus) {
-	switch n.Role {
-	case health.RoleMaster:
+	if n.Role == health.RoleMaster {
 		h.healMaster(n)
-	case health.RoleWitness:
-		h.healWitness(n)
-	case health.RoleBackup:
-		h.healBackup(n)
+	} else {
+		h.healMember(n)
 	}
 }
 
-// healBackup swaps a dead backup for a spare: the master seeds the
-// replacement with its full log image and swaps it into the sync set
-// (restoring f-way redundancy without deposing the master), then the new
-// set is published through the control log so every replica's mirror and
-// health table re-key.
-func (h *healManager) healBackup(n health.NodeStatus) {
+// healMember replaces a dead witness or backup with a spare
+// (Coordinator.replaceMember): a witness under a bumped
+// WitnessListVersion after a master sync, a backup by seeding the spare
+// with the master's full log image — restoring f-way redundancy without
+// deposing the master. replaceMember re-validates membership under
+// reconfMu, so a concurrent recovery that already rotated the dead node
+// out turns this into a deferred no-op.
+func (h *healManager) healMember(n health.NodeStatus) {
 	c := h.c
-	c.mu.Lock()
-	var masterID uint64
-	found := false
-	for _, mi := range c.masters {
-		for _, a := range mi.backupAddrs {
-			if a == n.Addr {
-				masterID, found = mi.id, true
-				break
-			}
-		}
+	replaced, failed := EventBackupReplaced, EventBackupReplaceFailed
+	if n.Role == health.RoleWitness {
+		replaced, failed = EventWitnessReplaced, EventWitnessReplaceFailed
 	}
-	c.mu.Unlock()
-	if !found {
-		// Already rotated out (e.g. by a concurrent recovery).
+	if p, err := c.partition(n.MasterID); err != nil ||
+		!slices.Contains(p.Witnesses, n.Addr) && !slices.Contains(p.Backups, n.Addr) {
+		// Already rotated out (e.g. by a master failover that re-keyed the
+		// membership in the same pass).
 		c.table.Forget(n.Addr)
 		return
 	}
 	start := time.Now()
-	newAddr, err := h.spareBackupFor(n.Addr, masterID)
+	newAddr, err := h.spareFor(n.Role, n.Addr, n.MasterID)
 	if err == nil {
-		err = c.ReplaceBackup(masterID, n.Addr, newAddr)
+		err = c.replaceMember(n.MasterID, n.Role, n.Addr, newAddr)
 	}
 	if err != nil {
-		h.emit(FailoverEvent{Kind: EventBackupReplaceFailed, MasterID: masterID, Role: n.Role, OldAddr: n.Addr, Err: err})
+		h.emit(FailoverEvent{Kind: failed, MasterID: n.MasterID, Role: n.Role, OldAddr: n.Addr, Err: err})
 		c.table.Defer(n.Addr, h.retryAfter())
 		return
 	}
 	delete(h.spareByDead, n.Addr)
-	h.emit(FailoverEvent{
-		Kind:     EventBackupReplaced,
-		MasterID: masterID,
+	ev := FailoverEvent{
+		Kind:     replaced,
+		MasterID: n.MasterID,
 		Role:     n.Role,
 		OldAddr:  n.Addr,
 		NewAddr:  newAddr,
 		Window:   time.Since(start),
-	})
+	}
+	if p, err := c.partition(n.MasterID); err == nil {
+		ev.Epoch, ev.WitnessListVersion = p.Epoch, p.WLV
+	}
+	h.emit(ev)
 }
 
-// spareBackupFor returns the spare allocated for a dead backup address,
-// preferring the replicated spare-pool inventory over booting a fresh
-// server, and caching the choice so heal retries reuse it. Called only
-// from the run goroutine.
-func (h *healManager) spareBackupFor(deadAddr string, masterID uint64) (string, error) {
+// spareFor returns the spare allocated for a dead witness or backup
+// address, booting one only on the first attempt: a heal retry reuses the
+// cached spare instead of leaking one live server per failed attempt.
+// Called only from the run goroutine.
+func (h *healManager) spareFor(role health.Role, deadAddr string, masterID uint64) (string, error) {
 	if spare, ok := h.spareByDead[deadAddr]; ok {
 		return spare, nil
 	}
-	if spare := h.c.claimSpare(health.RoleBackup); spare != "" {
-		h.spareByDead[deadAddr] = spare
-		return spare, nil
+	boot := h.cfg.Spares.SpareBackup
+	if role == health.RoleWitness {
+		boot = h.cfg.Spares.SpareWitness
 	}
-	spare, err := h.cfg.Spares.SpareBackup(masterID)
-	if err != nil {
-		return "", err
-	}
-	h.spareByDead[deadAddr] = spare
-	return spare, nil
-}
-
-// spareWitnessFor returns the spare allocated for a dead witness
-// address, booting one only on the first attempt: a heal retry reuses
-// the cached spare instead of leaking one live witness server per
-// failed attempt. Called only from the run goroutine.
-func (h *healManager) spareWitnessFor(deadAddr string, masterID uint64) (string, error) {
-	if spare, ok := h.spareByDead[deadAddr]; ok {
-		return spare, nil
-	}
-	if spare := h.c.claimSpare(health.RoleWitness); spare != "" {
-		h.spareByDead[deadAddr] = spare
-		return spare, nil
-	}
-	spare, err := h.cfg.Spares.SpareWitness(masterID)
+	spare, err := boot(masterID)
 	if err != nil {
 		return "", err
 	}
@@ -345,29 +323,19 @@ func (h *healManager) spareWitnessFor(deadAddr string, masterID uint64) (string,
 func (h *healManager) healMaster(n health.NodeStatus) {
 	c := h.c
 	c.reconfMu.Lock()
-	c.mu.Lock()
-	mi := c.masters[n.MasterID]
-	var curAddr string
-	var witnessAddrs []string
-	var opts MasterOptions
-	if mi != nil {
-		curAddr = mi.addr
-		witnessAddrs = append(witnessAddrs, mi.witnessAddrs...)
-		if mi.server != nil {
-			opts = mi.opts
-		} else {
-			// Mirror of a master another replica booted: its options never
-			// crossed the wire, so use the configured heal-time defaults.
-			opts = h.cfg.MasterOpts
-		}
-	}
-	c.mu.Unlock()
-	if mi == nil || curAddr != n.Addr {
+	p, err := c.partition(n.MasterID)
+	if err != nil || p.MasterAddr != n.Addr {
 		// Stale verdict: the partition was already recovered (or removed)
 		// under a different address.
 		c.reconfMu.Unlock()
 		c.table.Forget(n.Addr)
 		return
+	}
+	// A master another replica booted never sent its options across the
+	// wire, so its replacement gets the configured heal-time defaults.
+	opts := h.cfg.MasterOpts
+	if ms := c.localMaster(p.MasterAddr); ms != nil {
+		opts = ms.Options()
 	}
 	start := time.Now()
 	c.jrn.Record(events.Event{
@@ -376,13 +344,7 @@ func (h *healManager) healMaster(n health.NodeStatus) {
 	})
 
 	var nm *MasterServer
-	var err error
-	// Prefer a pre-provisioned spare from the replicated inventory; fall
-	// back to the runtime's provider for a fresh address.
-	newAddr := c.claimSpare(health.RoleMaster)
-	if newAddr == "" {
-		newAddr, err = h.cfg.Spares.SpareMasterAddr(n.MasterID)
-	}
+	newAddr, err := h.cfg.Spares.SpareMasterAddr(n.MasterID)
 	if err == nil {
 		// The NEW witness set must be fully reachable: startWitnesses and
 		// SetWitnessList fail on a dead member, and a silently dead
@@ -390,14 +352,14 @@ func (h *healManager) healMaster(n health.NodeStatus) {
 		// restore. Dead witnesses are swapped for spares in the same
 		// pass; recovery replay still consults the OLD list, where one
 		// reachable witness suffices.
-		newList := make([]string, len(witnessAddrs))
+		newList := make([]string, len(p.Witnesses))
 		var replacedDead []string
-		for i, a := range witnessAddrs {
+		for i, a := range p.Witnesses {
 			if c.table.Alive(a, h.cfg.Detector) {
 				newList[i] = a
 				continue
 			}
-			spare, serr := h.spareWitnessFor(a, n.MasterID)
+			spare, serr := h.spareFor(health.RoleWitness, a, n.MasterID)
 			if serr != nil {
 				err = fmt.Errorf("spare witness: %w", serr)
 				break
@@ -428,59 +390,6 @@ func (h *healManager) healMaster(n health.NodeStatus) {
 		NewAddr:            newAddr,
 		Epoch:              nm.Epoch(),
 		WitnessListVersion: nm.State().WitnessListVersion(),
-		Window:             time.Since(start),
-	})
-}
-
-// healWitness replaces a dead witness server: sync the master, install
-// the spare under a bumped WitnessListVersion (ReplaceWitness), and
-// re-key the health table. ReplaceWitness itself re-validates membership
-// under reconfMu, so a concurrent recovery that already rotated the dead
-// witness out turns this into a deferred no-op.
-func (h *healManager) healWitness(n health.NodeStatus) {
-	c := h.c
-	c.mu.Lock()
-	var masterID uint64
-	found := false
-	for _, mi := range c.masters {
-		for _, a := range mi.witnessAddrs {
-			if a == n.Addr {
-				masterID, found = mi.id, true
-				break
-			}
-		}
-	}
-	c.mu.Unlock()
-	if !found {
-		// Already replaced (e.g. by a master failover that re-keyed the
-		// witness set in the same pass).
-		c.table.Forget(n.Addr)
-		return
-	}
-	start := time.Now()
-	newAddr, err := h.spareWitnessFor(n.Addr, masterID)
-	if err == nil {
-		err = c.ReplaceWitness(masterID, n.Addr, newAddr)
-	}
-	if err != nil {
-		h.emit(FailoverEvent{Kind: EventWitnessReplaceFailed, MasterID: masterID, Role: n.Role, OldAddr: n.Addr, Err: err})
-		c.table.Defer(n.Addr, h.retryAfter())
-		return
-	}
-	delete(h.spareByDead, n.Addr)
-	c.mu.Lock()
-	var wlv uint64
-	if mi := c.masters[masterID]; mi != nil {
-		wlv = mi.witnessListVersion
-	}
-	c.mu.Unlock()
-	h.emit(FailoverEvent{
-		Kind:               EventWitnessReplaced,
-		MasterID:           masterID,
-		Role:               n.Role,
-		OldAddr:            n.Addr,
-		NewAddr:            newAddr,
-		WitnessListVersion: wlv,
 		Window:             time.Since(start),
 	})
 }

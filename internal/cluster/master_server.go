@@ -425,12 +425,7 @@ func (ms *MasterServer) SetWitnessList(version uint64, addrs []string) error {
 // control plane's reconfiguration commands commit on any replica).
 func (ms *MasterServer) handleSetWitnessList(ctx context.Context, payload []byte) ([]byte, error) {
 	d := rpc.NewDecoder(payload)
-	version := d.U64()
-	n := int(d.U32())
-	addrs := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		addrs = append(addrs, d.String())
-	}
+	version, addrs := d.U64(), d.Strings()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}

@@ -37,11 +37,17 @@ func (md *MigrationDriver) call(ctx context.Context, addr string, op uint16, pay
 	if timeout <= 0 {
 		timeout = DefaultMigrationTimeout
 	}
-	cctx, cancel := context.WithTimeout(ctx, timeout)
+	return dialCall(ctx, md.NW, md.Self, addr, timeout, op, payload)
+}
+
+// dialCall performs one control-path RPC on a fresh connection: dial addr
+// as self, call op under ctx bounded by timeout, close.
+func dialCall(ctx context.Context, nw transport.Network, self, addr string, timeout time.Duration, op uint16, payload []byte) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	p := rpc.NewPeer(md.NW, md.Self, addr)
+	p := rpc.NewPeer(nw, self, addr)
 	defer p.Close()
-	return p.Call(cctx, op, payload)
+	return p.Call(ctx, op, payload)
 }
 
 // Collect freezes ranges on the source master, waits for the drain, and

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"curp/internal/commute"
+	"curp/internal/controlplane"
 	"curp/internal/core"
 	"curp/internal/events"
 	"curp/internal/kv"
@@ -189,9 +190,9 @@ type MigrationBundle struct {
 // rangesIn decodes a (masterID, ranges) payload prefix.
 func rangesIn(d *rpc.Decoder) (uint64, []witness.HashRange) {
 	masterID := d.U64()
-	n := d.U32()
+	n := d.Count(16)
 	rs := make([]witness.HashRange, 0, n)
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n; i++ {
 		rs = append(rs, witness.HashRange{Lo: d.U64(), Hi: d.U64()})
 	}
 	return masterID, rs
@@ -303,20 +304,13 @@ func (ms *MasterServer) SetMovedRanges(rs []witness.HashRange) {
 // addresses of past handoffs (from the coordinator's records), so
 // forwarded decision lookups keep working after the source master that
 // performed the migration is replaced.
-func (ms *MasterServer) SetMovedForwards(fwds []MovedForward) {
+func (ms *MasterServer) SetMovedForwards(fwds []controlplane.Forward) {
 	for _, f := range fwds {
-		if len(f.Ranges) == 0 || f.DestAddr == "" {
+		if len(f.Ranges) == 0 || f.Addr == "" {
 			continue
 		}
-		ms.migr.markMoved(f.Ranges, f.DestAddr)
+		ms.migr.markMoved(f.Ranges, f.Addr)
 	}
-}
-
-// MovedForward is one recorded handoff: the arcs and the target master
-// address that received them.
-type MovedForward struct {
-	Ranges   []witness.HashRange
-	DestAddr string
 }
 
 // SetFrozenRanges seeds a recovering master with ranges a migration step

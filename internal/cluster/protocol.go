@@ -10,7 +10,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"curp/internal/commute"
@@ -244,9 +243,9 @@ func encodeWitnessRecords(recs []witness.Record) []byte {
 
 func decodeWitnessRecords(b []byte) ([]witness.Record, error) {
 	d := rpc.NewDecoder(b)
-	n := d.U32()
+	n := d.Count(25) // empty key-hash slice, RPC ID, empty request, class
 	recs := make([]witness.Record, 0, n)
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		recs = append(recs, witness.Record{
 			KeyHashes: d.U64Slice(),
 			ID:        rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
@@ -276,16 +275,12 @@ func encodeUpdateBatch(reqs []*core.Request) []byte {
 
 func decodeUpdateBatch(b []byte) ([]*core.Request, error) {
 	d := rpc.NewDecoder(b)
-	n := d.U32()
+	n := d.Count(1)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if int(n) > d.Remaining() {
-		// A corrupt count must not drive the preallocation.
-		return nil, fmt.Errorf("cluster: update batch count %d exceeds payload", n)
-	}
 	reqs := make([]*core.Request, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		r, err := core.UnmarshalRequest(d)
 		if err != nil {
 			return nil, err
@@ -307,15 +302,12 @@ func encodeReplyBatch(outs []core.Outcome) []byte {
 
 func decodeReplyBatch(b []byte) ([]*core.Reply, error) {
 	d := rpc.NewDecoder(b)
-	n := d.U32()
+	n := d.Count(1)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if int(n) > d.Remaining() {
-		return nil, fmt.Errorf("cluster: reply batch count %d exceeds payload", n)
-	}
 	replies := make([]*core.Reply, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		r, err := core.UnmarshalReply(d)
 		if err != nil {
 			return nil, err
@@ -445,11 +437,11 @@ func (a *appendRequest) encode() []byte {
 func decodeAppendRequest(b []byte) (*appendRequest, error) {
 	d := rpc.NewDecoder(b)
 	a := &appendRequest{MasterID: d.U64(), Epoch: d.U64()}
-	n := d.U32()
-	if d.Err() == nil && n > 0 && int(n) <= d.Remaining() {
+	n := d.Count(1)
+	if n > 0 {
 		a.Entries = make([]kv.Entry, 0, n)
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		en, err := kv.UnmarshalEntry(d)
 		if err != nil {
 			return nil, err
@@ -474,9 +466,9 @@ func encodeEntries(entries []kv.Entry) []byte {
 
 func decodeEntries(b []byte) ([]kv.Entry, error) {
 	d := rpc.NewDecoder(b)
-	n := d.U32()
+	n := d.Count(24) // LSN + RPC ID, before the command and result
 	entries := make([]kv.Entry, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		en, err := kv.UnmarshalEntry(d)
 		if err != nil {
 			return nil, err
@@ -603,14 +595,8 @@ func (v *ViewInfo) encode() []byte {
 	e.U64(v.MasterID)
 	e.String(v.MasterAddr)
 	e.U64(v.WitnessListVersion)
-	e.U32(uint32(len(v.WitnessAddrs)))
-	for _, a := range v.WitnessAddrs {
-		e.String(a)
-	}
-	e.U32(uint32(len(v.BackupAddrs)))
-	for _, a := range v.BackupAddrs {
-		e.String(a)
-	}
+	e.Strings(v.WitnessAddrs)
+	e.Strings(v.BackupAddrs)
 	return e.Bytes()
 }
 
@@ -620,14 +606,8 @@ func decodeViewInfo(b []byte) (*ViewInfo, error) {
 		MasterID:           d.U64(),
 		MasterAddr:         d.String(),
 		WitnessListVersion: d.U64(),
-	}
-	n := d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		v.WitnessAddrs = append(v.WitnessAddrs, d.String())
-	}
-	n = d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		v.BackupAddrs = append(v.BackupAddrs, d.String())
+		WitnessAddrs:       d.Strings(),
+		BackupAddrs:        d.Strings(),
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 // Package controlplane replicates the cluster coordinator's authoritative
 // state — partition membership, recovery epochs, witness lists, migration
-// arcs, spare-node inventory, client-ID issuance — across a 2f+1 quorum of
-// coordinator replicas.
+// arcs, client-ID issuance — across a 2f+1 quorum of coordinator replicas.
 //
 // The paper (Park & Ousterhout, NSDI '19) assumes a consensus-backed
 // configuration manager in §2; internal/consensus supplies the §A.2
@@ -68,13 +67,6 @@ const (
 	// replica adds its configured RIFL namespace to form the client ID, so
 	// IDs stay unique across coordinator failovers.
 	CmdRegisterClient
-	// CmdAddSpare records a pre-provisioned spare node (Role, Addr) in the
-	// shared inventory.
-	CmdAddSpare
-	// CmdTakeSpare claims a spare exclusively: the command fails if the
-	// address is no longer in the inventory, so two heal actions (or two
-	// momentarily-overlapping leaders) cannot hand out one spare twice.
-	CmdTakeSpare
 )
 
 // String names the command kind.
@@ -102,10 +94,6 @@ func (k Kind) String() string {
 		return "del-frozen"
 	case CmdRegisterClient:
 		return "register-client"
-	case CmdAddSpare:
-		return "add-spare"
-	case CmdTakeSpare:
-		return "take-spare"
 	}
 	return "unknown"
 }
@@ -120,14 +108,12 @@ type Command struct {
 	Epoch uint64
 	// WLV: AddPartition / SetMaster / SetWitnessList witness-list version.
 	WLV uint64
-	// Addr: master address (AddPartition/BeginRecovery/SetMaster), forward
-	// destination (AddMoved), or spare address (AddSpare/TakeSpare).
+	// Addr: master address (AddPartition/BeginRecovery/SetMaster) or forward
+	// destination (AddMoved).
 	Addr      string
 	Witnesses []string
 	Backups   []string
 	Ranges    []witness.HashRange
-	// Role tags spare inventory entries (health.Role values).
-	Role uint8
 }
 
 // Encode serializes the command for the replicated log's wire format.
@@ -138,10 +124,9 @@ func (c *Command) Encode() []byte {
 	e.U64(c.Epoch)
 	e.U64(c.WLV)
 	e.String(c.Addr)
-	encodeStrings(e, c.Witnesses)
-	encodeStrings(e, c.Backups)
+	e.Strings(c.Witnesses)
+	e.Strings(c.Backups)
 	encodeRanges(e, c.Ranges)
-	e.U8(c.Role)
 	return e.Bytes()
 }
 
@@ -162,30 +147,10 @@ func decodeCommand(d *rpc.Decoder) *Command {
 	c.Epoch = d.U64()
 	c.WLV = d.U64()
 	c.Addr = d.String()
-	c.Witnesses = decodeStrings(d)
-	c.Backups = decodeStrings(d)
+	c.Witnesses = d.Strings()
+	c.Backups = d.Strings()
 	c.Ranges = decodeRanges(d)
-	c.Role = d.U8()
 	return c
-}
-
-func encodeStrings(e *rpc.Encoder, ss []string) {
-	e.U32(uint32(len(ss)))
-	for _, s := range ss {
-		e.String(s)
-	}
-}
-
-func decodeStrings(d *rpc.Decoder) []string {
-	n := d.U32()
-	if n == 0 {
-		return nil
-	}
-	ss := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		ss = append(ss, d.String())
-	}
-	return ss
 }
 
 func encodeRanges(e *rpc.Encoder, rs []witness.HashRange) {
@@ -197,12 +162,12 @@ func encodeRanges(e *rpc.Encoder, rs []witness.HashRange) {
 }
 
 func decodeRanges(d *rpc.Decoder) []witness.HashRange {
-	n := d.U32()
+	n := d.Count(16)
 	if n == 0 {
 		return nil
 	}
 	rs := make([]witness.HashRange, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		rs = append(rs, witness.HashRange{Lo: d.U64(), Hi: d.U64()})
 	}
 	return rs

@@ -89,11 +89,13 @@ type Config struct {
 	// Send delivers consensus RPCs.
 	Send Sender
 	// Apply observes every committed command in log order, AFTER the
-	// node's State applied it, with the deterministic result and the
-	// post-apply state. The cluster coordinator mirrors the committed
-	// state into its serving tables here. Called with the node lock held;
-	// it must not call back into the node or retain st.
-	Apply func(cmd *Command, st *State, result uint64, err error)
+	// node's State applied it, with the deterministic result and deep
+	// copies of the command's partition record as it was before the
+	// command and as it is after (nil where the partition does not exist;
+	// both nil for commands that name none). The cluster coordinator
+	// reacts to configuration transitions here. Called with the node lock
+	// held; it must not call back into the node.
+	Apply func(cmd *Command, prev, next *Partition, result uint64, err error)
 	// ElectionTimeout is how long a follower waits without leader contact
 	// before standing for election (staggered by rank, jittered). Default
 	// 150ms.
@@ -406,20 +408,29 @@ func (n *Node) advanceCommitLocked() {
 		n.commit = cand
 		n.applyLocked()
 		n.cond.Broadcast()
+		// Tell the followers now: they apply (and serve reads from) what
+		// they know is committed, and would otherwise learn it a whole
+		// heartbeat late.
+		n.nudgeAll()
 	}
 }
 
 // applyLocked applies committed entries to the State, records per-index
-// outcomes, and notifies the mirror callback.
+// outcomes, and hands the Apply callback each command's before/after
+// partition records (control commands are rare; the two clones are cheap).
 func (n *Node) applyLocked() {
 	for n.applied < n.commit {
 		en := &n.log[n.applied]
+		var prev *Partition
+		if n.cfg.Apply != nil {
+			prev = n.st.Partition(en.Cmd.Partition)
+		}
 		res, err := n.st.Apply(&en.Cmd)
 		n.results[n.applied] = applyOutcome{res: res, err: err}
 		n.applied++
 		n.committed.Add(1)
 		if n.cfg.Apply != nil {
-			n.cfg.Apply(&en.Cmd, n.st, res, err)
+			n.cfg.Apply(&en.Cmd, prev, n.st.Partition(en.Cmd.Partition), res, err)
 		}
 	}
 }
@@ -672,15 +683,7 @@ func (n *Node) runElection(req *VoteRequest) {
 	if n.cfg.OnElection != nil {
 		n.cfg.OnElection(n.term)
 	}
-	for i := range n.dirty {
-		if i == n.cfg.Rank {
-			continue
-		}
-		select {
-		case n.dirty[i] <- struct{}{}:
-		default:
-		}
-	}
+	n.nudgeAll()
 }
 
 func (n *Node) logf(format string, args ...any) {
@@ -715,8 +718,11 @@ func DecodeAppendRequest(b []byte) (*AppendRequest, error) {
 	r.LeaderRank = int(d.U64())
 	r.LeaderAddr = d.String()
 	r.Commit = d.U64()
-	count := d.U32()
-	for i := uint32(0); i < count && d.Err() == nil; i++ {
+	count := d.Count(12) // entry term + command length prefix
+	if count > 0 {
+		r.Entries = make([]Entry, 0, count)
+	}
+	for i := 0; i < count; i++ {
 		term := d.U64()
 		cmd, err := DecodeCommand(d.Bytes32())
 		if err != nil {

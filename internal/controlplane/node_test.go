@@ -257,7 +257,7 @@ func TestRestartRebuildsFromLog(t *testing.T) {
 		Peers:           leader.cfg.Peers,
 		Send:            &memSender{net: net, self: leader.cfg.Peers[victim]},
 		ElectionTimeout: 60 * time.Millisecond,
-		Apply:           func(c *Command, _ *State, _ uint64, _ error) { applied.Add(1) },
+		Apply:           func(*Command, *Partition, *Partition, uint64, error) { applied.Add(1) },
 	})
 	if err != nil {
 		t.Fatalf("restart: %v", err)
@@ -302,4 +302,69 @@ func TestProposeContextCancel(t *testing.T) {
 	if err == nil {
 		t.Fatal("propose with no quorum should fail")
 	}
+}
+
+// TestApplyHandsBeforeAndAfterRecords pins the Apply callback's contract:
+// each committed command arrives with its partition record as it was before
+// the command and as it is after, both detached from the live state; stale
+// commands arrive with their error and an unchanged record.
+func TestApplyHandsBeforeAndAfterRecords(t *testing.T) {
+	type seen struct {
+		kind       Kind
+		prev, next *Partition
+		err        error
+	}
+	var got []seen
+	n, err := NewNode(Config{
+		Peers:  []string{"solo"},
+		Seeded: true,
+		Apply: func(c *Command, prev, next *Partition, _ uint64, err error) {
+			got = append(got, seen{c.Kind, prev, next, err})
+			if next != nil {
+				next.MasterAddr = "tampered" // must not reach the state
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ctx := context.Background()
+	propose := func(c Command) {
+		t.Helper()
+		if _, err := n.Propose(ctx, &c); err != nil && !errors.Is(err, ErrStale) {
+			t.Fatalf("propose %v: %v", c.Kind, err)
+		}
+	}
+	propose(Command{Kind: CmdAddPartition, Partition: 1, Epoch: 1, WLV: 1, Addr: "m1", Witnesses: []string{"w1"}})
+	propose(Command{Kind: CmdRegisterClient})
+	propose(Command{Kind: CmdBeginRecovery, Partition: 1, Epoch: 2, Addr: "m2"})
+	propose(Command{Kind: CmdSetMaster, Partition: 1, Epoch: 2, WLV: 2, Addr: "m2", Witnesses: []string{"w2"}})
+	propose(Command{Kind: CmdSetWitnessList, Partition: 1, WLV: 9}) // stale
+
+	// The seeded leader's noop barrier comes first.
+	if len(got) != 6 || got[0].kind != CmdNoop {
+		t.Fatalf("apply saw %d commands (first %v), want noop + 5", len(got), got[0].kind)
+	}
+	if add := got[1]; add.prev != nil || add.next == nil || add.next.Witnesses[0] != "w1" {
+		t.Fatalf("add-partition: prev %+v next %+v, want nil -> m1", add.prev, add.next)
+	}
+	if reg := got[2]; reg.prev != nil || reg.next != nil {
+		t.Fatalf("register-client names no partition, got prev %+v next %+v", reg.prev, reg.next)
+	}
+	set := got[4]
+	if set.prev == nil || set.prev.MasterAddr != "m1" || set.prev.Epoch != 1 || set.prev.ReservedEpoch != 2 {
+		t.Fatalf("set-master prev = %+v, want m1 at epoch 1 with epoch 2 reserved", set.prev)
+	}
+	if set.next == nil || set.next.Epoch != 2 || set.next.WLV != 2 || set.next.Witnesses[0] != "w2" {
+		t.Fatalf("set-master next = %+v, want epoch 2, wlv 2, [w2]", set.next)
+	}
+	if stale := got[5]; !errors.Is(stale.err, ErrStale) || stale.prev.WLV != 2 || stale.next.WLV != 2 {
+		t.Fatalf("stale command: err %v prev %+v next %+v, want ErrStale and an unchanged record", stale.err, stale.prev, stale.next)
+	}
+	n.View(func(st *State) {
+		if a := st.Partitions[1].MasterAddr; a != "m2" {
+			t.Fatalf("callback's mutation leaked into the state: master %q", a)
+		}
+	})
 }

@@ -65,8 +65,6 @@ func (p *Partition) clone() *Partition {
 // committed prefix holds an identical State.
 type State struct {
 	Partitions map[uint64]*Partition
-	// Spares is the pre-provisioned spare-node inventory, keyed by role.
-	Spares map[uint8][]string
 	// ClientSeq is the replicated client-ID allocator: CmdRegisterClient
 	// increments it, and each replica forms the RIFL ID as its configured
 	// namespace base + sequence.
@@ -75,10 +73,7 @@ type State struct {
 
 // NewState returns an empty control-plane state.
 func NewState() *State {
-	return &State{
-		Partitions: make(map[uint64]*Partition),
-		Spares:     make(map[uint8][]string),
-	}
+	return &State{Partitions: make(map[uint64]*Partition)}
 }
 
 // Partition returns a deep copy of one partition's record (nil if absent).
@@ -212,25 +207,6 @@ func (s *State) Apply(c *Command) (uint64, error) {
 	case CmdRegisterClient:
 		s.ClientSeq++
 		return s.ClientSeq, nil
-
-	case CmdAddSpare:
-		for _, a := range s.Spares[c.Role] {
-			if a == c.Addr {
-				return 0, nil // idempotent re-registration
-			}
-		}
-		s.Spares[c.Role] = append(s.Spares[c.Role], c.Addr)
-		return 0, nil
-
-	case CmdTakeSpare:
-		pool := s.Spares[c.Role]
-		for i, a := range pool {
-			if a == c.Addr {
-				s.Spares[c.Role] = append(pool[:i:i], pool[i+1:]...)
-				return 0, nil
-			}
-		}
-		return 0, fmt.Errorf("%w: spare %s already claimed", ErrStale, c.Addr)
 	}
 	return 0, fmt.Errorf("controlplane: unknown command kind %d", c.Kind)
 }

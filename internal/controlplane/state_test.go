@@ -39,9 +39,6 @@ func TestApplyDeterminism(t *testing.T) {
 		{Kind: CmdDelFrozen, Partition: 1, Ranges: []witness.HashRange{{Lo: 30, Hi: 40}}},
 		{Kind: CmdRegisterClient},
 		{Kind: CmdRegisterClient},
-		{Kind: CmdAddSpare, Role: 2, Addr: "s1"},
-		{Kind: CmdAddSpare, Role: 2, Addr: "s2"},
-		{Kind: CmdTakeSpare, Role: 2, Addr: "s1"},
 		{Kind: CmdDelMoved, Partition: 1, Ranges: []witness.HashRange{{Lo: 10, Hi: 20}}},
 	}
 	a := applyAll(t, cmds)
@@ -52,9 +49,6 @@ func TestApplyDeterminism(t *testing.T) {
 	p := a.Partition(1)
 	if p.MasterAddr != "m1b" || p.Epoch != 2 || p.WLV != 3 {
 		t.Fatalf("unexpected partition record: %+v", p)
-	}
-	if got := a.Spares[2]; !reflect.DeepEqual(got, []string{"s2"}) {
-		t.Fatalf("spares = %v, want [s2]", got)
 	}
 	if a.ClientSeq != 2 {
 		t.Fatalf("client seq = %d, want 2", a.ClientSeq)
@@ -109,9 +103,6 @@ func TestApplyStaleVerdicts(t *testing.T) {
 	if _, err := st.Apply(&Command{Kind: CmdSetWitnessList, Partition: 9, WLV: 5}); !errors.Is(err, ErrStale) {
 		t.Fatalf("skipped WLV err = %v, want ErrStale", err)
 	}
-	if _, err := st.Apply(&Command{Kind: CmdTakeSpare, Role: 1, Addr: "nope"}); !errors.Is(err, ErrStale) {
-		t.Fatalf("absent spare err = %v, want ErrStale", err)
-	}
 }
 
 func TestCommandWireRoundTrip(t *testing.T) {
@@ -119,7 +110,7 @@ func TestCommandWireRoundTrip(t *testing.T) {
 		{Kind: CmdNoop},
 		{Kind: CmdSetMaster, Partition: 3, Epoch: 9, WLV: 4, Addr: "host:1",
 			Witnesses: []string{"w1", "w2", "w3"}, Backups: []string{"b1"},
-			Ranges: []witness.HashRange{{Lo: 1, Hi: 2}, {Lo: ^uint64(0), Hi: 5}}, Role: 3},
+			Ranges: []witness.HashRange{{Lo: 1, Hi: 2}, {Lo: ^uint64(0), Hi: 5}}},
 		{Kind: CmdRegisterClient},
 	}
 	for i := range cmds {

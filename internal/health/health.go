@@ -219,6 +219,26 @@ func (t *Table) Register(role Role, addr string, masterID uint64) {
 	t.nodes[addr] = &node{role: role, addr: addr, masterID: masterID, last: t.now()}
 }
 
+// SetMembers makes members the watched membership of one partition: an
+// address not yet watched for masterID is registered (Register's fresh
+// grace period), a watched node of masterID that is no longer a member is
+// forgotten, and a node present before and after keeps its beat history.
+// Nodes of other partitions are left alone.
+func (t *Table) SetMembers(masterID uint64, members map[string]Role) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for addr, n := range t.nodes {
+		if _, still := members[addr]; n.masterID == masterID && !still {
+			delete(t.nodes, addr)
+		}
+	}
+	for addr, role := range members {
+		if n := t.nodes[addr]; n == nil || n.masterID != masterID {
+			t.nodes[addr] = &node{role: role, addr: addr, masterID: masterID, last: t.now()}
+		}
+	}
+}
+
 // Forget stops watching a node (decommissioned or replaced).
 func (t *Table) Forget(addr string) {
 	t.mu.Lock()

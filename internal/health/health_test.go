@@ -182,3 +182,72 @@ func TestDeferralClearedByBeat(t *testing.T) {
 		t.Fatalf("second death swallowed by stale deferral: %v", dead)
 	}
 }
+
+func TestSetMembers(t *testing.T) {
+	clk := newFakeClock()
+	tb := NewTable()
+	tb.SetClock(clk.now)
+	cfg := Config{Interval: 10 * time.Millisecond}.WithDefaults()
+	status := func(addr string) (NodeStatus, bool) {
+		for _, n := range tb.Snapshot(cfg) {
+			if n.Addr == addr {
+				return n, true
+			}
+		}
+		return NodeStatus{}, false
+	}
+
+	tb.SetMembers(1, map[string]Role{"m1": RoleMaster, "b1": RoleBackup, "w1": RoleWitness, "w2": RoleWitness})
+	tb.SetMembers(2, map[string]Role{"m2": RoleMaster, "w9": RoleWitness})
+	if n := len(tb.Snapshot(cfg)); n != 6 {
+		t.Fatalf("table holds %d nodes, want 6", n)
+	}
+	for i := 0; i < 3; i++ {
+		clk.advance(10 * time.Millisecond)
+		tb.Observe(beat(RoleWitness, "w2", 1))
+		tb.Observe(beat(RoleWitness, "w9", 2))
+	}
+	clk.advance(cfg.FailAfter - 5*time.Millisecond)
+
+	// Partition 1 swaps w1 for w3 and fails over m1 -> m1b.
+	tb.SetMembers(1, map[string]Role{"m1b": RoleMaster, "b1": RoleBackup, "w3": RoleWitness, "w2": RoleWitness})
+
+	for _, gone := range []string{"m1", "w1"} {
+		if _, ok := status(gone); ok {
+			t.Errorf("departed member %s still watched", gone)
+		}
+	}
+	// Present before and after: history untouched (beats, gap, age).
+	if n, ok := status("w2"); !ok || n.Beats != 3 || n.MeanGap != 10*time.Millisecond || n.Age != cfg.FailAfter-5*time.Millisecond {
+		t.Errorf("kept member w2 = %+v (watched %v), want 3 beats, 10ms gap, age preserved", n, ok)
+	}
+	// New members start a fresh grace period under the right role.
+	for addr, role := range map[string]Role{"m1b": RoleMaster, "w3": RoleWitness} {
+		if n, ok := status(addr); !ok || n.Role != role || n.MasterID != 1 || n.Beats != 0 || n.Age != 0 {
+			t.Errorf("new member %s = %+v (watched %v), want fresh %v of master 1", addr, n, ok, role)
+		}
+	}
+	// The other partition's nodes are not this call's business.
+	if n, ok := status("w9"); !ok || n.MasterID != 2 || n.Beats != 3 {
+		t.Errorf("partition 2's witness = %+v (watched %v), want untouched", n, ok)
+	}
+	if _, ok := status("m2"); !ok {
+		t.Error("partition 2's master forgotten by partition 1's membership change")
+	}
+
+	// b1 never beat: its clock still runs from its FIRST registration, so
+	// it dies on schedule instead of being re-graced by every change.
+	tb.Observe(beat(RoleWitness, "w2", 1))
+	tb.Observe(beat(RoleWitness, "w9", 2))
+	clk.advance(10 * time.Millisecond)
+	dead := tb.Dead(cfg)
+	if len(dead) != 2 || dead[0].Addr != "m2" || dead[1].Addr != "b1" {
+		t.Fatalf("dead = %v, want m2 then b1 (silent since first registration)", dead)
+	}
+
+	// An address taken over by another partition is re-registered for it.
+	tb.SetMembers(2, map[string]Role{"m2": RoleMaster, "w9": RoleWitness, "w2": RoleWitness})
+	if n, _ := status("w2"); n.MasterID != 2 || n.Beats != 0 {
+		t.Errorf("w2 after partition 2 claimed it = %+v, want fresh under master 2", n)
+	}
+}

@@ -90,6 +90,79 @@ func TestDecoderTruncation(t *testing.T) {
 	}
 }
 
+func TestDecoderCount(t *testing.T) {
+	payload := func(count uint32, body int) []byte {
+		e := NewEncoder(4 + body)
+		e.U32(count)
+		for i := 0; i < body; i++ {
+			e.U8(0)
+		}
+		return e.Bytes()
+	}
+	cases := []struct {
+		name    string
+		count   uint32
+		body    int
+		minElem int
+		want    int
+		fails   bool
+	}{
+		{"empty", 0, 0, 16, 0, false},
+		{"exact fit", 3, 48, 16, 3, false},
+		{"room to spare", 2, 100, 16, 2, false},
+		{"one byte short", 3, 47, 16, 0, true},
+		{"hostile count", 0x7fffffff, 1, 4, 0, true},
+		{"max count times large element", 0xffffffff, 8, 1 << 20, 0, true},
+	}
+	for _, tc := range cases {
+		d := NewDecoder(payload(tc.count, tc.body))
+		got := d.Count(tc.minElem)
+		if got != tc.want || (d.Err() != nil) != tc.fails {
+			t.Errorf("%s: Count = %d, err %v; want %d, fails %v", tc.name, got, d.Err(), tc.want, tc.fails)
+		}
+		if tc.fails && !errors.Is(d.Err(), ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrTruncated", tc.name, d.Err())
+		}
+	}
+	// A count cut off mid-prefix, and a count after an earlier failure.
+	d := NewDecoder([]byte{1, 0})
+	if d.Count(1) != 0 || d.Err() == nil {
+		t.Fatal("truncated count prefix not caught")
+	}
+	d = NewDecoder(payload(1, 8))
+	d.U64()
+	d.U64() // fails: only 4 bytes were left
+	if d.Count(1) != 0 || d.Err() == nil {
+		t.Fatal("Count after a failed read must stay failed and read as 0")
+	}
+}
+
+func TestStringsRoundTrip(t *testing.T) {
+	for _, in := range [][]string{nil, {""}, {"a", "", "host:9000"}} {
+		e := NewEncoder(16)
+		e.Strings(in)
+		e.U8(0xab) // the list must consume exactly its own bytes
+		d := NewDecoder(e.Bytes())
+		got := d.Strings()
+		if d.U8() != 0xab || d.Err() != nil || len(got) != len(in) {
+			t.Fatalf("Strings(%q) = %q, err %v", in, got, d.Err())
+		}
+		for i := range in {
+			if got[i] != in[i] {
+				t.Fatalf("Strings(%q) = %q", in, got)
+			}
+		}
+	}
+	// A count the payload cannot hold allocates nothing and fails.
+	e := NewEncoder(8)
+	e.U32(0x7fffffff)
+	e.U8(0)
+	d := NewDecoder(e.Bytes())
+	if d.Strings() != nil || !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("oversized string count: err = %v", d.Err())
+	}
+}
+
 func TestDecoderBytesCopy(t *testing.T) {
 	e := NewEncoder(16)
 	e.Bytes32([]byte("abc"))

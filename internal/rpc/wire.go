@@ -91,6 +91,14 @@ func (e *Encoder) U64Slice(vs []uint64) {
 	}
 }
 
+// Strings appends a length-prefixed list of length-prefixed strings.
+func (e *Encoder) Strings(ss []string) {
+	e.U32(uint32(len(ss)))
+	for _, s := range ss {
+		e.String(s)
+	}
+}
+
 // ErrTruncated reports a payload shorter than its declared contents.
 var ErrTruncated = errors.New("rpc: truncated message")
 
@@ -204,6 +212,23 @@ func (d *Decoder) String() string {
 	return string(b)
 }
 
+// Count reads the uint32 element count that prefixes a repeated field and
+// checks it against the bytes left: count elements of at least
+// minElemBytes each cannot fit in less. A count that fails the check fails
+// the decoder and reads as 0, so a corrupt or hostile count can neither
+// size an allocation nor bound a loop.
+func (d *Decoder) Count(minElemBytes int) int {
+	n := d.U32()
+	if d.err != nil {
+		return 0
+	}
+	if uint64(n)*uint64(minElemBytes) > uint64(d.Remaining()) {
+		d.fail()
+		return 0
+	}
+	return int(n)
+}
+
 // U64Slice reads a length-prefixed slice of uint64s.
 func (d *Decoder) U64Slice() []uint64 {
 	n := d.U32()
@@ -219,4 +244,17 @@ func (d *Decoder) U64Slice() []uint64 {
 		out[i] = d.U64()
 	}
 	return out
+}
+
+// Strings reads a length-prefixed list of strings (nil when empty).
+func (d *Decoder) Strings() []string {
+	n := d.Count(4) // each string is at least its length prefix
+	if n == 0 {
+		return nil
+	}
+	ss := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		ss = append(ss, d.String())
+	}
+	return ss
 }
