@@ -111,9 +111,9 @@ func gatherEvents(client *http.Client, eps []string, epAfter, cursors map[string
 }
 
 // fetchEventDumps GETs one endpoint's /events (optionally ?after=) and
-// decodes either JSON shape: single-journal nodes answer with one Dump
-// object, multi-journal endpoints (the dashboard, the master endpoint)
-// with an array of them.
+// decodes either JSON shape: curpd's endpoints answer with an array of
+// Dump documents (one per node behind the endpoint), a bare
+// events.Journal.Handler with a single object.
 func fetchEventDumps(client *http.Client, endpoint string, after uint64) ([]events.Dump, error) {
 	url := "http://" + endpoint + "/events"
 	if after > 0 {

@@ -45,9 +45,9 @@ func obsEndpoints(book addrbook.Book, shards, coordinators, f int) []string {
 }
 
 // fetchDumps GETs one endpoint's /trace (optionally ?id=) and decodes
-// either JSON shape: single-collector nodes answer with one TraceDump
-// object, multi-collector endpoints (the dashboard, the master endpoint)
-// with an array of them.
+// either JSON shape: curpd's endpoints answer with an array of TraceDump
+// documents (one per node behind the endpoint), a bare
+// metrics.Collector.TraceHandler with a single object.
 func fetchDumps(client *http.Client, endpoint, id string) ([]metrics.TraceDump, error) {
 	url := "http://" + endpoint + "/trace"
 	if id != "" {

@@ -48,7 +48,6 @@ import (
 	"curp/internal/commute"
 	"curp/internal/core"
 	"curp/internal/dstore"
-	"curp/internal/events"
 	"curp/internal/kv"
 	"curp/internal/metrics"
 	"curp/internal/rifl"
@@ -189,6 +188,8 @@ type Cluster struct {
 	inner *cluster.Cluster
 	net   *transport.MemNetwork
 	opts  Options
+	// obs serves every node's instruments, re-fetched per request.
+	obs cluster.Endpoints
 }
 
 // memNetwork builds the in-memory network for Start/StartSharded, wiring
@@ -253,6 +254,7 @@ func clusterOptions(opts Options) cluster.Options {
 	}
 	copts.ControlPlaneReplicas = opts.ControlPlaneReplicas
 	copts.ControlPlaneElectionTimeout = opts.ControlPlaneElectionTimeout
+	copts.TraceThreshold = opts.TraceThreshold
 	return copts
 }
 
@@ -269,10 +271,7 @@ func Start(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.TraceThreshold > 0 {
-		inner.SetTraceThreshold(opts.TraceThreshold)
-	}
-	return &Cluster{inner: inner, net: nw, opts: opts}, nil
+	return &Cluster{inner: inner, net: nw, opts: opts, obs: cluster.EndpointsOver(inner.Nodes)}, nil
 }
 
 // NewClient opens a client. name identifies the client host on the
@@ -346,21 +345,13 @@ func (c *Cluster) Close() { c.inner.Close() }
 //
 // Registries are re-fetched per request, so a self-healing failover that
 // promotes a replacement master is reflected on the next scrape.
-func (c *Cluster) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		metrics.Handler(c.inner.Registries()...).ServeHTTP(w, req)
-	})
-}
+func (c *Cluster) MetricsHandler() http.Handler { return c.obs.Metrics }
 
 // TraceHandler returns an http.Handler serving the partition's distributed
 // traces (the /trace endpoint): GET lists every node's promoted traces,
 // GET ?id=<trace id> merges one trace's spans across all nodes. Traces are
 // tail-sampled — see Options.TraceThreshold.
-func (c *Cluster) TraceHandler() http.Handler {
-	return metrics.MultiTraceHandler(func() []*metrics.Collector {
-		return c.inner.TraceCollectors()
-	})
-}
+func (c *Cluster) TraceHandler() http.Handler { return c.obs.Trace }
 
 // EventsHandler returns an http.Handler serving the partition's flight
 // recorder (the /events endpoint): the structured event journal of every
@@ -369,52 +360,24 @@ func (c *Cluster) TraceHandler() http.Handler {
 // Journals are re-fetched per request, so a failover's replacement master
 // appears on the next read. GET ?after=<seq>&node=<addr> resumes an
 // incremental tail (curpctl events --follow).
-func (c *Cluster) EventsHandler() http.Handler {
-	return events.MultiHandler(func() []*events.Journal {
-		return c.inner.EventJournals()
-	})
-}
+func (c *Cluster) EventsHandler() http.Handler { return c.obs.Events }
 
 // HotKeysHandler returns an http.Handler serving the partition's key-space
 // analytics (the /hotkeys endpoint): the master's space-saving top-K
 // sketch of the hottest key hashes, with per-key count and error bounds.
-func (c *Cluster) HotKeysHandler() http.Handler {
-	return events.MultiHotKeysHandler(func() []*events.TopK {
-		return c.inner.HotKeySketches()
-	})
-}
+func (c *Cluster) HotKeysHandler() http.Handler { return c.obs.HotKeys }
 
 // NodeHandler returns the full observability mux for an embedded
 // deployment: /metrics, /trace, /events, /hotkeys, and (with
 // Options.Profiling) the net/http/pprof suite — the same endpoint layout
 // every curpd node serves.
-func (c *Cluster) NodeHandler() http.Handler {
-	mux := http.NewServeMux()
-	h := c.MetricsHandler()
-	mux.Handle("/metrics", h)
-	mux.Handle("/", h)
-	mux.Handle("/trace", c.TraceHandler())
-	mux.Handle("/events", c.EventsHandler())
-	mux.Handle("/hotkeys", c.HotKeysHandler())
-	if c.opts.Profiling {
-		metrics.MountProfiling(mux)
-	}
-	return mux
-}
+func (c *Cluster) NodeHandler() http.Handler { return c.obs.Mux(c.opts.Profiling) }
 
 // WriteMetrics renders the partition's current metrics to w in Prometheus
 // text exposition format (the non-HTTP form of MetricsHandler — benchmark
 // snapshots, debugging).
 func (c *Cluster) WriteMetrics(w io.Writer) error {
-	for _, r := range c.inner.Registries() {
-		if r == nil {
-			continue
-		}
-		if err := r.WritePrometheus(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cluster.WriteMetrics(w, c.inner.Nodes())
 }
 
 // Client is a CURP key-value client for one partition.

@@ -20,8 +20,9 @@ const (
 	Master                   // +1
 	Backup                   // +100+i
 	Witness                  // +200+i
-	Spare                    // +300+i: promoted masters and replacement backups
+	Spare                    // +300+i: promoted masters
 	SpareWitness             // +400+i: replacement witnesses
+	SpareBackup              // +300+i too: replacement backups share Spare's ports and numbering
 )
 
 // Book locates every node of a deployment from shard 0's first coordinator
@@ -57,7 +58,7 @@ func (b Book) port(shard int, role Role, i int) int {
 		p += 100 + i
 	case Witness:
 		p += 200 + i
-	case Spare:
+	case Spare, SpareBackup:
 		p += 300 + i
 	case SpareWitness:
 		p += 400 + i
@@ -76,4 +77,15 @@ func (b Book) RPC(shard int, role Role, i int) string { return b.addr(b.port(sha
 // per request, so both stay valid across failovers.
 func (b Book) Metrics(shard int, role Role, i int) string {
 	return b.addr(b.port(shard, role, i) + 500)
+}
+
+// MetricsOf returns the observability address of the node serving RPCs at
+// rpcAddr — same host, port + 500 — so a node found at run time (a spare, a
+// promoted master) needs no slot to be located.
+func MetricsOf(rpcAddr string) (string, error) {
+	b, err := Parse(rpcAddr)
+	if err != nil {
+		return "", err
+	}
+	return b.addr(b.Port + 500), nil
 }

@@ -25,6 +25,7 @@ func TestLayout(t *testing.T) {
 		{0, Witness, 2, "127.0.0.1:7202", "127.0.0.1:7702"},
 		{0, Spare, 1, "127.0.0.1:7301", "127.0.0.1:7801"},
 		{0, SpareWitness, 1, "127.0.0.1:7401", "127.0.0.1:7901"},
+		{0, SpareBackup, 2, "127.0.0.1:7302", "127.0.0.1:7802"},
 		{2, Coordinator, 0, "127.0.0.1:9000", "127.0.0.1:9500"},
 		{2, Coordinator, 1, "127.0.0.1:9002", "127.0.0.1:9502"},
 		{2, Master, 0, "127.0.0.1:9001", "127.0.0.1:9501"},
@@ -36,10 +37,16 @@ func TestLayout(t *testing.T) {
 		if got := b.Metrics(tc.shard, tc.role, tc.i); got != tc.metrics {
 			t.Errorf("Metrics(shard %d, role %d, %d) = %s, want %s", tc.shard, tc.role, tc.i, got, tc.metrics)
 		}
+		if got, err := MetricsOf(tc.rpc); err != nil || got != tc.metrics {
+			t.Errorf("MetricsOf(%s) = %s, %v, want %s", tc.rpc, got, err, tc.metrics)
+		}
 	}
 	for _, bad := range []string{"127.0.0.1", "127.0.0.1:http", ""} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded", bad)
+		}
+		if _, err := MetricsOf(bad); err == nil {
+			t.Errorf("MetricsOf(%q) succeeded", bad)
 		}
 	}
 }

@@ -37,36 +37,28 @@ type backupState struct {
 // BackupServer stores log replicas for one or more masters and serves
 // reads from the replicated (synced-only) state.
 type BackupServer struct {
-	addr string
-	nw   transport.Network
+	node
 
 	mu     sync.Mutex
 	states map[uint64]*backupState
 
-	closeOnce sync.Once
-	closed    chan struct{}
-
-	rpc *rpc.Server
-
-	metrics        *metrics.Registry
-	coll           *metrics.Collector
-	jrn            *events.Journal
 	mAppendEntries *metrics.Histogram
 	mAppendLat     *metrics.Histogram
 	mStaleEpochs   *metrics.Counter
 }
 
-// NewBackupServer creates a backup server listening on addr.
+// NewBackupServer creates a backup server listening on addr, outside any
+// deployment (shard 0, default trace sampling, no heartbeat).
 func NewBackupServer(nw transport.Network, addr string) (*BackupServer, error) {
-	bs := &BackupServer{
-		addr:   addr,
-		nw:     nw,
-		states: make(map[uint64]*backupState),
-		closed: make(chan struct{}),
-		rpc:    rpc.NewServer(),
-	}
-	bs.coll = metrics.NewCollector(addr, "backup", 0)
-	bs.jrn = events.NewJournal(addr, "backup")
+	return newBackupServer(nw, addr, NodeOptions{})
+}
+
+// newBackupServer is NewBackupServer with the deployment's node settings —
+// how Cluster boots its backups, spares included.
+func newBackupServer(nw transport.Network, addr string, o NodeOptions) (*BackupServer, error) {
+	bs := &BackupServer{states: make(map[uint64]*backupState)}
+	bs.init(nw, addr, "backup", o)
+	bs.beat = func() health.Beat { return health.Beat{Role: health.RoleBackup, Addr: addr} }
 	bs.buildMetrics()
 	bs.rpc.Handle(OpBackupAppend, bs.handleAppend)
 	bs.rpc.Handle(OpBackupFetch, bs.handleFetch)
@@ -74,33 +66,17 @@ func NewBackupServer(nw transport.Network, addr string) (*BackupServer, error) {
 	bs.rpc.Handle(OpBackupSetEpoch, bs.handleSetEpoch)
 	bs.rpc.Handle(OpBackupReset, bs.handleReset)
 	bs.rpc.Handle(OpBackupDropRange, bs.handleDropRange)
-	l, err := nw.Listen(addr)
-	if err != nil {
+	if err := bs.serve(); err != nil {
 		return nil, err
 	}
-	bs.rpc.Go(l)
 	return bs, nil
 }
-
-// Addr returns the server's address.
-func (bs *BackupServer) Addr() string { return bs.addr }
-
-// Metrics returns the server's metric registry for /metrics exposition.
-func (bs *BackupServer) Metrics() *metrics.Registry { return bs.metrics }
-
-// Trace returns the server's distributed-trace collector.
-func (bs *BackupServer) Trace() *metrics.Collector { return bs.coll }
-
-// Events returns the server's flight-recorder journal.
-func (bs *BackupServer) Events() *events.Journal { return bs.jrn }
 
 // buildMetrics registers the backup-side series: sync batch size and
 // latency (the master's §4.4 batching shows up here as entries per append)
 // plus zombie-defense rejections.
 func (bs *BackupServer) buildMetrics() {
-	r := metrics.NewRegistry()
-	r.SetConstLabels(metrics.L("node", bs.addr))
-	bs.metrics = r
+	r := bs.metrics
 	bs.mAppendEntries = r.SizeHistogram("curp_backup_append_entries",
 		"Log entries per replication append (master sync batch size).")
 	bs.mAppendLat = r.Histogram("curp_backup_append_duration_seconds",
@@ -114,30 +90,10 @@ func (bs *BackupServer) buildMetrics() {
 			defer bs.mu.Unlock()
 			return float64(len(bs.states))
 		})
-	metrics.RegisterBuildInfo(r)
 }
 
 // Close shuts the server down.
-func (bs *BackupServer) Close() {
-	bs.closeOnce.Do(func() {
-		close(bs.closed)
-		events.FlightDump(bs.jrn)
-	})
-	bs.rpc.Close()
-}
-
-// StartHeartbeat runs a resident beater reporting this backup's liveness
-// to the coordinator until the server closes.
-func (bs *BackupServer) StartHeartbeat(coordAddr string, interval time.Duration) {
-	bs.StartHeartbeats([]string{coordAddr}, interval)
-}
-
-// StartHeartbeats beats every coordinator replica.
-func (bs *BackupServer) StartHeartbeats(coordAddrs []string, interval time.Duration) {
-	startBeater(bs.nw, bs.addr, coordAddrs, bs.closed, interval, func() health.Beat {
-		return health.Beat{Role: health.RoleBackup, Addr: bs.addr}
-	})
-}
+func (bs *BackupServer) Close() { bs.shutdown(nil) }
 
 // SyncedLSN reports the backup's replicated log head for a master (tests).
 func (bs *BackupServer) SyncedLSN(masterID uint64) kv.LSN {

@@ -83,8 +83,14 @@ func (m *masterConn) Sync(ctx context.Context) error {
 	return err
 }
 
-// witnessConn adapts an rpc.Peer to core.WitnessAPI.
-type witnessConn struct{ peer *rpc.Peer }
+// witnessConn adapts an rpc.Peer to core.WitnessAPI. It is built per view
+// and stamps every record with that view's witness-list version, so a
+// witness instance started for a later incarnation of the master turns a
+// late record away (see instance).
+type witnessConn struct {
+	peer    *rpc.Peer
+	version uint64
+}
 
 // RecordBatch ships every pending record of a flush in one RPC (chunked
 // if it would exceed the frame limit); the reply carries one
@@ -92,7 +98,7 @@ type witnessConn struct{ peer *rpc.Peer }
 // wire op.
 func (w *witnessConn) RecordBatch(ctx context.Context, masterID uint64, recs []witness.Record) ([]witness.RecordResult, error) {
 	if len(recs) == 1 {
-		req := recordRequest{MasterID: masterID, KeyHashes: recs[0].KeyHashes, ID: recs[0].ID, Request: recs[0].Request, Class: recs[0].Class}
+		req := recordRequest{MasterID: masterID, Version: w.version, KeyHashes: recs[0].KeyHashes, ID: recs[0].ID, Request: recs[0].Request, Class: recs[0].Class}
 		out, err := w.peer.Call(ctx, OpWitnessRecord, req.encode())
 		if err != nil {
 			return nil, err
@@ -103,8 +109,8 @@ func (w *witnessConn) RecordBatch(ctx context.Context, masterID uint64, recs []w
 		return []witness.RecordResult{witness.RecordResult(out[0])}, nil
 	}
 	results := make([]witness.RecordResult, 0, len(recs))
-	for _, chunk := range chunkBy(recs, func(r witness.Record) int { return 28 + 8*len(r.KeyHashes) + len(r.Request) }) {
-		req := &recordBatchRequest{MasterID: masterID, Records: chunk}
+	for _, chunk := range chunkBy(recs, recordWireSize) {
+		req := &recordBatchRequest{MasterID: masterID, Version: w.version, Records: chunk}
 		out, err := w.peer.Call(ctx, OpWitnessRecordBatch, req.encode())
 		if err != nil {
 			return nil, err
@@ -232,7 +238,7 @@ func (p *coordViewProvider) View(ctx context.Context, refresh bool) (*core.View,
 		wp := rpc.NewPeer(p.nw, p.self, addr)
 		p.peers = append(p.peers, wp)
 		view.Witnesses = append(view.Witnesses, &scopedWitnessConn{
-			witnessConn: &witnessConn{peer: wp},
+			witnessConn: &witnessConn{peer: wp, version: info.WitnessListVersion},
 			masterID:    info.MasterID,
 		})
 	}

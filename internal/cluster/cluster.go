@@ -3,14 +3,14 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"curp/internal/events"
+	"curp/internal/addrbook"
 	"curp/internal/health"
-	"curp/internal/metrics"
 	"curp/internal/transport"
 	"curp/internal/witness"
 )
@@ -25,8 +25,18 @@ type Options struct {
 	Witness witness.Config
 	// LeaseTTL is the RIFL client lease duration.
 	LeaseTTL time.Duration
-	// NamePrefix distinguishes multiple clusters on one network.
-	NamePrefix string
+	// Addrs places every node of the partition: it returns the address of
+	// the i-th node in a slot of the deployment's layout, spares included
+	// (the three spare slots are numbered from 1 by one shared sequence).
+	// Nil means HostNames(""); several clusters on one network pass
+	// HostNames with distinct prefixes, cmd/curpd its addrbook.Book's ports.
+	Addrs func(slot addrbook.Role, i int) string
+	// Shard is the partition's index in a sharded deployment, stamped on
+	// every node's spans, events and hot-key dumps.
+	Shard int
+	// TraceThreshold is the tail-sampling promotion bound of every node's
+	// trace collector (see NodeOptions).
+	TraceThreshold time.Duration
 	// ClientIDNamespace offsets the partition's RIFL client-ID space.
 	// Sharded deployments give each partition a disjoint namespace (e.g.
 	// shard index << 32) so completion records migrated between shards
@@ -75,16 +85,49 @@ func DefaultOptions() Options {
 	}
 }
 
-// Cluster is a running CURP deployment for one partition: a coordinator,
-// one master, F backups, and F witness servers, all reachable over the
-// given network. It is the integration-test and example harness; cmd/curpd
-// assembles the same pieces as separate processes.
+// HostNames is the default Options.Addrs: in-memory host names under a
+// prefix — "coord", "coord<i+1>", "master1", "backup<i+1>", "witness<i+1>"
+// and, for spares, "master-f<n>", "backup-r<n>", "witness-r<n>".
+func HostNames(prefix string) func(addrbook.Role, int) string {
+	return func(slot addrbook.Role, i int) string {
+		switch slot {
+		case addrbook.Coordinator:
+			if i == 0 {
+				return prefix + "coord"
+			}
+			return fmt.Sprintf("%scoord%d", prefix, i+1)
+		case addrbook.Master:
+			return fmt.Sprintf("%smaster%d", prefix, i+1)
+		case addrbook.Backup:
+			return fmt.Sprintf("%sbackup%d", prefix, i+1)
+		case addrbook.Witness:
+			return fmt.Sprintf("%switness%d", prefix, i+1)
+		case addrbook.Spare:
+			return fmt.Sprintf("%smaster-f%d", prefix, i)
+		case addrbook.SpareBackup:
+			return fmt.Sprintf("%sbackup-r%d", prefix, i)
+		case addrbook.SpareWitness:
+			return fmt.Sprintf("%switness-r%d", prefix, i)
+		}
+		panic(fmt.Sprintf("cluster: no host name for slot %d", slot))
+	}
+}
+
+// Cluster is a running CURP deployment for one partition: a coordinator
+// quorum, one master, F backups, and F witness servers, all reachable over
+// the given network. Start is the only code that assembles one — the
+// tests' and examples' in-memory partitions and cmd/curpd's TCP partitions
+// differ in Options.Addrs and nothing else — and Cluster is the partition's
+// one SpareProvider.
 //
-// With Options.Health set, Master and Witnesses change under the
+// With Options.Health set, Master, Backups and Witnesses change under the
 // cluster's own lock as the heal loop promotes replacements; concurrent
-// readers must use CurrentMaster / WitnessServers instead of the fields.
+// readers must use CurrentMaster / BackupServers / WitnessServers instead
+// of the fields.
 type Cluster struct {
-	Net   transport.Network
+	Net transport.Network
+	// Opts is the resolved configuration: defaults filled in, and
+	// Opts.Master.Node holding the NodeOptions every node is built with.
 	Opts  Options
 	Coord *Coordinator
 	// CoordReplicas is the full coordinator quorum, rank order; Coord is
@@ -95,21 +138,18 @@ type Cluster struct {
 	Backups       []*BackupServer
 	Witnesses     []*WitnessServer
 
-	// mu guards Master and Witnesses once the heal loop may rebind them.
+	// mu guards Master, Backups and Witnesses once the heal loop may rebind
+	// them.
 	mu sync.Mutex
-	// spareSeq numbers the spare nodes this cluster booted for failover.
+	// spareSeq numbers the spare slots this cluster handed out.
 	spareSeq atomic.Uint64
-	// traceThreshold is the tail-sampling promotion threshold, re-applied
-	// to replacement masters promoted by the heal loop.
-	traceThreshold atomic.Int64
-	// hbInterval / failAfter are the resolved detector cadence and
-	// deadline (self-healing only).
-	hbInterval time.Duration
-	failAfter  time.Duration
+	// detector is the resolved failure-detector policy (self-healing only).
+	detector health.Config
 }
 
-// Start boots a cluster on nw.
-func Start(nw transport.Network, opts Options) (*Cluster, error) {
+// Start boots a cluster on nw. On error every node already booted is closed
+// again.
+func Start(nw transport.Network, opts Options) (_ *Cluster, err error) {
 	if opts.F <= 0 {
 		opts.F = 3
 	}
@@ -119,30 +159,40 @@ func Start(nw transport.Network, opts Options) (*Cluster, error) {
 	if opts.Witness.Slots == 0 {
 		opts.Witness = witness.DefaultConfig()
 	}
-	p := opts.NamePrefix
-	c := &Cluster{Net: nw, Opts: opts}
-	var err error
-	replicas := opts.ControlPlaneReplicas
-	if replicas <= 0 {
-		replicas = 1
+	if opts.Addrs == nil {
+		opts.Addrs = HostNames("")
 	}
-	peerAddrs := make([]string, replicas)
+	peerAddrs := make([]string, max(opts.ControlPlaneReplicas, 1))
 	for i := range peerAddrs {
-		if i == 0 {
-			peerAddrs[i] = p + "coord"
-		} else {
-			peerAddrs[i] = fmt.Sprintf("%scoord%d", p, i+1)
-		}
+		peerAddrs[i] = opts.Addrs(addrbook.Coordinator, i)
 	}
-	for i := 0; i < replicas; i++ {
-		co, cerr := NewCoordinatorReplica(nw, opts.LeaseTTL, QuorumOptions{
+	opts.Master.Node = NodeOptions{Shard: opts.Shard, TraceThreshold: opts.TraceThreshold}
+	c := &Cluster{Net: nw}
+	if opts.Health != nil {
+		// Every server beats every coordinator replica from the moment it
+		// serves; beats for a node the control log has not registered yet
+		// are dropped by the health table.
+		c.detector = health.Config{Interval: opts.Health.HeartbeatInterval, FailAfter: opts.Health.FailAfter}.WithDefaults()
+		opts.Master.Node.Coordinators = peerAddrs
+		opts.Master.Node.HeartbeatInterval = c.detector.Interval
+	}
+	c.Opts = opts
+	// c is a local the error returns below cannot overwrite: the deferred
+	// cleanup still sees the partial cluster.
+	defer func() {
+		if err != nil {
+			c.Close()
+		}
+	}()
+	for i := range peerAddrs {
+		co, err := NewCoordinatorReplica(nw, opts.LeaseTTL, QuorumOptions{
 			Peers:           peerAddrs,
 			Rank:            i,
 			ElectionTimeout: opts.ControlPlaneElectionTimeout,
+			Node:            opts.Master.Node,
 		})
-		if cerr != nil {
-			c.Close()
-			return nil, cerr
+		if err != nil {
+			return nil, err
 		}
 		co.SetClientIDNamespace(opts.ClientIDNamespace)
 		c.CoordReplicas = append(c.CoordReplicas, co)
@@ -150,56 +200,62 @@ func Start(nw transport.Network, opts Options) (*Cluster, error) {
 	c.Coord = c.CoordReplicas[0]
 	var backupAddrs, witnessAddrs []string
 	for i := 0; i < opts.F; i++ {
-		b, err := NewBackupServer(nw, fmt.Sprintf("%sbackup%d", p, i+1))
+		b, err := c.bootBackup(addrbook.Backup, i)
 		if err != nil {
-			c.Close()
 			return nil, err
 		}
-		c.Backups = append(c.Backups, b)
-		backupAddrs = append(backupAddrs, b.Addr())
-		w, err := NewWitnessServer(nw, fmt.Sprintf("%switness%d", p, i+1), opts.Witness)
+		backupAddrs = append(backupAddrs, b)
+		w, err := c.bootWitness(addrbook.Witness, i)
 		if err != nil {
-			c.Close()
 			return nil, err
 		}
-		c.Witnesses = append(c.Witnesses, w)
-		witnessAddrs = append(witnessAddrs, w.Addr())
+		witnessAddrs = append(witnessAddrs, w)
 	}
-	if c.Master, err = NewMasterServer(nw, 1, p+"master1", 0, opts.Master); err != nil {
-		c.Close()
+	if c.Master, err = NewMasterServer(nw, 1, opts.Addrs(addrbook.Master, 0), 0, opts.Master); err != nil {
 		return nil, err
 	}
 	if err := c.Coord.AddMaster(c.Master, backupAddrs, witnessAddrs); err != nil {
-		c.Close()
 		return nil, err
 	}
 	if opts.Health != nil {
-		if err := c.enableSelfHealing(*opts.Health); err != nil {
-			c.Close()
+		if err := c.enableSelfHealing(opts.Health.OnEvent); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
 }
 
-// enableSelfHealing starts every server's heartbeat (to every coordinator
-// replica, so whichever holds the lease has a live detector table) and
-// each replica's heal loop, with this Cluster as the spare-node provider.
-func (c *Cluster) enableSelfHealing(h HealthOptions) error {
-	det := health.Config{Interval: h.HeartbeatInterval, FailAfter: h.FailAfter}.WithDefaults()
-	c.hbInterval = det.Interval
-	c.failAfter = det.FailAfter
-	coordAddrs := c.coordAddrs()
-	c.Master.StartHeartbeats(coordAddrs, det.Interval)
-	for _, b := range c.Backups {
-		b.StartHeartbeats(coordAddrs, det.Interval)
+// bootBackup boots the backup server of slot i and adds it to the
+// partition's runtime list.
+func (c *Cluster) bootBackup(slot addrbook.Role, i int) (string, error) {
+	b, err := newBackupServer(c.Net, c.Opts.Addrs(slot, i), c.Opts.Master.Node)
+	if err != nil {
+		return "", err
 	}
-	for _, w := range c.Witnesses {
-		w.StartHeartbeats(coordAddrs, det.Interval)
+	c.mu.Lock()
+	c.Backups = append(c.Backups, b)
+	c.mu.Unlock()
+	return b.Addr(), nil
+}
+
+// bootWitness boots the witness server of slot i and adds it to the
+// partition's runtime list.
+func (c *Cluster) bootWitness(slot addrbook.Role, i int) (string, error) {
+	w, err := newWitnessServer(c.Net, c.Opts.Addrs(slot, i), c.Opts.Witness, c.Opts.Master.Node)
+	if err != nil {
+		return "", err
 	}
+	c.mu.Lock()
+	c.Witnesses = append(c.Witnesses, w)
+	c.mu.Unlock()
+	return w.Addr(), nil
+}
+
+// enableSelfHealing starts each coordinator replica's heal loop, with this
+// Cluster as the spare-node provider.
+func (c *Cluster) enableSelfHealing(userEvent func(FailoverEvent)) error {
 	// Intercept replacements to retire the dead server from the runtime's
 	// list.
-	userEvent := h.OnEvent
 	onEvent := func(ev FailoverEvent) {
 		switch ev.Kind {
 		case EventWitnessReplaced:
@@ -216,7 +272,7 @@ func (c *Cluster) enableSelfHealing(h HealthOptions) error {
 	// hands the healing duty to the new leader.
 	for _, co := range c.CoordReplicas {
 		err := co.EnableSelfHealing(HealthConfig{
-			Detector:       det,
+			Detector:       c.detector,
 			Spares:         c,
 			MasterOpts:     c.Opts.Master,
 			OnEvent:        onEvent,
@@ -281,7 +337,6 @@ func retire[S interface {
 
 // setMaster rebinds the in-process master handle after a recovery.
 func (c *Cluster) setMaster(ms *MasterServer) {
-	ms.Trace().SetThreshold(time.Duration(c.traceThreshold.Load()))
 	c.mu.Lock()
 	c.Master = ms
 	c.mu.Unlock()
@@ -311,121 +366,60 @@ func (c *Cluster) BackupServers() []*BackupServer {
 	return append([]*BackupServer(nil), c.Backups...)
 }
 
-// Registries snapshots every server's metric registry — coordinator,
-// current master (the heal loop may have promoted a replacement since the
-// last call), backups, witnesses. Callers re-fetch per scrape so a
-// failover never leaves them serving a deposed master's registry.
-func (c *Cluster) Registries() []*metrics.Registry {
-	regs := []*metrics.Registry{c.Coord.Metrics()}
-	if m := c.CurrentMaster(); m != nil {
-		regs = append(regs, m.Metrics())
-	}
-	for _, b := range c.BackupServers() {
-		regs = append(regs, b.Metrics())
-	}
-	for _, w := range c.WitnessServers() {
-		regs = append(regs, w.Metrics())
-	}
-	return regs
-}
-
-// TraceCollectors snapshots every server's distributed-trace collector —
-// coordinator, current master, backups, witnesses. Like Registries,
-// callers re-fetch per request so failovers are reflected immediately.
-func (c *Cluster) TraceCollectors() []*metrics.Collector {
-	colls := []*metrics.Collector{c.Coord.Trace()}
-	if m := c.CurrentMaster(); m != nil {
-		colls = append(colls, m.Trace())
-	}
-	for _, b := range c.BackupServers() {
-		colls = append(colls, b.Trace())
-	}
-	for _, w := range c.WitnessServers() {
-		colls = append(colls, w.Trace())
-	}
-	return colls
-}
-
-// EventJournals snapshots every server's flight-recorder journal —
-// coordinator replicas, current master, backups, witnesses. Like
-// Registries, callers re-fetch per request so a failover never leaves
-// them reading a deposed master's (now idle) journal only.
-func (c *Cluster) EventJournals() []*events.Journal {
-	var js []*events.Journal
+// Nodes snapshots the observability bundle of every server of the
+// partition — coordinator replicas, current master, backups, witnesses,
+// spares included. Callers re-fetch per scrape (Endpoints does), so a
+// failover never leaves them serving a deposed master's instruments.
+func (c *Cluster) Nodes() []Bundle {
+	var bs []Bundle
 	for _, co := range c.CoordReplicas {
-		js = append(js, co.Events())
+		bs = append(bs, co.Bundle())
 	}
 	if m := c.CurrentMaster(); m != nil {
-		js = append(js, m.Events())
+		bs = append(bs, m.Bundle())
 	}
 	for _, b := range c.BackupServers() {
-		js = append(js, b.Events())
+		bs = append(bs, b.Bundle())
 	}
 	for _, w := range c.WitnessServers() {
-		js = append(js, w.Events())
+		bs = append(bs, w.Bundle())
 	}
-	return js
+	return bs
 }
 
-// HotKeySketches snapshots the partition's key-space sketches (the
-// current master's — reads and updates both key there). Re-fetched per
-// request, failover-safe.
-func (c *Cluster) HotKeySketches() []*events.TopK {
-	if m := c.CurrentMaster(); m != nil {
-		return []*events.TopK{m.HotKeys()}
+// WriteMetrics renders the bundles' registries to w in Prometheus text
+// exposition format (the non-HTTP form of Endpoints.Metrics).
+func WriteMetrics(w io.Writer, bundles []Bundle) error {
+	for _, b := range bundles {
+		if b.Metrics == nil {
+			continue
+		}
+		if err := b.Metrics.WritePrometheus(w); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// SetTraceThreshold sets the tail-sampling promotion threshold on every
-// server's trace collector: any trace containing a span at least this slow
-// is promoted (kept for /trace) even when nothing else was interesting
-// about it. Zero keeps the default rules (errors, conflict syncs, lock
-// waits, redirects).
-func (c *Cluster) SetTraceThreshold(d time.Duration) {
-	c.traceThreshold.Store(int64(d))
-	for _, coll := range c.TraceCollectors() {
-		coll.SetThreshold(d)
-	}
-}
-
 // SpareMasterAddr implements SpareProvider: a fresh address for a
-// promoted replacement master.
+// promoted replacement master. The three spare slots are numbered by one
+// sequence, so no two spares ever collide (addrbook gives spare masters and
+// backups the same ports).
 func (c *Cluster) SpareMasterAddr(masterID uint64) (string, error) {
-	return fmt.Sprintf("%smaster-f%d", c.Opts.NamePrefix, c.spareSeq.Add(1)), nil
+	return c.Opts.Addrs(addrbook.Spare, int(c.spareSeq.Add(1))), nil
 }
 
-// SpareWitness implements SpareProvider: boot a fresh witness server on
-// the cluster's network, start its heartbeat, and hand its address to the
-// heal loop.
+// SpareWitness implements SpareProvider: boot a fresh witness server (it
+// heartbeats from construction) and hand its address to the heal loop.
 func (c *Cluster) SpareWitness(masterID uint64) (string, error) {
-	addr := fmt.Sprintf("%switness-r%d", c.Opts.NamePrefix, c.spareSeq.Add(1))
-	w, err := NewWitnessServer(c.Net, addr, c.Opts.Witness)
-	if err != nil {
-		return "", err
-	}
-	w.StartHeartbeats(c.coordAddrs(), c.hbInterval)
-	c.mu.Lock()
-	c.Witnesses = append(c.Witnesses, w)
-	c.mu.Unlock()
-	return addr, nil
+	return c.bootWitness(addrbook.SpareWitness, int(c.spareSeq.Add(1)))
 }
 
-// SpareBackup implements SpareProvider: boot a fresh backup server on the
-// cluster's network, start its heartbeat, and hand its address to the
-// heal loop (the master seeds it with its full log image before swapping
-// it into the sync set).
+// SpareBackup implements SpareProvider: boot a fresh backup server and
+// hand its address to the heal loop (the master seeds it with its full log
+// image before swapping it into the sync set).
 func (c *Cluster) SpareBackup(masterID uint64) (string, error) {
-	addr := fmt.Sprintf("%sbackup-r%d", c.Opts.NamePrefix, c.spareSeq.Add(1))
-	b, err := NewBackupServer(c.Net, addr)
-	if err != nil {
-		return "", err
-	}
-	b.StartHeartbeats(c.coordAddrs(), c.hbInterval)
-	c.mu.Lock()
-	c.Backups = append(c.Backups, b)
-	c.mu.Unlock()
-	return addr, nil
+	return c.bootBackup(addrbook.SpareBackup, int(c.spareSeq.Add(1)))
 }
 
 // WaitHealthy blocks until every registered node of the partition has
@@ -437,11 +431,11 @@ func (c *Cluster) SpareBackup(masterID uint64) (string, error) {
 // FailAfter guarantees any pre-call crash was detected (and healed)
 // first. Meaningful only with Options.Health set.
 func (c *Cluster) WaitHealthy(ctx context.Context) error {
-	tick := c.hbInterval
+	tick := c.detector.Interval
 	if tick <= 0 {
 		tick = 5 * time.Millisecond
 	}
-	stable := c.failAfter
+	stable := c.detector.FailAfter
 	if stable <= 0 {
 		stable = health.Config{}.WithDefaults().FailAfter
 	}
@@ -500,11 +494,15 @@ func (c *Cluster) CrashWitness(i int) {
 	w.Close()
 }
 
-// Recover replaces the crashed master with a fresh server at newAddr,
-// reusing the partition's CURRENT witness set (the coordinator's view —
-// which reflects any automatic replacements — rather than the raw list
-// of servers this runtime ever booted).
+// Recover replaces the crashed master with a fresh server at newAddr (""
+// takes the partition's next Spare slot), reusing the partition's CURRENT
+// witness set (the coordinator's view — which reflects any automatic
+// replacements — rather than the raw list of servers this runtime ever
+// booted).
 func (c *Cluster) Recover(newAddr string) (*MasterServer, error) {
+	if newAddr == "" {
+		newAddr, _ = c.SpareMasterAddr(1)
+	}
 	view, err := c.Coord.View(1)
 	if err != nil {
 		return nil, err

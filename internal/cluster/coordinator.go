@@ -38,8 +38,7 @@ import (
 // (Propose/View/Status/HoldingLease) while holding c.mu — every c.mu
 // section is a map or pointer access and nothing else.
 type Coordinator struct {
-	nw   transport.Network
-	addr string
+	node
 
 	// cp is this replica's control-plane consensus node — its applied
 	// State is the configuration; cpPeers/cpRank its quorum membership.
@@ -62,7 +61,6 @@ type Coordinator struct {
 	heal *healManager
 
 	leases *rifl.LeaseServer
-	rpc    *rpc.Server
 
 	// reconfMu serializes reconfigurations (recovery, witness
 	// replacement, migration) so the heal loop and an operator cannot
@@ -75,23 +73,16 @@ type Coordinator struct {
 	// EnableSelfHealing started the heal loop.
 	table *health.Table
 
-	metrics *metrics.Registry
-	// coll records distributed-trace spans for traced control-plane RPCs.
-	coll *metrics.Collector
 	// healEvents holds one pre-registered counter per FailoverKind, so a
 	// scrape sees every curp_heal_events_total series at 0 before the
 	// first incident.
 	healEvents map[FailoverKind]*metrics.Counter
 
-	// jrn is this replica's flight-recorder journal (elections, leases,
-	// failover stages, anomalies); watch the anomaly watchdog, owned by the
-	// resident sampler goroutine; anomalyCtrs the pre-registered
-	// curp_anomaly_total{kind} counters.
-	jrn         *events.Journal
+	// watch is the anomaly watchdog, owned by the resident sampler
+	// goroutine (watchDone closes when it exits); anomalyCtrs the
+	// pre-registered curp_anomaly_total{kind} counters.
 	watch       *events.Watchdog
 	anomalyCtrs map[string]*metrics.Counter
-	watchOnce   sync.Once
-	watchClosed chan struct{}
 	watchDone   chan struct{}
 
 	// RPCTimeout bounds coordination RPCs (witness start/end, fencing).
@@ -109,6 +100,8 @@ type QuorumOptions struct {
 	// ElectionTimeout tunes leader-failure detection (controlplane's
 	// default when zero; tests shrink it).
 	ElectionTimeout time.Duration
+	// Node carries the deployment-wide node settings.
+	Node NodeOptions
 }
 
 // NewCoordinator creates and starts a single-replica coordinator listening
@@ -130,20 +123,15 @@ func NewCoordinatorReplica(nw transport.Network, leaseTTL time.Duration, q Quoru
 		return nil, fmt.Errorf("coordinator: rank %d outside %d peers", q.Rank, len(q.Peers))
 	}
 	c := &Coordinator{
-		nw:           nw,
-		addr:         q.Peers[q.Rank],
 		cpPeers:      append([]string(nil), q.Peers...),
 		cpRank:       q.Rank,
 		localMasters: make(map[string]*MasterServer),
 		leases:       rifl.NewLeaseServer(leaseTTL, nil),
-		rpc:          rpc.NewServer(),
 		table:        health.NewTable(),
 		RPCTimeout:   2 * time.Second,
 	}
-	c.coll = metrics.NewCollector(c.addr, "coordinator", 0)
-	c.jrn = events.NewJournal(c.addr, "coordinator")
+	c.init(nw, q.Peers[q.Rank], "coordinator", q.Node)
 	c.watch = events.NewWatchdog(events.WatchdogConfig{})
-	c.watchClosed = make(chan struct{})
 	c.watchDone = make(chan struct{})
 	node, err := controlplane.NewNode(controlplane.Config{
 		Rank:            q.Rank,
@@ -179,12 +167,10 @@ func NewCoordinatorReplica(nw transport.Network, leaseTTL time.Duration, q Quoru
 	c.rpc.Handle(OpCtrlVote, c.handleCtrlVote)
 	c.rpc.Handle(OpCtrlPropose, c.handleCtrlPropose)
 	c.buildMetrics()
-	l, err := nw.Listen(c.addr)
-	if err != nil {
+	if err := c.serve(); err != nil {
 		c.cp.Close()
 		return nil, err
 	}
-	c.rpc.Go(l)
 	go c.watchLoop()
 	return c, nil
 }
@@ -440,8 +426,8 @@ func (c *Coordinator) partition(masterID uint64) (*controlplane.Partition, error
 }
 
 // partitions returns a deep copy of every partition's committed record.
-// The per-partition endpoints (status, gauges, the Master* handles) serve
-// the first: a deployed coordinator manages exactly one partition.
+// The per-partition endpoints (status, gauges) serve the first: a deployed
+// coordinator manages exactly one partition.
 func (c *Coordinator) partitions() []*controlplane.Partition {
 	var ps []*controlplane.Partition
 	c.cp.View(func(st *controlplane.State) {
@@ -462,8 +448,7 @@ func (c *Coordinator) localMaster(addr string) *MasterServer {
 
 // servingMasters returns the in-process handles of the partitions' CURRENT
 // masters. It tracks failovers: after a replacement is published the next
-// call returns the replacement — the stable handle a per-partition
-// /metrics endpoint re-fetches each scrape.
+// call returns the replacement.
 func (c *Coordinator) servingMasters() []*MasterServer {
 	var out []*MasterServer
 	for _, p := range c.partitions() {
@@ -474,64 +459,13 @@ func (c *Coordinator) servingMasters() []*MasterServer {
 	return out
 }
 
-// Addr returns the coordinator's address.
-func (c *Coordinator) Addr() string { return c.addr }
-
-// Metrics returns the coordinator's metric registry for /metrics
-// exposition.
-func (c *Coordinator) Metrics() *metrics.Registry { return c.metrics }
-
-// Trace returns the coordinator's distributed-trace collector.
-func (c *Coordinator) Trace() *metrics.Collector { return c.coll }
-
-// Events returns the coordinator's flight-recorder journal.
-func (c *Coordinator) Events() *events.Journal { return c.jrn }
-
-// MasterEvents returns the partition's current in-process master's journal
-// (nil for remote masters).
-func (c *Coordinator) MasterEvents() *events.Journal {
-	if ms := c.servingMasters(); len(ms) > 0 {
-		return ms[0].jrn
-	}
-	return nil
-}
-
-// MasterHotKeys returns the partition's current in-process master's hot-key
-// sketch (nil for remote masters).
-func (c *Coordinator) MasterHotKeys() *events.TopK {
-	if ms := c.servingMasters(); len(ms) > 0 {
-		return ms[0].hot
-	}
-	return nil
-}
-
-// MasterRegistry returns the partition's current in-process master's
-// metric registry (nil for remote masters).
-func (c *Coordinator) MasterRegistry() *metrics.Registry {
-	if ms := c.servingMasters(); len(ms) > 0 {
-		return ms[0].metrics
-	}
-	return nil
-}
-
-// MasterTrace returns the partition's current in-process master's
-// distributed-trace collector (nil for remote masters).
-func (c *Coordinator) MasterTrace() *metrics.Collector {
-	if ms := c.servingMasters(); len(ms) > 0 {
-		return ms[0].coll
-	}
-	return nil
-}
-
 // buildMetrics registers the coordinator-side series: heal-loop event
 // counters (every kind pre-registered at 0), ring/partition gauges, and
 // partition-level load read from the health table's piggybacked master
 // beats — one scrape of the coordinator answers "how is this shard doing"
 // without touching the data path.
 func (c *Coordinator) buildMetrics() {
-	r := metrics.NewRegistry()
-	r.SetConstLabels(metrics.L("node", c.addr))
-	c.metrics = r
+	r := c.metrics
 	c.healEvents = make(map[FailoverKind]*metrics.Counter)
 	for _, k := range []FailoverKind{
 		EventMasterFailover, EventMasterFailoverFailed,
@@ -632,7 +566,6 @@ func (c *Coordinator) buildMetrics() {
 		c.anomalyCtrs[k] = r.Counter("curp_anomaly_total",
 			"Watchdog anomaly verdicts, by detector kind.", metrics.L("kind", k))
 	}
-	metrics.RegisterBuildInfo(r)
 }
 
 // watchLoop is the coordinator's resident anomaly sampler: one pass per
@@ -646,7 +579,7 @@ func (c *Coordinator) watchLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-c.watchClosed:
+		case <-c.closed:
 			return
 		case <-ticker.C:
 			c.watchTick()
@@ -762,11 +695,11 @@ func (c *Coordinator) Close() {
 	if h := c.healMgr(); h != nil {
 		h.stop()
 	}
-	c.watchOnce.Do(func() { close(c.watchClosed) })
-	<-c.watchDone
-	c.rpc.Close()
-	c.cp.Close()
-	events.FlightDump(c.jrn)
+	c.shutdown(func() {
+		<-c.watchDone
+		c.rpc.Close()
+		c.cp.Close()
+	})
 }
 
 // handleHeartbeat folds one node's beat into the health table.
@@ -944,7 +877,7 @@ func rangesHandler(fn func(uint64, []witness.HashRange) error) rpc.Handler {
 // the master (version 1), and publishes the view.
 func (c *Coordinator) AddMaster(ms *MasterServer, backupAddrs, witnessAddrs []string) error {
 	ms.SetBackups(backupAddrs)
-	if err := c.startWitnesses(ms.ID(), witnessAddrs); err != nil {
+	if err := c.startWitnesses(ms.ID(), witnessAddrs, 1); err != nil {
 		return err
 	}
 	if err := ms.SetWitnessList(1, witnessAddrs); err != nil {
@@ -967,9 +900,11 @@ func (c *Coordinator) AddMaster(ms *MasterServer, backupAddrs, witnessAddrs []st
 	return err
 }
 
-// startWitnesses sends start RPCs to the given witness servers.
-func (c *Coordinator) startWitnesses(masterID uint64, addrs []string) error {
-	return c.callEach(addrs, OpWitnessStart, u64Payload(masterID), "start witness")
+// startWitnesses starts a witness instance for masterID on each of the
+// given servers, bound to the witness-list version about to be published:
+// the instances turn away records sent under an older view (see instance).
+func (c *Coordinator) startWitnesses(masterID uint64, addrs []string, version uint64) error {
+	return c.callEach(addrs, OpWitnessStart, u64Payload(masterID, version), "start witness")
 }
 
 // endWitnesses decommissions witness instances, best effort.
@@ -1023,10 +958,10 @@ func (c *Coordinator) replaceMember(masterID uint64, role health.Role, oldAddr, 
 	set[i] = newAddr // p is this call's own copy
 	var cmd *controlplane.Command
 	if role == health.RoleWitness {
-		if err := c.startWitnesses(masterID, []string{newAddr}); err != nil {
+		wlv := p.WLV + 1
+		if err := c.startWitnesses(masterID, []string{newAddr}, wlv); err != nil {
 			return err
 		}
-		wlv := p.WLV + 1
 		e := rpc.NewEncoder(32 + 16*len(set))
 		e.U64(wlv)
 		e.Strings(set)
@@ -1180,12 +1115,12 @@ func (c *Coordinator) recoverMasterLocked(masterID uint64, newAddr string, newWi
 
 	// PAPER §3.6: fresh witness set for the new master under a bumped
 	// version.
+	newVersion := p.WLV + 1
 	c.endWitnesses(masterID, p.Witnesses)
-	if err := c.startWitnesses(masterID, newWitnessAddrs); err != nil {
+	if err := c.startWitnesses(masterID, newWitnessAddrs, newVersion); err != nil {
 		newMaster.Close()
 		return nil, err
 	}
-	newVersion := p.WLV + 1
 	if err := newMaster.SetWitnessList(newVersion, newWitnessAddrs); err != nil {
 		newMaster.Close()
 		return nil, err
@@ -1220,10 +1155,10 @@ func (c *Coordinator) recoverMasterLocked(masterID uint64, newAddr string, newWi
 		WitnessListVersion: newVersion, NewAddr: newAddr,
 	})
 
-	// Under self-healing the replacement must heartbeat, or the detector
-	// would immediately re-fail the partition it just healed.
+	// The replacement has been heartbeating since it was constructed (its
+	// options carry the deployment's NodeOptions), so the detector does not
+	// re-fail the partition it just healed.
 	if h := c.healMgr(); h != nil {
-		newMaster.StartHeartbeats(c.cpPeers, h.cfg.Detector.Interval)
 		h.masterChanged(newMaster)
 	}
 	fsp.SetVerdict("recovered")

@@ -142,6 +142,7 @@ func TestOrphanedWitnessRecordGC(t *testing.T) {
 	orphanID := rifl.RPCID{Client: 999, Seq: 1}
 	rec := recordRequest{
 		MasterID:  1,
+		Version:   1,
 		KeyHashes: orphan.KeyHashes(),
 		ID:        orphanID,
 		Request:   orphan.Encode(),

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"curp/internal/commute"
 	"curp/internal/health"
+	"curp/internal/rifl"
 	"curp/internal/rpc"
 	"curp/internal/witness"
 )
@@ -89,6 +91,54 @@ func FuzzRangesPayload(f *testing.F) {
 		againID, again := rangesIn(d)
 		if d.Err() != nil || againID != masterID || !reflect.DeepEqual(rs, again) {
 			t.Fatalf("round trip: (%d, %v) -> (%d, %v) (%v)", masterID, rs, againID, again, d.Err())
+		}
+	})
+}
+
+// FuzzDecodeRecordRequest: every witness decodes one OpWitnessRecord per
+// blocking update, from any client that can reach it.
+func FuzzDecodeRecordRequest(f *testing.F) {
+	f.Add((&recordRequest{}).encode())
+	f.Add((&recordRequest{
+		MasterID: 1, Version: 3, KeyHashes: []uint64{7, ^uint64(0)},
+		ID: rifl.RPCID{Client: 9, Seq: 4}, Request: []byte("put k v"), Class: commute.ClassWrite,
+	}).encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := decodeRecordRequest(b)
+		if err != nil {
+			return
+		}
+		fits(t, "key hashes", cap(r.KeyHashes), 8, len(b))
+		fits(t, "request", cap(r.Request), 1, len(b))
+		if got := len(r.encode()); got > len(b) || got != cap(r.encode()) {
+			t.Fatalf("encoder sized %d bytes (cap %d) for a %d-byte payload", got, cap(r.encode()), len(b))
+		}
+		again, err := decodeRecordRequest(r.encode())
+		if err != nil || !reflect.DeepEqual(r, again) {
+			t.Fatalf("round trip: %+v -> %+v (%v)", r, again, err)
+		}
+	})
+}
+
+// FuzzDecodeRecordBatchRequest: the pipelined form, one per flush.
+func FuzzDecodeRecordBatchRequest(f *testing.F) {
+	f.Add((&recordBatchRequest{}).encode())
+	f.Add((&recordBatchRequest{MasterID: 1, Version: 2, Records: []witness.Record{
+		{KeyHashes: []uint64{1}, ID: rifl.RPCID{Client: 5, Seq: 1}, Request: []byte("a"), Class: commute.ClassWrite},
+		{KeyHashes: []uint64{2, 3}, ID: rifl.RPCID{Client: 5, Seq: 2}, Request: []byte{}},
+	}}).encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := decodeRecordBatchRequest(b)
+		if err != nil {
+			return
+		}
+		fits(t, "records", cap(r.Records), minRecordWireSize, len(b))
+		for _, rec := range r.Records {
+			fits(t, "key hashes", cap(rec.KeyHashes), 8, len(b))
+		}
+		again, err := decodeRecordBatchRequest(r.encode())
+		if err != nil || !reflect.DeepEqual(r, again) {
+			t.Fatalf("round trip: %+v -> %+v (%v)", r, again, err)
 		}
 	})
 }

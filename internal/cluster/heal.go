@@ -122,8 +122,9 @@ type HealthConfig struct {
 	Spares SpareProvider
 	// MasterOpts configures replacement masters promoted by a replica
 	// that never held the original's in-process handle (a
-	// follower-promoted heal after the rank-0 coordinator died). Zero
-	// means package defaults.
+	// follower-promoted heal after the rank-0 coordinator died); its Node
+	// settings are what make that replacement heartbeat. Zero means
+	// package defaults and a silent master.
 	MasterOpts MasterOptions
 	// OnEvent observes heal-loop lifecycle events. Called from the heal
 	// goroutine — it must not block. Optional.

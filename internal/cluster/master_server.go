@@ -32,6 +32,9 @@ type MasterOptions struct {
 	// (decision lookup at the home shard, abort by default). It must
 	// comfortably exceed a healthy coordinator's prepare→decide gap.
 	TxnLockTimeout time.Duration
+	// Node carries the deployment-wide node settings; a replacement
+	// promoted with Options() inherits them.
+	Node NodeOptions
 }
 
 // DefaultTxnLockTimeout is the default orphaned-prepare resolution
@@ -54,10 +57,12 @@ func DefaultMasterOptions() MasterOptions {
 // fencing, the witness peers, live migration, the §A.3 durable-value
 // cache, the transaction resolver, and the node's observability.
 type MasterServer struct {
+	// node is embedded by value: the instruments the update path records
+	// into (coll, hot) stay plain field reads.
+	node
+
 	id    uint64
-	addr  string
 	epoch uint64
-	nw    transport.Network
 	opts  MasterOptions
 
 	store *kv.Store
@@ -66,9 +71,6 @@ type MasterServer struct {
 	peersMu   sync.Mutex
 	backups   []*rpc.Peer
 	witnesses []*rpc.Peer
-
-	closeOnce sync.Once
-	closed    chan struct{}
 
 	// resolveKick feeds the resident orphaned-transaction resolver;
 	// resolveBusy dedups in-flight resolutions (see txn_server.go).
@@ -88,11 +90,10 @@ type MasterServer struct {
 	// migration; requests touching them bounce with StatusKeyMoved.
 	migr migrationState
 
-	rpc *rpc.Server
-
-	// Observability: the per-node registry served at /metrics and the
-	// pre-bound instruments the hot paths record into.
-	metrics      *metrics.Registry
+	// The pre-bound instruments the hot paths record into. Requests
+	// arriving with a wire trace context record their server-side stage
+	// attribution (master-queue, apply, sync-wait, backup-append,
+	// lock-wait) in the node's collector.
 	mLatUpdate   *metrics.Histogram
 	mLatBatch    *metrics.Histogram
 	mLatRead     *metrics.Histogram
@@ -109,14 +110,6 @@ type MasterServer struct {
 	// map (core.PathNone has none).
 	mClass       [3][]*metrics.Counter
 	lastSyncNano atomic.Int64
-	// coll holds this master's distributed-trace spans; requests arriving
-	// with a wire trace context record their server-side stage attribution
-	// (master-queue, apply, sync-wait, backup-append, lock-wait) here.
-	coll *metrics.Collector
-	// jrn is this master's flight-recorder journal; hot the space-saving
-	// hot-key sketch fed by the update path.
-	jrn *events.Journal
-	hot *events.TopK
 }
 
 // NewMasterServer creates and starts a master listening on addr. epoch is
@@ -131,22 +124,17 @@ func NewMasterServer(nw transport.Network, id uint64, addr string, epoch uint64,
 	}
 	ms := &MasterServer{
 		id:    id,
-		addr:  addr,
 		epoch: epoch,
-		nw:    nw,
 		opts:  opts,
 		store: kv.NewStore(),
-		rpc:   rpc.NewServer(),
 	}
+	ms.init(nw, addr, "master", opts.Node)
+	ms.beat = ms.loadBeat
 	ms.durableOld = make(map[string]staleEntry)
-	ms.coll = metrics.NewCollector(addr, "master", 0)
-	ms.jrn = events.NewJournal(addr, "master")
-	ms.hot = events.NewTopK(addr, events.DefaultHotKeys)
 	ms.eng = core.NewEngine(ms, opts.Core, ms.coll)
 	ms.buildMetrics()
 	ms.resolveKick = make(chan txnResolveReq, 64)
 	ms.resolveBusy = make(map[rifl.RPCID]bool)
-	ms.closed = make(chan struct{})
 	go ms.txnResolver()
 	ms.rpc.Handle(OpUpdate, ms.handleUpdate)
 	ms.rpc.Handle(OpUpdateBatch, ms.handleUpdateBatch)
@@ -161,17 +149,12 @@ func NewMasterServer(nw transport.Network, id uint64, addr string, epoch uint64,
 	ms.rpc.Handle(OpMasterSetWitnessList, ms.handleSetWitnessList)
 	ms.rpc.Handle(OpMasterReplaceBackup, ms.handleReplaceBackup)
 	ms.registerTxnHandlers()
-	l, err := nw.Listen(addr)
-	if err != nil {
+	if err := ms.serve(); err != nil {
 		ms.Close()
 		return nil, err
 	}
-	ms.rpc.Go(l)
 	return ms, nil
 }
-
-// Addr returns the master's address.
-func (ms *MasterServer) Addr() string { return ms.addr }
 
 // ID returns the master's partition ID.
 func (ms *MasterServer) ID() uint64 { return ms.id }
@@ -186,12 +169,11 @@ func (ms *MasterServer) State() *core.MasterState { return ms.eng.State() }
 // reuses it when it promotes a replacement during automatic failover).
 func (ms *MasterServer) Options() MasterOptions { return ms.opts }
 
-// buildMetrics assembles the master's /metrics registry: callback metrics
-// over the lock-free core.MasterState counters, plus the latency and
-// batch-size histograms the handlers record into.
+// buildMetrics registers the master's series: callback metrics over the
+// lock-free core.MasterState counters, plus the latency and batch-size
+// histograms the handlers record into.
 func (ms *MasterServer) buildMetrics() {
-	r := metrics.NewRegistry()
-	r.SetConstLabels(metrics.L("node", ms.addr))
+	r := ms.metrics
 	st := func(f func(core.MasterStats) uint64) func() uint64 {
 		return func() uint64 { return f(ms.State().Stats()) }
 	}
@@ -262,32 +244,7 @@ func (ms *MasterServer) buildMetrics() {
 		ms.mClass[core.PathConflict] = append(ms.mClass[core.PathConflict], r.Counter("curp_master_class_verdicts_total", classHelp,
 			metrics.L("class", cl.String()), metrics.L("verdict", "sync")))
 	}
-	metrics.RegisterBuildInfo(r)
-	ms.metrics = r
 }
-
-// Metrics returns the master's /metrics registry.
-func (ms *MasterServer) Metrics() *metrics.Registry { return ms.metrics }
-
-// SetShardIndex tells the master which shard of a sharded deployment it
-// serves; its trace spans, journal events and hot-key reports carry it.
-func (ms *MasterServer) SetShardIndex(s int) {
-	ms.coll.SetShard(s)
-	ms.jrn.SetShard(s)
-	ms.hot.SetShard(s)
-}
-
-// Trace returns the master's distributed-trace collector (the /trace data
-// source for this node).
-func (ms *MasterServer) Trace() *metrics.Collector { return ms.coll }
-
-// Events returns the master's flight-recorder journal — the /events data
-// source for this node.
-func (ms *MasterServer) Events() *events.Journal { return ms.jrn }
-
-// HotKeys returns the master's hot-key sketch — the /hotkeys data source
-// for this node.
-func (ms *MasterServer) HotKeys() *events.TopK { return ms.hot }
 
 // observeOp records one handled RPC: its latency histogram sample and,
 // when the request carries a trace context, a wire span (stage "apply").
@@ -297,72 +254,26 @@ func (ms *MasterServer) observeOp(ctx context.Context, h *metrics.Histogram, op,
 	ms.coll.RecordSpan(ctx, "apply", op, verdict, start, d, errText)
 }
 
-// StartHeartbeat runs a resident beater reporting this master's liveness
-// and load to the coordinator until the master closes. The beat carries
-// the log head, the unsynced window, the witness-list version, and the
-// current flush threshold, so the coordinator's health table doubles as a
-// load dashboard.
-func (ms *MasterServer) StartHeartbeat(coordAddr string, interval time.Duration) {
-	ms.StartHeartbeats([]string{coordAddr}, interval)
-}
-
-// StartHeartbeats beats every coordinator replica, so each replica's
-// failure detector has its own liveness evidence and a promoted
-// control-plane leader can heal without warming up its health table.
-func (ms *MasterServer) StartHeartbeats(coordAddrs []string, interval time.Duration) {
-	startBeater(ms.nw, ms.addr, coordAddrs, ms.closed, interval, func() health.Beat {
-		// One Stats() call covers the load counters AND the flush
-		// threshold: the beater must not take the master's lock twice per
-		// beat, or a busy master delays its own liveness signal.
-		st := ms.State().Stats()
-		return health.Beat{
-			Role:               health.RoleMaster,
-			Addr:               ms.addr,
-			MasterID:           ms.id,
-			Epoch:              ms.epoch,
-			HeadLSN:            uint64(ms.store.Head()),
-			Unsynced:           uint64(ms.State().UnsyncedCount()),
-			WitnessListVersion: ms.State().WitnessListVersion(),
-			FlushThreshold:     st.FlushThreshold,
-			SpeculativeOps:     st.SpeculativeOps,
-			ConflictSyncs:      st.ConflictSyncs,
-		}
-	})
-}
-
-// startBeater is the shared heartbeat loop of every server role: one
-// resident goroutine sending the beat payload to every coordinator
-// replica on the detector cadence until stop closes.
-func startBeater(nw transport.Network, selfAddr string, coordAddrs []string, stop <-chan struct{}, interval time.Duration, beat func() health.Beat) {
-	peers := make([]*rpc.Peer, 0, len(coordAddrs))
-	for _, a := range coordAddrs {
-		peers = append(peers, rpc.NewPeer(nw, selfAddr, a))
+// loadBeat is the master's heartbeat payload: liveness plus the log head,
+// the unsynced window, the witness-list version, and the current flush
+// threshold, so the coordinator's health table doubles as a load dashboard.
+func (ms *MasterServer) loadBeat() health.Beat {
+	// One Stats() call covers the load counters AND the flush threshold:
+	// the beater must not take the master's lock twice per beat, or a busy
+	// master delays its own liveness signal.
+	st := ms.State().Stats()
+	return health.Beat{
+		Role:               health.RoleMaster,
+		Addr:               ms.addr,
+		MasterID:           ms.id,
+		Epoch:              ms.epoch,
+		HeadLSN:            uint64(ms.store.Head()),
+		Unsynced:           uint64(ms.State().UnsyncedCount()),
+		WitnessListVersion: ms.State().WitnessListVersion(),
+		FlushThreshold:     st.FlushThreshold,
+		SpeculativeOps:     st.SpeculativeOps,
+		ConflictSyncs:      st.ConflictSyncs,
 	}
-	go func() {
-		defer func() {
-			for _, p := range peers {
-				p.Close()
-			}
-		}()
-		health.Beater(stop, interval, func() {
-			b := beat()
-			payload := b.Encode()
-			for _, p := range peers {
-				ctx, cancel := context.WithTimeout(context.Background(), heartbeatTimeout(interval))
-				p.Call(ctx, OpHeartbeat, payload)
-				cancel()
-			}
-		})
-	}()
-}
-
-// heartbeatTimeout bounds one heartbeat RPC: long enough for a loaded
-// coordinator, short enough that a dead link never backlogs beats.
-func heartbeatTimeout(interval time.Duration) time.Duration {
-	if t := 2 * interval; t > 50*time.Millisecond {
-		return t
-	}
-	return 50 * time.Millisecond
 }
 
 // Store exposes the underlying store for tests.
@@ -370,12 +281,7 @@ func (ms *MasterServer) Store() *kv.Store { return ms.store }
 
 // Close shuts the master down.
 func (ms *MasterServer) Close() {
-	ms.closeOnce.Do(func() {
-		close(ms.closed)
-		ms.eng.Close()
-		events.FlightDump(ms.jrn)
-	})
-	ms.rpc.Close()
+	ms.shutdown(ms.eng.Close)
 	ms.peersMu.Lock()
 	defer ms.peersMu.Unlock()
 	for _, p := range ms.backups {

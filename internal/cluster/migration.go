@@ -558,9 +558,11 @@ func (ms *MasterServer) installWitnessRecords(records []witness.Record) {
 	ms.peersMu.Lock()
 	witnesses := append([]*rpc.Peer(nil), ms.witnesses...)
 	ms.peersMu.Unlock()
+	version := ms.State().WitnessListVersion()
 	for _, rec := range records {
 		req := &recordRequest{
 			MasterID:  ms.id,
+			Version:   version,
 			KeyHashes: rec.KeyHashes,
 			ID:        rec.ID,
 			Request:   rec.Request,

@@ -157,9 +157,12 @@ const (
 	OpMasterReplaceBackup
 )
 
-// recordRequest is the payload of OpWitnessRecord.
+// recordRequest is the payload of OpWitnessRecord. Version is the
+// witness-list version of the view the sender recorded under; a witness
+// instance started for a later one turns the record away (see instance).
 type recordRequest struct {
 	MasterID  uint64
+	Version   uint64
 	KeyHashes []uint64
 	ID        rifl.RPCID
 	Request   []byte
@@ -167,29 +170,49 @@ type recordRequest struct {
 }
 
 func (r *recordRequest) encode() []byte {
-	e := rpc.NewEncoder(48 + len(r.Request))
+	rec := witness.Record{KeyHashes: r.KeyHashes, ID: r.ID, Request: r.Request, Class: r.Class}
+	e := rpc.NewEncoder(16 + recordWireSize(rec))
 	e.U64(r.MasterID)
-	e.U64Slice(r.KeyHashes)
-	e.U64(uint64(r.ID.Client))
-	e.U64(uint64(r.ID.Seq))
-	e.Bytes32(r.Request)
-	e.U8(uint8(r.Class))
+	e.U64(r.Version)
+	marshalRecord(e, rec)
 	return e.Bytes()
 }
 
 func decodeRecordRequest(b []byte) (*recordRequest, error) {
 	d := rpc.NewDecoder(b)
-	r := &recordRequest{
-		MasterID:  d.U64(),
-		KeyHashes: d.U64Slice(),
-		ID:        rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
-		Request:   d.BytesCopy32(),
-	}
-	r.Class = commute.Class(d.U8())
+	r := &recordRequest{MasterID: d.U64(), Version: d.U64()}
+	rec := unmarshalRecord(d)
+	r.KeyHashes, r.ID, r.Request, r.Class = rec.KeyHashes, rec.ID, rec.Request, rec.Class
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// minRecordWireSize is the encoded size of an empty witness record: empty
+// key-hash slice, RPC ID, empty request, class.
+const minRecordWireSize = 4 + 16 + 4 + 1
+
+// recordWireSize is the exact encoded size of one witness record.
+func recordWireSize(rec witness.Record) int {
+	return minRecordWireSize + 8*len(rec.KeyHashes) + len(rec.Request)
+}
+
+func marshalRecord(e *rpc.Encoder, rec witness.Record) {
+	e.U64Slice(rec.KeyHashes)
+	e.U64(uint64(rec.ID.Client))
+	e.U64(uint64(rec.ID.Seq))
+	e.Bytes32(rec.Request)
+	e.U8(uint8(rec.Class))
+}
+
+func unmarshalRecord(d *rpc.Decoder) witness.Record {
+	return witness.Record{
+		KeyHashes: d.U64Slice(),
+		ID:        rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
+		Request:   d.BytesCopy32(),
+		Class:     commute.Class(d.U8()),
+	}
 }
 
 // gcRequest is the payload of OpWitnessGC.
@@ -232,31 +255,28 @@ func encodeWitnessRecords(recs []witness.Record) []byte {
 	e := rpc.NewEncoder(64 * len(recs))
 	e.U32(uint32(len(recs)))
 	for _, r := range recs {
-		e.U64Slice(r.KeyHashes)
-		e.U64(uint64(r.ID.Client))
-		e.U64(uint64(r.ID.Seq))
-		e.Bytes32(r.Request)
-		e.U8(uint8(r.Class))
+		marshalRecord(e, r)
 	}
 	return e.Bytes()
 }
 
 func decodeWitnessRecords(b []byte) ([]witness.Record, error) {
 	d := rpc.NewDecoder(b)
-	n := d.Count(25) // empty key-hash slice, RPC ID, empty request, class
-	recs := make([]witness.Record, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		recs = append(recs, witness.Record{
-			KeyHashes: d.U64Slice(),
-			ID:        rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
-			Request:   d.BytesCopy32(),
-			Class:     commute.Class(d.U8()),
-		})
-	}
+	recs := unmarshalRecords(d)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	return recs, nil
+}
+
+// unmarshalRecords reads a counted run of witness records.
+func unmarshalRecords(d *rpc.Decoder) []witness.Record {
+	n := d.Count(minRecordWireSize)
+	recs := make([]witness.Record, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		recs = append(recs, unmarshalRecord(d))
+	}
+	return recs
 }
 
 // encodeUpdateBatch serializes the payload of OpUpdateBatch.
@@ -318,42 +338,33 @@ func decodeReplyBatch(b []byte) ([]*core.Reply, error) {
 }
 
 // recordBatchRequest is the payload of OpWitnessRecordBatch: every pending
-// record of one pipeline flush, for one witness.
+// record of one pipeline flush, for one witness, under one view version
+// (see recordRequest).
 type recordBatchRequest struct {
 	MasterID uint64
+	Version  uint64
 	Records  []witness.Record
 }
 
 func (r *recordBatchRequest) encode() []byte {
-	size := 16
+	size := 20
 	for _, rec := range r.Records {
-		size += 28 + 8*len(rec.KeyHashes) + len(rec.Request)
+		size += recordWireSize(rec)
 	}
 	e := rpc.NewEncoder(size)
 	e.U64(r.MasterID)
+	e.U64(r.Version)
 	e.U32(uint32(len(r.Records)))
 	for _, rec := range r.Records {
-		e.U64Slice(rec.KeyHashes)
-		e.U64(uint64(rec.ID.Client))
-		e.U64(uint64(rec.ID.Seq))
-		e.Bytes32(rec.Request)
-		e.U8(uint8(rec.Class))
+		marshalRecord(e, rec)
 	}
 	return e.Bytes()
 }
 
 func decodeRecordBatchRequest(b []byte) (*recordBatchRequest, error) {
 	d := rpc.NewDecoder(b)
-	r := &recordBatchRequest{MasterID: d.U64()}
-	n := d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		r.Records = append(r.Records, witness.Record{
-			KeyHashes: d.U64Slice(),
-			ID:        rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
-			Request:   d.BytesCopy32(),
-			Class:     commute.Class(d.U8()),
-		})
-	}
+	r := &recordBatchRequest{MasterID: d.U64(), Version: d.U64()}
+	r.Records = unmarshalRecords(d)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}

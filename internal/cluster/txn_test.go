@@ -21,7 +21,7 @@ func twoPartitions(t *testing.T) (*Cluster, *Cluster) {
 	mk := func(prefix string, ns uint64) *Cluster {
 		opts := DefaultOptions()
 		opts.F = 1
-		opts.NamePrefix = prefix
+		opts.Addrs = HostNames(prefix)
 		opts.ClientIDNamespace = ns
 		opts.Master.TxnLockTimeout = 25 * time.Millisecond
 		c, err := Start(nw, opts)

@@ -19,42 +19,50 @@ import (
 // witness server can serve several masters, paper §4.1: a decommissioned
 // witness "can start another life for a different master").
 type WitnessServer struct {
-	addr string
-	cfg  witness.Config
-	nw   transport.Network
+	node
+	cfg witness.Config
 
 	mu        sync.Mutex
-	instances map[uint64]*witness.Witness
+	instances map[uint64]instance
 
-	closeOnce sync.Once
-	closed    chan struct{}
-
-	rpc *rpc.Server
-
-	metrics *metrics.Registry
-	// coll records distributed-trace spans for traced record RPCs.
-	coll *metrics.Collector
-	// jrn is the flight-recorder journal (instance lifecycle, recovery
-	// freezes).
-	jrn *events.Journal
-	// noInstance counts record RPCs bounced because no witness instance
-	// exists here for the named master (stale witness lists); per-instance
-	// rejections live in witness.Stats.
-	noInstance atomic.Uint64
+	// misaddressed counts record RPCs bounced before reaching an instance:
+	// none exists here for the named master (stale witness list), or the
+	// one that does was started for a later incarnation than the sender's
+	// view; per-instance rejections live in witness.Stats.
+	misaddressed atomic.Uint64
 }
 
-// NewWitnessServer creates a witness server listening on addr.
+// instance is one master's witness plus the incarnation it serves.
+//
+// PAPER §4.1/§4.6: a witness instance belongs to ONE master; recovery ends
+// the crashed master's instances and starts fresh ones for its successor,
+// so a record sent to the old master's witnesses can never count towards
+// the new master's f accepts.
+// DEVIATION: the paper's recovery master is a different server with its
+// own ID, which makes per-master instances per-incarnation for free. Here
+// the ID is the partition's and survives recovery, so an instance is bound
+// to the witness-list version it was started for (since) and turns away
+// records sent under an older view: without that, a record still in flight
+// across a recovery lands on the successor's fresh instance, is accepted,
+// and — together with the crashed master's earlier "ok, unsynced" reply —
+// completes on the fast path an operation the recovery witness never held.
+type instance struct {
+	w     *witness.Witness
+	since uint64
+}
+
+// NewWitnessServer creates a witness server listening on addr, outside any
+// deployment (shard 0, default trace sampling, no heartbeat).
 func NewWitnessServer(nw transport.Network, addr string, cfg witness.Config) (*WitnessServer, error) {
-	ws := &WitnessServer{
-		addr:      addr,
-		cfg:       cfg,
-		nw:        nw,
-		instances: make(map[uint64]*witness.Witness),
-		closed:    make(chan struct{}),
-		rpc:       rpc.NewServer(),
-	}
-	ws.coll = metrics.NewCollector(addr, "witness", 0)
-	ws.jrn = events.NewJournal(addr, "witness")
+	return newWitnessServer(nw, addr, cfg, NodeOptions{})
+}
+
+// newWitnessServer is NewWitnessServer with the deployment's node settings
+// — how Cluster boots its witnesses, spares included.
+func newWitnessServer(nw transport.Network, addr string, cfg witness.Config, o NodeOptions) (*WitnessServer, error) {
+	ws := &WitnessServer{cfg: cfg, instances: make(map[uint64]instance)}
+	ws.init(nw, addr, "witness", o)
+	ws.beat = func() health.Beat { return health.Beat{Role: health.RoleWitness, Addr: addr} }
 	ws.rpc.Handle(OpWitnessRecord, ws.handleRecord)
 	ws.rpc.Handle(OpWitnessRecordBatch, ws.handleRecordBatch)
 	ws.rpc.Handle(OpWitnessCommutes, ws.handleCommutes)
@@ -65,25 +73,11 @@ func NewWitnessServer(nw transport.Network, addr string, cfg witness.Config) (*W
 	ws.rpc.Handle(OpWitnessStart, ws.handleStart)
 	ws.rpc.Handle(OpWitnessEnd, ws.handleEnd)
 	ws.buildMetrics()
-	l, err := nw.Listen(addr)
-	if err != nil {
+	if err := ws.serve(); err != nil {
 		return nil, err
 	}
-	ws.rpc.Go(l)
 	return ws, nil
 }
-
-// Addr returns the server's address.
-func (ws *WitnessServer) Addr() string { return ws.addr }
-
-// Metrics returns the server's metric registry for /metrics exposition.
-func (ws *WitnessServer) Metrics() *metrics.Registry { return ws.metrics }
-
-// Trace returns the server's distributed-trace collector.
-func (ws *WitnessServer) Trace() *metrics.Collector { return ws.coll }
-
-// Events returns the server's flight-recorder journal.
-func (ws *WitnessServer) Events() *events.Journal { return ws.jrn }
 
 // recordVerdict maps a witness record result onto a trace verdict; the
 // reject verdicts are "interesting" and promote the trace (a rejection is
@@ -111,8 +105,8 @@ func (ws *WitnessServer) sumStats() witness.Stats {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	var s witness.Stats
-	for _, w := range ws.instances {
-		st := w.Stats()
+	for _, in := range ws.instances {
+		st := in.w.Stats()
 		s.Accepts += st.Accepts
 		s.ConflictRejects += st.ConflictRejects
 		s.FullRejects += st.FullRejects
@@ -130,9 +124,7 @@ func (ws *WitnessServer) sumStats() witness.Stats {
 // are scrape-time callbacks over witness.Stats — the record hot path pays
 // nothing.
 func (ws *WitnessServer) buildMetrics() {
-	r := metrics.NewRegistry()
-	r.SetConstLabels(metrics.L("node", ws.addr))
-	ws.metrics = r
+	r := ws.metrics
 	r.CounterFunc("curp_witness_accepts_total",
 		"Record RPCs accepted (speculative fast-path grants).",
 		func() uint64 { return ws.sumStats().Accepts })
@@ -147,7 +139,7 @@ func (ws *WitnessServer) buildMetrics() {
 		rejects(func(s witness.Stats) uint64 { return s.FullRejects }),
 		metrics.L("reason", "full"))
 	r.CounterFunc("curp_witness_rejects_total", "",
-		func() uint64 { return ws.sumStats().WrongMaster + ws.noInstance.Load() },
+		func() uint64 { return ws.sumStats().WrongMaster + ws.misaddressed.Load() },
 		metrics.L("reason", "wrong_master"))
 	r.CounterFunc("curp_witness_rejects_total", "",
 		rejects(func(s witness.Stats) uint64 { return s.RecoveryRejects }),
@@ -168,46 +160,39 @@ func (ws *WitnessServer) buildMetrics() {
 			defer ws.mu.Unlock()
 			return float64(len(ws.instances))
 		})
-	metrics.RegisterBuildInfo(r)
 }
 
 // Close shuts the server down.
-func (ws *WitnessServer) Close() {
-	ws.closeOnce.Do(func() {
-		close(ws.closed)
-		events.FlightDump(ws.jrn)
-	})
-	ws.rpc.Close()
-}
-
-// StartHeartbeat runs a resident beater reporting this witness server's
-// liveness to the coordinator until the server closes.
-func (ws *WitnessServer) StartHeartbeat(coordAddr string, interval time.Duration) {
-	ws.StartHeartbeats([]string{coordAddr}, interval)
-}
-
-// StartHeartbeats beats every coordinator replica.
-func (ws *WitnessServer) StartHeartbeats(coordAddrs []string, interval time.Duration) {
-	startBeater(ws.nw, ws.addr, coordAddrs, ws.closed, interval, func() health.Beat {
-		return health.Beat{Role: health.RoleWitness, Addr: ws.addr}
-	})
-}
+func (ws *WitnessServer) Close() { ws.shutdown(nil) }
 
 // Instance returns the witness serving masterID, for tests and stats.
 func (ws *WitnessServer) Instance(masterID uint64) *witness.Witness {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	return ws.instances[masterID]
+	return ws.instances[masterID].w
 }
 
 func (ws *WitnessServer) lookup(masterID uint64) (*witness.Witness, error) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	w := ws.instances[masterID]
-	if w == nil {
-		return nil, fmt.Errorf("witness %s: no instance for master %d", ws.addr, masterID)
+	if w := ws.Instance(masterID); w != nil {
+		return w, nil
 	}
-	return w, nil
+	return nil, fmt.Errorf("witness %s: no instance for master %d", ws.addr, masterID)
+}
+
+// recorder returns the instance a record RPC sent under witness-list
+// version `version` may record on: nil when no instance exists for the
+// master or it serves a later incarnation (see instance). The caller
+// answers RejectedWrongMaster — the client used a stale witness list —
+// rather than erroring the transport.
+func (ws *WitnessServer) recorder(masterID, version uint64, records int) *witness.Witness {
+	ws.mu.Lock()
+	in := ws.instances[masterID]
+	ws.mu.Unlock()
+	if in.w == nil || version < in.since {
+		ws.misaddressed.Add(uint64(records))
+		return nil
+	}
+	return in.w
 }
 
 func (ws *WitnessServer) handleRecord(ctx context.Context, payload []byte) ([]byte, error) {
@@ -216,15 +201,10 @@ func (ws *WitnessServer) handleRecord(ctx context.Context, payload []byte) ([]by
 		return nil, err
 	}
 	start := time.Now()
-	w, err := ws.lookup(req.MasterID)
-	if err != nil {
-		// No instance for this master: tell the client it used a stale
-		// witness list rather than erroring the transport.
-		ws.noInstance.Add(1)
-		ws.coll.RecordSpan(ctx, "witness-record", "record", "reject-wrong-master", start, time.Since(start), "")
-		return []byte{byte(witness.RejectedWrongMaster)}, nil
+	res := witness.RejectedWrongMaster
+	if w := ws.recorder(req.MasterID, req.Version, 1); w != nil {
+		res = w.Record(req.MasterID, req.KeyHashes, req.ID, req.Request, req.Class)
 	}
-	res := w.Record(req.MasterID, req.KeyHashes, req.ID, req.Request, req.Class)
 	ws.coll.RecordSpan(ctx, "witness-record", "record", recordVerdict(res), start, time.Since(start), "")
 	return []byte{byte(res)}, nil
 }
@@ -237,19 +217,15 @@ func (ws *WitnessServer) handleRecordBatch(ctx context.Context, payload []byte) 
 		return nil, err
 	}
 	start := time.Now()
-	w, err := ws.lookup(req.MasterID)
-	if err != nil {
-		// No instance for this master: tell the client it used a stale
-		// witness list rather than erroring the transport.
-		ws.noInstance.Add(uint64(len(req.Records)))
-		results := make([]witness.RecordResult, len(req.Records))
+	var results []witness.RecordResult
+	if w := ws.recorder(req.MasterID, req.Version, len(req.Records)); w != nil {
+		results = w.RecordBatch(req.MasterID, req.Records)
+	} else {
+		results = make([]witness.RecordResult, len(req.Records))
 		for i := range results {
 			results[i] = witness.RejectedWrongMaster
 		}
-		ws.coll.RecordSpan(ctx, "witness-record", "record_batch", "reject-wrong-master", start, time.Since(start), "")
-		return encodeRecordResults(results), nil
 	}
-	results := w.RecordBatch(req.MasterID, req.Records)
 	// One span per RPC; the verdict of the first rejected record wins (a
 	// single rejection already evicts the whole flush from the fast path).
 	verdict := "accept"
@@ -345,9 +321,11 @@ func (ws *WitnessServer) handleSnapshot(ctx context.Context, payload []byte) ([]
 	return encodeWitnessRecords(w.SnapshotRecords()), nil
 }
 
+// handleStart starts a fresh instance for masterID, bound to the
+// witness-list version the coordinator is about to publish (see instance).
 func (ws *WitnessServer) handleStart(ctx context.Context, payload []byte) ([]byte, error) {
 	d := rpc.NewDecoder(payload)
-	masterID := d.U64()
+	masterID, version := d.U64(), d.U64()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -360,7 +338,7 @@ func (ws *WitnessServer) handleStart(ctx context.Context, payload []byte) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	ws.instances[masterID] = w
+	ws.instances[masterID] = instance{w: w, since: version}
 	return nil, nil
 }
 
@@ -372,8 +350,8 @@ func (ws *WitnessServer) handleEnd(ctx context.Context, payload []byte) ([]byte,
 	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	if w := ws.instances[masterID]; w != nil {
-		w.End()
+	if in, ok := ws.instances[masterID]; ok {
+		in.w.End()
 		delete(ws.instances, masterID)
 	}
 	return nil, nil

@@ -72,6 +72,9 @@ func (c *Collector) SetThreshold(d time.Duration) {
 	}
 }
 
+// Threshold returns the promotion threshold.
+func (c *Collector) Threshold() time.Duration { return time.Duration(c.threshold.Load()) }
+
 // InterestingVerdict reports whether verdict v promotes a trace on its own
 // — exported for curpctl's waterfall, which highlights the evicting span.
 func InterestingVerdict(v string) bool { return interestingVerdict(v) }

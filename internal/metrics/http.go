@@ -25,16 +25,7 @@ func Handler(regs ...*Registry) http.Handler {
 	})
 }
 
-// DynamicHandler is Handler with the registry set re-fetched per request —
-// for endpoints whose backing component can be replaced at runtime (a
-// failed-over master's registry changes identity; the endpoint should not).
-func DynamicHandler(fn func() []*Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		Handler(fn()...).ServeHTTP(w, req)
-	})
-}
-
-// Server is a running /metrics endpoint.
+// Server is a running observability endpoint.
 type Server struct {
 	Addr string // actual listen address (resolves ":0")
 	srv  *http.Server
@@ -48,70 +39,19 @@ func (s *Server) Close() error {
 	return s.srv.Close()
 }
 
-// Serve starts an HTTP server on addr exposing the registries at /metrics
-// (and at / for curl convenience). It returns immediately; the server runs
-// until Close. An addr that cannot be bound returns the listen error — the
-// caller decides whether metrics are load-bearing.
-func Serve(addr string, regs ...*Registry) (*Server, error) {
-	return serveHandler(addr, Handler(regs...))
-}
-
-// ServeDynamic is Serve with a per-request registry set (see
-// DynamicHandler).
-func ServeDynamic(addr string, fn func() []*Registry) (*Server, error) {
-	return serveHandler(addr, DynamicHandler(fn))
-}
-
-func serveHandler(addr string, h http.Handler) (*Server, error) {
+// Serve starts an HTTP server on addr serving h — the observability mux
+// internal/cluster builds over a node's instruments. It returns
+// immediately; the server runs until Close. An addr that cannot be bound
+// returns the listen error — the caller decides whether metrics are
+// load-bearing.
+func Serve(addr string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: NodeMux(h, nil, false), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return &Server{Addr: ln.Addr().String(), srv: srv}, nil
-}
-
-// NodeMux builds the per-node observability mux: /metrics (and / for curl
-// convenience), /trace when a collector is attached, and the net/http/pprof
-// suite when profiling is on. Every node role serves the same shape, so
-// operators learn one layout.
-func NodeMux(metricsH http.Handler, coll *Collector, profiling bool) *http.ServeMux {
-	var traceH http.Handler
-	if coll != nil {
-		traceH = coll.TraceHandler()
-	}
-	return NodeMuxHandler(metricsH, traceH, profiling)
-}
-
-// NodeMuxHandler is NodeMux with an arbitrary /trace handler — endpoints
-// whose backing collector set is dynamic (a failover-tracking master
-// endpoint, an embedded multi-role process) pass a MultiTraceHandler.
-func NodeMuxHandler(metricsH, traceH http.Handler, profiling bool) *http.ServeMux {
-	return NodeMuxExtras(metricsH, traceH, profiling, nil)
-}
-
-// NodeMuxExtras is NodeMuxHandler plus arbitrary extra endpoints — the
-// hook the flight recorder uses to mount /events (every node) and /hotkeys
-// (masters and dashboards) without this package importing internal/events.
-// Nil handlers in extras are skipped, so call sites can pass a map built
-// unconditionally.
-func NodeMuxExtras(metricsH, traceH http.Handler, profiling bool, extras map[string]http.Handler) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", metricsH)
-	mux.Handle("/", metricsH)
-	if traceH != nil {
-		mux.Handle("/trace", traceH)
-	}
-	for path, h := range extras {
-		if h != nil {
-			mux.Handle(path, h)
-		}
-	}
-	if profiling {
-		MountProfiling(mux)
-	}
-	return mux
 }
 
 // MountProfiling mounts the net/http/pprof suite on mux (the -pprof /
@@ -123,33 +63,4 @@ func MountProfiling(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// ServeNode starts the full per-node observability endpoint: metrics,
-// /trace from coll (nil skips it), and pprof when profiling is set.
-func ServeNode(addr string, metricsH http.Handler, coll *Collector, profiling bool) (*Server, error) {
-	var traceH http.Handler
-	if coll != nil {
-		traceH = coll.TraceHandler()
-	}
-	return ServeNodeHandler(addr, metricsH, traceH, profiling)
-}
-
-// ServeNodeHandler is ServeNode with an arbitrary /trace handler (see
-// NodeMuxHandler).
-func ServeNodeHandler(addr string, metricsH, traceH http.Handler, profiling bool) (*Server, error) {
-	return ServeNodeExtras(addr, metricsH, traceH, profiling, nil)
-}
-
-// ServeNodeExtras is ServeNodeHandler plus extra endpoints (see
-// NodeMuxExtras) — how curpd mounts /events and /hotkeys on every node's
-// observability port.
-func ServeNodeExtras(addr string, metricsH, traceH http.Handler, profiling bool, extras map[string]http.Handler) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: NodeMuxExtras(metricsH, traceH, profiling, extras), ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return &Server{Addr: ln.Addr().String(), srv: srv}, nil
 }

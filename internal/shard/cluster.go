@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"curp/internal/addrbook"
 	"curp/internal/cluster"
 	"curp/internal/transport"
 )
@@ -17,10 +18,15 @@ type Options struct {
 	// (DefaultVirtualNodes when 0).
 	VirtualNodes int
 	// Partition configures every partition identically (F, master policy,
-	// witness geometry, lease TTL). Its NamePrefix becomes the deployment-
-	// wide prefix; each partition appends "s<i>-" to it. Set
-	// Partition.Health to make every partition self-healing.
+	// witness geometry, lease TTL, trace threshold). Set Partition.Health
+	// to make every partition self-healing. Shard, Addrs and
+	// ClientIDNamespace are set per partition by StartCluster.
 	Partition cluster.Options
+	// Addrs places every node of every partition (see
+	// cluster.Options.Addrs). Nil means cluster.HostNames under a per-shard
+	// prefix: partition i's hosts are "s<i>-coord", "s<i>-master1", and so
+	// on. cmd/curpd passes addrbook.Book.RPC.
+	Addrs func(shard int, slot addrbook.Role, i int) string
 	// OnFailover observes each partition's heal-loop events, tagged with
 	// the shard index (Partition.Health.OnEvent, if also set, fires too).
 	// Called from the partitions' heal goroutines; must not block.
@@ -79,14 +85,16 @@ type Cluster struct {
 	reconfMu sync.Mutex
 }
 
-// prefixFor returns the host-name prefix of shard s under base.
-func prefixFor(base string, s int) string {
-	return fmt.Sprintf("%ss%d-", base, s)
+// hostNames is the default Options.Addrs: cluster.HostNames under the
+// per-shard prefix "s<shard>-", so any number of shards coexist on one
+// network.
+func hostNames(shard int, slot addrbook.Role, i int) string {
+	return cluster.HostNames(hostPrefix(shard))(slot, i)
 }
 
-// StartCluster boots opts.Shards partitions on nw. Partition i's hosts are
-// named "<prefix>s<i>-coord", "<prefix>s<i>-master1", and so on, so any
-// number of shards coexist on one network.
+func hostPrefix(shard int) string { return fmt.Sprintf("s%d-", shard) }
+
+// StartCluster boots opts.Shards partitions on nw.
 func StartCluster(nw transport.Network, opts Options) (*Cluster, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
@@ -97,7 +105,7 @@ func StartCluster(nw transport.Network, opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{Net: nw, ring: ring, opts: opts}
 	for i := 0; i < opts.Shards; i++ {
-		if err := c.startPartition(i); err != nil {
+		if err := c.bootPartition(i); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -105,9 +113,14 @@ func StartCluster(nw transport.Network, opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-func (c *Cluster) startPartition(i int) error {
+func (c *Cluster) bootPartition(i int) error {
 	popts := c.opts.Partition
-	popts.NamePrefix = prefixFor(c.opts.Partition.NamePrefix, i)
+	popts.Shard = i
+	place := c.opts.Addrs
+	if place == nil {
+		place = hostNames
+	}
+	popts.Addrs = func(slot addrbook.Role, n int) string { return place(i, slot, n) }
 	// Disjoint RIFL client-ID namespaces per partition: rebalancing moves
 	// completion records between partitions, and cross-partition ID
 	// collisions would hand one client another client's saved results.
@@ -167,6 +180,16 @@ func (c *Cluster) Part(s int) *cluster.Cluster { return c.partsSnapshot()[s] }
 // Partitions returns a stable snapshot of every partition, in shard order.
 func (c *Cluster) Partitions() []*cluster.Cluster { return c.partsSnapshot() }
 
+// Nodes snapshots the observability bundle of every server of every
+// partition (see cluster.Cluster.Nodes).
+func (c *Cluster) Nodes() []cluster.Bundle {
+	var bs []cluster.Bundle
+	for _, part := range c.partsSnapshot() {
+		bs = append(bs, part.Nodes()...)
+	}
+	return bs
+}
+
 // AddShard boots one spare partition and returns its index. The ring does
 // not change: the new shard serves no keys until Rebalance migrates ranges
 // onto it.
@@ -174,7 +197,7 @@ func (c *Cluster) AddShard() (int, error) {
 	c.reconfMu.Lock()
 	defer c.reconfMu.Unlock()
 	i := len(c.partsSnapshot())
-	if err := c.startPartition(i); err != nil {
+	if err := c.bootPartition(i); err != nil {
 		return -1, err
 	}
 	return i, nil
@@ -310,12 +333,18 @@ func (c *Cluster) WaitHealthy(ctx context.Context) error {
 	return nil
 }
 
-// Recover replaces shard s's crashed master with a fresh server. newAddr is
-// prefixed with the shard's name prefix, so the same logical name (e.g.
-// "master2") may be reused across shards.
+// Recover replaces shard s's crashed master with a fresh server. Under the
+// default host names newAddr is a host name scoped to the shard, so the same
+// logical name (e.g. "master2") may be reused across shards; a deployment
+// placed by Options.Addrs has no such names, and the replacement takes the
+// partition's next Spare slot.
 func (c *Cluster) Recover(s int, newAddr string) error {
-	part := c.Part(s)
-	_, err := part.Recover(part.Opts.NamePrefix + newAddr)
+	if c.opts.Addrs == nil {
+		newAddr = hostPrefix(s) + newAddr
+	} else {
+		newAddr = ""
+	}
+	_, err := c.Part(s).Recover(newAddr)
 	return err
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"curp/internal/addrbook"
 	"curp/internal/kv"
 	"curp/internal/transport"
 )
@@ -323,25 +324,59 @@ func TestSingleShardDegeneratesToOnePartition(t *testing.T) {
 }
 
 // TestShardedOptionsPropagate: per-partition options reach every shard
-// (distinct name prefixes, F, witness counts).
+// (the deployment's address function, F, witness counts).
 func TestShardedOptionsPropagate(t *testing.T) {
 	opts := testOptions(3)
 	opts.Partition.F = 2
-	opts.Partition.NamePrefix = "deploy-"
+	opts.Addrs = func(s int, slot addrbook.Role, i int) string { return "deploy-" + hostNames(s, slot, i) }
 	c := startTestCluster(t, opts)
-	seen := map[string]bool{}
 	for s, part := range c.Parts {
 		if len(part.Backups) != 2 || len(part.Witnesses) != 2 {
 			t.Fatalf("shard %d has %d backups / %d witnesses, want 2/2", s, len(part.Backups), len(part.Witnesses))
 		}
-		wantPrefix := fmt.Sprintf("deploy-s%d-", s)
-		if part.Opts.NamePrefix != wantPrefix {
-			t.Fatalf("shard %d prefix = %q, want %q", s, part.Opts.NamePrefix, wantPrefix)
+		if got, want := part.Master.Addr(), fmt.Sprintf("deploy-s%d-master1", s); got != want {
+			t.Fatalf("shard %d master addr = %q, want %q", s, got, want)
 		}
-		addr := part.Master.Addr()
-		if seen[addr] {
-			t.Fatalf("duplicate master addr %q", addr)
-		}
-		seen[addr] = true
+	}
+}
+
+// TestRecoverAddressing: a manual Recover scopes its host name to the shard
+// under the default names, and takes the partition's next Spare slot when
+// the deployment is placed by its own address function (curpd's address
+// book), where a host name is not an address. Completed writes survive.
+func TestRecoverAddressing(t *testing.T) {
+	book := addrbook.Book{Host: "h", Port: 7000}
+	for _, tc := range []struct {
+		name  string
+		addrs func(int, addrbook.Role, int) string
+		want  string
+	}{
+		{"host names", nil, "s1-master2"},
+		{"address book", book.RPC, book.RPC(1, addrbook.Spare, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := testOptions(2)
+			opts.Addrs = tc.addrs
+			c := startTestCluster(t, opts)
+			cl := testClient(t, c, "recoverer")
+			ctx := context.Background()
+			var key []byte
+			for i := 0; c.CurrentRing().Shard(key) != 1; i++ {
+				key = []byte(fmt.Sprintf("k%d", i))
+			}
+			if _, err := cl.Put(ctx, key, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			c.CrashMaster(1)
+			if err := c.Recover(1, "master2"); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Part(1).CurrentMaster().Addr(); got != tc.want {
+				t.Fatalf("recovered master at %q, want %q", got, tc.want)
+			}
+			if v, ok, err := cl.Get(ctx, key); err != nil || !ok || string(v) != "v" {
+				t.Fatalf("get after recovery: %q %v %v", v, ok, err)
+			}
+		})
 	}
 }

@@ -54,7 +54,10 @@ func main() {
 	if *serve == "" {
 		return
 	}
-	srv, err := metrics.ServeNode(*serve, metrics.Handler(), cl.Trace(), false)
+	obs := cluster.EndpointsOver(func() []cluster.Bundle {
+		return []cluster.Bundle{{Role: "client", Trace: cl.Trace()}}
+	})
+	srv, err := metrics.Serve(*serve, obs.Mux(false))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,6 +31,12 @@ import (
 type ShardedCluster struct {
 	inner *shard.Cluster
 	net   *transport.MemNetwork
+	// ring holds the deployment's routing-ring gauges; obs serves them and
+	// every node's instruments, re-fetched per request (pprof too when
+	// Options.Profiling was set).
+	ring      *metrics.Registry
+	obs       cluster.Endpoints
+	profiling bool
 }
 
 // StartSharded boots opts.Shards independent partitions (at least one),
@@ -48,7 +54,15 @@ func StartSharded(opts Options) (*ShardedCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedCluster{inner: inner, net: nw}, nil
+	c := &ShardedCluster{inner: inner, net: nw, ring: metrics.NewRegistry(), profiling: opts.Profiling}
+	c.ring.GaugeFunc("curp_ring_epoch",
+		"Routing-ring configuration epoch (one bump per rebalance step).",
+		func() float64 { return float64(inner.CurrentRing().Epoch()) })
+	c.ring.GaugeFunc("curp_ring_shards",
+		"Partitions the routing ring covers.",
+		func() float64 { return float64(inner.CurrentRing().Shards()) })
+	c.obs = cluster.EndpointsOver(c.nodes)
+	return c, nil
 }
 
 // NumShards returns the partition count, including spares added with
@@ -141,45 +155,38 @@ func (c *ShardedCluster) MasterAddrs() []string {
 // Close shuts every partition down.
 func (c *ShardedCluster) Close() { c.inner.Close() }
 
-// registries snapshots every partition's metric registries plus the
-// deployment's ring gauges, re-fetched per call so failovers and added
-// shards appear on the next scrape.
-func (c *ShardedCluster) registries() []*metrics.Registry {
-	ring := metrics.NewRegistry()
-	ring.GaugeFunc("curp_ring_epoch",
-		"Routing-ring configuration epoch (one bump per rebalance step).",
-		func() float64 { return float64(c.inner.CurrentRing().Epoch()) })
-	ring.GaugeFunc("curp_ring_shards",
-		"Partitions the routing ring covers.",
-		func() float64 { return float64(c.inner.CurrentRing().Shards()) })
-	regs := []*metrics.Registry{ring}
-	for _, part := range c.inner.Partitions() {
-		regs = append(regs, part.Registries()...)
-	}
-	return regs
+// nodes snapshots the deployment's ring gauges plus every partition's
+// observability bundles, re-fetched per call so failovers and added shards
+// appear on the next scrape.
+func (c *ShardedCluster) nodes() []cluster.Bundle {
+	return append([]cluster.Bundle{{Role: "ring", Metrics: c.ring}}, c.inner.Nodes()...)
 }
 
 // MetricsHandler returns an http.Handler serving the whole deployment's
 // metrics — ring state plus every partition's coordinator, master,
 // backups, and witnesses — in Prometheus text exposition format.
-func (c *ShardedCluster) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		metrics.Handler(c.registries()...).ServeHTTP(w, req)
-	})
-}
+func (c *ShardedCluster) MetricsHandler() http.Handler { return c.obs.Metrics }
+
+// TraceHandler serves every partition's distributed traces (the /trace
+// endpoint of Cluster.TraceHandler), each document stamped with its shard.
+func (c *ShardedCluster) TraceHandler() http.Handler { return c.obs.Trace }
+
+// EventsHandler serves every partition's flight-recorder journals (the
+// /events endpoint of Cluster.EventsHandler).
+func (c *ShardedCluster) EventsHandler() http.Handler { return c.obs.Events }
+
+// HotKeysHandler serves every partition master's hot-key sketch (the
+// /hotkeys endpoint of Cluster.HotKeysHandler).
+func (c *ShardedCluster) HotKeysHandler() http.Handler { return c.obs.HotKeys }
+
+// NodeHandler returns the full observability mux: /metrics, /trace,
+// /events, /hotkeys, and (with Options.Profiling) net/http/pprof.
+func (c *ShardedCluster) NodeHandler() http.Handler { return c.obs.Mux(c.profiling) }
 
 // WriteMetrics renders the deployment's current metrics to w in
 // Prometheus text exposition format.
 func (c *ShardedCluster) WriteMetrics(w io.Writer) error {
-	for _, r := range c.registries() {
-		if r == nil {
-			continue
-		}
-		if err := r.WritePrometheus(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cluster.WriteMetrics(w, c.nodes())
 }
 
 // ShardedClient routes key-value operations across a ShardedCluster.

@@ -44,7 +44,10 @@ func TestConflictSyncTraceSpansThreeRoles(t *testing.T) {
 	// so its apply span carries verdict=conflict-sync and promotes the
 	// trace on the master's collector. The client's root spans were
 	// boring and stayed in its ring — Lookup must still recover them.
-	colls := append([]*metrics.Collector{cl.inner.Trace()}, c.inner.TraceCollectors()...)
+	colls := []*metrics.Collector{cl.inner.Trace()}
+	for _, b := range c.inner.Nodes() {
+		colls = append(colls, b.Trace)
+	}
 	var traceID uint64
 	for _, coll := range colls {
 		for _, tr := range coll.Dump().Traces {
