@@ -471,7 +471,7 @@ func newCache(copts cluster.Options, durableLog []byte, replayWitness *witness.W
 			return nil, fmt.Errorf("curp: durable cache witness: %w", err)
 		}
 		ws = append(ws, w)
-		view.Witnesses = append(view.Witnesses, dstore.WitnessAdapter{W: w})
+		view.Witnesses = append(view.Witnesses, core.WitnessAdapter{W: w})
 	}
 	engine.AttachWitnesses(ws)
 	client := core.NewClient(rifl.NewSession(session), core.StaticView{V: view}, core.DefaultClientConfig())

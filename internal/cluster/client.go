@@ -86,10 +86,11 @@ func (m *masterConn) Sync(ctx context.Context) error {
 // witnessConn adapts an rpc.Peer to core.WitnessAPI. It is built per view
 // and stamps every record with that view's witness-list version, so a
 // witness instance started for a later incarnation of the master turns a
-// late record away (see instance).
+// late record away (see instance); its §A.1 probe names the view's master.
 type witnessConn struct {
-	peer    *rpc.Peer
-	version uint64
+	peer     *rpc.Peer
+	version  uint64
+	masterID uint64
 }
 
 // RecordBatch ships every pending record of a flush in one RPC (chunked
@@ -124,7 +125,14 @@ func (w *witnessConn) RecordBatch(ctx context.Context, masterID uint64, recs []w
 }
 
 func (w *witnessConn) Commutes(ctx context.Context, keyHashes []uint64) (bool, error) {
-	return false, errors.New("cluster: witnessConn requires a master-scoped probe; use scopedWitnessConn")
+	e := rpc.NewEncoder(16 + 8*len(keyHashes))
+	e.U64(w.masterID)
+	e.U64Slice(keyHashes)
+	out, err := w.peer.Call(ctx, OpWitnessCommutes, e.Bytes())
+	if err != nil {
+		return false, err
+	}
+	return len(out) == 1 && out[0] == 1, nil
 }
 
 // Drop retracts the (keyHash, id) pairs of abandoned RPCs — any number of
@@ -136,24 +144,6 @@ func (w *witnessConn) Drop(ctx context.Context, masterID uint64, keys []witness.
 	req := &gcRequest{MasterID: masterID, Keys: keys}
 	_, err := w.peer.Call(ctx, OpWitnessDrop, req.encode())
 	return err
-}
-
-// scopedWitnessConn binds a witnessConn to a master ID so Commutes can
-// address the right witness instance.
-type scopedWitnessConn struct {
-	*witnessConn
-	masterID uint64
-}
-
-func (w *scopedWitnessConn) Commutes(ctx context.Context, keyHashes []uint64) (bool, error) {
-	e := rpc.NewEncoder(16 + 8*len(keyHashes))
-	e.U64(w.masterID)
-	e.U64Slice(keyHashes)
-	out, err := w.peer.Call(ctx, OpWitnessCommutes, e.Bytes())
-	if err != nil {
-		return false, err
-	}
-	return len(out) == 1 && out[0] == 1, nil
 }
 
 // backupConn adapts an rpc.Peer to core.BackupAPI for §A.1 reads.
@@ -237,10 +227,7 @@ func (p *coordViewProvider) View(ctx context.Context, refresh bool) (*core.View,
 	for _, addr := range info.WitnessAddrs {
 		wp := rpc.NewPeer(p.nw, p.self, addr)
 		p.peers = append(p.peers, wp)
-		view.Witnesses = append(view.Witnesses, &scopedWitnessConn{
-			witnessConn: &witnessConn{peer: wp, version: info.WitnessListVersion},
-			masterID:    info.MasterID,
-		})
+		view.Witnesses = append(view.Witnesses, &witnessConn{peer: wp, version: info.WitnessListVersion, masterID: info.MasterID})
 	}
 	for _, addr := range info.BackupAddrs {
 		bp := rpc.NewPeer(p.nw, p.self, addr)

@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"curp/internal/commute"
+	"curp/internal/core"
 	"curp/internal/health"
+	"curp/internal/kv"
 	"curp/internal/rifl"
 	"curp/internal/rpc"
 	"curp/internal/witness"
@@ -141,4 +144,116 @@ func FuzzDecodeRecordBatchRequest(f *testing.F) {
 			t.Fatalf("round trip: %+v -> %+v (%v)", r, again, err)
 		}
 	})
+}
+
+// FuzzDecodeUpdateBatch: the master decodes one OpUpdateBatch per pipeline
+// flush, from any client that can reach it.
+func FuzzDecodeUpdateBatch(f *testing.F) {
+	f.Add(encodeUpdateBatch(nil))
+	f.Add(encodeUpdateBatch([]*core.Request{
+		{},
+		{ID: rifl.RPCID{Client: 3, Seq: 7}, Ack: 5, WitnessListVersion: 2, KeyHashes: []uint64{10, 20},
+			Payload: []byte("cmd"), Class: commute.ClassCounter},
+	}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		reqs, err := decodeUpdateBatch(b)
+		if err != nil {
+			return
+		}
+		fits(t, "requests", cap(reqs), core.MinRequestWireSize, len(b))
+		again, err := decodeUpdateBatch(encodeUpdateBatch(reqs))
+		if err != nil || !reflect.DeepEqual(reqs, again) {
+			t.Fatalf("round trip: %+v -> %+v (%v)", reqs, again, err)
+		}
+	})
+}
+
+// FuzzDecodeReplyBatch: the client's half of the same exchange.
+func FuzzDecodeReplyBatch(f *testing.F) {
+	f.Add(encodeReplyBatch(nil))
+	f.Add(encodeReplyBatch([]core.Outcome{
+		{Reply: core.Reply{Status: core.StatusOK, Synced: true, Payload: []byte("res")}},
+		{Reply: core.Reply{Status: core.StatusError, Err: "boom"}},
+		{},
+	}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		replies, err := decodeReplyBatch(b)
+		if err != nil {
+			return
+		}
+		fits(t, "replies", cap(replies), core.MinReplyWireSize, len(b))
+		outs := make([]core.Outcome, len(replies))
+		for i, r := range replies {
+			outs[i].Reply = *r
+		}
+		again, err := decodeReplyBatch(encodeReplyBatch(outs))
+		if err != nil || !reflect.DeepEqual(replies, again) {
+			t.Fatalf("round trip: %+v -> %+v (%v)", replies, again, err)
+		}
+	})
+}
+
+// FuzzUnmarshalBundle: a migration target decodes the bundle its source
+// collected — objects, completion records, transaction decisions and live
+// witness records in one payload.
+func FuzzUnmarshalBundle(f *testing.F) {
+	encode := func(b *MigrationBundle) []byte {
+		e := rpc.NewEncoder(0)
+		b.marshal(e)
+		return e.Bytes()
+	}
+	f.Add(encode(&MigrationBundle{}))
+	f.Add(encode(&MigrationBundle{
+		Objects:     []kv.MigratedObject{{Key: []byte("k"), Value: []byte("v"), Version: 3}, {Key: []byte("gone"), Version: 9, Tombstone: true}},
+		Completions: []rifl.Completion{{ID: rifl.RPCID{Client: 4, Seq: 1}, Result: []byte("r"), KeyHashes: []uint64{7}}},
+		Decisions:   []kv.TxnDecisionRecord{{ID: rifl.RPCID{Client: 4, Seq: 2}, Commit: true, HomeHash: 11}},
+		WitnessRecords: []witness.Record{
+			{KeyHashes: []uint64{7, 8}, ID: rifl.RPCID{Client: 5, Seq: 1}, Request: []byte("put k v"), Class: commute.ClassCounter},
+		},
+	}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		bundle, err := unmarshalBundle(rpc.NewDecoder(b))
+		if err != nil {
+			return
+		}
+		fits(t, "objects", cap(bundle.Objects), 4+4+8+1, len(b))
+		fits(t, "completions", cap(bundle.Completions), 16+4+4, len(b))
+		fits(t, "decisions", cap(bundle.Decisions), 16+1+8, len(b))
+		fits(t, "witness records", cap(bundle.WitnessRecords), minRecordWireSize, len(b))
+		again, err := unmarshalBundle(rpc.NewDecoder(encode(bundle)))
+		if err != nil || !reflect.DeepEqual(bundle, again) {
+			t.Fatalf("round trip: %+v -> %+v (%v)", bundle, again, err)
+		}
+	})
+}
+
+// TestBatchDecodersBoundPreallocation is the weakness the fuzzers above
+// cannot see, because it sits on the failing path: a frame whose count
+// claims one element per payload byte used to size the result slice before
+// the first element failed to decode (a 16 MB frame: a 128 MB slice).
+func TestBatchDecodersBoundPreallocation(t *testing.T) {
+	const n = 1 << 16
+	e := rpc.NewEncoder(4 + n)
+	e.U32(n)
+	hostile := append(e.Bytes(), make([]byte, n)...)
+	for name, decode := range map[string]func([]byte) error{
+		"update batch": func(b []byte) error { _, err := decodeUpdateBatch(b); return err },
+		"reply batch":  func(b []byte) error { _, err := decodeReplyBatch(b); return err },
+		"append request": func(b []byte) error {
+			_, err := decodeAppendRequest(append(make([]byte, 16), b...))
+			return err
+		},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode(hostile)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded %d elements from %d bytes", name, n, n)
+		}
+		// The append-request case copies the payload once to prefix it.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*n {
+			t.Errorf("%s: allocated %d bytes refusing a %d-byte payload", name, grew, len(hostile))
+		}
+	}
 }

@@ -5,7 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"curp/internal/commute"
+	"curp/internal/rifl"
+	"curp/internal/rpc"
 	"curp/internal/transport"
+	"curp/internal/witness"
 )
 
 // TestLateRecordAcrossRecoveryIsNotAccepted is the §3.2 durability rule
@@ -56,5 +60,54 @@ func TestLateRecordAcrossRecoveryIsNotAccepted(t *testing.T) {
 	}
 	if n := c.WitnessServers()[0].misaddressed.Load(); n != 1 {
 		t.Fatalf("witness1 turned away %d records, want the 1 late one", n)
+	}
+}
+
+// TestRecordOnEndedInstanceIsNotAccepted is the schedule that stalls a
+// record handler exactly between its two steps: handleRecord and
+// handleRecordBatch fetch the instance under the server's lock, release
+// it, and only then record. The test holds the fetched pointer across the
+// recovery's OpWitnessRecoveryData and the coordinator's OpWitnessEnd —
+// where a descheduled handler would be — and then records on it. An accept
+// there is the client's f-th accept for a write recovery never replayed,
+// held by an object nothing will ever read.
+func TestRecordOnEndedInstanceIsNotAccepted(t *testing.T) {
+	nw := transport.NewMemNetwork(nil)
+	ws, err := NewWitnessServer(nw, "w1", witness.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	peer := rpc.NewPeer(nw, "driver", "w1")
+	defer peer.Close()
+	ctx := context.Background()
+	call := func(op uint16, words ...uint64) {
+		t.Helper()
+		e := rpc.NewEncoder(8 * len(words))
+		for _, w := range words {
+			e.U64(w)
+		}
+		if _, err := peer.Call(ctx, op, e.Bytes()); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+	}
+	call(OpWitnessStart, 1, 1)
+	stalled := ws.Instance(1) // the handler's lookup
+	call(OpWitnessRecoveryData, 1)
+	call(OpWitnessEnd, 1)
+
+	id := rifl.RPCID{Client: 7, Seq: 1}
+	if res := stalled.Record(1, []uint64{42}, id, []byte("put k v"), commute.ClassWrite); res.Ok() {
+		t.Fatalf("record on an ended instance = %v: accepted by an object no recovery reads", res)
+	}
+	batch := []witness.Record{{KeyHashes: []uint64{43}, ID: rifl.RPCID{Client: 7, Seq: 2}, Request: []byte("put j v")}}
+	if res := stalled.RecordBatch(1, batch); res[0].Ok() {
+		t.Fatalf("record batch on an ended instance = %v", res)
+	}
+	// The successor's instance on the same server is a different object and
+	// serves normally.
+	call(OpWitnessStart, 1, 2)
+	if res := ws.Instance(1).Record(1, []uint64{42}, id, []byte("put k v"), commute.ClassWrite); !res.Ok() {
+		t.Fatalf("record on the successor's instance = %v", res)
 	}
 }

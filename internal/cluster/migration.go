@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"curp/internal/commute"
 	"curp/internal/controlplane"
 	"curp/internal/core"
 	"curp/internal/events"
@@ -236,20 +235,14 @@ func (b *MigrationBundle) marshal(e *rpc.Encoder) {
 		e.Bool(d.Commit)
 		e.U64(d.HomeHash)
 	}
-	e.U32(uint32(len(b.WitnessRecords)))
-	for _, r := range b.WitnessRecords {
-		e.U64Slice(r.KeyHashes)
-		e.U64(uint64(r.ID.Client))
-		e.U64(uint64(r.ID.Seq))
-		e.Bytes32(r.Request)
-		e.U8(uint8(r.Class))
-	}
+	marshalRecords(e, b.WitnessRecords)
 }
 
 func unmarshalBundle(d *rpc.Decoder) (*MigrationBundle, error) {
 	b := &MigrationBundle{}
-	n := d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
+	n := d.Count(4 + 4 + 8 + 1) // empty key and value, version, tombstone flag
+	b.Objects = make([]kv.MigratedObject, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
 		b.Objects = append(b.Objects, kv.MigratedObject{
 			Key:       d.BytesCopy32(),
 			Value:     d.BytesCopy32(),
@@ -257,32 +250,25 @@ func unmarshalBundle(d *rpc.Decoder) (*MigrationBundle, error) {
 			Tombstone: d.Bool(),
 		})
 	}
-	n = d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
+	n = d.Count(16 + 4 + 4) // RPC ID, empty result, no key hashes
+	b.Completions = make([]rifl.Completion, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
 		b.Completions = append(b.Completions, rifl.Completion{
 			ID:        rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
 			Result:    d.BytesCopy32(),
 			KeyHashes: d.U64Slice(),
 		})
 	}
-	n = d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
+	n = d.Count(16 + 1 + 8) // RPC ID, commit flag, home hash
+	b.Decisions = make([]kv.TxnDecisionRecord, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
 		b.Decisions = append(b.Decisions, kv.TxnDecisionRecord{
 			ID:       rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
 			Commit:   d.Bool(),
 			HomeHash: d.U64(),
 		})
 	}
-	n = d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		r := witness.Record{
-			KeyHashes: d.U64Slice(),
-			ID:        rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
-			Request:   d.BytesCopy32(),
-		}
-		r.Class = commute.Class(d.U8())
-		b.WitnessRecords = append(b.WitnessRecords, r)
-	}
+	b.WitnessRecords = unmarshalRecords(d)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}

@@ -198,6 +198,14 @@ func recordWireSize(rec witness.Record) int {
 	return minRecordWireSize + 8*len(rec.KeyHashes) + len(rec.Request)
 }
 
+// marshalRecords writes a counted run of witness records.
+func marshalRecords(e *rpc.Encoder, recs []witness.Record) {
+	e.U32(uint32(len(recs)))
+	for _, r := range recs {
+		marshalRecord(e, r)
+	}
+}
+
 func marshalRecord(e *rpc.Encoder, rec witness.Record) {
 	e.U64Slice(rec.KeyHashes)
 	e.U64(uint64(rec.ID.Client))
@@ -253,10 +261,7 @@ func decodeGCRequest(b []byte) (*gcRequest, error) {
 // recovery data).
 func encodeWitnessRecords(recs []witness.Record) []byte {
 	e := rpc.NewEncoder(64 * len(recs))
-	e.U32(uint32(len(recs)))
-	for _, r := range recs {
-		marshalRecord(e, r)
-	}
+	marshalRecords(e, recs)
 	return e.Bytes()
 }
 
@@ -295,7 +300,7 @@ func encodeUpdateBatch(reqs []*core.Request) []byte {
 
 func decodeUpdateBatch(b []byte) ([]*core.Request, error) {
 	d := rpc.NewDecoder(b)
-	n := d.Count(1)
+	n := d.Count(core.MinRequestWireSize)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -322,7 +327,7 @@ func encodeReplyBatch(outs []core.Outcome) []byte {
 
 func decodeReplyBatch(b []byte) ([]*core.Reply, error) {
 	d := rpc.NewDecoder(b)
-	n := d.Count(1)
+	n := d.Count(core.MinReplyWireSize)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -354,10 +359,7 @@ func (r *recordBatchRequest) encode() []byte {
 	e := rpc.NewEncoder(size)
 	e.U64(r.MasterID)
 	e.U64(r.Version)
-	e.U32(uint32(len(r.Records)))
-	for _, rec := range r.Records {
-		marshalRecord(e, rec)
-	}
+	marshalRecords(e, r.Records)
 	return e.Bytes()
 }
 
@@ -448,21 +450,28 @@ func (a *appendRequest) encode() []byte {
 func decodeAppendRequest(b []byte) (*appendRequest, error) {
 	d := rpc.NewDecoder(b)
 	a := &appendRequest{MasterID: d.U64(), Epoch: d.U64()}
-	n := d.Count(1)
+	var err error
+	if a.Entries, err = unmarshalEntries(d); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// unmarshalEntries reads a counted run of log entries (nil when empty).
+func unmarshalEntries(d *rpc.Decoder) ([]kv.Entry, error) {
+	n := d.Count(kv.MinEntryWireSize)
+	var entries []kv.Entry
 	if n > 0 {
-		a.Entries = make([]kv.Entry, 0, n)
+		entries = make([]kv.Entry, 0, n)
 	}
 	for i := 0; i < n; i++ {
 		en, err := kv.UnmarshalEntry(d)
 		if err != nil {
 			return nil, err
 		}
-		a.Entries = append(a.Entries, *en)
+		entries = append(entries, *en)
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return entries, d.Err()
 }
 
 // encodeEntries serializes a backup's log for master recovery.
@@ -475,22 +484,7 @@ func encodeEntries(entries []kv.Entry) []byte {
 	return e.Bytes()
 }
 
-func decodeEntries(b []byte) ([]kv.Entry, error) {
-	d := rpc.NewDecoder(b)
-	n := d.Count(24) // LSN + RPC ID, before the command and result
-	entries := make([]kv.Entry, 0, n)
-	for i := 0; i < n; i++ {
-		en, err := kv.UnmarshalEntry(d)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, *en)
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return entries, nil
-}
+func decodeEntries(b []byte) ([]kv.Entry, error) { return unmarshalEntries(rpc.NewDecoder(b)) }
 
 // PartitionHealth is the payload of an OpHealthStatus reply: one
 // partition's membership and liveness as the coordinator sees it.

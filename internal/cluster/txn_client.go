@@ -96,83 +96,30 @@ func (c *Client) ForgetTxnDecision(ctx context.Context, id rifl.RPCID, homeHash 
 	c.curp.UpdateAsync(ctx, []uint64{homeHash}, cmd.Encode(), cmd.Class())
 }
 
-// txnCall drives one prepare/decide RPC with the client's standard retry
-// discipline: refresh the view after failures (the RIFL ID makes retries
-// across a master recovery exactly-once), back off on prepared-lock
-// collisions, and surface redirects to the routing layer.
+// txnCall drives one prepare/decide RPC, under a fresh RIFL ID, through the
+// core client's single-request loop.
 func (c *Client) txnCall(ctx context.Context, op uint16, cmd *kv.Command) (*kv.Result, error) {
-	id := c.curp.Session().NextID()
-	keyHashes := cmd.KeyHashes()
-	payload := cmd.Encode()
-	cfg := core.DefaultClientConfig()
-	var lastErr error
-	lastLocked := false
-	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if err := core.PauseJittered(ctx, attempt-1, cfg.RetryBackoff, cfg.MaxRetryBackoff); err != nil {
+	out, bounce, err := c.curp.Call(ctx, c.curp.Session().NextID(), cmd.KeyHashes(), cmd.Encode(),
+		func(ctx context.Context, view *core.View, req *core.Request) (*core.Reply, error) {
+			mc, ok := view.Master.(*masterConn)
+			if !ok {
+				return nil, errors.New("cluster: transactions require a cluster master connection")
+			}
+			out, err := mc.peer.Call(ctx, op, req.Encode())
+			if err != nil {
 				return nil, err
 			}
-		}
-		view, err := c.provider.View(ctx, attempt > 0)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		mc, ok := view.Master.(*masterConn)
-		if !ok {
-			return nil, errors.New("cluster: transactions require a cluster master connection")
-		}
-		req := &core.Request{
-			ID:                 id,
-			Ack:                c.curp.Session().Ack(),
-			WitnessListVersion: view.WitnessListVersion,
-			KeyHashes:          keyHashes,
-			Payload:            payload,
-		}
-		out, err := mc.peer.Call(ctx, op, req.Encode())
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			// A transport failure is NOT a clean bounce: the request may
-			// have executed with the reply lost, so a final failure here
-			// must report in-doubt, never ErrTxnBusy.
-			lastLocked = false
-			lastErr = err
-			continue
-		}
-		reply, err := core.DecodeReply(out)
-		if err != nil {
-			return nil, err
-		}
-		switch reply.Status {
-		case core.StatusOK:
-			c.curp.Session().Finish(id)
-			return kv.DecodeResult(reply.Payload)
-		case core.StatusKeyMoved:
-			// The ID was never executed and never witness-recorded, so it
-			// is safe to abandon; the transaction layer re-routes.
-			c.curp.Session().Finish(id)
-			return nil, core.ErrKeyMoved
-		case core.StatusTxnLocked, core.StatusStaleWitnessList, core.StatusWrongMaster:
-			lastLocked = reply.Status == core.StatusTxnLocked
-			lastErr = fmt.Errorf("cluster: txn rpc: master replied %v", reply.Status)
-			continue
-		case core.StatusIgnored:
-			return nil, core.ErrIgnored
-		case core.StatusError:
-			return nil, fmt.Errorf("cluster: txn rpc: %s", reply.Err)
-		default:
-			return nil, fmt.Errorf("cluster: txn rpc: unexpected status %v", reply.Status)
-		}
+			return core.DecodeReply(out)
+		})
+	if bounce == core.StatusTxnLocked {
+		// Exhausted while parked behind other transactions' locks: it never
+		// executed, so the coordinator may abort cleanly, not report in doubt.
+		return nil, fmt.Errorf("%w: %v", txn.ErrTxnBusy, err)
 	}
-	if lastLocked {
-		// Exhausted while parked behind other transactions' locks: the
-		// request never executed, so the coordinator may abort cleanly
-		// instead of reporting an in-doubt failure.
-		return nil, fmt.Errorf("%w: %v", txn.ErrTxnBusy, lastErr)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: %v", core.ErrUpdateFailed, lastErr)
+	return kv.DecodeResult(out)
 }
 
 // SubmitTxnApply commits a single-shard transaction through the normal

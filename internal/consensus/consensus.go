@@ -1,34 +1,24 @@
-// Package consensus implements the paper's §A.2 extension: CURP layered on
-// a strong-leader consensus protocol (Raft/Viewstamped-Replication style).
+// Package consensus is the paper's §A.2 extension: CURP layered on a
+// strong-leader consensus protocol (Raft / Viewstamped Replication style).
 //
-// The substrate is a replicated log with 2f+1 replicas, a leader that
-// appends and replicates entries, and a commit rule of "majority match".
-// CURP adds:
+// It holds only what §A.2 adds to CURP (the master protocol is core.Engine,
+// the client protocol core.Client, both unmodified): a leader that is a
+// core.Substrate whose "sync" is a majority commit, a witness per replica and
+// term with the TERM as its master ID, one logical core.WitnessAPI that counts
+// a record accepted iff a superquorum of those did, and the leadership change.
 //
-//   - a witness component embedded in every replica, keyed by the current
-//     term — record RPCs carry the client's term and are rejected by
-//     witnesses of other terms (§A.2's zombie-leader defense);
-//   - speculative execution at the leader: commutative requests execute
-//     and answer before commit;
-//   - the superquorum completion rule: a client finishes in 1 RTT only if
-//     f+⌈f/2⌉+1 of the 2f+1 witnesses accepted its record, which
-//     guarantees the request appears in ⌈f/2⌉+1 witnesses of ANY quorum
-//     of f+1 — enough for the new leader to identify it during recovery;
-//   - leadership-change recovery: the new leader collects records from
-//     f+1 witnesses and replays exactly those appearing in at least
-//     ⌈f/2⌉+1 of them, which §A.2 proves are mutually commutative and
-//     include every completed-but-uncommitted request.
-//
-// Replicas communicate by direct method calls with failure-injection
-// switches (Down), which keeps the protocol logic — the part the paper
-// specifies — fully testable without duplicating the RPC substrate that
-// internal/cluster already provides for primary-backup mode.
+// DEVIATION: replicas are direct-call objects with Down/Up switches and an
+// explicit ChangeLeader; there are no timers, elections or RPCs under them,
+// so every §A.2 schedule is deterministic and replayable from a seed, and
+// internal/cluster's RPC substrate is not duplicated.
 package consensus
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"curp/internal/commute"
 	"curp/internal/core"
@@ -37,485 +27,326 @@ import (
 	"curp/internal/witness"
 )
 
-// LogEntry is one slot of the replicated command log.
-type LogEntry struct {
-	Term      uint64
-	ID        rifl.RPCID
-	KeyHashes []uint64
-	Payload   []byte // encoded kv.Command
-}
-
-// Replica is one member of the consensus group.
+// Replica is one member of the group: a copy of the log with the state
+// machine it produces (one kv.Store is both) and the current term's witness.
 type Replica struct {
-	mu sync.Mutex
-
-	id      int
-	term    uint64
-	isDown  bool
-	witness *witness.Witness
-
-	log    []LogEntry
-	commit int // entries log[:commit] are committed
-
-	// State machine: rebuilt from the committed log on followers; the
-	// leader's copy may run ahead (speculative execution).
-	sm        *kv.Store
-	smApplied int // log prefix applied to sm
-	tracker   *rifl.Tracker
-
-	// Leader-only commutativity bookkeeping over the uncommitted suffix.
-	state *core.MasterState
+	down atomic.Bool
+	mu   sync.Mutex // vote and appendLog are atomic steps
+	term uint64     // the highest term voted in or heard from
+	// witness serves the term that is its MasterID. sm's log is a prefix of
+	// the log of logTerm's leader, whose own sm is the store its engine
+	// executes on, ahead by the uncommitted suffix. Both are written under mu
+	// and read without it (clients, the leader's gc, observers).
+	witness atomic.Pointer[witness.Witness]
+	logTerm uint64
+	sm      atomic.Pointer[kv.Store]
 }
 
-func newReplica(id int, wcfg witness.Config) *Replica {
-	return &Replica{
-		id:      id,
-		witness: witness.MustNew(uint64(0), wcfg), // keyed by term 0
-		sm:      kv.NewStore(),
-		tracker: rifl.NewTracker(),
-		state:   core.NewMasterState(core.MasterConfig{SyncBatchSize: 50}),
-	}
-}
+// Down simulates a crash or partition of the replica, Up its end; SM is its
+// log and state machine, Witness its current witness (unreachable while down).
+func (r *Replica) Down()                     { r.down.Store(true) }
+func (r *Replica) Up()                       { r.down.Store(false) }
+func (r *Replica) SM() *kv.Store             { return r.sm.Load() }
+func (r *Replica) Witness() *witness.Witness { return r.witness.Load() }
 
-// Down simulates a crash or partition of the replica.
-func (r *Replica) Down() {
+// appendLog is the leader→follower replication call and term-announcing
+// heartbeat: the replica catches up with the leader's log from however far
+// behind, and reports whether it now stores all of it.
+func (r *Replica) appendLog(term uint64, leaderLog *kv.Store) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.isDown = true
-}
-
-// Up restores a downed replica.
-func (r *Replica) Up() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.isDown = false
-}
-
-// RecordOnWitness is the client→witness record RPC: it carries the
-// client's view of the current term; a witness embedded in a replica at a
-// different term rejects (§A.2: "if the record RPC has an old term number,
-// the witness rejects the request").
-func (r *Replica) RecordOnWitness(term uint64, keyHashes []uint64, id rifl.RPCID, payload []byte) witness.RecordResult {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.isDown {
-		return witness.RejectedRecovery // unreachable ≈ no acceptance
-	}
-	if term != r.term {
-		return witness.RejectedWrongMaster
-	}
-	return r.witness.Record(r.witness.MasterID(), keyHashes, id, payload, commute.ClassWrite)
-}
-
-// appendEntries is the leader→follower replication call. It returns false
-// when the follower is down or the terms/logs do not line up.
-func (r *Replica) appendEntries(term uint64, prevIndex int, entries []LogEntry, leaderCommit int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.isDown || term < r.term {
+	// PAPER §A.2 / Raft, the term fence: a majority adopted the newer term
+	// before its leader collected anything, so a deposed leader cannot commit.
+	if r.down.Load() || term < r.term {
 		return false
 	}
 	r.term = term
-	if prevIndex > len(r.log) {
-		return false // gap
+	if r.logTerm != term {
+		// DEVIATION: entries carry no term, so a log kept from another
+		// leader — which may diverge from this one's — is replaced whole, in
+		// this one step, where Raft truncates the conflicting suffix.
+		r.logTerm = term
+		r.sm.Store(kv.NewStore())
 	}
-	r.log = append(r.log[:prevIndex], entries...)
-	if leaderCommit > len(r.log) {
-		leaderCommit = len(r.log)
+	for _, en := range leaderLog.EntriesSince(r.SM().Head()) {
+		if r.SM().ReplayEntry(&en) != nil {
+			return false
+		}
 	}
-	if leaderCommit > r.commit {
-		r.commit = leaderCommit
-		r.applyCommittedLocked()
+	if r.Witness().MasterID() != term {
+		// PAPER §A.2: a new term gets fresh witnesses. The old object is
+		// replaced, never reset: it was frozen when this replica voted, or
+		// belongs to a term whose records the leader's committed log holds.
+		r.witness.Store(witness.MustNew(term, witness.DefaultConfig()))
 	}
 	return true
 }
 
-// applyCommittedLocked applies newly committed entries to the follower's
-// state machine. Leaders skip it (their sm ran ahead speculatively).
-func (r *Replica) applyCommittedLocked() {
-	for r.smApplied < r.commit {
-		en := &r.log[r.smApplied]
-		cmd, err := kv.DecodeCommand(en.Payload)
-		if err == nil {
-			if outcome, _ := r.tracker.Begin(en.ID, 0); outcome == rifl.New {
-				if res, _, err := r.sm.Apply(cmd, en.ID); err == nil {
-					r.tracker.Record(en.ID, res.Encode())
+// ballot is a replica's answer to a candidate: its log for the election and
+// its witness's records for CURP recovery.
+type ballot struct {
+	logTerm uint64
+	log     *kv.Store
+	records []witness.Record
+}
+
+// vote adopts term, refusing older terms' appends from here on, and freezes
+// the witness it hands over: the old leader's clients complete nothing more.
+func (r *Replica) vote(term uint64) (ballot, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.down.Load() || term <= r.term {
+		return ballot{}, false
+	}
+	r.term = term
+	return ballot{r.logTerm, r.SM(), r.Witness().GetRecoveryData()}, true
+}
+
+// leader is the §A.2 substrate of core.Engine: execution applies to the
+// leader replica's store, and sync is the consensus protocol's commit.
+type leader struct {
+	g     *Group
+	self  *Replica
+	term  uint64
+	store *kv.Store
+	eng   *core.Engine
+	view  *core.View
+}
+
+var _ core.Substrate = (*leader)(nil)
+
+// newLeader starts replica r, whose log is complete, as the leader of term.
+func newLeader(g *Group, r *Replica, term uint64) *leader {
+	l := &leader{g: g, self: r, term: term, store: r.SM()}
+	l.eng = core.NewEngine(l, core.MasterConfig{SyncBatchSize: 50}, nil)
+	for _, en := range l.store.EntriesSince(0) {
+		if !en.ID.IsZero() {
+			l.eng.Tracker().RecordKeyed(en.ID, en.Result.Encode(), en.Cmd.KeyHashes())
+		}
+	}
+	// The followers hold another leader's log until the first commit
+	// replaces it: the restored log counts as unsynced until then.
+	l.eng.State().InitRestored(uint64(l.store.Head()), 0)
+	// The view's version and master ID are the term: an update or a record
+	// sent under another term bounces, and the client refetches the view.
+	l.eng.State().SetWitnessListVersion(term)
+	l.view = &core.View{MasterID: term, WitnessListVersion: term, Master: core.LocalMaster{E: l.eng}, Witnesses: []core.WitnessAPI{superquorumWitness{g}}}
+	return l
+}
+
+// Execute implements core.Substrate.
+func (l *leader) Execute(_ context.Context, req *core.Request, mode core.Mode) core.Executed {
+	if l.self.down.Load() {
+		return core.Executed{Status: core.StatusWrongMaster}
+	}
+	cmd, err := kv.DecodeCommand(req.Payload)
+	if err == nil && mode == core.ReadOnly && !cmd.IsReadOnly() {
+		err = errors.New("consensus: Read requires a read-only command")
+	}
+	if err != nil {
+		return core.Executed{Status: core.StatusError, Err: err.Error()}
+	}
+	res, lsn, err := l.store.Apply(cmd, req.ID)
+	if err != nil {
+		return core.Executed{Status: core.StatusError, Err: err.Error()}
+	}
+	class := cmd.Class()
+	if mode == core.Replay && class != commute.ClassWrite {
+		res = &kv.Result{Found: res.Found} // the DEVIATION note on core.Engine.Recover
+	}
+	return core.Executed{Result: res.Encode(), LSN: uint64(lsn), Class: class, Demote: res.Demote}
+}
+
+// Head implements core.Substrate.
+func (l *leader) Head() uint64 { return uint64(l.store.Head()) }
+
+// Flush implements core.Substrate. PAPER §A.2: CURP's sync is the consensus
+// commit: f+1 of the 2f+1 replicas, the leader among them, store the entries.
+func (l *leader) Flush(_ context.Context, synced uint64) (uint64, []witness.GCKey, error) {
+	entries := l.store.EntriesSince(kv.LSN(synced))
+	if len(entries) == 0 {
+		return synced, nil, nil
+	}
+	acks := 0
+	for _, r := range l.g.replicas {
+		if !l.self.down.Load() && r.appendLog(l.term, l.store) { // a downed leader reaches nobody
+			acks++
+		}
+	}
+	if acks < l.g.Majority() {
+		return 0, nil, fmt.Errorf("consensus: term %d: entries stored on %d replicas, a commit needs %d", l.term, acks, l.g.Majority())
+	}
+	var keys []witness.GCKey
+	for i := range entries {
+		keys = append(keys, witness.GCKeys(entries[i].Cmd.KeyHashes(), entries[i].ID)...)
+	}
+	return uint64(entries[len(entries)-1].LSN), keys, nil
+}
+
+// CollectGarbage implements core.Substrate on the term's reachable witnesses.
+func (l *leader) CollectGarbage(keys []witness.GCKey) []witness.Record {
+	var stale []witness.Record
+	for _, r := range l.g.replicas {
+		if w := r.Witness(); !r.down.Load() && w.MasterID() == l.term {
+			stale = append(stale, w.GC(keys)...)
+		}
+	}
+	return stale
+}
+
+// superquorumWitness is the group's one logical witness.
+type superquorumWitness struct{ g *Group }
+
+// RecordBatch implements core.WitnessAPI. PAPER §A.2, the completion rule:
+// a record counts only if f+⌈f/2⌉+1 of the 2f+1 witnesses accepted it — it
+// is then held by ⌈f/2⌉+1 witnesses of ANY f+1 replicas a new leader may
+// collect from. "If the record RPC has an old term number, the witness
+// rejects the request": the term travels as the master ID, so that is
+// witness.Record's own check.
+func (w superquorumWitness) RecordBatch(_ context.Context, term uint64, recs []witness.Record) ([]witness.RecordResult, error) {
+	results := make([]witness.RecordResult, len(recs))
+	accepts := make([]int, len(recs))
+	for _, r := range w.g.replicas {
+		if !r.down.Load() {
+			for i, res := range r.Witness().RecordBatch(term, recs) {
+				if res.Ok() {
+					accepts[i]++
 				}
 			}
 		}
-		r.smApplied++
 	}
+	for i, n := range accepts {
+		if n < w.g.Superquorum() {
+			results[i] = witness.RejectedConflict
+		}
+	}
+	return results, nil
 }
 
-// Commit returns the replica's commit index (tests).
-func (r *Replica) Commit() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.commit
+// Commutes and Drop implement core.WitnessAPI for callers absent here (no
+// backups, no StatusKeyMoved) by refusing: read at the leader, keep the ID.
+func (w superquorumWitness) Commutes(context.Context, []uint64) (bool, error) { return false, nil }
+func (w superquorumWitness) Drop(context.Context, uint64, []witness.GCKey) error {
+	return errors.New("consensus: records cannot be retracted")
 }
 
-// Term returns the replica's current term.
-func (r *Replica) Term() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.term
-}
-
-// SM exposes the replica's state machine (tests).
-func (r *Replica) SM() *kv.Store {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sm
-}
-
-// resetWitnessLocked installs a fresh witness for a new term.
-func (r *Replica) resetWitnessLocked(term uint64, wcfg witness.Config) {
-	r.witness = witness.MustNew(0, wcfg)
-	_ = term
-}
-
-// Group is a consensus group of 2f+1 replicas with CURP witnesses.
+// Group is a consensus group of 2f+1 replicas serving CURP clients. It is
+// their core.ViewProvider: the view names the current leader.
 type Group struct {
-	mu       sync.Mutex
 	f        int
 	replicas []*Replica
-	leader   int
-	wcfg     witness.Config
-
-	stats GroupStats
+	client   *core.Client
+	leader   atomic.Pointer[leader]
+	changing sync.Mutex // one leadership change at a time
+	term     uint64     // the newest term an election ran in; changing guards it
 }
 
-// GroupStats counts completion paths.
+// GroupStats counts the completion paths of the group's own client.
 type GroupStats struct {
-	// FastPath: updates completed via superquorum witness acceptance
-	// (1 RTT).
-	FastPath uint64
-	// CommitPath: updates that waited for majority commit (2 RTT).
-	CommitPath uint64
+	FastPath   uint64 // updates completed by superquorum acceptance (1 RTT)
+	CommitPath uint64 // updates that waited for a majority commit (2 RTTs)
 }
 
 // NewGroup creates a group masking f failures (2f+1 replicas); replica 0
-// starts as leader at term 1.
-func NewGroup(f int, wcfg witness.Config) *Group {
-	if wcfg.Slots == 0 {
-		wcfg = witness.DefaultConfig()
-	}
-	g := &Group{f: f, wcfg: wcfg}
+// starts as leader at term 1. Close it when done.
+func NewGroup(f int) *Group {
+	g := &Group{f: f, term: 1}
 	for i := 0; i < 2*f+1; i++ {
-		r := newReplica(i, wcfg)
-		r.term = 1
+		r := &Replica{term: 1, logTerm: 1}
+		r.witness.Store(witness.MustNew(1, witness.DefaultConfig()))
+		r.sm.Store(kv.NewStore())
 		g.replicas = append(g.replicas, r)
 	}
+	g.leader.Store(newLeader(g, g.replicas[0], 1))
+	g.client = core.NewClient(rifl.NewSession(1), g, core.DefaultClientConfig())
 	return g
 }
 
-// F returns the group's fault-tolerance level.
-func (g *Group) F() int { return g.f }
+// Close stops the leader's engine; View implements core.ViewProvider.
+func (g *Group) Close()                                         { g.leader.Load().eng.Close() }
+func (g *Group) View(context.Context, bool) (*core.View, error) { return g.leader.Load().view, nil }
 
-// Superquorum returns the number of witness acceptances required for 1-RTT
-// completion: f + ⌈f/2⌉ + 1 (§A.2).
-func (g *Group) Superquorum() int { return g.f + (g.f+1)/2 + 1 }
+// Superquorum is the number of witness acceptances a 1-RTT completion needs,
+// Majority the commit quorum f+1.
+func (g *Group) Superquorum() int { return SuperquorumSize(g.f) }
+func (g *Group) Majority() int    { return QuorumSize(len(g.replicas)) }
 
-// Majority returns the commit quorum: f+1.
-func (g *Group) Majority() int { return g.f + 1 }
-
-// Leader returns the current leader replica.
-func (g *Group) Leader() *Replica {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.replicas[g.leader]
-}
-
-// Replica returns replica i.
+// Leader returns the current leader replica, Replica replica i, Committed
+// the commit index: the log position a majority stores.
+func (g *Group) Leader() *Replica       { return g.leader.Load().self }
 func (g *Group) Replica(i int) *Replica { return g.replicas[i] }
+func (g *Group) Committed() uint64      { return g.leader.Load().eng.State().SyncedLSN() }
 
-// Stats returns completion-path counters.
+// Stats returns the completion-path counters of the group's client.
 func (g *Group) Stats() GroupStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.stats
+	st := g.client.Stats()
+	return GroupStats{FastPath: st.FastPath, CommitPath: st.SyncedByMaster + st.SlowPath}
 }
 
-// ErrNoLeader reports an unavailable leader.
-var ErrNoLeader = errors.New("consensus: leader down")
+// Update executes cmd: in 1 RTT when it commutes with the uncommitted suffix
+// and a superquorum of witnesses recorded it, else after a majority commit.
+func (g *Group) Update(ctx context.Context, cmd *kv.Command) (*kv.Result, error) {
+	return kv.Submitted(g.client.UpdateAsync(ctx, cmd.KeyHashes(), cmd.Encode(), cmd.Class())).Result(ctx)
+}
 
-// Update executes a client update through the full CURP-on-consensus
-// protocol: record on all witnesses in parallel with proposing to the
-// leader; complete in 1 RTT on superquorum acceptance + speculative
-// execution, otherwise wait for majority commit.
-func (g *Group) Update(cmd *kv.Command, id rifl.RPCID) (*kv.Result, error) {
-	leader := g.Leader()
-	term := leader.Term()
-
-	// Record on every replica's witness (clients multicast; §A.2).
-	accepts := 0
-	payload := cmd.Encode()
-	keyHashes := cmd.KeyHashes()
-	for _, r := range g.replicas {
-		if r.RecordOnWitness(term, keyHashes, id, payload) == witness.Accepted {
-			accepts++
-		}
-	}
-
-	res, index, committed, err := g.propose(leader, cmd, id, keyHashes, payload)
+// Read serves a linearizable read at the leader (which holds a lease by
+// assumption); a read touching an uncommitted key commits first.
+func (g *Group) Read(ctx context.Context, cmd *kv.Command) (*kv.Result, error) {
+	out, err := g.client.Read(ctx, cmd.KeyHashes(), cmd.Encode())
 	if err != nil {
 		return nil, err
 	}
-	if committed {
-		g.countCommit()
-		return res, nil
-	}
-	if accepts >= g.Superquorum() {
-		g.countFast()
-		return res, nil
-	}
-	// Slow path: ask the leader to commit through the majority.
-	if err := g.replicate(leader, index); err != nil {
-		return nil, err
-	}
-	g.countCommit()
-	return res, nil
+	return kv.DecodeResult(out)
 }
 
-func (g *Group) countFast() {
-	g.mu.Lock()
-	g.stats.FastPath++
-	g.mu.Unlock()
-}
-
-func (g *Group) countCommit() {
-	g.mu.Lock()
-	g.stats.CommitPath++
-	g.mu.Unlock()
-}
-
-// propose appends the command at the leader and executes it speculatively
-// when commutative; non-commutative commands are committed before the
-// result is released (committed=true).
-func (g *Group) propose(leader *Replica, cmd *kv.Command, id rifl.RPCID, keyHashes []uint64, payload []byte) (*kv.Result, int, bool, error) {
-	leader.mu.Lock()
-	if leader.isDown {
-		leader.mu.Unlock()
-		return nil, 0, false, ErrNoLeader
-	}
-	if outcome, saved := leader.tracker.Begin(id, 0); outcome == rifl.Completed {
-		leader.mu.Unlock()
-		res, err := kv.DecodeResult(saved)
-		return res, len(leader.log), true, err
-	}
-	conflict := leader.state.Conflicts(keyHashes, commute.ClassWrite)
-	leader.log = append(leader.log, LogEntry{Term: leader.term, ID: id, KeyHashes: keyHashes, Payload: payload})
-	index := len(leader.log)
-	res, _, err := leader.sm.Apply(cmd, id)
-	if err != nil {
-		// Deterministic execution error: roll the entry back.
-		leader.log = leader.log[:index-1]
-		leader.mu.Unlock()
-		return nil, 0, false, err
-	}
-	leader.smApplied = index
-	leader.state.NoteMutation(keyHashes, uint64(index), commute.ClassWrite)
-	leader.tracker.Record(id, res.Encode())
-	leader.mu.Unlock()
-
-	if conflict {
-		if err := g.replicate(leader, index); err != nil {
-			return nil, 0, false, err
-		}
-		return res, index, true, nil
-	}
-	return res, index, false, nil
-}
-
-// replicate pushes the leader's log to followers until index is committed
-// on a majority.
-func (g *Group) replicate(leader *Replica, index int) error {
-	leader.mu.Lock()
-	term := leader.term
-	log := append([]LogEntry(nil), leader.log...)
-	commit := leader.commit
-	leader.mu.Unlock()
-
-	matched := 1 // leader itself
+// ChangeLeader makes replica i the leader of a new term with CURP recovery
+// (PAPER §A.2). Restoring completion records, the RIFL-filtered replay and
+// the final commit are the engine's, as in primary-backup recovery.
+func (g *Group) ChangeLeader(i int) error {
+	g.changing.Lock()
+	defer g.changing.Unlock()
+	g.term++
+	// Raft's election restriction: the most up-to-date log among a majority
+	// of voters holds every committed entry.
+	var ballots []ballot
+	var best ballot
 	for _, r := range g.replicas {
-		if r == leader {
-			continue
-		}
-		if r.appendEntries(term, 0, log, commit) {
-			matched++
-		}
-	}
-	if matched < g.Majority() {
-		return fmt.Errorf("consensus: only %d/%d replicas reachable", matched, g.Majority())
-	}
-	// Advance the leader's commit and propagate it.
-	leader.mu.Lock()
-	if index > leader.commit {
-		leader.commit = index
-	}
-	if leader.commit > leader.smApplied {
-		leader.applyCommittedLocked()
-	}
-	leader.state.NoteSync(uint64(leader.commit))
-	commit = leader.commit
-	leader.mu.Unlock()
-	for _, r := range g.replicas {
-		if r != leader {
-			r.appendEntries(term, 0, log, commit)
-		}
-	}
-	return nil
-}
-
-// Read serves a linearizable read at the leader: commutative reads answer
-// immediately (the strong leader holds a lease by assumption); reads
-// touching uncommitted keys commit first.
-func (g *Group) Read(cmd *kv.Command) (*kv.Result, error) {
-	leader := g.Leader()
-	keyHashes := cmd.KeyHashes()
-	leader.mu.Lock()
-	if leader.isDown {
-		leader.mu.Unlock()
-		return nil, ErrNoLeader
-	}
-	conflict := leader.state.Conflicts(keyHashes, commute.ClassWrite)
-	index := len(leader.log)
-	leader.mu.Unlock()
-	if conflict {
-		if err := g.replicate(leader, index); err != nil {
-			return nil, err
-		}
-	}
-	leader.mu.Lock()
-	defer leader.mu.Unlock()
-	res, _, err := leader.sm.Apply(cmd, rifl.RPCID{})
-	return res, err
-}
-
-// ChangeLeader performs a leadership change with CURP recovery (§A.2):
-// the new leader adopts the longest log among a majority, collects witness
-// records from f+1 reachable replicas, replays those appearing in at least
-// ⌈f/2⌉+1 of them, commits everything, and installs fresh witnesses under
-// the new term.
-func (g *Group) ChangeLeader(newLeader int) error {
-	g.mu.Lock()
-	nl := g.replicas[newLeader]
-	g.mu.Unlock()
-
-	nl.mu.Lock()
-	if nl.isDown {
-		nl.mu.Unlock()
-		return ErrNoLeader
-	}
-	newTerm := nl.term + 1
-	nl.mu.Unlock()
-
-	// Election data collection: longest committed log among a majority.
-	// (Raft's election restriction; we gather explicitly.)
-	votes := 0
-	var bestLog []LogEntry
-	bestCommit := 0
-	for _, r := range g.replicas {
-		r.mu.Lock()
-		if !r.isDown {
-			votes++
-			if r.commit > bestCommit {
-				bestCommit = r.commit
-				bestLog = append([]LogEntry(nil), r.log[:r.commit]...)
+		if b, ok := r.vote(g.term); ok {
+			ballots = append(ballots, b)
+			if best.log == nil || !LogUpToDate(best.logTerm, int(best.log.Head()), b.logTerm, int(b.log.Head())) {
+				best = b
 			}
 		}
-		r.mu.Unlock()
 	}
-	if votes < g.Majority() {
-		return fmt.Errorf("consensus: election needs %d votes, got %d", g.Majority(), votes)
+	if len(ballots) < g.Majority() || !g.replicas[i].appendLog(g.term, best.log) {
+		return errors.New("consensus: election needs the candidate and a majority of replicas up")
 	}
-
-	// Witness collection from f+1 replicas (their CURRENT-term witnesses).
-	counts := map[rifl.RPCID]int{}
-	records := map[rifl.RPCID]witness.Record{}
-	collected := 0
-	for _, r := range g.replicas {
-		r.mu.Lock()
-		if r.isDown {
-			r.mu.Unlock()
-			continue
-		}
-		recs := r.witness.GetRecoveryData() // freezes old-term witness
-		r.mu.Unlock()
-		collected++
-		for _, rec := range recs {
-			counts[rec.ID]++
-			records[rec.ID] = rec
-		}
-		if collected == g.Majority() {
-			break
+	// PAPER §A.2: collect from f+1 witnesses and replay the records at least
+	// ⌈f/2⌉+1 of them hold — every completed request is among those, and no
+	// two of them conflict.
+	var replay []witness.Record
+	held := map[rifl.RPCID]int{}
+	for _, b := range ballots[:g.Majority()] {
+		for _, rec := range b.records {
+			if held[rec.ID]++; held[rec.ID] == (g.f+1)/2+1 {
+				replay = append(replay, rec)
+			}
 		}
 	}
-	if collected < g.Majority() {
-		return fmt.Errorf("consensus: witness collection needs %d replicas, got %d", g.Majority(), collected)
-	}
-
-	// Rebuild the new leader from the committed log, discarding any
-	// speculative state (§A.2: reload from a checkpoint without
-	// speculative executions).
-	nl.mu.Lock()
-	nl.term = newTerm
-	nl.log = append([]LogEntry(nil), bestLog...)
-	nl.commit = bestCommit
-	nl.sm = kv.NewStore()
-	nl.tracker = rifl.NewTracker()
-	nl.smApplied = 0
-	nl.applyCommittedLocked()
-	nl.state = core.NewMasterState(core.MasterConfig{SyncBatchSize: 50})
-	nl.state.InitRestored(uint64(nl.commit), uint64(nl.commit))
-	nl.resetWitnessLocked(newTerm, g.wcfg)
-
-	// Replay witness records meeting the ⌈f/2⌉+1 threshold: guaranteed
-	// mutually commutative and inclusive of all completed-uncommitted
-	// requests (§A.2).
-	threshold := (g.f+1)/2 + 1
-	nl.tracker.SetRecoveryMode(true)
-	for id, n := range counts {
-		if n < threshold {
-			continue
-		}
-		rec := records[id]
-		if outcome, _ := nl.tracker.Begin(id, 0); outcome != rifl.New {
-			continue
-		}
-		cmd, err := kv.DecodeCommand(rec.Request)
-		if err != nil {
-			continue
-		}
-		res, _, err := nl.sm.Apply(cmd, id)
-		if err != nil {
-			continue
-		}
-		nl.log = append(nl.log, LogEntry{Term: newTerm, ID: id, KeyHashes: rec.KeyHashes, Payload: rec.Request})
-		nl.smApplied = len(nl.log)
-		nl.tracker.Record(id, res.Encode())
-	}
-	nl.tracker.SetRecoveryMode(false)
-	index := len(nl.log)
-	nl.mu.Unlock()
-
-	// Commit the replayed entries and bump terms/witnesses everywhere.
-	if err := g.replicate(nl, index); err != nil {
-		return err
+	old := g.leader.Load() // deposed: its clients get StatusWrongMaster from here on
+	old.eng.State().Freeze()
+	old.eng.Close()
+	l := newLeader(g, g.replicas[i], g.term)
+	l.eng.Recover(context.Background(), replay)
+	// The commit that ends recovery replaces the followers' logs and opens
+	// the term's witnesses; the heartbeat does where it had nothing to send.
+	if err := l.eng.Sync(context.Background()); err != nil {
+		l.eng.Close()
+		return fmt.Errorf("consensus: recovery commit: %w", err)
 	}
 	for _, r := range g.replicas {
-		if r == nl {
-			continue
-		}
-		r.mu.Lock()
-		if !r.isDown && r.term < newTerm {
-			r.term = newTerm
-		}
-		r.resetWitnessLocked(newTerm, g.wcfg)
-		r.mu.Unlock()
+		r.appendLog(g.term, l.store)
 	}
-	g.mu.Lock()
-	g.leader = newLeader
-	g.mu.Unlock()
+	g.leader.Store(l)
 	return nil
 }

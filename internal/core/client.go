@@ -321,64 +321,90 @@ func (c *Client) Update(ctx context.Context, keyHashes []uint64, payload []byte,
 	return c.UpdateAsync(ctx, keyHashes, payload, class).Wait(ctx)
 }
 
-// Read executes a read-only operation at the master. Reads are linearizable
-// because the master syncs before returning any value that depends on an
-// unsynced operation (§3.2.3).
-func (c *Client) Read(ctx context.Context, keyHashes []uint64, payload []byte) ([]byte, error) {
+// Call is the single-request attempt loop under Read and the transaction
+// RPCs: pause, view (refreshed after the first attempt), request, send,
+// status. send performs one attempt; its error means the request may have
+// executed with the reply lost. A non-zero id, from this client's session,
+// tracks the request: it carries the ack, makes retries across a master
+// recovery exactly-once, and is finished on success and on ErrKeyMoved
+// (never executed, never witness-recorded: safe to abandon). The zero id
+// makes the request read-only: clients have no other untracked request. When
+// the attempts run out, bounce is the last one's verdict: a status means
+// cleanly refused, never executed; StatusOK means none — in doubt.
+func (c *Client) Call(ctx context.Context, id rifl.RPCID, keyHashes []uint64, payload []byte,
+	send func(ctx context.Context, view *View, req *Request) (*Reply, error)) (out []byte, bounce Status, err error) {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if err := c.pause(ctx, attempt); err != nil {
-			return nil, err
+			return nil, StatusOK, err
 		}
 		view, err := c.views.View(ctx, attempt > 0)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		req := &Request{
-			WitnessListVersion: view.WitnessListVersion,
-			KeyHashes:          keyHashes,
-			ReadOnly:           true,
-			Payload:            payload,
+		req := &Request{ID: id, WitnessListVersion: view.WitnessListVersion, KeyHashes: keyHashes, ReadOnly: id.IsZero(), Payload: payload}
+		if !id.IsZero() {
+			req.Ack = c.session.Ack()
 		}
-		rctx, span := c.cfg.Trace.StartTrace(ctx, "client-read", uint8(c.traceFlags.Load()))
-		span.SetOp("read")
-		reply, err := view.Master.Read(rctx, req)
-		span.SetErr(err)
+		reply, err := send(ctx, view, req)
 		if err != nil {
-			span.End()
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return nil, StatusOK, ctx.Err()
 			}
-			lastErr = err
+			bounce, lastErr = StatusOK, err // not a clean bounce: this attempt may have executed
 			continue
 		}
 		switch reply.Status {
 		case StatusOK:
-			span.SetVerdict("fast")
+			c.session.Finish(id) // ignores the zero id
+			return reply.Payload, StatusOK, nil
 		case StatusKeyMoved:
-			span.SetVerdict("moved")
-		default:
-			span.SetVerdict("error")
-		}
-		span.End()
-		switch reply.Status {
-		case StatusOK:
-			c.masterReads.Add(1)
-			return reply.Payload, nil
-		case StatusKeyMoved:
-			c.redirects.Add(1)
-			return nil, ErrKeyMoved
+			c.session.Finish(id)
+			return nil, StatusOK, ErrKeyMoved
 		case StatusStaleWitnessList, StatusWrongMaster, StatusTxnLocked:
-			lastErr = fmt.Errorf("curp: master replied %v", reply.Status)
-			continue
+			bounce, lastErr = reply.Status, fmt.Errorf("curp: master replied %v", reply.Status)
+		case StatusIgnored:
+			return nil, StatusOK, ErrIgnored
 		case StatusError:
-			return nil, fmt.Errorf("curp: execution error: %s", reply.Err)
+			return nil, StatusOK, fmt.Errorf("curp: execution error: %s", reply.Err)
 		default:
-			return nil, fmt.Errorf("curp: unexpected status %v", reply.Status)
+			return nil, StatusOK, fmt.Errorf("curp: unexpected status %v", reply.Status)
 		}
 	}
-	return nil, fmt.Errorf("%w: %v", ErrUpdateFailed, lastErr)
+	return nil, bounce, fmt.Errorf("%w: %v", ErrUpdateFailed, lastErr)
+}
+
+// Read executes a read-only operation at the master. Reads are linearizable
+// because the master syncs before returning any value that depends on an
+// unsynced operation (§3.2.3).
+func (c *Client) Read(ctx context.Context, keyHashes []uint64, payload []byte) ([]byte, error) {
+	out, _, err := c.Call(ctx, rifl.RPCID{}, keyHashes, payload, c.sendRead)
+	if err == nil {
+		c.masterReads.Add(1)
+	} else if err == ErrKeyMoved {
+		c.redirects.Add(1)
+	}
+	return out, err
+}
+
+// sendRead is one attempt of Read: a master read under a client-read trace.
+func (c *Client) sendRead(ctx context.Context, view *View, req *Request) (*Reply, error) {
+	ctx, span := c.cfg.Trace.StartTrace(ctx, "client-read", uint8(c.traceFlags.Load()))
+	span.SetOp("read")
+	reply, err := view.Master.Read(ctx, req)
+	span.SetErr(err)
+	switch {
+	case err != nil:
+	case reply.Status == StatusOK:
+		span.SetVerdict("fast")
+	case reply.Status == StatusKeyMoved:
+		span.SetVerdict("moved")
+	default:
+		span.SetVerdict("error")
+	}
+	span.End()
+	return reply, err
 }
 
 // ReadNearby serves a read from a backup when a witness confirms the read

@@ -546,3 +546,103 @@ func (s *slowWitness) Commutes(ctx context.Context, khs []uint64) (bool, error) 
 func (s *slowWitness) Drop(ctx context.Context, m uint64, keys []witness.GCKey) error {
 	return s.inner.Drop(ctx, m, keys)
 }
+
+// refreshCounter is a ViewProvider that counts forced refetches and bumps
+// the view's version on each, as a coordinator publishing a new view would.
+type refreshCounter struct{ refreshes int }
+
+func (p *refreshCounter) View(_ context.Context, refresh bool) (*View, error) {
+	if refresh {
+		p.refreshes++
+	}
+	return &View{MasterID: 1, WitnessListVersion: uint64(1 + p.refreshes)}, nil
+}
+
+// TestClientCallStatusTable drives the single-request loop under Read and
+// the transaction RPCs through every reply status and pins what each maps to — including
+// what an exhausted budget reports about its last attempt: a clean bounce
+// (the request never executed) or no verdict at all (in doubt).
+func TestClientCallStatusTable(t *testing.T) {
+	transport := errors.New("fake: connection reset")
+	reply := func(s Status) func(*Request) (*Reply, error) {
+		return func(*Request) (*Reply, error) { return &Reply{Status: s, Payload: []byte("out"), Err: "boom"}, nil }
+	}
+	lost := func(*Request) (*Reply, error) { return nil, transport }
+	for _, tc := range []struct {
+		name    string
+		script  []func(*Request) (*Reply, error) // one per attempt; the last repeats
+		wantErr error                            // matched with errors.Is; nil = success
+		wantMsg string                           // for errors that are not sentinels
+		bounce  Status
+		sends   int
+		finish  bool // the RIFL ID is released
+	}{
+		{name: "ok", script: []func(*Request) (*Reply, error){reply(StatusOK)}, sends: 1, finish: true},
+		{name: "key moved", script: []func(*Request) (*Reply, error){reply(StatusKeyMoved)}, wantErr: ErrKeyMoved, sends: 1, finish: true},
+		{name: "ignored", script: []func(*Request) (*Reply, error){reply(StatusIgnored)}, wantErr: ErrIgnored, sends: 1},
+		{name: "error", script: []func(*Request) (*Reply, error){reply(StatusError)}, wantMsg: "curp: execution error: boom", sends: 1},
+		{name: "unknown status", script: []func(*Request) (*Reply, error){reply(Status(99))}, wantMsg: "curp: unexpected status unknown", sends: 1},
+		{name: "locked until exhausted", script: []func(*Request) (*Reply, error){reply(StatusTxnLocked)},
+			wantErr: ErrUpdateFailed, bounce: StatusTxnLocked, sends: 3},
+		{name: "transport error until exhausted", script: []func(*Request) (*Reply, error){lost},
+			wantErr: ErrUpdateFailed, bounce: StatusOK, sends: 3},
+		{name: "locked, then the last reply is lost", script: []func(*Request) (*Reply, error){reply(StatusTxnLocked), reply(StatusTxnLocked), lost},
+			wantErr: ErrUpdateFailed, bounce: StatusOK, sends: 3},
+		{name: "lost, then locked to the end", script: []func(*Request) (*Reply, error){lost, reply(StatusTxnLocked)},
+			wantErr: ErrUpdateFailed, bounce: StatusTxnLocked, sends: 3},
+		{name: "wrong master until exhausted", script: []func(*Request) (*Reply, error){reply(StatusWrongMaster)},
+			wantErr: ErrUpdateFailed, bounce: StatusWrongMaster, sends: 3},
+		{name: "stale, refresh, ok", script: []func(*Request) (*Reply, error){reply(StatusStaleWitnessList), reply(StatusOK)}, sends: 2, finish: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			views := &refreshCounter{}
+			session := rifl.NewSession(7)
+			cl := NewClient(session, views, ClientConfig{MaxAttempts: 3, RetryBackoff: -1})
+			var sent []*Request
+			out, bounce, err := cl.Call(context.Background(), session.NextID(), []uint64{5}, []byte("cmd"),
+				func(_ context.Context, view *View, req *Request) (*Reply, error) {
+					if req.WitnessListVersion != view.WitnessListVersion {
+						t.Errorf("attempt %d: request stamped with version %d under view %d", len(sent), req.WitnessListVersion, view.WitnessListVersion)
+					}
+					sent = append(sent, req)
+					return tc.script[min(len(sent), len(tc.script))-1](req)
+				})
+			switch {
+			case tc.wantErr != nil && !errors.Is(err, tc.wantErr):
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			case tc.wantMsg != "" && (err == nil || err.Error() != tc.wantMsg):
+				t.Fatalf("err = %v, want %q", err, tc.wantMsg)
+			case tc.wantErr == nil && tc.wantMsg == "" && (err != nil || string(out) != "out"):
+				t.Fatalf("out = %q, err = %v", out, err)
+			}
+			if bounce != tc.bounce {
+				t.Errorf("bounce = %v, want %v", bounce, tc.bounce)
+			}
+			if len(sent) != tc.sends || views.refreshes != tc.sends-1 {
+				t.Errorf("%d sends and %d view refreshes, want %d and %d", len(sent), views.refreshes, tc.sends, tc.sends-1)
+			}
+			// One RIFL ID across all attempts, acknowledged frontier stamped,
+			// tracked and therefore not read-only.
+			for i, req := range sent {
+				if req.ID != sent[0].ID || req.ID.IsZero() || req.ReadOnly || req.Ack != 1 {
+					t.Errorf("attempt %d: id %v (first %v), readOnly %v, ack %d", i, req.ID, sent[0].ID, req.ReadOnly, req.Ack)
+				}
+			}
+			if finished := session.Ack() == 2; finished != tc.finish {
+				t.Errorf("RIFL ID finished = %v, want %v", finished, tc.finish)
+			}
+		})
+	}
+	// Read runs on the same loop, untracked: zero ID, read-only, no ack, and
+	// its own counters.
+	cl := NewClient(rifl.NewSession(7), &refreshCounter{}, ClientConfig{MaxAttempts: 3, RetryBackoff: -1})
+	var got *Request
+	out, _, err := cl.Call(context.Background(), rifl.RPCID{}, []uint64{5}, []byte("get"),
+		func(_ context.Context, _ *View, req *Request) (*Reply, error) {
+			got = req
+			return &Reply{Status: StatusOK, Payload: []byte("v")}, nil
+		})
+	if err != nil || string(out) != "v" || !got.ID.IsZero() || !got.ReadOnly || got.Ack != 0 {
+		t.Fatalf("untracked call: %q, %v, request %+v", out, err, got)
+	}
+}

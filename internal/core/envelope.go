@@ -100,6 +100,9 @@ type Request struct {
 	Class commute.Class
 }
 
+// MinRequestWireSize is the smallest encoded Request: a batch decoder's count floor.
+const MinRequestWireSize = 4*8 + 4 + 1 + 4 + 1
+
 // Marshal appends the request's wire form to e.
 func (r *Request) Marshal(e *rpc.Encoder) {
 	e.U64(uint64(r.ID.Client))
@@ -155,6 +158,9 @@ type Reply struct {
 	// Err is the failure message for StatusError.
 	Err string
 }
+
+// MinReplyWireSize is the smallest encoded Reply.
+const MinReplyWireSize = 1 + 1 + 4 + 4
 
 // Marshal appends the reply's wire form to e.
 func (r *Reply) Marshal(e *rpc.Encoder) {

@@ -18,10 +18,10 @@ import (
 // experiment the log data is not replicated, but the same mechanism could
 // be used to replicate the log data as well").
 type Engine struct {
-	eng   *core.Engine
-	store *Store
-	aof   *AOF
-	id    uint64
+	core.LocalMaster // the MasterAPI its clients call, over its core.Engine E
+	store            *Store
+	aof              *AOF
+	id               uint64
 
 	// unflushed holds the witness gc pairs of appended-but-not-yet-fsynced
 	// commands (the AOF keeps bytes, not entries); appendErr is the first
@@ -41,62 +41,26 @@ type Engine struct {
 // sync (fsync) batching policy.
 func NewEngine(id uint64, aof *AOF, cfg core.MasterConfig) *Engine {
 	e := &Engine{store: NewStore(), aof: aof, id: id}
-	e.eng = core.NewEngine(e, cfg, nil)
+	e.E = core.NewEngine(e, cfg, nil)
 	return e
 }
 
 // Close stops the resident background syncer. Idempotent.
-func (e *Engine) Close() { e.eng.Close() }
+func (e *Engine) Close() { e.E.Close() }
 
 // AttachWitnesses registers the engine's witnesses (co-hosted instances;
 // in the paper they are separate Redis servers reached over TCP). They
 // receive gc RPC equivalents after each fsync.
 func (e *Engine) AttachWitnesses(ws []*witness.Witness) {
 	e.witnesses = ws
-	e.eng.State().SetWitnessListVersion(1)
+	e.E.State().SetWitnessListVersion(1)
 }
 
 // Store exposes the underlying store (tests).
 func (e *Engine) Store() *Store { return e.store }
 
-// State exposes protocol counters.
-func (e *Engine) State() *core.MasterState { return e.eng.State() }
-
 // ID returns the engine's master ID.
 func (e *Engine) ID() uint64 { return e.id }
-
-// Update executes one mutating command: speculatively unless it conflicts
-// with an un-fsynced command on the same key.
-func (e *Engine) Update(ctx context.Context, req *core.Request) (*core.Reply, error) {
-	replies, err := e.UpdateBatch(ctx, []*core.Request{req})
-	return replies[0], err
-}
-
-// UpdateBatch implements core.MasterAPI: execute a pipelined batch of
-// commands in order. Each command succeeds or fails independently, and all
-// the batch's conflicts wait on ONE fsync.
-func (e *Engine) UpdateBatch(ctx context.Context, reqs []*core.Request) ([]*core.Reply, error) {
-	outs := make([]core.Outcome, len(reqs))
-	for i, req := range reqs {
-		outs[i] = e.eng.Execute(ctx, req, core.Speculative)
-	}
-	e.eng.Reveal(ctx, outs)
-	replies := make([]*core.Reply, len(outs))
-	for i := range outs {
-		replies[i] = &outs[i].Reply
-	}
-	return replies, nil
-}
-
-// Read implements core.MasterAPI: linearizable reads, fsyncing first when
-// the key has un-fsynced updates.
-func (e *Engine) Read(ctx context.Context, req *core.Request) (*core.Reply, error) {
-	reply, _ := e.eng.Read(ctx, req)
-	return &reply, nil
-}
-
-// Sync implements core.MasterAPI: the client's slow-path sync RPC.
-func (e *Engine) Sync(ctx context.Context) error { return e.eng.Sync(ctx) }
 
 // Execute implements core.Substrate: apply one command to the store and
 // append it to the AOF; the append index is the log position. Every dstore
@@ -136,18 +100,18 @@ func (e *Engine) Head() uint64 { return e.aof.Appended() }
 // "sync"). The gc pairs are taken with the head under the execution lock,
 // so they name exactly the commands the fsync makes durable.
 func (e *Engine) Flush(ctx context.Context, synced uint64) (uint64, []witness.GCKey, error) {
-	e.eng.Lock()
+	e.E.Lock()
 	head, keys := e.aof.Appended(), e.unflushed
 	e.unflushed = nil
-	e.eng.Unlock()
+	e.E.Unlock()
 	if head <= synced {
 		return synced, nil, nil
 	}
 	if err := e.aof.Sync(); err != nil {
 		// Not durable: the pairs go back for the next attempt.
-		e.eng.Lock()
+		e.E.Lock()
 		e.unflushed = append(keys, e.unflushed...)
-		e.eng.Unlock()
+		e.E.Unlock()
 		return 0, nil, err
 	}
 	again := e.lastFlushed
@@ -195,14 +159,14 @@ func (e *Engine) restore(records []AOFRecord, w *witness.Witness) error {
 			return fmt.Errorf("dstore: replay record %d: %w", i, err)
 		}
 		if !rec.ID.IsZero() {
-			e.eng.Tracker().Record(rec.ID, res.Encode())
+			e.E.Tracker().Record(rec.ID, res.Encode())
 		}
 		if err := e.aof.Append(rec.Cmd, rec.ID); err != nil {
 			return err
 		}
 	}
 	if w != nil {
-		e.eng.Recover(context.Background(), w.GetRecoveryData())
+		e.E.Recover(context.Background(), w.GetRecoveryData())
 		if e.appendErr != nil {
 			return e.appendErr
 		}
@@ -210,27 +174,6 @@ func (e *Engine) restore(records []AOFRecord, w *witness.Witness) error {
 	if err := e.aof.Sync(); err != nil {
 		return err
 	}
-	e.eng.State().InitRestored(e.aof.Appended(), e.aof.Appended())
+	e.E.State().InitRestored(e.aof.Appended(), e.aof.Appended())
 	return nil
-}
-
-// WitnessAdapter adapts an in-process witness.Witness to core.WitnessAPI,
-// standing in for the separate witness servers of the paper's Redis
-// deployment.
-type WitnessAdapter struct{ W *witness.Witness }
-
-// RecordBatch implements core.WitnessAPI.
-func (a WitnessAdapter) RecordBatch(ctx context.Context, masterID uint64, recs []witness.Record) ([]witness.RecordResult, error) {
-	return a.W.RecordBatch(masterID, recs), nil
-}
-
-// Commutes implements core.WitnessAPI.
-func (a WitnessAdapter) Commutes(ctx context.Context, keyHashes []uint64) (bool, error) {
-	return a.W.Commutes(keyHashes), nil
-}
-
-// Drop implements core.WitnessAPI (client-side retraction of abandoned
-// RPCs' records).
-func (a WitnessAdapter) Drop(ctx context.Context, masterID uint64, keys []witness.GCKey) error {
-	return a.W.DropRecords(keys)
 }

@@ -30,11 +30,17 @@ func newRig(t *testing.T, f int, cfg core.MasterConfig) *rig {
 	for i := 0; i < f; i++ {
 		w := witness.MustNew(1, witness.DefaultConfig())
 		r.witnesses = append(r.witnesses, w)
-		view.Witnesses = append(view.Witnesses, WitnessAdapter{w})
+		view.Witnesses = append(view.Witnesses, core.WitnessAdapter{W: w})
 	}
 	r.engine.AttachWitnesses(r.witnesses)
 	r.client = core.NewClient(rifl.NewSession(1), core.StaticView{V: view}, core.DefaultClientConfig())
 	return r
+}
+
+// update sends one request as a batch of one.
+func update(e *Engine, req *core.Request) (*core.Reply, error) {
+	replies, err := e.UpdateBatch(context.Background(), []*core.Request{req})
+	return replies[0], err
 }
 
 func (r *rig) do(t *testing.T, cmd *Command) *Result {
@@ -106,7 +112,7 @@ func TestEngineReadBlocksUntilFsync(t *testing.T) {
 	if string(res.Value) != "7" {
 		t.Fatalf("read = %q", res.Value)
 	}
-	if r.engine.State().Stats().ReadBlocks != 1 {
+	if r.engine.E.State().Stats().ReadBlocks != 1 {
 		t.Fatal("read of un-fsynced key must block on sync")
 	}
 	if r.dev.SyncCount == 0 {
@@ -211,11 +217,11 @@ func TestEngineDuplicateUpdateReturnsSavedResult(t *testing.T) {
 		KeyHashes:          (&Command{Op: OpIncr, Key: []byte("c"), Delta: 5}).KeyHashes(),
 		Payload:            (&Command{Op: OpIncr, Key: []byte("c"), Delta: 5}).Encode(),
 	}
-	rep1, err := r.engine.Update(context.Background(), req)
+	rep1, err := update(r.engine, req)
 	if err != nil || rep1.Status != core.StatusOK {
 		t.Fatalf("first: %v %+v", err, rep1)
 	}
-	rep2, err := r.engine.Update(context.Background(), req)
+	rep2, err := update(r.engine, req)
 	if err != nil || rep2.Status != core.StatusOK || !rep2.Synced {
 		t.Fatalf("duplicate: %v %+v", err, rep2)
 	}
@@ -238,7 +244,7 @@ func TestEngineStaleWitnessListRejected(t *testing.T) {
 		KeyHashes:          []uint64{1},
 		Payload:            (&Command{Op: OpSet, Key: []byte("k")}).Encode(),
 	}
-	rep, err := r.engine.Update(context.Background(), req)
+	rep, err := update(r.engine, req)
 	if err != nil || rep.Status != core.StatusStaleWitnessList {
 		t.Fatalf("reply = %v %+v", err, rep)
 	}
@@ -259,7 +265,7 @@ func BenchmarkEngineSet(b *testing.B) {
 	e := NewEngine(1, NewAOF(dev, FsyncOnDemand), core.MasterConfig{SyncBatchSize: 50})
 	w := witness.MustNew(1, witness.DefaultConfig())
 	e.AttachWitnesses([]*witness.Witness{w})
-	view := &core.View{MasterID: 1, WitnessListVersion: 1, Master: e, Witnesses: []core.WitnessAPI{WitnessAdapter{w}}}
+	view := &core.View{MasterID: 1, WitnessListVersion: 1, Master: e, Witnesses: []core.WitnessAPI{core.WitnessAdapter{W: w}}}
 	cl := core.NewClient(rifl.NewSession(1), core.StaticView{V: view}, core.DefaultClientConfig())
 	val := make([]byte, 100)
 	ctx := context.Background()
@@ -300,7 +306,7 @@ func TestEngineBatchConflictsCostOneFsync(t *testing.T) {
 	if r.dev.SyncCount != 1 {
 		t.Fatalf("fsyncs = %d for %d same-key commands, want 1", r.dev.SyncCount, k)
 	}
-	if cs := r.engine.State().Stats().ConflictSyncs; cs != k-1 {
+	if cs := r.engine.E.State().Stats().ConflictSyncs; cs != k-1 {
 		t.Fatalf("conflict syncs = %d, want %d", cs, k-1)
 	}
 }

@@ -24,6 +24,10 @@ type Entry struct {
 	Result *Result
 }
 
+// MinEntryWireSize is the smallest encoded Entry (LSN and RPC ID, an empty
+// command, an empty result): the floor for a log decoder's entry count.
+const MinEntryWireSize = 3*8 + 42 + 17
+
 // Marshal appends the entry's wire form to e.
 func (en *Entry) Marshal(e *rpc.Encoder) {
 	e.U64(uint64(en.LSN))

@@ -457,15 +457,18 @@ func (w *Witness) InRecovery() bool {
 	return w.recovery
 }
 
-// End decommissions the witness (the end RPC of Figure 4), clearing all
-// state so the server can host a witness for a different master.
+// End decommissions the witness (PAPER §4.6, Figure 4's end RPC): it drops
+// every record. DEVIATION: Figure 4's end frees the slot for another master.
+// Here a server allocates a fresh Witness per start, so an ended one stays in
+// recovery mode for good: a record RPC that looked this instance up before
+// the end is rejected, not accepted by an object no recovery will ever read.
 func (w *Witness) End() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for i := range w.sets {
 		w.sets[i] = slot{}
 	}
-	w.recovery = false
+	w.recovery = true
 	w.stats = Stats{}
 	w.gcPasses = 0
 }

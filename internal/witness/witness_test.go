@@ -265,16 +265,29 @@ func TestRecoveryModeFreezes(t *testing.T) {
 	}
 }
 
-func TestEndResets(t *testing.T) {
+// An ended witness drops its records and stays frozen: nothing reuses the
+// object (servers allocate a fresh one per start), so a record or a
+// retraction that still holds the old pointer must be refused.
+func TestEndStaysFrozen(t *testing.T) {
 	w := testWitness(t)
 	w.Record(1, []uint64{1}, id(1, 1), []byte("a"), commute.ClassWrite)
 	w.GetRecoveryData()
 	w.End()
-	if w.InRecovery() || w.Len() != 0 {
-		t.Fatal("End did not reset witness")
+	if !w.InRecovery() || w.Len() != 0 {
+		t.Fatalf("ended witness: recovery=%v len=%d, want frozen and empty", w.InRecovery(), w.Len())
 	}
-	if res := w.Record(1, []uint64{1}, id(1, 2), []byte("b"), commute.ClassWrite); !res.Ok() {
+	if res := w.Record(1, []uint64{1}, id(1, 2), []byte("b"), commute.ClassWrite); res != RejectedRecovery {
 		t.Fatalf("record after End = %v", res)
+	}
+	if err := w.DropRecords([]GCKey{{KeyHash: 1, ID: id(1, 1)}}); err == nil {
+		t.Fatal("DropRecords after End succeeded")
+	}
+	// Ending a witness that was never frozen (a replaced witness of a live
+	// master) poisons it just the same.
+	w = testWitness(t)
+	w.End()
+	if res := w.Record(1, []uint64{2}, id(1, 3), []byte("c"), commute.ClassWrite); res != RejectedRecovery {
+		t.Fatalf("record after End without recovery = %v", res)
 	}
 }
 
