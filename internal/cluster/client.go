@@ -98,30 +98,78 @@ type witnessConn struct {
 // accept/reject byte per record. A batch of one uses the single-record
 // wire op.
 func (w *witnessConn) RecordBatch(ctx context.Context, masterID uint64, recs []witness.Record) ([]witness.RecordResult, error) {
-	if len(recs) == 1 {
-		req := recordRequest{MasterID: masterID, Version: w.version, KeyHashes: recs[0].KeyHashes, ID: recs[0].ID, Request: recs[0].Request, Class: recs[0].Class}
-		out, err := w.peer.Call(ctx, OpWitnessRecord, req.encode())
-		if err != nil {
-			return nil, err
-		}
-		if len(out) != 1 {
-			return nil, errors.New("cluster: malformed record reply")
-		}
-		return []witness.RecordResult{witness.RecordResult(out[0])}, nil
-	}
-	results := make([]witness.RecordResult, 0, len(recs))
-	for _, chunk := range chunkBy(recs, recordWireSize) {
-		req := &recordBatchRequest{MasterID: masterID, Version: w.version, Records: chunk}
-		out, err := w.peer.Call(ctx, OpWitnessRecordBatch, req.encode())
-		if err != nil {
-			return nil, err
-		}
-		if len(out) != len(chunk) {
-			return nil, errors.New("cluster: malformed record batch reply")
-		}
-		results = append(results, decodeRecordResults(out)...)
+	results := make([]witness.RecordResult, len(recs))
+	if err := w.StartRecordBatch(ctx, masterID, recs).Wait(ctx, results); err != nil {
+		return nil, err
 	}
 	return results, nil
+}
+
+// StartRecordBatch implements core.RecordStarter: the record request(s) go
+// on the wire and the call returns, so a flush overlaps its f witnesses
+// and the master from one goroutine.
+func (w *witnessConn) StartRecordBatch(ctx context.Context, masterID uint64, recs []witness.Record) core.RecordCall {
+	if len(recs) == 1 {
+		req := recordRequest{MasterID: masterID, Version: w.version, KeyHashes: recs[0].KeyHashes, ID: recs[0].ID, Request: recs[0].Request, Class: recs[0].Class}
+		return (*recordCall)(w.peer.Start(ctx, OpWitnessRecord, req.encode()))
+	}
+	chunks := chunkBy(recs, recordWireSize)
+	calls := make(recordCalls, len(chunks))
+	for i, chunk := range chunks {
+		req := recordBatchRequest{MasterID: masterID, Version: w.version, Records: chunk}
+		calls[i] = chunkCall{call: (*recordCall)(w.peer.Start(ctx, OpWitnessRecordBatch, req.encode())), n: len(chunk)}
+	}
+	return calls
+}
+
+// recordCall is a started record RPC — an rpc.Call under core.RecordCall's
+// method set (same object, no wrapper allocated). Both record ops answer
+// with one result byte per record.
+type recordCall rpc.Call
+
+func (c *recordCall) Wait(ctx context.Context, results []witness.RecordResult) error {
+	out, err := (*rpc.Call)(c).Wait(ctx)
+	if err != nil {
+		return err
+	}
+	if len(out) != len(results) {
+		return errors.New("cluster: malformed record reply")
+	}
+	for i, r := range out {
+		results[i] = witness.RecordResult(r)
+	}
+	return nil
+}
+
+func (c *recordCall) Cancel() { (*rpc.Call)(c).Cancel() }
+
+// recordCalls is a started record batch: one RPC per chunk (one chunk,
+// unless the batch would exceed the frame limit), all in flight at once;
+// results are the chunks' in order.
+type recordCalls []chunkCall
+
+type chunkCall struct {
+	call *recordCall
+	n    int // records in the chunk
+}
+
+func (cs recordCalls) Wait(ctx context.Context, results []witness.RecordResult) error {
+	var firstErr error
+	for _, c := range cs {
+		// Every chunk is collected even after a failure: a call is waited
+		// or cancelled, never left.
+		if err := c.call.Wait(ctx, results[:c.n]); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		results = results[c.n:]
+	}
+	return firstErr
+}
+
+func (cs recordCalls) Cancel() {
+	for _, c := range cs {
+		c.call.Cancel()
+	}
 }
 
 func (w *witnessConn) Commutes(ctx context.Context, keyHashes []uint64) (bool, error) {
@@ -331,7 +379,8 @@ func (c *Client) Session() *rifl.Session { return c.curp.Session() }
 
 // Submit executes one update command and returns once it is durable —
 // the blocking path under every typed verb: straight into the core
-// client's Update, no future, no goroutine hop.
+// client's Update, which runs the update engine on this goroutine — no
+// future, no goroutine hop.
 func (c *Client) Submit(ctx context.Context, cmd kv.Command) (*kv.Result, error) {
 	out, err := c.curp.Update(ctx, cmd.KeyHashes(), cmd.Encode(), cmd.Class())
 	if err != nil {

@@ -204,7 +204,11 @@ func FuzzUnmarshalBundle(f *testing.F) {
 	}
 	f.Add(encode(&MigrationBundle{}))
 	f.Add(encode(&MigrationBundle{
-		Objects:     []kv.MigratedObject{{Key: []byte("k"), Value: []byte("v"), Version: 3}, {Key: []byte("gone"), Version: 9, Tombstone: true}},
+		Objects: []kv.MigratedObject{
+			{Key: []byte("k"), Value: []byte("v"), Version: 3},
+			{Key: []byte("gone"), Version: 9, Tombstone: true},
+			{Key: []byte("leased"), Value: []byte("v"), Version: 2, ExpireAt: 1_700_000_000_000_000_000},
+		},
 		Completions: []rifl.Completion{{ID: rifl.RPCID{Client: 4, Seq: 1}, Result: []byte("r"), KeyHashes: []uint64{7}}},
 		Decisions:   []kv.TxnDecisionRecord{{ID: rifl.RPCID{Client: 4, Seq: 2}, Commit: true, HomeHash: 11}},
 		WitnessRecords: []witness.Record{
@@ -216,7 +220,7 @@ func FuzzUnmarshalBundle(f *testing.F) {
 		if err != nil {
 			return
 		}
-		fits(t, "objects", cap(bundle.Objects), 4+4+8+1, len(b))
+		fits(t, "objects", cap(bundle.Objects), minMigratedObjectWireSize, len(b))
 		fits(t, "completions", cap(bundle.Completions), 16+4+4, len(b))
 		fits(t, "decisions", cap(bundle.Decisions), 16+1+8, len(b))
 		fits(t, "witness records", cap(bundle.WitnessRecords), minRecordWireSize, len(b))

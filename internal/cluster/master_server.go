@@ -432,7 +432,10 @@ func (ms *MasterServer) captureDurableValue(key []byte) {
 	}
 	ms.staleMu.Lock()
 	if _, ok := ms.durableOld[string(key)]; !ok {
-		v, _, found := ms.store.Get(key)
+		// The cache shares the outgoing value with the store (values are
+		// never modified in place) instead of copying it on every first
+		// overwrite.
+		v, _, found := ms.store.Peek(key)
 		ms.durableOld[string(key)] = staleEntry{value: v, found: found}
 	}
 	ms.staleMu.Unlock()
@@ -648,26 +651,28 @@ func (ms *MasterServer) Flush(ctx context.Context, synced uint64) (uint64, []wit
 	if len(backups) > 0 {
 		req := appendRequest{MasterID: ms.id, Epoch: ms.epoch, Entries: entries}
 		payload := req.encode()
-		errs := make(chan error, len(backups))
-		for _, b := range backups {
-			go func(b *rpc.Peer) {
-				bctx, cancel := context.WithTimeout(ctx, ms.opts.RPCTimeout)
-				defer cancel()
-				bctx, sp := ms.coll.StartSpan(bctx, "backup-append")
-				_, err := b.Call(bctx, OpBackupAppend, payload)
-				sp.SetErr(err)
-				sp.End()
-				errs <- err
-			}(b)
+		// Scatter: every append goes on the wire, then each is collected
+		// under one deadline. (A backup-append span ends when its leg is
+		// collected, which for a fast backup is after the slowest earlier
+		// one answered.)
+		calls := make([]*rpc.Call, len(backups))
+		spans := make([]*metrics.SpanHandle, len(backups))
+		for i, b := range backups {
+			var bctx context.Context
+			bctx, spans[i] = ms.coll.StartSpan(ctx, "backup-append")
+			calls[i] = b.Start(bctx, OpBackupAppend, payload)
 		}
+		wctx, cancel := context.WithTimeout(ctx, ms.opts.RPCTimeout)
 		// Drain every backup's result before classifying: a stale-epoch
 		// rejection from ANY backup means a newer master exists, and that
 		// verdict must win over whatever transport error another backup
 		// happened to return first (a deposed master's peers may already be
 		// retired, so connection errors and fencing races arrive mixed).
 		var firstErr, staleErr error
-		for range backups {
-			err := <-errs
+		for i, call := range calls {
+			_, err := call.Wait(wctx)
+			spans[i].SetErr(err)
+			spans[i].End()
 			switch {
 			case err == nil:
 			case strings.Contains(err.Error(), ErrStaleEpoch):
@@ -676,6 +681,7 @@ func (ms *MasterServer) Flush(ctx context.Context, synced uint64) (uint64, []wit
 				firstErr = err
 			}
 		}
+		cancel()
 		if staleErr != nil {
 			// A newer master exists: this one is a zombie. Stop serving
 			// (§4.7).
@@ -696,9 +702,10 @@ func (ms *MasterServer) Flush(ctx context.Context, synced uint64) (uint64, []wit
 	ms.lastSyncNano.Store(time.Now().UnixNano())
 	ms.pruneDurableValues(head)
 	keys := make([]witness.GCKey, 0, len(entries))
+	var hashes [8]uint64 // scratch: most commands touch a key or two
 	for i := range entries {
 		en := &entries[i]
-		for _, kh := range en.Cmd.KeyHashes() {
+		for _, kh := range en.Cmd.AppendKeyHashes(hashes[:0]) {
 			keys = append(keys, witness.GCKey{KeyHash: kh, ID: en.ID})
 		}
 	}
@@ -755,25 +762,20 @@ func (ms *MasterServer) CollectGarbage(keys []witness.GCKey) []witness.Record {
 		return nil
 	}
 	payload := (&gcRequest{MasterID: ms.id, Keys: keys}).encode()
-	stale := make([][]witness.Record, len(witnesses))
-	var wg sync.WaitGroup
+	calls := make([]*rpc.Call, len(witnesses))
 	for i, w := range witnesses {
-		wg.Add(1)
-		go func(i int, w *rpc.Peer) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), ms.opts.RPCTimeout)
-			defer cancel()
-			out, err := w.Call(ctx, OpWitnessGC, payload)
-			if err != nil {
-				return
-			}
-			stale[i], _ = decodeWitnessRecords(out)
-		}(i, w)
+		calls[i] = w.Start(context.Background(), OpWitnessGC, payload)
 	}
-	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), ms.opts.RPCTimeout)
+	defer cancel()
 	var all []witness.Record
-	for _, recs := range stale {
-		all = append(all, recs...)
+	for _, call := range calls {
+		out, err := call.Wait(ctx)
+		if err != nil {
+			continue
+		}
+		stale, _ := decodeWitnessRecords(out)
+		all = append(all, stale...)
 	}
 	return all
 }

@@ -213,6 +213,10 @@ func encodeRangesPayload(masterID uint64, rs []witness.HashRange) []byte {
 	return e.Bytes()
 }
 
+// minMigratedObjectWireSize is the encoded size of an empty migrated
+// object: empty key and value, version, tombstone flag, expiry.
+const minMigratedObjectWireSize = 4 + 4 + 8 + 1 + 8
+
 func (b *MigrationBundle) marshal(e *rpc.Encoder) {
 	e.U32(uint32(len(b.Objects)))
 	for _, o := range b.Objects {
@@ -220,6 +224,7 @@ func (b *MigrationBundle) marshal(e *rpc.Encoder) {
 		e.Bytes32(o.Value)
 		e.U64(o.Version)
 		e.Bool(o.Tombstone)
+		e.I64(o.ExpireAt)
 	}
 	e.U32(uint32(len(b.Completions)))
 	for _, c := range b.Completions {
@@ -240,7 +245,7 @@ func (b *MigrationBundle) marshal(e *rpc.Encoder) {
 
 func unmarshalBundle(d *rpc.Decoder) (*MigrationBundle, error) {
 	b := &MigrationBundle{}
-	n := d.Count(4 + 4 + 8 + 1) // empty key and value, version, tombstone flag
+	n := d.Count(minMigratedObjectWireSize)
 	b.Objects = make([]kv.MigratedObject, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		b.Objects = append(b.Objects, kv.MigratedObject{
@@ -248,6 +253,7 @@ func unmarshalBundle(d *rpc.Decoder) (*MigrationBundle, error) {
 			Value:     d.BytesCopy32(),
 			Version:   d.U64(),
 			Tombstone: d.Bool(),
+			ExpireAt:  d.I64(),
 		})
 	}
 	n = d.Count(16 + 4 + 4) // RPC ID, empty result, no key hashes

@@ -178,15 +178,12 @@ func (r *recordRequest) encode() []byte {
 	return e.Bytes()
 }
 
-func decodeRecordRequest(b []byte) (*recordRequest, error) {
+func decodeRecordRequest(b []byte) (recordRequest, error) {
 	d := rpc.NewDecoder(b)
-	r := &recordRequest{MasterID: d.U64(), Version: d.U64()}
+	r := recordRequest{MasterID: d.U64(), Version: d.U64()}
 	rec := unmarshalRecord(d)
 	r.KeyHashes, r.ID, r.Request, r.Class = rec.KeyHashes, rec.ID, rec.Request, rec.Class
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return r, d.Err()
 }
 
 // minRecordWireSize is the encoded size of an empty witness record: empty
@@ -383,14 +380,6 @@ func encodeRecordResults(results []witness.RecordResult) []byte {
 	return out
 }
 
-func decodeRecordResults(b []byte) []witness.RecordResult {
-	out := make([]witness.RecordResult, len(b))
-	for i, r := range b {
-		out[i] = witness.RecordResult(r)
-	}
-	return out
-}
-
 // txnStatusRequest is the payload of OpTxnStatus: a decision lookup for
 // one transaction, optionally forcing an abort-by-default resolution.
 type txnStatusRequest struct {
@@ -469,7 +458,7 @@ func unmarshalEntries(d *rpc.Decoder) ([]kv.Entry, error) {
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, *en)
+		entries = append(entries, en)
 	}
 	return entries, d.Err()
 }

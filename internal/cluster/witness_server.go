@@ -206,8 +206,18 @@ func (ws *WitnessServer) handleRecord(ctx context.Context, payload []byte) ([]by
 		res = w.Record(req.MasterID, req.KeyHashes, req.ID, req.Request, req.Class)
 	}
 	ws.coll.RecordSpan(ctx, "witness-record", "record", recordVerdict(res), start, time.Since(start), "")
-	return []byte{byte(res)}, nil
+	return recordReplies[res], nil
 }
+
+// recordReplies are the one-byte OpWitnessRecord replies, one per result.
+// They are shared and read-only: the rpc layer copies a reply into its
+// frame and keeps no reference.
+var recordReplies = func() (replies [witness.RejectedRecovery + 1][]byte) {
+	for res := range replies {
+		replies[res] = []byte{byte(res)}
+	}
+	return replies
+}()
 
 // handleRecordBatch is the pipelined record path: every record of a flush
 // in one RPC, accepted or rejected per record.

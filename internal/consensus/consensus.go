@@ -223,6 +223,13 @@ func (w superquorumWitness) RecordBatch(_ context.Context, term uint64, recs []w
 	return results, nil
 }
 
+// StartRecordBatch implements core.RecordStarter, eagerly: the replicas are
+// direct-call objects, so the record runs here, on the client's goroutine,
+// before the leader executes — no leg goroutine, one schedule.
+func (w superquorumWitness) StartRecordBatch(ctx context.Context, term uint64, recs []witness.Record) core.RecordCall {
+	return core.DoneRecord(w.RecordBatch(ctx, term, recs))
+}
+
 // Commutes and Drop implement core.WitnessAPI for callers absent here (no
 // backups, no StatusKeyMoved) by refusing: read at the leader, keep the ID.
 func (w superquorumWitness) Commutes(context.Context, []uint64) (bool, error) { return false, nil }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"curp/internal/commute"
+	"curp/internal/metrics"
 	"curp/internal/rifl"
 	"curp/internal/witness"
 )
@@ -33,21 +34,25 @@ import (
 // Future is the handle to an asynchronous update. It is fulfilled exactly
 // once, by the engine goroutine driving the operation's batch.
 type Future struct {
+	// done is nil for an operation whose submitter drives the engine itself
+	// (Update): it reads the outcome when runBatch returns, nobody waits.
 	done    chan struct{}
 	payload []byte
 	err     error
 }
 
-func newFuture() *Future { return &Future{done: make(chan struct{})} }
-
 func (f *Future) complete(payload []byte) {
 	f.payload = payload
-	close(f.done)
+	if f.done != nil {
+		close(f.done)
+	}
 }
 
 func (f *Future) fail(err error) {
 	f.err = err
-	close(f.done)
+	if f.done != nil {
+		close(f.done)
+	}
 }
 
 // Done returns a channel closed when the operation has completed or
@@ -79,13 +84,19 @@ type BatchOp struct {
 	Class commute.Class
 }
 
-// asyncOp is one in-flight operation inside the engine.
+// asyncOp is one in-flight operation inside the engine: the operation, its
+// completion and the state of its current flush attempt are one object.
 type asyncOp struct {
 	id        rifl.RPCID
 	keyHashes []uint64
 	payload   []byte
 	class     commute.Class
-	fut       *Future
+	fut       Future
+	// req is the envelope the current attempt sends the master, and accepts
+	// counts the witnesses that accepted its record; both are rewritten by
+	// every attempt.
+	req     Request
+	accepts int
 	// deferFinish leaves the session's ack frontier untouched on
 	// completion: the caller finishes the ID itself once every dependent
 	// step is done. Cross-shard transactions use it for the home decision
@@ -112,11 +123,11 @@ func (c *Client) UpdateWithIDAsync(ctx context.Context, id rifl.RPCID, keyHashes
 		id:          id,
 		keyHashes:   keyHashes,
 		payload:     payload,
-		fut:         newFuture(),
+		fut:         Future{done: make(chan struct{})},
 		deferFinish: true,
 	}
 	go c.runBatch(ctx, []*asyncOp{op})
-	return op.fut
+	return &op.fut
 }
 
 // UpdateBatchAsync submits a batch of mutating operations and returns one
@@ -127,16 +138,17 @@ func (c *Client) UpdateWithIDAsync(ctx context.Context, id rifl.RPCID, keyHashes
 // on the same key submitted in one batch are applied in submission order.
 func (c *Client) UpdateBatchAsync(ctx context.Context, ops []BatchOp) []*Future {
 	futs := make([]*Future, len(ops))
+	slab := make([]asyncOp, len(ops)) // the batch's operations, one allocation
 	aops := make([]*asyncOp, len(ops))
 	for i, op := range ops {
-		futs[i] = newFuture()
-		aops[i] = &asyncOp{
+		slab[i] = asyncOp{
 			id:        c.session.NextID(),
 			keyHashes: op.KeyHashes,
 			payload:   op.Payload,
 			class:     op.Class,
-			fut:       futs[i],
+			fut:       Future{done: make(chan struct{})},
 		}
+		aops[i], futs[i] = &slab[i], &slab[i].fut
 	}
 	if len(aops) == 0 {
 		return futs
@@ -148,7 +160,10 @@ func (c *Client) UpdateBatchAsync(ctx context.Context, ops []BatchOp) []*Future 
 // runBatch drives a batch of operations to completion: repeated flush
 // attempts against the current view, with per-operation outcomes deciding
 // which operations retry. Operations retry with their original RPC IDs so
-// RIFL filters duplicates across master failures (§3.2.1).
+// RIFL filters duplicates across master failures (§3.2.1). Every operation
+// is resolved when it returns. It runs on whichever goroutine owns the
+// batch: the caller's own for the blocking Update, a spawned one for the
+// asynchronous submissions.
 func (c *Client) runBatch(ctx context.Context, ops []*asyncOp) {
 	// The in-flight gauge is the observable pipeline depth: how many
 	// operations the engine currently owns across all concurrent batches.
@@ -180,6 +195,110 @@ func (c *Client) runBatch(ctx context.Context, ops []*asyncOp) {
 	}
 }
 
+// RecordStarter is the optional asynchronous form of WitnessAPI.RecordBatch
+// (the io.WriterTo idiom): a witness connection that can put the record
+// request on the wire and return lets one flush keep its f records and the
+// master RPC in flight from a single goroutine. A WitnessAPI without it is
+// run on a leg goroutine by goRecordBatch.
+type RecordStarter interface {
+	// StartRecordBatch begins RecordBatch(ctx, masterID, recs). It does not
+	// fail; errors surface from the returned call's Wait.
+	StartRecordBatch(ctx context.Context, masterID uint64, recs []witness.Record) RecordCall
+}
+
+// RecordCall is a started RecordBatch. Exactly one of Wait and Cancel must
+// be called, once: a call neither collected nor cancelled would pin its
+// transport's pending entry.
+type RecordCall interface {
+	// Wait blocks until the witness answered or ctx ends, and stores the
+	// verdict on record i in results[i] (len(results) == the number of
+	// records started). An error means the witness accepted nothing usable.
+	Wait(ctx context.Context, results []witness.RecordResult) error
+	// Cancel abandons the call; the witness may still record.
+	Cancel()
+}
+
+// startRecord begins one witness's RecordBatch without blocking.
+func startRecord(ctx context.Context, w WitnessAPI, masterID uint64, recs []witness.Record) RecordCall {
+	if s, ok := w.(RecordStarter); ok {
+		return s.StartRecordBatch(ctx, masterID, recs)
+	}
+	return goRecordBatch(ctx, w, masterID, recs)
+}
+
+// goRecordBatch adapts a blocking RecordBatch to RecordCall by running it on
+// a goroutine of its own — the one place a flush still spawns, reached only
+// by witnesses that cannot start a record themselves (test fakes, stubs).
+func goRecordBatch(ctx context.Context, w WitnessAPI, masterID uint64, recs []witness.Record) RecordCall {
+	leg := &goRecord{done: make(chan struct{})}
+	go func() {
+		leg.results, leg.err = w.RecordBatch(ctx, masterID, recs)
+		close(leg.done)
+	}()
+	return leg
+}
+
+type goRecord struct {
+	doneRecord // written by the leg goroutine before it closes done
+	done       chan struct{}
+}
+
+func (g *goRecord) Wait(ctx context.Context, results []witness.RecordResult) error {
+	select {
+	case <-g.done:
+		return g.doneRecord.Wait(ctx, results)
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// DoneRecord is the RecordCall of a RecordBatch that already ran: what an
+// in-process witness, which has nothing to overlap, returns from
+// StartRecordBatch.
+func DoneRecord(results []witness.RecordResult, err error) RecordCall {
+	return &doneRecord{results: results, err: err}
+}
+
+type doneRecord struct {
+	results []witness.RecordResult
+	err     error
+}
+
+func (d *doneRecord) Wait(_ context.Context, results []witness.RecordResult) error {
+	if d.err != nil {
+		return d.err
+	}
+	if len(d.results) != len(results) {
+		return fmt.Errorf("curp: witness returned %d results for %d records", len(d.results), len(results))
+	}
+	copy(results, d.results)
+	return nil
+}
+
+// Cancel has nothing to release: the record ran, or its goroutine ends with
+// it.
+func (d *doneRecord) Cancel() {}
+
+// recordLeg is one witness's share of a flush: the started record and the
+// client-side span around it.
+type recordLeg struct {
+	call RecordCall // nil once collected or cancelled
+	span *metrics.SpanHandle
+}
+
+// abandonLegs cancels every leg the flush did not collect, so no exit
+// leaves a started call behind.
+func abandonLegs(legs []recordLeg) {
+	for i := range legs {
+		if leg := &legs[i]; leg.call != nil {
+			leg.call.Cancel()
+			leg.call = nil
+			leg.span.SetVerdict("abandoned")
+			leg.span.End()
+		}
+	}
+}
+
 // flushOnce performs one coalesced submission attempt for the pending
 // operations and resolves every operation whose outcome is final. It
 // returns the operations that must be retried (in submission order) and
@@ -196,39 +315,30 @@ func (c *Client) flushOnce(ctx context.Context, view *View, pending []*asyncOp, 
 
 	reqs := make([]*Request, len(pending))
 	recs := make([]witness.Record, len(pending))
+	ack := c.session.Ack()
 	for i, op := range pending {
-		reqs[i] = &Request{
+		op.accepts = 0
+		op.req = Request{
 			ID:                 op.id,
-			Ack:                c.session.Ack(),
+			Ack:                ack,
 			WitnessListVersion: view.WitnessListVersion,
 			KeyHashes:          op.keyHashes,
 			Payload:            op.payload,
 			Class:              op.class,
 		}
+		reqs[i] = &op.req
 		recs[i] = witness.Record{KeyHashes: op.keyHashes, ID: op.id, Request: op.payload, Class: op.class}
 	}
 
-	// One RecordBatch per witness, in parallel with the master RPC (the
-	// overlap that makes the 1-RTT path possible).
-	type recRes struct {
-		results []witness.RecordResult
-		err     error
-	}
-	recCh := make(chan recRes, len(view.Witnesses))
+	// One RecordBatch per witness, started before the master RPC and
+	// collected after it (the overlap that makes the 1-RTT path possible).
+	// Every exit below that does not collect a leg cancels it.
+	var legBuf [4]recordLeg
+	legs := legBuf[:0]
+	defer func() { abandonLegs(legs) }()
 	for _, w := range view.Witnesses {
-		go func(w WitnessAPI) {
-			wctx, sp := c.cfg.Trace.StartSpan(ctx, "witness-record")
-			results, err := w.RecordBatch(wctx, view.MasterID, recs)
-			sp.SetErr(err)
-			for _, res := range results {
-				if !res.Ok() {
-					sp.SetVerdict("reject-conflict")
-					break
-				}
-			}
-			sp.End()
-			recCh <- recRes{results: results, err: err}
-		}(w)
+		wctx, sp := c.cfg.Trace.StartSpan(ctx, "witness-record")
+		legs = append(legs, recordLeg{call: startRecord(wctx, w, view.MasterID, recs), span: sp})
 	}
 
 	mctx, masterSpan := c.cfg.Trace.StartSpan(ctx, "master-update")
@@ -239,8 +349,7 @@ func (c *Client) flushOnce(ctx context.Context, view *View, pending []*asyncOp, 
 	if merr != nil {
 		// Master unreachable: refetch the view and retry the whole batch
 		// under the same IDs. Re-recorded requests conflict with their own
-		// surviving records and fall to the slow path, which is safe. The
-		// witness goroutines drain into the buffered channel on their own.
+		// surviving records and fall to the slow path, which is safe.
 		if ctx.Err() != nil {
 			return pending, ctx.Err()
 		}
@@ -254,9 +363,10 @@ func (c *Client) flushOnce(ctx context.Context, view *View, pending []*asyncOp, 
 	// on witness results. A master-synced reply completes immediately —
 	// witness outcomes are irrelevant (§3.2.3) and must not be waited
 	// for (a partitioned witness would otherwise stall an already-durable
-	// operation).
+	// operation). What stays undecided is exactly the replies that are OK
+	// and unsynced, awaiting the completion rule.
 	var retry []*asyncOp
-	var undecided []int // indices into pending: OK-unsynced, awaiting the completion rule
+	undecided := 0
 	var moved []*asyncOp
 	var movedKeys []witness.GCKey
 	for i, op := range pending {
@@ -268,7 +378,7 @@ func (c *Client) flushOnce(ctx context.Context, view *View, pending []*asyncOp, 
 				c.finishOp(op)
 				op.fut.complete(reply.Payload)
 			} else {
-				undecided = append(undecided, i)
+				undecided++
 			}
 		case StatusStaleWitnessList, StatusWrongMaster:
 			lastErr = fmt.Errorf("curp: master replied %v", reply.Status)
@@ -296,32 +406,40 @@ func (c *Client) flushOnce(ctx context.Context, view *View, pending []*asyncOp, 
 			op.fut.fail(fmt.Errorf("curp: unexpected status %v", reply.Status))
 		}
 	}
-	if len(undecided) == 0 && len(moved) == 0 {
+	if undecided == 0 && len(moved) == 0 {
 		orderRetry(pending, retry)
 		return retry, lastErr
 	}
 
 	// Gather the witness outcomes: the completion rule needs the accept
 	// counts, and the redirect path must not retract records that are
-	// still in flight.
-	accepted := make([]int, len(pending))
-	for range view.Witnesses {
-		r := <-recCh
-		if r.err != nil || len(r.results) != len(pending) {
-			continue // this witness accepted nothing usable
-		}
-		for i, res := range r.results {
-			if res.Ok() {
-				accepted[i]++
+	// still in flight. A leg's client-side span ends here, when the flush
+	// collects it, not when the witness's reply landed.
+	results := make([]witness.RecordResult, len(pending))
+	for i := range legs {
+		leg := &legs[i]
+		err := leg.call.Wait(ctx, results)
+		leg.call = nil
+		leg.span.SetErr(err)
+		if err == nil {
+			for j, res := range results {
+				if res.Ok() {
+					pending[j].accepts++
+				} else {
+					leg.span.SetVerdict("reject-conflict")
+				}
 			}
 		}
+		leg.span.End()
 	}
 
 	var needSync []*asyncOp
 	var needSyncPayload [][]byte
-	for _, i := range undecided {
-		op := pending[i]
-		if accepted[i] == len(view.Witnesses) {
+	for i, op := range pending {
+		if replies[i].Status != StatusOK || replies[i].Synced {
+			continue
+		}
+		if op.accepts == len(view.Witnesses) {
 			// 1-RTT completion rule: all f witnesses accepted.
 			c.fastPath.Add(1)
 			c.finishOp(op)

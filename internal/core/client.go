@@ -313,12 +313,16 @@ var (
 // It returns the substrate result. The operation is durable (f-fault
 // tolerant) when Update returns nil error.
 //
-// Update is a thin blocking wrapper over UpdateAsync: the asynchronous
-// batch engine in async.go is the only update state machine, so the fast
-// path, slow path, retries, and redirect handling are identical whether an
-// operation is issued synchronously, asynchronously, or in a pipeline.
+// Update is a batch of one run through the asynchronous batch engine in
+// async.go on the caller's own goroutine — no future to wait on, no
+// goroutine to hand the operation to. That engine is the only update state
+// machine, so the fast path, slow path, retries, and redirect handling are
+// identical whether an operation is issued synchronously, asynchronously,
+// or in a pipeline.
 func (c *Client) Update(ctx context.Context, keyHashes []uint64, payload []byte, class commute.Class) ([]byte, error) {
-	return c.UpdateAsync(ctx, keyHashes, payload, class).Wait(ctx)
+	op := asyncOp{id: c.session.NextID(), keyHashes: keyHashes, payload: payload, class: class}
+	c.runBatch(ctx, []*asyncOp{&op})
+	return op.fut.payload, op.fut.err
 }
 
 // Call is the single-request attempt loop under Read and the transaction

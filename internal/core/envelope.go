@@ -123,7 +123,11 @@ func (r *Request) Encode() []byte {
 }
 
 // UnmarshalRequest decodes one request envelope from d, leaving d
-// positioned after it (batch envelopes concatenate several).
+// positioned after it (batch envelopes concatenate several). Payload
+// aliases d's buffer: a request lives as long as its handler, and the
+// substrate that executes it decodes the command out of the payload into
+// copies of its own. KeyHashes, which the engine keeps in the completion
+// record, is a copy.
 func UnmarshalRequest(d *rpc.Decoder) (*Request, error) {
 	r := &Request{
 		ID:                 rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
@@ -131,7 +135,7 @@ func UnmarshalRequest(d *rpc.Decoder) (*Request, error) {
 		WitnessListVersion: d.U64(),
 		KeyHashes:          d.U64Slice(),
 		ReadOnly:           d.Bool(),
-		Payload:            d.BytesCopy32(),
+		Payload:            d.Bytes32(),
 	}
 	r.Class = commute.Class(d.U8())
 	if err := d.Err(); err != nil {
@@ -178,13 +182,14 @@ func (r *Reply) Encode() []byte {
 }
 
 // UnmarshalReply decodes one reply envelope from d, leaving d positioned
-// after it (batch envelopes concatenate several).
+// after it (batch envelopes concatenate several). Payload aliases d's
+// buffer — the reply frame, which belongs to the caller that received it.
 func UnmarshalReply(d *rpc.Decoder) (*Reply, error) {
 	r := &Reply{
 		Status: Status(d.U8()),
 		Synced: d.Bool(),
 	}
-	r.Payload = d.BytesCopy32()
+	r.Payload = d.Bytes32()
 	r.Err = d.String()
 	if err := d.Err(); err != nil {
 		return nil, err

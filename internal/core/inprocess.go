@@ -42,6 +42,12 @@ type WitnessAdapter struct{ W *witness.Witness }
 func (a WitnessAdapter) RecordBatch(_ context.Context, masterID uint64, recs []witness.Record) ([]witness.RecordResult, error) {
 	return a.W.RecordBatch(masterID, recs), nil
 }
+
+// StartRecordBatch implements RecordStarter, eagerly: an in-process record
+// has no round trip to overlap, so it simply runs.
+func (a WitnessAdapter) StartRecordBatch(_ context.Context, masterID uint64, recs []witness.Record) RecordCall {
+	return DoneRecord(a.W.RecordBatch(masterID, recs), nil)
+}
 func (a WitnessAdapter) Commutes(_ context.Context, keyHashes []uint64) (bool, error) {
 	return a.W.Commutes(keyHashes), nil
 }

@@ -103,8 +103,10 @@ func (t *TopK) Observe(hash uint64) {
 			min = e
 		}
 	}
+	// The evicted entry becomes the newcomer's: no allocation per eviction.
 	delete(t.entries, min.hash)
-	t.entries[hash] = &hkEntry{hash: hash, count: min.count + 1, err: min.count}
+	min.hash, min.count, min.err = hash, min.count+1, min.count
+	t.entries[hash] = min
 	t.mu.Unlock()
 }
 

@@ -226,25 +226,41 @@ func (c *Command) Class() commute.Class {
 // KeyHashes returns the 64-bit hashes of every object the command touches,
 // the unit of CURP's commutativity checks.
 func (c *Command) KeyHashes() []uint64 {
+	if len(c.Hashes) > 0 {
+		return c.Hashes
+	}
+	return c.AppendKeyHashes(nil)
+}
+
+// AppendKeyHashes appends the command's key hashes to dst: KeyHashes for a
+// caller that only walks them and brings its own scratch.
+func (c *Command) AppendKeyHashes(dst []uint64) []uint64 {
 	// Explicit Hashes win, including for transactional commands:
 	// participant decides carry no read/write sets (the prepare stashed
 	// them), so the coordinator attaches the group's hashes for migration
 	// checks and commutativity tracking.
 	if len(c.Hashes) > 0 {
-		return c.Hashes
+		return append(dst, c.Hashes...)
 	}
 	if c.Txn != nil {
-		return c.Txn.KeyHashes()
+		return append(dst, c.Txn.KeyHashes()...)
 	}
 	if len(c.Pairs) > 0 {
-		hs := make([]uint64, len(c.Pairs))
-		for i, p := range c.Pairs {
-			hs[i] = witness.KeyHash(p.Key)
+		for _, p := range c.Pairs {
+			dst = append(dst, witness.KeyHash(p.Key))
 		}
-		return hs
+		return dst
 	}
-	return []uint64{witness.KeyHash(c.Key)}
+	return append(dst, witness.KeyHash(c.Key))
 }
+
+// minCommandWireSize and minResultWireSize are the encoded sizes of an empty
+// command and an empty result: what an encoder needs on top of the payload
+// bytes, so its buffer is sized once.
+const (
+	minCommandWireSize = 1 + 4 + 4 + 8 + 8 + 4 + 4 + 1 + 8
+	minResultWireSize  = 1 + 4 + 8 + 4
+)
 
 // Marshal appends the command's wire form to e.
 func (c *Command) Marshal(e *rpc.Encoder) {
@@ -268,17 +284,32 @@ func (c *Command) Marshal(e *rpc.Encoder) {
 
 // Encode returns the command's wire form.
 func (c *Command) Encode() []byte {
-	e := rpc.NewEncoder(32 + len(c.Key) + len(c.Value))
+	e := rpc.NewEncoder(minCommandWireSize + len(c.Key) + len(c.Value))
 	c.Marshal(e)
 	return e.Bytes()
 }
 
 // UnmarshalCommand decodes a command from d.
 func UnmarshalCommand(d *rpc.Decoder) (*Command, error) {
-	c := &Command{
-		Op:    CommandOp(d.U8()),
-		Key:   d.BytesCopy32(),
-		Value: d.BytesCopy32(),
+	c := new(Command)
+	if err := c.unmarshal(d); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// unmarshal decodes a command from d into c. Every byte slice of the result
+// is a private copy — nothing aliases d's buffer, which is usually a frame
+// far larger than any one command — but Key and Value are two halves of ONE
+// copy: they live and die together in the log entry that holds the command,
+// and a store object that adopts Value pins only its own command's key.
+func (c *Command) unmarshal(d *rpc.Decoder) error {
+	c.Op = CommandOp(d.U8())
+	key, value := d.Bytes32(), d.Bytes32()
+	if key != nil && value != nil {
+		both := append(append(make([]byte, 0, len(key)+len(value)), key...), value...)
+		// Key's capacity stops at Value, so appending to it cannot reach over.
+		c.Key, c.Value = both[:len(key):len(key)], both[len(key):]
 	}
 	c.Delta = d.I64()
 	c.ExpectVersion = d.U64()
@@ -292,10 +323,10 @@ func UnmarshalCommand(d *rpc.Decoder) (*Command, error) {
 	}
 	c.ExpireAt = d.I64()
 	if err := d.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	c.owned = true
-	return c, nil
+	return nil
 }
 
 // DecodeCommand decodes a command from its wire form.
@@ -340,18 +371,24 @@ func (r *Result) Marshal(e *rpc.Encoder) {
 
 // Encode returns the result's wire form.
 func (r *Result) Encode() []byte {
-	e := rpc.NewEncoder(16 + len(r.Value))
+	e := rpc.NewEncoder(minResultWireSize + len(r.Value))
 	r.Marshal(e)
 	return e.Bytes()
 }
 
 // UnmarshalResult decodes a result from d.
 func UnmarshalResult(d *rpc.Decoder) (*Result, error) {
-	r := &Result{
-		Found:   d.Bool(),
-		Value:   d.BytesCopy32(),
-		Version: d.U64(),
+	r := new(Result)
+	if err := r.unmarshal(d); err != nil {
+		return nil, err
 	}
+	return r, nil
+}
+
+func (r *Result) unmarshal(d *rpc.Decoder) error {
+	r.Found = d.Bool()
+	r.Value = d.BytesCopy32()
+	r.Version = d.U64()
 	n := d.U32()
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		present := d.Bool()
@@ -361,10 +398,7 @@ func UnmarshalResult(d *rpc.Decoder) (*Result, error) {
 		}
 		r.Values = append(r.Values, v)
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return d.Err()
 }
 
 // DecodeResult decodes a result from its wire form.

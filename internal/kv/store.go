@@ -26,7 +26,7 @@ type Entry struct {
 
 // MinEntryWireSize is the smallest encoded Entry (LSN and RPC ID, an empty
 // command, an empty result): the floor for a log decoder's entry count.
-const MinEntryWireSize = 3*8 + 42 + 17
+const MinEntryWireSize = 3*8 + minCommandWireSize + minResultWireSize
 
 // Marshal appends the entry's wire form to e.
 func (en *Entry) Marshal(e *rpc.Encoder) {
@@ -37,19 +37,26 @@ func (en *Entry) Marshal(e *rpc.Encoder) {
 	en.Result.Marshal(e)
 }
 
-// UnmarshalEntry decodes an entry from d.
-func UnmarshalEntry(d *rpc.Decoder) (*Entry, error) {
-	en := &Entry{
+// UnmarshalEntry decodes an entry from d. The entry comes back by value —
+// a log decoder stores it straight into its slice — and its command and
+// result, which the log keeps for as long as the entry, share one
+// allocation.
+func UnmarshalEntry(d *rpc.Decoder) (Entry, error) {
+	en := Entry{
 		LSN: LSN(d.U64()),
 		ID:  rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
 	}
-	var err error
-	if en.Cmd, err = UnmarshalCommand(d); err != nil {
-		return nil, err
+	body := new(struct {
+		cmd Command
+		res Result
+	})
+	if err := body.cmd.unmarshal(d); err != nil {
+		return Entry{}, err
 	}
-	if en.Result, err = UnmarshalResult(d); err != nil {
-		return nil, err
+	if err := body.res.unmarshal(d); err != nil {
+		return Entry{}, err
 	}
+	en.Cmd, en.Result = &body.cmd, &body.res
 	return en, nil
 }
 
@@ -128,10 +135,11 @@ func NewReplicaStore() *Store {
 func (s *Store) Apply(cmd *Command, id rifl.RPCID) (*Result, LSN, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, mutated, err := s.exec(cmd)
+	out, mutated, err := s.exec(cmd)
 	if err != nil {
 		return nil, 0, err
 	}
+	res := &out
 	if !mutated {
 		return res, 0, nil
 	}
@@ -174,12 +182,14 @@ func (s *Store) stampKeys(cmd *Command, lsn LSN) {
 	}
 }
 
-// exec runs the command against the object table. Must hold s.mu.
-func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
+// exec runs the command against the object table. Must hold s.mu. The
+// result comes back by value: Apply moves it into the log entry it
+// appends, replay (which has the entry's result already) drops it.
+func (s *Store) exec(cmd *Command) (res Result, mutated bool, err error) {
 	switch cmd.Op {
 	case OpTxnPrepare, OpTxnDecide, OpTxnForget, OpTxnApply:
 		if cmd.Txn == nil { // a malformed command off the wire
-			return nil, false, fmt.Errorf("kv: %v without txn payload", cmd.Op)
+			return Result{}, false, fmt.Errorf("kv: %v without txn payload", cmd.Op)
 		}
 	case OpMigrateObject, OpMigrateRecord:
 		// Transactional ops (above) handle locks themselves; migration
@@ -189,7 +199,7 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 		// must wait for the decision: its outcome would otherwise race the
 		// transaction's atomic commit point.
 		if lerr := s.cmdLockConflict(cmd); lerr != nil {
-			return nil, false, lerr
+			return Result{}, false, lerr
 		}
 	}
 	switch cmd.Op {
@@ -200,12 +210,12 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 			if o != nil {
 				version = o.version
 			}
-			return &Result{Version: version}, false, nil
+			return Result{Version: version}, false, nil
 		}
-		return &Result{Found: true, Value: append([]byte(nil), o.value...), Version: o.version}, false, nil
+		return Result{Found: true, Value: append([]byte(nil), o.value...), Version: o.version}, false, nil
 
 	case OpMultiGet:
-		res := &Result{Found: true}
+		res := Result{Found: true}
 		for _, p := range cmd.Pairs {
 			o := s.objects[string(p.Key)]
 			if !s.alive(o) {
@@ -223,9 +233,9 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 			if o != nil {
 				version = o.version
 			}
-			return &Result{Version: version}, false, nil
+			return Result{Version: version}, false, nil
 		}
-		res := &Result{Found: true, Version: o.version}
+		res := Result{Found: true, Version: o.version}
 		for _, m := range decodeSet(o.value) {
 			res.Values = append(res.Values, append([]byte(nil), m...))
 		}
@@ -234,7 +244,7 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 	case OpPut:
 		o := s.valuePut(cmd, cmd.Key, cmd.Value)
 		s.setExpiry(cmd.Key, o, cmd.ExpireAt)
-		return &Result{Found: true, Version: o.version}, true, nil
+		return Result{Found: true, Version: o.version}, true, nil
 
 	case OpAppend:
 		o := s.objects[string(cmd.Key)]
@@ -245,7 +255,7 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 			next = append([]byte(nil), cmd.Value...)
 		}
 		no := s.putOwned(cmd.Key, next)
-		return &Result{Found: true, Value: []byte(strconv.Itoa(len(next))), Version: no.version}, true, nil
+		return Result{Found: true, Value: []byte(strconv.Itoa(len(next))), Version: no.version}, true, nil
 
 	case OpSetAdd:
 		o := s.objects[string(cmd.Key)]
@@ -257,7 +267,7 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 		// Found is always true: "was the member new" is order-dependent
 		// under commutative replay (two adds of one member swap answers),
 		// so it must not leak into the completion record.
-		return &Result{Found: true, Version: no.version}, true, nil
+		return Result{Found: true, Version: no.version}, true, nil
 
 	case OpSetRemove:
 		o := s.objects[string(cmd.Key)]
@@ -269,7 +279,7 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 		no := s.putOwned(cmd.Key, next)
 		// Like SetAdd, "was it present" is order-dependent; always-true
 		// Found keeps the completion record replay-deterministic.
-		return &Result{Found: true, Version: no.version}, true, nil
+		return Result{Found: true, Version: no.version}, true, nil
 
 	case OpBucketTake:
 		o := s.objects[string(cmd.Key)]
@@ -277,7 +287,7 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 		if o != nil && o.value != nil {
 			v, perr := strconv.ParseInt(string(o.value), 10, 64)
 			if perr != nil {
-				return nil, false, ErrNotCounter
+				return Result{}, false, ErrNotCounter
 			}
 			cur = v
 		}
@@ -301,13 +311,13 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 				s.objects[string(cmd.Key)] = o
 			}
 			o.version++
-			return &Result{Found: false, Value: []byte(strconv.FormatInt(cur, 10)), Version: o.version, Demote: true}, true, nil
+			return Result{Found: false, Value: []byte(strconv.FormatInt(cur, 10)), Version: o.version, Demote: true}, true, nil
 		}
 		rem := cur - cmd.Delta
 		no := s.putOwned(cmd.Key, []byte(strconv.FormatInt(rem, 10)))
 		// Draining the bucket also demotes: the NEXT take will deny, so
 		// this grant's order relative to it matters.
-		return &Result{Found: true, Value: append([]byte(nil), no.value...), Version: no.version, Demote: rem == 0}, true, nil
+		return Result{Found: true, Value: append([]byte(nil), no.value...), Version: no.version, Demote: rem == 0}, true, nil
 
 	case OpPurgeExpired:
 		purged := 0
@@ -323,14 +333,14 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 			purged++
 			lastVer = o.version
 		}
-		return &Result{Found: purged > 0, Version: lastVer}, true, nil
+		return Result{Found: purged > 0, Version: lastVer}, true, nil
 
 	case OpMultiPut:
 		var last uint64
 		for _, p := range cmd.Pairs {
 			last = s.valuePut(cmd, p.Key, p.Value).version
 		}
-		return &Result{Found: true, Version: last}, true, nil
+		return Result{Found: true, Version: last}, true, nil
 
 	case OpDelete:
 		o := s.objects[string(cmd.Key)]
@@ -338,12 +348,12 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 			// Deleting a missing key is a no-op but still logged, so the
 			// delete's completion record reaches backups.
 			s.objects[string(cmd.Key)] = &object{version: 1}
-			return &Result{Found: false, Version: 1}, true, nil
+			return Result{Found: false, Version: 1}, true, nil
 		}
 		o.value = nil
 		o.version++
 		s.setExpiry(cmd.Key, o, 0)
-		return &Result{Found: true, Version: o.version}, true, nil
+		return Result{Found: true, Version: o.version}, true, nil
 
 	case OpIncrement:
 		o := s.objects[string(cmd.Key)]
@@ -351,13 +361,13 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 		if o != nil && o.value != nil {
 			v, perr := strconv.ParseInt(string(o.value), 10, 64)
 			if perr != nil {
-				return nil, false, ErrNotCounter
+				return Result{}, false, ErrNotCounter
 			}
 			cur = v
 		}
 		cur += cmd.Delta
 		no := s.putOwned(cmd.Key, []byte(strconv.FormatInt(cur, 10)))
-		return &Result{Found: true, Value: append([]byte(nil), no.value...), Version: no.version}, true, nil
+		return Result{Found: true, Value: append([]byte(nil), no.value...), Version: no.version}, true, nil
 
 	case OpMultiIncr:
 		// Validate every leg before mutating anything: atomicity demands
@@ -367,18 +377,18 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 		for i, p := range cmd.Pairs {
 			d, perr := strconv.ParseInt(string(p.Value), 10, 64)
 			if perr != nil {
-				return nil, false, fmt.Errorf("kv: multiincr delta %q: %w", p.Value, ErrNotCounter)
+				return Result{}, false, fmt.Errorf("kv: multiincr delta %q: %w", p.Value, ErrNotCounter)
 			}
 			deltas[i] = d
 			if o := s.objects[string(p.Key)]; o != nil && o.value != nil {
 				v, perr := strconv.ParseInt(string(o.value), 10, 64)
 				if perr != nil {
-					return nil, false, ErrNotCounter
+					return Result{}, false, ErrNotCounter
 				}
 				currents[i] = v
 			}
 		}
-		res := &Result{Found: true}
+		res := Result{Found: true}
 		for i, p := range cmd.Pairs {
 			no := s.putOwned(p.Key, []byte(strconv.FormatInt(currents[i]+deltas[i], 10)))
 			res.Values = append(res.Values, append([]byte(nil), no.value...))
@@ -404,7 +414,7 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 		}
 		o.version = cmd.ExpectVersion
 		s.setExpiry(cmd.Key, o, cmd.ExpireAt)
-		return &Result{Found: cmd.Delta == 0, Version: o.version}, true, nil
+		return Result{Found: cmd.Delta == 0, Version: o.version}, true, nil
 
 	case OpMigrateRecord:
 		// A pure log marker: no object changes, but the entry (which
@@ -413,9 +423,9 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 		// completion record as durable as a native one.
 		res, err := DecodeResult(cmd.Value)
 		if err != nil {
-			return nil, false, fmt.Errorf("kv: migrate-record result: %w", err)
+			return Result{}, false, fmt.Errorf("kv: migrate-record result: %w", err)
 		}
-		return res, true, nil
+		return *res, true, nil
 
 	case OpTxnPrepare:
 		return s.execTxnPrepare(cmd)
@@ -437,13 +447,13 @@ func (s *Store) exec(cmd *Command) (res *Result, mutated bool, err error) {
 		}
 		if cur != cmd.ExpectVersion {
 			// Failed condition: no mutation, reported via Found=false.
-			return &Result{Found: false, Version: cur}, false, nil
+			return Result{Found: false, Version: cur}, false, nil
 		}
 		no := s.valuePut(cmd, cmd.Key, cmd.Value)
-		return &Result{Found: true, Version: no.version}, true, nil
+		return Result{Found: true, Version: no.version}, true, nil
 
 	default:
-		return nil, false, fmt.Errorf("kv: unknown op %v", cmd.Op)
+		return Result{}, false, fmt.Errorf("kv: unknown op %v", cmd.Op)
 	}
 }
 
@@ -542,13 +552,24 @@ func (s *Store) valuePut(cmd *Command, key, value []byte) *object {
 
 // Get reads a key outside the command path (used by tests and examples).
 func (s *Store) Get(key []byte) (value []byte, version uint64, ok bool) {
+	if value, version, ok = s.Peek(key); ok {
+		value = append([]byte(nil), value...)
+	}
+	return value, version, ok
+}
+
+// Peek is Get without the defensive copy: the returned slice is the store's
+// own. Stored values are replaced wholesale, never modified in place, so it
+// stays valid for as long as the caller holds it — and the caller must not
+// modify it either.
+func (s *Store) Peek(key []byte) (value []byte, version uint64, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	o := s.objects[string(key)]
 	if !s.alive(o) { // expiry-aware: GetStale must not serve dead values
 		return nil, 0, false
 	}
-	return append([]byte(nil), o.value...), o.version, true
+	return o.value, o.version, true
 }
 
 // Head returns the LSN of the most recent log entry.
@@ -600,10 +621,10 @@ type MigratedObject struct {
 }
 
 // Command returns the OpMigrateObject command that installs the object on
-// its new shard: ExpectVersion carries the source version and a non-zero
-// Delta marks a tombstone.
+// its new shard: ExpectVersion carries the source version, a non-zero
+// Delta marks a tombstone, and ExpireAt the TTL it keeps running under.
 func (o MigratedObject) Command() Command {
-	cmd := Command{Op: OpMigrateObject, Key: o.Key, Value: o.Value, ExpectVersion: o.Version}
+	cmd := Command{Op: OpMigrateObject, Key: o.Key, Value: o.Value, ExpectVersion: o.Version, ExpireAt: o.ExpireAt}
 	if o.Tombstone {
 		cmd.Delta = 1
 	}

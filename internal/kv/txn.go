@@ -380,27 +380,27 @@ func parseCounter(v []byte) int64 {
 func formatCounter(n int64) []byte { return []byte(strconv.FormatInt(n, 10)) }
 
 // execTxnPrepare is the OpTxnPrepare state transition. Must hold s.mu.
-func (s *Store) execTxnPrepare(cmd *Command) (*Result, bool, error) {
+func (s *Store) execTxnPrepare(cmd *Command) (Result, bool, error) {
 	t := cmd.Txn
 	// A decision that already exists answers the prepare: commit means the
 	// transaction already ran here (a late retry after crash recovery
 	// replayed both phases), abort means a resolver killed it.
 	if d, ok := s.decisions[t.ID]; ok {
-		return &Result{Found: d.commit}, false, nil
+		return Result{Found: d.commit}, false, nil
 	}
 	// Re-prepare of a transaction already holding its locks (a prepare
 	// retried past RIFL, e.g. through a recovered master) is a vote-commit
 	// no-op.
 	if _, ok := s.prepared[t.ID]; ok {
-		return &Result{Found: true}, false, nil
+		return Result{Found: true}, false, nil
 	}
 	if err := s.lockConflict(t.ID, t.Keys()...); err != nil {
-		return nil, false, err
+		return Result{}, false, err
 	}
 	if !s.validateTxn(t) {
 		// Vote abort: a read moved or a write is illegal. No locks, no log
 		// entry — like a failed conditional write.
-		return &Result{Found: false}, false, nil
+		return Result{Found: false}, false, nil
 	}
 	p := &preparedTxn{id: t.ID, home: t.Home, writes: t.Writes, since: time.Now()}
 	seen := make(map[string]bool, len(t.Reads)+len(t.Writes))
@@ -413,11 +413,11 @@ func (s *Store) execTxnPrepare(cmd *Command) (*Result, bool, error) {
 		s.locks[string(k)] = p
 	}
 	s.prepared[t.ID] = p
-	return &Result{Found: true}, true, nil
+	return Result{Found: true}, true, nil
 }
 
 // execTxnDecide is the OpTxnDecide state transition. Must hold s.mu.
-func (s *Store) execTxnDecide(cmd *Command) (*Result, bool, error) {
+func (s *Store) execTxnDecide(cmd *Command) (Result, bool, error) {
 	t := cmd.Txn
 	if t.HomeRecord {
 		// Record the decision on the home shard. Idempotent: the first
@@ -427,13 +427,13 @@ func (s *Store) execTxnDecide(cmd *Command) (*Result, bool, error) {
 			if TxnTrace != nil {
 				TxnTrace("store %p: home-record %v commit=%v KEPT existing commit=%v", s, t.ID, t.Commit, d.commit)
 			}
-			return &Result{Found: d.commit}, false, nil
+			return Result{Found: d.commit}, false, nil
 		}
 		s.decisions[t.ID] = txnDecision{commit: t.Commit, homeHash: t.Home.KeyHash}
 		if TxnTrace != nil {
 			TxnTrace("store %p: home-record %v commit=%v RECORDED", s, t.ID, t.Commit)
 		}
-		return &Result{Found: t.Commit}, true, nil
+		return Result{Found: t.Commit}, true, nil
 	}
 	p, ok := s.prepared[t.ID]
 	if !ok {
@@ -442,7 +442,7 @@ func (s *Store) execTxnDecide(cmd *Command) (*Result, bool, error) {
 		if TxnTrace != nil {
 			TxnTrace("store %p: decide %v commit=%v NO-OP (not prepared)", s, t.ID, t.Commit)
 		}
-		return &Result{Found: t.Commit}, false, nil
+		return Result{Found: t.Commit}, false, nil
 	}
 	if t.Commit {
 		s.applyTxnWrites(p.writes)
@@ -458,7 +458,7 @@ func (s *Store) execTxnDecide(cmd *Command) (*Result, bool, error) {
 	delete(s.prepared, t.ID)
 	// Both outcomes are logged: replay must re-release the locks the
 	// replayed prepare re-created.
-	return &Result{Found: t.Commit}, true, nil
+	return Result{Found: t.Commit}, true, nil
 }
 
 // execTxnForget is the OpTxnForget state transition: prune a decision
@@ -466,16 +466,16 @@ func (s *Store) execTxnDecide(cmd *Command) (*Result, bool, error) {
 // and acknowledged its decide). A missing record mutates nothing — the
 // forget was already applied, or the decision was never recorded here
 // (vote-abort transactions). Must hold s.mu.
-func (s *Store) execTxnForget(cmd *Command) (*Result, bool, error) {
+func (s *Store) execTxnForget(cmd *Command) (Result, bool, error) {
 	t := cmd.Txn
 	if _, ok := s.decisions[t.ID]; !ok {
-		return &Result{Found: false}, false, nil
+		return Result{Found: false}, false, nil
 	}
 	delete(s.decisions, t.ID)
 	if TxnTrace != nil {
 		TxnTrace("store %p: forget decision %v", s, t.ID)
 	}
-	return &Result{Found: true}, true, nil
+	return Result{Found: true}, true, nil
 }
 
 // DecisionCount returns how many decision records the store holds
@@ -489,23 +489,23 @@ func (s *Store) DecisionCount() int {
 
 // execTxnApply is the OpTxnApply state transition (single-shard atomic
 // transaction). Must hold s.mu.
-func (s *Store) execTxnApply(cmd *Command) (*Result, bool, error) {
+func (s *Store) execTxnApply(cmd *Command) (Result, bool, error) {
 	t := cmd.Txn
 	if err := s.lockConflict(rifl.RPCID{}, t.Keys()...); err != nil {
-		return nil, false, err
+		return Result{}, false, err
 	}
 	if !s.validateTxn(t) {
-		return &Result{Found: false}, false, nil
+		return Result{Found: false}, false, nil
 	}
 	if len(t.Writes) == 0 {
 		// Read-only transaction: validation is the whole commit.
-		return &Result{Found: true}, false, nil
+		return Result{Found: true}, false, nil
 	}
 	s.applyTxnWrites(t.Writes)
 	if TxnTrace != nil {
 		TxnTrace("store %p: apply writes=%v", s, t.Writes)
 	}
-	return &Result{Found: true}, true, nil
+	return Result{Found: true}, true, nil
 }
 
 // TxnDecision looks up a transaction's decision record. known is false when

@@ -98,9 +98,8 @@ func (c *Collector) StartTrace(ctx context.Context, stage string, flags uint8) (
 	if c == nil {
 		return ctx, nil
 	}
-	tc := TraceContext{TraceID: NewTraceID(), SpanID: NewTraceID(), Flags: flags}
-	h := c.handle(tc.TraceID, tc.SpanID, 0, tc.Flags, stage)
-	return ContextWithTrace(ctx, tc), h
+	h := c.open(ctx, TraceContext{TraceID: NewTraceID(), Flags: flags}, stage)
+	return h, h
 }
 
 // StartSpan opens a child span under ctx's trace and returns a ctx
@@ -115,20 +114,23 @@ func (c *Collector) StartSpan(ctx context.Context, stage string) (context.Contex
 	if !ok {
 		return ctx, nil
 	}
-	id := NewTraceID()
-	h := c.handle(tc.TraceID, id, tc.SpanID, tc.Flags, stage)
-	return ContextWithTrace(ctx, TraceContext{TraceID: tc.TraceID, SpanID: id, Flags: tc.Flags}), h
+	h := c.open(ctx, tc, stage)
+	return h, h
 }
 
-func (c *Collector) handle(traceID, spanID, parent uint64, flags uint8, stage string) *SpanHandle {
+// open starts a span under parent (whose SpanID is zero for a root). The
+// handle is also the context that carries the new span downstream: one
+// object, one allocation.
+func (c *Collector) open(ctx context.Context, parent TraceContext, stage string) *SpanHandle {
+	id := NewTraceID()
 	return &SpanHandle{
-		c:     c,
-		start: time.Now(),
-		flags: flags,
+		tracedCtx: tracedCtx{Context: ctx, tc: TraceContext{TraceID: parent.TraceID, SpanID: id, Flags: parent.Flags}},
+		c:         c,
+		start:     time.Now(),
 		s: WireSpan{
-			TraceID: traceID,
-			SpanID:  spanID,
-			Parent:  parent,
+			TraceID: parent.TraceID,
+			SpanID:  id,
+			Parent:  parent.SpanID,
 			Node:    c.node,
 			Role:    c.role,
 			Shard:   int(c.shard.Load()),
@@ -195,11 +197,13 @@ func (c *Collector) record(s WireSpan, flags uint8) {
 }
 
 // SpanHandle is an open span; End measures and records it. A nil handle is
-// inert, so call sites never branch on sampling state.
+// inert, so call sites never branch on sampling state. A live handle is
+// also the context StartTrace/StartSpan return — the ctx that parents
+// downstream spans and RPCs to this span — which stays valid after End.
 type SpanHandle struct {
+	tracedCtx
 	c     *Collector
 	start time.Time
-	flags uint8
 	s     WireSpan
 }
 
@@ -232,7 +236,7 @@ func (h *SpanHandle) End() {
 	}
 	h.s.Start = h.start.UnixNano()
 	h.s.Dur = int64(time.Since(h.start))
-	h.c.record(h.s, h.flags)
+	h.c.record(h.s, h.tc.Flags)
 }
 
 // TraceDump is the /trace JSON document: one node's promoted traces.

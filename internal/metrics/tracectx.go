@@ -64,16 +64,36 @@ func NewTraceID() uint64 {
 
 type traceCtxKey struct{}
 
+// tracedCtx is a context that carries a TraceContext in a field rather
+// than behind context.WithValue: installing a trace is one allocation (the
+// value is not boxed), and Value answers the trace key with the tracedCtx
+// itself, so reading it back allocates nothing.
+type tracedCtx struct {
+	context.Context
+	tc TraceContext
+}
+
+// Value implements context.Context.
+func (c *tracedCtx) Value(key any) any {
+	if _, ok := key.(traceCtxKey); ok {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
 // ContextWithTrace returns ctx carrying tc. The RPC client reads it back
 // out to pick the traced frame encoding; servers install the decoded
 // context before invoking handlers, so propagation is automatic wherever a
 // ctx is threaded.
 func ContextWithTrace(ctx context.Context, tc TraceContext) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, tc)
+	return &tracedCtx{Context: ctx, tc: tc}
 }
 
 // TraceFromContext extracts a live trace context from ctx.
 func TraceFromContext(ctx context.Context) (TraceContext, bool) {
-	tc, ok := ctx.Value(traceCtxKey{}).(TraceContext)
-	return tc, ok && tc.Valid()
+	c, ok := ctx.Value(traceCtxKey{}).(*tracedCtx)
+	if !ok {
+		return TraceContext{}, false
+	}
+	return c.tc, c.tc.Valid()
 }

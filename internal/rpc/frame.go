@@ -50,7 +50,7 @@ const frameHeaderSize = 8 + 1 + 2
 
 // writeFrame serializes f to w in a single Write call, so message-level
 // latency models in the in-memory transport see one message per frame.
-func writeFrame(w io.Writer, f *frame) error {
+func writeFrame(w io.Writer, f frame) error {
 	var scratch []byte
 	return writeFrameBuf(w, f, &scratch)
 }
@@ -59,7 +59,7 @@ func writeFrame(w io.Writer, f *frame) error {
 // across frames on the same connection (writes are serialized per
 // connection, so one buffer per conn suffices). The frame copy was one of
 // the largest allocation sources on the hot path.
-func writeFrameBuf(w io.Writer, f *frame, scratch *[]byte) error {
+func writeFrameBuf(w io.Writer, f frame, scratch *[]byte) error {
 	extra := 0
 	if f.kind == kindRequestTraced {
 		extra = metrics.TraceContextWireSize
@@ -88,24 +88,26 @@ func writeFrameBuf(w io.Writer, f *frame, scratch *[]byte) error {
 	return err
 }
 
-// readFrame reads one frame from r.
-func readFrame(r io.Reader) (*frame, error) {
-	var lenBuf [4]byte
+// readFrame reads one frame from r. The frame comes back by value and the
+// 4-byte length prefix lands in lenBuf, the reading connection's scratch
+// (a local would escape through the io.Reader), so the body is the only
+// allocation — sized by the declared length, after the limit checks.
+func readFrame(r io.Reader, lenBuf *[4]byte) (frame, error) {
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
+		return frame{}, err
 	}
 	n := binary.LittleEndian.Uint32(lenBuf[:])
 	if n < frameHeaderSize {
-		return nil, fmt.Errorf("rpc: short frame (%d bytes)", n)
+		return frame{}, fmt.Errorf("rpc: short frame (%d bytes)", n)
 	}
 	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
+		return frame{}, ErrFrameTooLarge
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+		return frame{}, err
 	}
-	f := &frame{
+	f := frame{
 		requestID: binary.LittleEndian.Uint64(body[0:]),
 		kind:      body[8],
 		code:      binary.LittleEndian.Uint16(body[9:]),
@@ -114,7 +116,7 @@ func readFrame(r io.Reader) (*frame, error) {
 	if f.kind == kindRequestTraced {
 		tc, err := metrics.DecodeTraceContext(f.payload)
 		if err != nil {
-			return nil, err
+			return frame{}, err
 		}
 		f.tc = tc
 		f.payload = f.payload[metrics.TraceContextWireSize:]

@@ -214,11 +214,12 @@ func TestCodecQuick(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := &frame{requestID: 42, kind: kindRequest, code: 7, payload: []byte("hi")}
+	in := frame{requestID: 42, kind: kindRequest, code: 7, payload: []byte("hi")}
 	if err := writeFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readFrame(&buf)
+	var lenBuf [4]byte
+	out, err := readFrame(&buf, &lenBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,19 +230,20 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameSizeLimit(t *testing.T) {
 	var buf bytes.Buffer
-	big := &frame{payload: make([]byte, MaxFrameSize)}
+	big := frame{payload: make([]byte, MaxFrameSize)}
 	if err := writeFrame(&buf, big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
 	// A corrupt length prefix is rejected on read.
 	buf.Reset()
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	var lenBuf [4]byte
+	if _, err := readFrame(&buf, &lenBuf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("read err = %v", err)
 	}
 	buf.Reset()
 	buf.Write([]byte{2, 0, 0, 0, 0, 0}) // declared 2 < header size
-	if _, err := readFrame(&buf); err == nil {
+	if _, err := readFrame(&buf, &lenBuf); err == nil {
 		t.Fatal("short frame accepted")
 	}
 }

@@ -539,3 +539,55 @@ func TestRemoveShardRejectsSpare(t *testing.T) {
 		t.Fatalf("shards after drain = %d, want 2", got)
 	}
 }
+
+// TestMigrationKeepsTTL: a key's expiry travels with it. A PutTTL key that
+// changes owner in a rebalance carries its expiry stamp to the new shard,
+// which goes on to expire it — the handoff must not turn a lease into a
+// permanent value.
+func TestMigrationKeepsTTL(t *testing.T) {
+	c := startTestCluster(t, testOptions(3))
+	cl := testClient(t, c, "app")
+	ctx := context.Background()
+
+	moving, _ := movingKeys(c.CurrentRing(), "ttl", 4)
+	var keys []string
+	for _, ks := range moving {
+		keys = append(keys, ks...)
+	}
+	if len(keys) == 0 {
+		t.Fatal("no moving keys found")
+	}
+	expireAt := time.Now().Add(time.Hour).UnixNano()
+	for _, key := range keys {
+		if _, err := cl.PutTTL(ctx, []byte(key), []byte("leased"), expireAt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s, err := c.AddShard(); err != nil || s != 3 {
+		t.Fatalf("AddShard = %d, %v", s, err)
+	}
+	if err := c.Rebalance(ctx); err != nil {
+		t.Fatalf("Rebalance: %v", err)
+	}
+
+	target := c.Part(3).Master.Store()
+	for _, key := range keys {
+		if owner := c.CurrentRing().ShardString(key); owner != 3 {
+			t.Fatalf("key %q owned by %d after grow, want 3", key, owner)
+		}
+		objs := target.ExportRange(func(k []byte) bool { return string(k) == key })
+		if len(objs) != 1 || objs[0].ExpireAt != expireAt {
+			t.Fatalf("key %q on its new shard: %+v, want expiry %d", key, objs, expireAt)
+		}
+		if v, ok, err := cl.Get(ctx, []byte(key)); err != nil || !ok || string(v) != "leased" {
+			t.Fatalf("get %q before its expiry: %v %v %q", key, err, ok, v)
+		}
+	}
+	// The new owner's clock passes the expiry: the keys are gone.
+	target.SetClock(func() int64 { return expireAt + 1 })
+	for _, key := range keys {
+		if v, ok, err := cl.Get(ctx, []byte(key)); err != nil || ok {
+			t.Fatalf("get %q past its expiry on the new shard: %v %v %q", key, err, ok, v)
+		}
+	}
+}

@@ -158,10 +158,18 @@ func (n *MemNetwork) CrashHost(host string) {
 	}
 }
 
-func (n *MemNetwork) dropWrite(from, to string) bool {
+// route is the one network-wide lookup a Write makes: whether the message
+// vanishes (blackholed or partitioned direction) and the latency model in
+// force. A healthy network has no fault entries, so the common case hashes
+// no host names.
+func (n *MemNetwork) route(from, to string) (drop bool, m LatencyModel) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.blackholed[[2]string{from, to}] || n.partitioned[[2]string{from, to}]
+	if len(n.blackholed)+len(n.partitioned) > 0 {
+		dir := [2]string{from, to}
+		drop = n.blackholed[dir] || n.partitioned[dir]
+	}
+	return drop, n.latency
 }
 
 func (n *MemNetwork) removeListener(addr string, l *memListener) {
@@ -228,9 +236,13 @@ type memConn struct {
 	remoteHost string
 	peer       *memConn
 
-	mu           sync.Mutex
-	cond         *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue[head:] are the undelivered messages. Delivery advances head and
+	// the slice rewinds once it drains, so a request/response connection
+	// reuses one backing array forever instead of reallocating per message.
 	queue        []chunk
+	head         int
 	current      []byte
 	lastDeliver  time.Time
 	closed       bool
@@ -254,11 +266,12 @@ func (c *memConn) Write(p []byte) (int, error) {
 		return 0, io.ErrClosedPipe
 	}
 	c.mu.Unlock()
-	if c.net.dropWrite(c.localHost, c.remoteHost) {
+	drop, latency := c.net.route(c.localHost, c.remoteHost)
+	if drop {
 		// Blackholed: pretend success, deliver nothing.
 		return len(p), nil
 	}
-	delay := c.net.latencyDelay(c.localHost, c.remoteHost, len(p))
+	delay := latency.Delay(c.localHost, c.remoteHost, len(p))
 	buf := make([]byte, len(p))
 	copy(buf, p)
 	peer := c.peer
@@ -272,17 +285,17 @@ func (c *memConn) Write(p []byte) (int, error) {
 		at = peer.lastDeliver
 	}
 	peer.lastDeliver = at
+	if peer.head > 0 && len(peer.queue) == cap(peer.queue) {
+		// A backlog that never fully drains: slide it down over the
+		// delivered prefix before growing.
+		n := copy(peer.queue, peer.queue[peer.head:])
+		clear(peer.queue[n:])
+		peer.queue, peer.head = peer.queue[:n], 0
+	}
 	peer.queue = append(peer.queue, chunk{data: buf, at: at})
 	peer.cond.Broadcast()
 	peer.mu.Unlock()
 	return len(p), nil
-}
-
-func (n *MemNetwork) latencyDelay(from, to string, size int) time.Duration {
-	n.mu.Lock()
-	m := n.latency
-	n.mu.Unlock()
-	return m.Delay(from, to, size)
 }
 
 // Read implements net.Conn.
@@ -290,12 +303,15 @@ func (c *memConn) Read(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if len(c.current) == 0 && len(c.queue) > 0 {
-			head := c.queue[0]
+		if len(c.current) == 0 && c.head < len(c.queue) {
+			head := c.queue[c.head]
 			now := time.Now()
 			if !head.at.After(now) {
 				c.current = head.data
-				c.queue = c.queue[1:]
+				c.queue[c.head] = chunk{}
+				if c.head++; c.head == len(c.queue) {
+					c.queue, c.head = c.queue[:0], 0
+				}
 			} else if exceeded, werr := c.waitUntil(head.at); exceeded {
 				return 0, werr
 			} else {

@@ -237,7 +237,12 @@ func (w *Witness) recordLocked(masterID uint64, keyHashes []uint64, id rifl.RPCI
 	// Pass 1: every key must commute with stored records and have a free
 	// slot (paper §4.2: both conditions checked for every affected object
 	// before any write).
-	free := make([]int, len(keyHashes))
+	// Slot indices for a request of a few keys stay on the stack.
+	var freeBuf, claimedBuf [8]int
+	free := freeBuf[:]
+	if len(keyHashes) > len(free) {
+		free = make([]int, len(keyHashes))
+	}
 	for i, kh := range keyHashes {
 		base := w.setIndex(kh)
 		freeIdx := -1
@@ -272,7 +277,7 @@ func (w *Witness) recordLocked(masterID uint64, keyHashes []uint64, id rifl.RPCI
 	// Pass 2: claim slots. Because pass 1 reserved only one slot per key,
 	// re-scan for keys whose reserved slot was taken by an earlier key of
 	// this same request.
-	claimed := make([]int, 0, len(keyHashes))
+	claimed := claimedBuf[:0]
 	for i, kh := range keyHashes {
 		idx := free[i]
 		if w.sets[idx].occupied {
