@@ -63,7 +63,7 @@
 // rebalance grows the routing ring live: with partitions 0..M-1 already
 // running (curpd -shards M provisions spares that own no keys), it
 // migrates key ranges from an N-shard ring onto the new shards without
-// stopping traffic, one grow step at a time:
+// stopping traffic, one handoff step (shard.RebalanceEndpoints) at a time:
 //
 //	curpd  -mode cluster -port 7000 -shards 4   # 4 partitions up
 //	curpctl -coordinator 127.0.0.1:7000 rebalance 3 4
@@ -72,9 +72,9 @@
 // Operations on moving ranges bounce-and-retry inside routing clients
 // during the handoff; all other keys are served throughout.
 //
-// drain is the inverse: it shrinks the routing ring live, migrating the
-// leaving shards' key ranges back onto the survivors so the emptied
-// partitions can be decommissioned:
+// drain runs the same handoff step in the other direction: it shrinks the
+// routing ring live, migrating the leaving shards' key ranges back onto
+// the survivors so the emptied partitions can be decommissioned:
 //
 //	curpctl -coordinator 127.0.0.1:7000 drain 4 3
 //
@@ -187,11 +187,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "drain: need 1 <= to <= from, got %d %d\n", from, to)
 			os.Exit(2)
 		}
-		wide := from
-		if to > wide {
-			wide = to
-		}
-		coords := make([]string, wide)
+		coords := make([]string, max(from, to))
 		for s := range coords {
 			coords[s] = book.RPC(s, addrbook.Coordinator, 0)
 		}

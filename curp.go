@@ -78,10 +78,6 @@ type Options struct {
 	// capacity — so a pipelined hot counter never stalls on witness-full
 	// rejections.
 	MaxPipelineDepth int
-	// WitnessBurstLimit explicitly bounds one key's run of commuting
-	// unsynced updates before a preemptive background sync (default: the
-	// resolved WitnessWays when MaxPipelineDepth is set, else disabled).
-	WitnessBurstLimit int
 	// Latency optionally injects a one-way network delay between every
 	// pair of distinct simulated hosts (e.g. to emulate geo-replication).
 	Latency func(from, to string) time.Duration
@@ -237,10 +233,7 @@ func clusterOptions(opts Options) cluster.Options {
 	if copts.Witness.Slots < copts.Witness.Ways {
 		copts.Witness.Slots = copts.Witness.Ways
 	}
-	switch {
-	case opts.WitnessBurstLimit > 0:
-		copts.Master.Core.WitnessBurstLimit = opts.WitnessBurstLimit
-	case opts.MaxPipelineDepth > 0:
+	if opts.MaxPipelineDepth > 0 {
 		// Sync one step before the set fills, so the slot freed by the GC
 		// that follows the sync absorbs the burst's next record.
 		copts.Master.Core.WitnessBurstLimit = copts.Witness.Ways

@@ -206,3 +206,33 @@ func TestDurableCacheCrashRecovery(t *testing.T) {
 		t.Fatal("recovery should fsync the rebuilt log")
 	}
 }
+
+// TestClusterOptionsPipelineDerivation pins how MaxPipelineDepth sizes the
+// witnesses: associativity doubles from the default to the next power of
+// two holding that many same-key records (capped at 64), an explicit
+// WitnessWays wins, Slots never drops below Ways, and the master's burst
+// limit is the resolved associativity (disabled without a depth).
+func TestClusterOptionsPipelineDerivation(t *testing.T) {
+	for _, tc := range []struct {
+		depth, ways, slots          int // Options in
+		wantWays, wantSlots, wantBL int // cluster.Options out
+	}{
+		{depth: 0, wantWays: 4, wantSlots: 4096, wantBL: 0},
+		{depth: 3, wantWays: 4, wantSlots: 4096, wantBL: 4},
+		{depth: 16, wantWays: 16, wantSlots: 4096, wantBL: 16},
+		{depth: 100, wantWays: 64, wantSlots: 4096, wantBL: 64},
+		{depth: 0, ways: 8, wantWays: 8, wantSlots: 4096, wantBL: 0},
+		{depth: 3, ways: 8, wantWays: 8, wantSlots: 4096, wantBL: 8},
+		{depth: 16, ways: 8, wantWays: 8, wantSlots: 4096, wantBL: 8},
+		{depth: 100, ways: 8, wantWays: 8, wantSlots: 4096, wantBL: 8},
+		{depth: 16, slots: 2, wantWays: 16, wantSlots: 16, wantBL: 16},
+	} {
+		got := clusterOptions(Options{MaxPipelineDepth: tc.depth, WitnessWays: tc.ways, WitnessSlots: tc.slots})
+		if got.Witness.Ways != tc.wantWays || got.Witness.Slots != tc.wantSlots || got.Master.Core.WitnessBurstLimit != tc.wantBL {
+			t.Errorf("depth %d ways %d slots %d: Ways %d Slots %d BurstLimit %d, want %d %d %d",
+				tc.depth, tc.ways, tc.slots,
+				got.Witness.Ways, got.Witness.Slots, got.Master.Core.WitnessBurstLimit,
+				tc.wantWays, tc.wantSlots, tc.wantBL)
+		}
+	}
+}

@@ -370,7 +370,7 @@ func (c *Client) SetTraceFlags(flags uint8) { c.curp.SetTraceFlags(flags) }
 func (c *Client) Stats() core.ClientStats { return c.curp.Stats() }
 
 // CountTxnCommit / CountTxnAbort land transaction outcomes in the
-// client's protocol counters (used by the txn.OutcomeRecorder adapters).
+// client's protocol counters (part of txn.Partition).
 func (c *Client) CountTxnCommit()           { c.curp.CountTxnCommit() }
 func (c *Client) CountTxnAbort(orphan bool) { c.curp.CountTxnAbort(orphan) }
 

@@ -660,9 +660,6 @@ func (c *Coordinator) recordHealEvent(ev FailoverEvent) {
 	c.jrn.Record(e)
 }
 
-// Leases exposes the lease server (for lease-expiry tests).
-func (c *Coordinator) Leases() *rifl.LeaseServer { return c.leases }
-
 // SetClientIDNamespace offsets the coordinator's RIFL client-ID space (see
 // Options.ClientIDNamespace). Call before any client registers, on every
 // replica with the same base: the replicated log carries namespace-free

@@ -131,50 +131,19 @@ func (c *Client) SubmitTxnApply(ctx context.Context, t *kv.TxnCommand) (*kv.Resu
 	return c.Submit(ctx, kv.TxnApply(t))
 }
 
-// singleTxnBackend adapts one partition to the transaction coordinator's
-// Backend interface: every key lives on "shard 0", so Commit always takes
-// the single-shard fast path and the 2PC methods exist only to satisfy the
-// interface.
-type singleTxnBackend struct{ c *Client }
+// ShardOf, Refresh and Partition make one partition a txn.Backend by
+// itself: every key lives on "shard 0" under routing that never changes,
+// so Commit always takes the single-shard fast path. (The partition
+// endpoint, txn.Partition, is the methods above plus the outcome counters.)
+func (c *Client) ShardOf([]byte) int { return 0 }
 
-// TxnBackend returns the transaction Backend view of this partition.
-func (c *Client) TxnBackend() txn.Backend { return singleTxnBackend{c} }
+// Refresh implements txn.Backend: there is no newer routing to adopt.
+func (c *Client) Refresh() bool { return false }
 
-func (b singleTxnBackend) ShardOf([]byte) int { return 0 }
-func (b singleTxnBackend) Refresh() bool      { return false }
-
-func (b singleTxnBackend) GetVersioned(ctx context.Context, key []byte) (*kv.Result, error) {
-	return b.c.GetVersioned(ctx, key)
+// Partition implements txn.Backend.
+func (c *Client) Partition(shard int) (txn.Partition, error) {
+	if shard != 0 {
+		return nil, fmt.Errorf("cluster: no shard %d in a single-partition deployment", shard)
+	}
+	return c, nil
 }
-
-func (b singleTxnBackend) Apply(ctx context.Context, _ int, t *kv.TxnCommand) (*kv.Result, error) {
-	return b.c.SubmitTxnApply(ctx, t)
-}
-
-func (b singleTxnBackend) HomeInfo(ctx context.Context, _ int) (kv.TxnHome, error) {
-	return b.c.TxnHomeInfo(ctx)
-}
-
-func (b singleTxnBackend) MintTxnID(int) rifl.RPCID         { return b.c.MintTxnID() }
-func (b singleTxnBackend) FinishTxnID(_ int, id rifl.RPCID) { b.c.FinishTxnID(id) }
-
-func (b singleTxnBackend) Prepare(ctx context.Context, _ int, cmd *kv.Command) (*kv.Result, error) {
-	return b.c.TxnPrepare(ctx, cmd)
-}
-
-func (b singleTxnBackend) Decide(ctx context.Context, _ int, cmd *kv.Command) (*kv.Result, error) {
-	return b.c.TxnDecide(ctx, cmd)
-}
-
-func (b singleTxnBackend) DecideHome(ctx context.Context, _ int, id rifl.RPCID, commit bool, homeHash uint64) (bool, error) {
-	return b.c.TxnDecideHome(ctx, id, commit, homeHash)
-}
-
-func (b singleTxnBackend) ForgetDecision(ctx context.Context, _ int, id rifl.RPCID, homeHash uint64) {
-	b.c.ForgetTxnDecision(ctx, id, homeHash)
-}
-
-// TxnCommitted / TxnAborted implement txn.OutcomeRecorder, landing
-// transaction outcomes in the partition client's protocol counters.
-func (b singleTxnBackend) TxnCommitted()          { b.c.curp.CountTxnCommit() }
-func (b singleTxnBackend) TxnAborted(orphan bool) { b.c.curp.CountTxnAbort(orphan) }

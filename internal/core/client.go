@@ -168,6 +168,22 @@ type ClientStats struct {
 	InFlight uint64
 }
 
+// Add accumulates other into s, field by field — the one place that sums
+// statistics across clients (a routing client's per-shard clients).
+func (s *ClientStats) Add(other ClientStats) {
+	s.FastPath += other.FastPath
+	s.SyncedByMaster += other.SyncedByMaster
+	s.SlowPath += other.SlowPath
+	s.Retries += other.Retries
+	s.BackupReads += other.BackupReads
+	s.MasterReads += other.MasterReads
+	s.Redirects += other.Redirects
+	s.TxnCommits += other.TxnCommits
+	s.TxnAborts += other.TxnAborts
+	s.TxnOrphanResolves += other.TxnOrphanResolves
+	s.InFlight += other.InFlight
+}
+
 // Client drives the CURP client protocol (paper §3.2.1): it sends each
 // update to the master and records it on all f witnesses in parallel,
 // completing in 1 RTT when the master executed speculatively and every

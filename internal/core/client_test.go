@@ -5,6 +5,7 @@ import (
 	"curp/internal/commute"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -644,5 +645,27 @@ func TestClientCallStatusTable(t *testing.T) {
 		})
 	if err != nil || string(out) != "v" || !got.ID.IsZero() || !got.ReadOnly || got.Ack != 0 {
 		t.Fatalf("untracked call: %q, %v, request %+v", out, err, got)
+	}
+}
+
+// TestClientStatsAddSumsEveryField: Add is the only code that names the
+// fields when statistics are summed across clients, so a field it forgets
+// reads 0 forever through a routing client. Every field must be a uint64
+// and come back summed — a field added without extending Add fails here.
+func TestClientStatsAddSumsEveryField(t *testing.T) {
+	var a, b ClientStats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Kind() != reflect.Uint64 {
+			t.Fatalf("ClientStats.%s is %s; teach Add and this test how to sum it", av.Type().Field(i).Name, av.Field(i).Kind())
+		}
+		av.Field(i).SetUint(uint64(i + 1))
+		bv.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("after Add, %s = %d, want %d", av.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -136,9 +136,6 @@ func NewAOF(dev Device, policy FsyncPolicy) *AOF {
 	return &AOF{dev: dev, policy: policy}
 }
 
-// Policy returns the fsync policy.
-func (a *AOF) Policy() FsyncPolicy { return a.policy }
-
 // Append writes one command record tagged with its RIFL identity and,
 // under FsyncAlways, syncs before returning.
 func (a *AOF) Append(cmd *Command, id rifl.RPCID) error {

@@ -14,18 +14,11 @@ import (
 
 // RingSource supplies the authoritative routing ring; clients consult it
 // when an operation bounces with a moved-key redirect. In-process
-// deployments use the Cluster itself; out-of-process tools may use a
-// static ring (no refresh) or their own resolver.
+// deployments use the Cluster itself; a client without one (operator
+// tools whose shard count is a command-line fact) never refreshes.
 type RingSource interface {
 	CurrentRing() *Ring
 }
-
-// StaticRing is a RingSource pinned to one ring (operator tools whose
-// shard count is a command-line fact, tests).
-type StaticRing struct{ R *Ring }
-
-// CurrentRing implements RingSource.
-func (s StaticRing) CurrentRing() *Ring { return s.R }
 
 // Redirect retry policy: how often, and for how long, a bounced operation
 // re-resolves routing while a migration is still transferring its range.
@@ -85,8 +78,7 @@ type Client struct {
 // clients, one per ring shard in shard order. Operator tools (cmd/curpctl)
 // use it to route across partitions whose coordinators they dialed
 // directly; in-process deployments use Cluster.NewClient instead. The
-// returned client treats the ring as static (no redirect refresh) unless
-// the caller also sets a source via WithRingSource.
+// returned client treats the ring as static (no redirect refresh).
 func NewRoutedClient(ring *Ring, shards []*cluster.Client) (*Client, error) {
 	if len(shards) != ring.Shards() {
 		return nil, fmt.Errorf("shard: %d clients for a %d-shard ring", len(shards), ring.Shards())
@@ -97,15 +89,6 @@ func NewRoutedClient(ring *Ring, shards []*cluster.Client) (*Client, error) {
 func newClient(ring *Ring, shards []*cluster.Client) *Client {
 	c := &Client{ring: ring, shards: shards}
 	c.Verbs = kv.VerbsOf(c)
-	return c
-}
-
-// WithRingSource installs a ring refresher and a dialer for shards the
-// refreshed ring covers but the client has not connected to yet. Either
-// may be nil.
-func (c *Client) WithRingSource(src RingSource, dial func(s int) (*cluster.Client, error)) *Client {
-	c.src = src
-	c.dial = dial
 	return c
 }
 
@@ -122,8 +105,8 @@ func (c *Client) RingEpoch() uint64 {
 	return r.Epoch()
 }
 
-// ShardFor returns the index of the shard owning key.
-func (c *Client) ShardFor(key []byte) int {
+// ShardOf returns the index of the shard owning key.
+func (c *Client) ShardOf(key []byte) int {
 	r, _ := c.snapshot()
 	return r.Shard(key)
 }
@@ -141,9 +124,9 @@ func (c *Client) Shard(s int) *cluster.Client {
 	return shards[s]
 }
 
-// refreshRing adopts a newer ring from the source, dialing clients for any
+// Refresh adopts a newer ring from the source, dialing clients for any
 // newly covered shards. It reports whether the routing changed.
-func (c *Client) refreshRing() bool {
+func (c *Client) Refresh() bool {
 	if c.src == nil {
 		return false
 	}
@@ -202,7 +185,7 @@ func (c *Client) do(ctx context.Context, key []byte, op func(sc *cluster.Client)
 			// onward the leaving master bounces (never executes)
 			// operations on its moved ranges, so the failed operation did
 			// not apply there. Without a newer ring the failure is real.
-			if !c.refreshRing() {
+			if !c.Refresh() {
 				return err
 			}
 			continue
@@ -212,7 +195,7 @@ func (c *Client) do(ctx context.Context, key []byte, op func(sc *cluster.Client)
 		} else if time.Now().After(deadline) {
 			return fmt.Errorf("shard: key still moving after %v (%d redirects): %w", maxRedirectWait, attempt, err)
 		}
-		if !c.refreshRing() {
+		if !c.Refresh() {
 			// Same ring: the range is mid-transfer. Wait for the flip.
 			if perr := pauseRedirect(ctx, attempt); perr != nil {
 				return perr
@@ -236,13 +219,7 @@ func (c *Client) Stats() core.ClientStats {
 	var total core.ClientStats
 	_, shards := c.snapshot()
 	for _, sc := range shards {
-		s := sc.Stats()
-		total.FastPath += s.FastPath
-		total.SyncedByMaster += s.SyncedByMaster
-		total.SlowPath += s.SlowPath
-		total.Retries += s.Retries
-		total.BackupReads += s.BackupReads
-		total.MasterReads += s.MasterReads
+		total.Add(sc.Stats())
 	}
 	return total
 }
@@ -341,7 +318,7 @@ func (c *Client) submitGrouped(ctx context.Context, cmd kv.Command) (*kv.Result,
 			// newer ring before surfacing the failure; the retired master
 			// bounced (never executed) its moved ranges from the freeze
 			// onward, so re-issuing the failed groups is not a duplicate.
-			if !c.refreshRing() {
+			if !c.Refresh() {
 				return nil, errors.Join(hard...)
 			}
 			remaining = append(moved, hardItems...)
@@ -355,7 +332,7 @@ func (c *Client) submitGrouped(ctx context.Context, cmd kv.Command) (*kv.Result,
 		} else if time.Now().After(deadline) {
 			return nil, fmt.Errorf("shard: %d items still moving after %v (%d redirects): %w", len(moved), maxRedirectWait, attempt, core.ErrKeyMoved)
 		}
-		if !c.refreshRing() {
+		if !c.Refresh() {
 			if perr := pauseRedirect(ctx, attempt); perr != nil {
 				return nil, perr
 			}

@@ -39,17 +39,19 @@ func DefaultOptions() Options {
 	return Options{Shards: 4, Partition: cluster.DefaultOptions()}
 }
 
-// MigrationHooks inject failure points into Rebalance, for tests that
-// crash servers at precise protocol stages. All fields may be nil.
+// MigrationHooks inject failure points into a handoff step (Rebalance and
+// RemoveShard), for tests that crash servers at precise protocol stages.
+// Each hook receives the pivot shard — the one joining or leaving the
+// ring. All fields may be nil.
 type MigrationHooks struct {
 	// BeforeCollect runs before the sources are frozen and drained.
-	BeforeCollect func(targetShard int)
+	BeforeCollect func(pivot int)
 	// AfterCollect runs after every source exported its ranges, before
-	// the target installs them.
-	AfterCollect func(targetShard int)
+	// the targets install them.
+	AfterCollect func(pivot int)
 	// AfterFlip runs after the ring epoch flipped (the handoff is
-	// committed), before the sources drop their moved ranges.
-	AfterFlip func(targetShard int)
+	// committed and its sources cleaned up).
+	AfterFlip func(pivot int)
 }
 
 // Cluster is a running sharded CURP deployment: N independent partitions —
@@ -203,6 +205,17 @@ func (c *Cluster) AddShard() (int, error) {
 	return i, nil
 }
 
+// migrationEndpoints returns the driver and the per-partition coordinator
+// addresses (index = shard) a handoff step runs against.
+func (c *Cluster) migrationEndpoints() (*cluster.MigrationDriver, []string) {
+	parts := c.partsSnapshot()
+	coords := make([]string, len(parts))
+	for i, p := range parts {
+		coords[i] = p.Coord.Addr()
+	}
+	return &cluster.MigrationDriver{NW: c.Net, Self: "rebalancer"}, coords
+}
+
 // Rebalance grows the routing ring one shard at a time until it covers
 // every partition, live-migrating each grow step's key ranges onto the new
 // shard (see migrate.go for the step protocol). Traffic on keys outside
@@ -214,15 +227,15 @@ func (c *Cluster) Rebalance(ctx context.Context) error {
 	// committed and flipped — deleting live data.
 	c.reconfMu.Lock()
 	defer c.reconfMu.Unlock()
+	md, coords := c.migrationEndpoints()
 	for {
 		cur := c.CurrentRing()
-		if cur.Shards() >= len(c.partsSnapshot()) {
+		if cur.Shards() >= len(coords) {
 			return nil
 		}
-		// rebalanceStep publishes the grown ring itself, via growStep's
-		// flip callback — the only publish point, ordered after commit
-		// and backup fencing.
-		if err := c.rebalanceStep(ctx, cur); err != nil {
+		// The step publishes the grown ring itself, through setRing — the
+		// only publish point, ordered after commit and backup fencing.
+		if err := handoffStep(ctx, md, coords, cur, cur.Grow(), &c.Hooks, c.setRing); err != nil {
 			return err
 		}
 	}
@@ -231,29 +244,24 @@ func (c *Cluster) Rebalance(ctx context.Context) error {
 // RemoveShard drains the deployment's highest shard and retires it: the
 // ring shrinks by one (restoring the pre-grow mapping exactly), the
 // leaving shard's key ranges live-migrate back to the survivors through
-// the same freeze→drain→export→commit handoff a grow step uses — with the
-// moves fanning out to many targets instead of in from many sources — and
-// once the shrunk ring is published the drained partition is shut down
-// and dropped from the deployment. Traffic on keys outside the moving
-// ranges is never interrupted.
+// the same handoff step Rebalance runs — its moves fanning out to many
+// targets instead of in from many sources — and once the shrunk ring is
+// published the drained partition is shut down and dropped from the
+// deployment. Traffic on keys outside the moving ranges is never
+// interrupted.
 func (c *Cluster) RemoveShard(ctx context.Context) error {
 	c.reconfMu.Lock()
 	defer c.reconfMu.Unlock()
 	cur := c.CurrentRing()
-	parts := c.partsSnapshot()
-	if cur.Shards() < len(parts) {
-		return fmt.Errorf("shard: %d spare partition(s) not covered by the ring; Rebalance or remove them first", len(parts)-cur.Shards())
+	md, coords := c.migrationEndpoints()
+	if cur.Shards() < len(coords) {
+		return fmt.Errorf("shard: %d spare partition(s) not covered by the ring; Rebalance or remove them first", len(coords)-cur.Shards())
 	}
 	next, err := cur.Shrink()
 	if err != nil {
 		return err
 	}
-	coords := make([]string, len(parts))
-	for i, p := range parts {
-		coords[i] = p.Coord.Addr()
-	}
-	md := &cluster.MigrationDriver{NW: c.Net, Self: "rebalancer"}
-	if err := shrinkStep(ctx, md, coords, cur, next, &c.Hooks, func(r *Ring) { c.setRing(r) }); err != nil {
+	if err := handoffStep(ctx, md, coords, cur, next, &c.Hooks, c.setRing); err != nil {
 		return err
 	}
 	// The shrunk ring is published: no key routes to the drained

@@ -3,24 +3,32 @@ package shard
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"curp/internal/cluster"
-	"curp/internal/witness"
 )
 
 // This file drives live key migration between rings — the rebalance side
-// of the elastic deployment. One grow step moves the arcs the new shard's
-// virtual points claim, pulling each source shard through the five-phase
-// handoff implemented in internal/cluster/migration.go:
+// of the elastic deployment. One step takes the ring from cur to a ring
+// one shard larger or smaller and runs every move MovesBetween names
+// through the five-phase handoff implemented in
+// internal/cluster/migration.go:
 //
-//	collect  (freeze + drain + export, per source)
-//	install  (replay + sync, on the target)
-//	commit   (record moved ranges at each source coordinator)
+//	collect  (freeze + drain + export, at each move's source)
+//	install  (replay + sync, at each move's target)
+//	commit   (record moved ranges at each source's coordinator)
 //	complete (drop moved ranges at sources and fence their backups)
 //	flip     (publish the higher-epoch ring)
 //
+// Growing and shrinking are the same step: a grow's moves fan in from many
+// sources to the joining shard, a shrink's fan out from the leaving shard
+// to many targets, and every per-move fact — whose coordinator holds the
+// freeze and moved records, who collects, who installs and is dropped on
+// abort, whose backups are fenced — is read off the move.
+//
 // The commit point is the coordinator record plus the ring flip: before
-// it, any failure aborts — sources unfreeze, the target discards what it
+// it, any failure aborts — sources unfreeze, targets discard what they
 // installed, and nothing observable changed. After it, the step always
 // finishes logically even if a source has crashed: the source's recovery
 // applies the drop from its coordinator's record, and clients reach the
@@ -33,41 +41,52 @@ import (
 // partition throughout this repo).
 const partitionMasterID = 1
 
-// rebalanceStep migrates one ring grow (cur → cur.Grow()) across the
-// deployment's partitions. The grown ring is published by growStep's flip
-// callback at the protocol's commit point — never by the caller.
-func (c *Cluster) rebalanceStep(ctx context.Context, cur *Ring) error {
-	next := cur.Grow()
-	parts := c.partsSnapshot()
-	target := next.Shards() - 1
-	if target >= len(parts) {
-		return fmt.Errorf("shard: ring grow to %d shards but only %d partitions", next.Shards(), len(parts))
-	}
-	coords := make([]string, len(parts))
-	for i, p := range parts {
-		coords[i] = p.Coord.Addr()
-	}
-	md := &cluster.MigrationDriver{NW: c.Net, Self: "rebalancer"}
-	return growStep(ctx, md, coords, cur, next, &c.Hooks, func(r *Ring) { c.setRing(r) })
+// handoff is one move in flight: its endpoints' views and, once collected,
+// the exported bundle.
+type handoff struct {
+	Move
+	src, dst *cluster.ViewInfo
+	bundle   *cluster.MigrationBundle
 }
 
-// growStep executes one ring grow against a deployment described by its
-// per-partition coordinator addresses. It is shared by the in-process
-// Cluster.Rebalance and the out-of-process curpctl rebalance (over TCP);
-// flip is called at the commit point to publish the new ring (in-process:
-// swap the Cluster's ring; curpctl: nothing — the operator's next commands
-// carry the new shard count).
-func growStep(ctx context.Context, md *cluster.MigrationDriver, coords []string, cur, next *Ring, hooks *MigrationHooks, flip func(*Ring)) error {
-	target := next.Shards() - 1
-	if target >= len(coords) {
-		return fmt.Errorf("shard: ring grow to %d shards but only %d coordinators", next.Shards(), len(coords))
+// stepMoves computes the moves of one ring step and the pivot shard — the
+// shard joining or leaving, the highest index of the larger ring — and
+// checks them against a deployment of `parts` partitions.
+func stepMoves(cur, next *Ring, parts int) ([]Move, int, error) {
+	pivot := max(cur.Shards(), next.Shards()) - 1
+	if d := next.Shards() - cur.Shards(); d != 1 && d != -1 {
+		return nil, 0, fmt.Errorf("shard: a ring step changes the shard count by one, not %d→%d", cur.Shards(), next.Shards())
+	}
+	if pivot >= parts {
+		return nil, 0, fmt.Errorf("shard: ring step %d→%d shards but only %d partitions", cur.Shards(), next.Shards(), parts)
 	}
 	moves := MovesBetween(cur, next)
 	for _, m := range moves {
-		if m.To != target {
-			return fmt.Errorf("shard: grow step computed a move %d→%d; only moves to the new shard %d are possible", m.From, m.To, target)
+		// The pivot owns keys under only one of the two rings, and adding
+		// or removing its points changes no other shard's arcs: every move
+		// ends at it (grow) or starts at it (shrink).
+		if m.From != pivot && m.To != pivot {
+			return nil, 0, fmt.Errorf("shard: ring step %d→%d shards computed a move %d→%d that bypasses shard %d", cur.Shards(), next.Shards(), m.From, m.To, pivot)
 		}
 	}
+	return moves, pivot, nil
+}
+
+// handoffStep executes one ring step (cur → next, one shard more or fewer)
+// against a deployment described by its per-partition coordinator
+// addresses. It is shared by the in-process Cluster.Rebalance and
+// Cluster.RemoveShard and the out-of-process curpctl rebalance and drain
+// (over TCP); flip is called at the commit point to publish the new ring
+// (in-process: swap the Cluster's ring; curpctl: nothing — the operator's
+// next commands carry the new shard count). After a shrink step the
+// leaving shard owns no keys and can be shut down.
+func handoffStep(ctx context.Context, md *cluster.MigrationDriver, coords []string, cur, next *Ring, hooks *MigrationHooks, flip func(*Ring)) error {
+	moves, pivot, err := stepMoves(cur, next, len(coords))
+	if err != nil {
+		return err
+	}
+	// Resolve every endpoint before anything freezes, so an unreachable
+	// coordinator fails the step with nothing to undo.
 	views := make(map[int]*cluster.ViewInfo)
 	view := func(s int) (*cluster.ViewInfo, error) {
 		if v, ok := views[s]; ok {
@@ -75,155 +94,140 @@ func growStep(ctx context.Context, md *cluster.MigrationDriver, coords []string,
 		}
 		v, err := cluster.FetchView(ctx, md.NW, md.Self, coords[s], partitionMasterID)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard: view of shard %d: %w", s, err)
 		}
 		views[s] = v
 		return v, nil
 	}
-	targetView, err := view(target)
-	if err != nil {
-		return err
+	todo := make([]handoff, len(moves))
+	for i, m := range moves {
+		todo[i].Move = m
+		if todo[i].src, err = view(m.From); err != nil {
+			return err
+		}
+		if todo[i].dst, err = view(m.To); err != nil {
+			return err
+		}
 	}
 
 	if hooks.BeforeCollect != nil {
-		hooks.BeforeCollect(target)
+		hooks.BeforeCollect(pivot)
 	}
 
-	// Phase 1 — collect: freeze and export every source's moving ranges.
-	// From here until abort or commit, operations on those ranges bounce.
-	type collected struct {
-		move   Move
-		view   *cluster.ViewInfo
-		bundle *cluster.MigrationBundle
-	}
-	var done []collected
 	// delFrozen withdraws a freeze record with retries: a record left
 	// behind would re-freeze the (aborted, live-again) range at the
-	// source's NEXT recovery, making it bounce until a rebalance re-run.
-	delFrozen := func(from int, rs []witness.HashRange) bool {
+	// source's NEXT recovery, making it bounce until a re-run.
+	delFrozen := func(h handoff) bool {
 		for i := 0; i < 3; i++ {
-			if md.DelFrozen(ctx, coords[from], partitionMasterID, rs) == nil {
+			if md.DelFrozen(ctx, coords[h.From], partitionMasterID, h.Ranges) == nil {
 				return true
 			}
 		}
 		return false
 	}
-	abort := func() []int {
-		// Unfreeze whatever was frozen — on the masters and in the
-		// coordinators' freeze records — and discard the target's partial
-		// install. Best effort on the servers: a crashed source has
-		// nothing to unfreeze (its replacement is recovered frozen and a
-		// re-run converges), and a crashed target holds unrouted state
-		// that a retry will overwrite. Freeze records that could not be
-		// withdrawn are returned so the error can name them.
-		var stale []int
-		for _, cl := range done {
-			_ = md.Abort(ctx, cl.view.MasterAddr, partitionMasterID, cl.move.Ranges)
-			if !delFrozen(cl.move.From, cl.move.Ranges) {
-				stale = append(stale, cl.move.From)
+	// done is the prefix of todo whose freeze may have landed; unwind
+	// aborts it: unfreeze the source — on the master and in its coordinator's
+	// freeze record — and discard the target's partial install. Best
+	// effort on the servers: a crashed source has nothing to unfreeze (its
+	// replacement is recovered frozen and a re-run converges), and a
+	// crashed target holds unrouted state that a retry will overwrite.
+	// Moves from a source in `parked` are left frozen (see commit). The
+	// returned error is base, extended to name the sources that stay
+	// frozen or whose freeze records could not be withdrawn.
+	var done []handoff
+	unwind := func(base error, parked map[int]bool) error {
+		stale := make(map[int]bool)
+		for _, h := range done {
+			if parked[h.From] {
+				continue
 			}
-			_ = md.Drop(ctx, targetView.MasterAddr, partitionMasterID, cl.move.Ranges)
+			_ = md.Abort(ctx, h.src.MasterAddr, partitionMasterID, h.Ranges)
+			if !delFrozen(h) {
+				stale[h.From] = true
+			}
+			_ = md.Drop(ctx, h.dst.MasterAddr, partitionMasterID, h.Ranges)
 		}
-		return stale
-	}
-	abortErr := func(base error) error {
-		if stale := abort(); len(stale) > 0 {
-			return fmt.Errorf("%w; WARNING: freeze records for shards %v could not be withdrawn — their ranges re-freeze at the next recovery until a rebalance re-run", base, stale)
+		if len(parked) > 0 {
+			base = fmt.Errorf("%w; shards %v kept their ranges frozen because a commit record could not be withdrawn — re-run the rebalance/drain to finish the handoff", base, slices.Sorted(maps.Keys(parked)))
+		}
+		if len(stale) > 0 {
+			base = fmt.Errorf("%w; WARNING: freeze records for shards %v could not be withdrawn — their ranges re-freeze at the next recovery until the rebalance/drain is re-run", base, slices.Sorted(maps.Keys(stale)))
 		}
 		return base
 	}
-	for _, m := range moves {
-		v, err := view(m.From)
-		if err != nil {
-			return abortErr(err)
-		}
+
+	// Phase 1 — collect: freeze and export every move's ranges at its
+	// source, one export per move (each target installs only its own
+	// arcs). From here until abort or commit, operations on those ranges
+	// bounce.
+	for i := range todo {
+		// An error from either call below is ambiguous — the server may
+		// have applied it before the reply was lost — so the move joins the
+		// abort sweep first, or its keys would bounce until an operator
+		// intervened (for a move that froze nothing the sweep's legs are
+		// no-ops).
+		done = todo[:i+1]
+		h := &done[i]
 		// Record the freeze at the coordinator FIRST: from the moment
 		// Collect lands, the freeze must survive a source recovery, or a
 		// replacement master would serve keys this step may commit to
 		// the target moments later (split-brain).
-		if err := md.AddFrozen(ctx, coords[m.From], partitionMasterID, m.Ranges); err != nil {
-			// Ambiguous like Collect below: the coordinator may have
-			// applied the record before the reply was lost, so sweep this
-			// move in the abort too (the master-side Abort/Drop legs are
-			// no-ops for it; the DelFrozen leg is the one that matters).
-			done = append(done, collected{move: m, view: v})
-			return abortErr(fmt.Errorf("shard: record freeze for shard %d: %w", m.From, err))
+		if err := md.AddFrozen(ctx, coords[h.From], partitionMasterID, h.Ranges); err != nil {
+			return unwind(fmt.Errorf("shard: record freeze for shard %d: %w", h.From, err), nil)
 		}
-		bundle, err := md.Collect(ctx, v.MasterAddr, partitionMasterID, m.Ranges)
-		if err != nil {
-			// The failure is ambiguous — the server may have frozen the
-			// ranges before the reply was lost — so include this move in
-			// the abort sweep too, or its keys would bounce until an
-			// operator intervened.
-			done = append(done, collected{move: m, view: v})
-			return abortErr(fmt.Errorf("shard: collect from shard %d: %w", m.From, err))
+		if h.bundle, err = md.Collect(ctx, h.src.MasterAddr, partitionMasterID, h.Ranges); err != nil {
+			return unwind(fmt.Errorf("shard: collect from shard %d: %w", h.From, err), nil)
 		}
-		done = append(done, collected{move: m, view: v, bundle: bundle})
 	}
 
 	if hooks.AfterCollect != nil {
-		hooks.AfterCollect(target)
+		hooks.AfterCollect(pivot)
 	}
 
-	// Phase 2 — install: the target replays and syncs each bundle. After
+	// Phase 2 — install: each target replays and syncs its bundle. After
 	// this the moved state is f-fault tolerant on the target.
-	for _, cl := range done {
-		if err := md.Install(ctx, targetView.MasterAddr, partitionMasterID, cl.bundle); err != nil {
-			return abortErr(fmt.Errorf("shard: install ranges from shard %d: %w", cl.move.From, err))
+	for _, h := range done {
+		if err := md.Install(ctx, h.dst.MasterAddr, partitionMasterID, h.bundle); err != nil {
+			return unwind(fmt.Errorf("shard: install ranges %d→%d: %w", h.From, h.To, err), nil)
 		}
 	}
 
-	// Phase 3 — commit: record the moved ranges at each source's
-	// coordinator. Once every record is in place the handoff is
-	// irrevocable — any future recovery of a source drops the ranges.
-	var noted []collected
-	for _, cl := range done {
-		if err := md.AddMoved(ctx, coords[cl.move.From], partitionMasterID, cl.move.Ranges, targetView.MasterAddr); err != nil {
+	// Phase 3 — commit: record the moved ranges (with their destination)
+	// at each source's coordinator. Once every record is in place the
+	// handoff is irrevocable — any future recovery of a source drops the
+	// ranges.
+	for n, h := range done {
+		if err := md.AddMoved(ctx, coords[h.From], partitionMasterID, h.Ranges, h.dst.MasterAddr); err != nil {
 			// Roll the partial commit back. A source whose moved-away
 			// record cannot be un-noted must NOT be unfrozen: its next
 			// recovery would drop the range while the live master keeps
 			// serving it — silent data loss. Leaving it frozen is safe
-			// (writes bounce, nothing diverges) and a rebalance re-run
-			// completes the handoff from exactly this state. The failing
-			// AddMoved itself is ambiguous (the coordinator may have
-			// applied it before the reply was lost), so it too must be
-			// withdrawn — or parked frozen if the withdrawal fails.
-			stuck := make(map[int]bool)
-			if derr := md.DelMoved(ctx, coords[cl.move.From], partitionMasterID, cl.move.Ranges); derr != nil {
-				stuck[cl.move.From] = true
-			}
-			for _, n := range noted {
-				if derr := md.DelMoved(ctx, coords[n.move.From], partitionMasterID, n.move.Ranges); derr != nil {
-					stuck[n.move.From] = true
+			// (writes bounce, nothing diverges) and a re-run completes the
+			// handoff from exactly this state. The failing AddMoved itself
+			// is ambiguous (the coordinator may have applied it before the
+			// reply was lost), so it too must be withdrawn — or its source
+			// parked frozen if the withdrawal fails.
+			parked := make(map[int]bool)
+			for _, w := range done[:n+1] {
+				if md.DelMoved(ctx, coords[w.From], partitionMasterID, w.Ranges) != nil {
+					parked[w.From] = true
 				}
 			}
-			for _, cl2 := range done {
-				if stuck[cl2.move.From] {
-					continue // keep frozen; see above
-				}
-				_ = md.Abort(ctx, cl2.view.MasterAddr, partitionMasterID, cl2.move.Ranges)
-				_ = delFrozen(cl2.move.From, cl2.move.Ranges)
-				_ = md.Drop(ctx, targetView.MasterAddr, partitionMasterID, cl2.move.Ranges)
-			}
-			if len(stuck) > 0 {
-				return fmt.Errorf("shard: commit move from shard %d failed (%w); shards %v kept their ranges frozen because the commit record could not be withdrawn — re-run the rebalance to finish the handoff", cl.move.From, err, keysOf(stuck))
-			}
-			return fmt.Errorf("shard: commit move from shard %d: %w", cl.move.From, err)
+			return unwind(fmt.Errorf("shard: commit move %d→%d: %w", h.From, h.To, err), parked)
 		}
 		// The moved record supersedes the freeze record; withdrawing the
 		// latter is best effort (a lingering freeze re-marks a moved
 		// range on recovery, which bounces either way).
-		_ = delFrozen(cl.move.From, cl.move.Ranges)
-		noted = append(noted, cl)
+		_ = delFrozen(h)
 	}
 
-	// Phase 4 — complete: sources drop the moved ranges and their backups
-	// are fenced, BEFORE the flip. Order matters for the §A.1 backup-read
-	// path: once the target starts accepting writes (post-flip), a source
-	// backup still serving the range would hand old-ring clients frozen
-	// pre-handoff values with a clean commutativity probe — a stale read
-	// no redirect ever corrects. Until the flip, fenced reads merely
-	// bounce-and-retry.
+	// Phase 4 — complete: sources drop the moved ranges (forwarding
+	// transactions to each destination) and their backups are fenced,
+	// BEFORE the flip. Order matters for the §A.1 backup-read path: once a
+	// target starts accepting writes (post-flip), a source backup still
+	// serving the range would hand old-ring clients frozen pre-handoff
+	// values with a clean commutativity probe — a stale read no redirect
+	// ever corrects. Until the flip, fenced reads merely bounce-and-retry.
 	//
 	// The two cleanups have different flip-safety weights. A failed
 	// Complete is benign: the source master is either dead (serves
@@ -231,31 +235,30 @@ func growStep(ctx context.Context, md *cluster.MigrationDriver, coords []string,
 	// its recovery finishes the drop from the coordinator's record. A
 	// failed DropBackups is NOT: an alive, unfenced backup would serve
 	// the stale range after the flip, so backup fencing gates the flip.
-	var completeErr error
-	var fenceErr error
-	for _, cl := range done {
-		if err := md.Complete(ctx, cl.view.MasterAddr, partitionMasterID, cl.move.Ranges, targetView.MasterAddr); err != nil && completeErr == nil {
-			completeErr = err
+	var completeErr, fenceErr error
+	for _, h := range done {
+		if err := md.Complete(ctx, h.src.MasterAddr, partitionMasterID, h.Ranges, h.dst.MasterAddr); err != nil && completeErr == nil {
+			completeErr = fmt.Errorf("shard %d: %w", h.From, err)
 		}
-		if err := md.DropBackups(ctx, cl.view.BackupAddrs, partitionMasterID, cl.move.Ranges); err != nil && fenceErr == nil {
-			fenceErr = err
+		if err := md.DropBackups(ctx, h.src.BackupAddrs, partitionMasterID, h.Ranges); err != nil && fenceErr == nil {
+			fenceErr = fmt.Errorf("shard %d: %w", h.From, err)
 		}
 	}
 	if fenceErr != nil {
 		// Committed but unpublishable: the ranges stay parked — bouncing
 		// at their sources, recorded as moved at the coordinators — and
 		// the old ring stays in force, so nothing can read stale state.
-		// A rebalance re-run converges from exactly this state (empty
-		// re-collect, idempotent re-install, fencing retried).
-		return fmt.Errorf("shard: handoff committed but backup fencing incomplete; ring not flipped, ranges stay parked — re-run the rebalance: %w", fenceErr)
+		// A re-run converges from exactly this state (empty re-collect,
+		// idempotent re-install, fencing retried).
+		return fmt.Errorf("shard: handoff committed but backup fencing incomplete; ring not flipped, ranges stay parked — re-run the rebalance/drain: %w", fenceErr)
 	}
 
 	// Phase 5 — flip: publish the higher-epoch ring. Clients bounced off
-	// the frozen ranges refresh, see the new epoch, and land on the
-	// target.
+	// the frozen ranges refresh, see the new epoch, and land on the new
+	// owners.
 	flip(next)
 	if hooks.AfterFlip != nil {
-		hooks.AfterFlip(target)
+		hooks.AfterFlip(pivot)
 	}
 	if completeErr != nil {
 		// The handoff is committed and published; report the cleanup
@@ -265,231 +268,31 @@ func growStep(ctx context.Context, md *cluster.MigrationDriver, coords []string,
 	return nil
 }
 
-// shrinkStep executes one ring shrink (cur → next, one fewer shard): the
-// leaving shard's arcs fan back out to the survivors that owned them
-// before the shard was added (Shrink restores that mapping exactly). It is
-// the same five-phase handoff as growStep with the roles reversed — one
-// source, many targets — so every atomicity argument carries over: the
-// commit point is the source coordinator's moved records plus the flip,
-// and any earlier failure aborts back to the unshrunk ring. After a
-// successful step the leaving shard owns no keys and can be shut down.
-func shrinkStep(ctx context.Context, md *cluster.MigrationDriver, coords []string, cur, next *Ring, hooks *MigrationHooks, flip func(*Ring)) error {
-	leaving := cur.Shards() - 1
-	if leaving >= len(coords) {
-		return fmt.Errorf("shard: ring shrink from %d shards but only %d coordinators", cur.Shards(), len(coords))
-	}
-	moves := MovesBetween(cur, next)
-	for _, m := range moves {
-		// Removing a shard moves only the arcs its points claimed, so every
-		// move leaves the departing shard.
-		if m.From != leaving {
-			return fmt.Errorf("shard: shrink step computed a move %d→%d; only moves off the leaving shard %d are possible", m.From, m.To, leaving)
-		}
-	}
-	views := make(map[int]*cluster.ViewInfo)
-	view := func(s int) (*cluster.ViewInfo, error) {
-		if v, ok := views[s]; ok {
-			return v, nil
-		}
-		v, err := cluster.FetchView(ctx, md.NW, md.Self, coords[s], partitionMasterID)
-		if err != nil {
-			return nil, err
-		}
-		views[s] = v
-		return v, nil
-	}
-	sourceView, err := view(leaving)
-	if err != nil {
-		return err
-	}
-	for _, m := range moves {
-		if _, err := view(m.To); err != nil {
-			return err
-		}
-	}
-
-	if hooks.BeforeCollect != nil {
-		hooks.BeforeCollect(leaving)
-	}
-
-	delFrozen := func(rs []witness.HashRange) bool {
-		for i := 0; i < 3; i++ {
-			if md.DelFrozen(ctx, coords[leaving], partitionMasterID, rs) == nil {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Phase 1 — collect: freeze and export the leaving shard's moving
-	// ranges, one export per destination (each target installs only its
-	// own arcs). The freeze record lands at the source coordinator first,
-	// exactly as in growStep, so a source recovery mid-step cannot resume
-	// serving ranges this step may commit to a survivor.
-	type collected struct {
-		move   Move
-		bundle *cluster.MigrationBundle
-	}
-	var done []collected
-	abort := func() bool {
-		ok := true
-		for _, cl := range done {
-			_ = md.Abort(ctx, sourceView.MasterAddr, partitionMasterID, cl.move.Ranges)
-			if !delFrozen(cl.move.Ranges) {
-				ok = false
-			}
-			_ = md.Drop(ctx, views[cl.move.To].MasterAddr, partitionMasterID, cl.move.Ranges)
-		}
-		return ok
-	}
-	abortErr := func(base error) error {
-		if !abort() {
-			return fmt.Errorf("%w; WARNING: freeze records for shard %d could not be withdrawn — their ranges re-freeze at the next recovery until a drain re-run", base, leaving)
-		}
-		return base
-	}
-	for _, m := range moves {
-		if err := md.AddFrozen(ctx, coords[leaving], partitionMasterID, m.Ranges); err != nil {
-			done = append(done, collected{move: m})
-			return abortErr(fmt.Errorf("shard: record freeze for leaving shard %d: %w", leaving, err))
-		}
-		bundle, err := md.Collect(ctx, sourceView.MasterAddr, partitionMasterID, m.Ranges)
-		if err != nil {
-			// Ambiguous — the master may have frozen before the reply was
-			// lost — so sweep this move in the abort too.
-			done = append(done, collected{move: m})
-			return abortErr(fmt.Errorf("shard: collect from leaving shard %d: %w", leaving, err))
-		}
-		done = append(done, collected{move: m, bundle: bundle})
-	}
-
-	if hooks.AfterCollect != nil {
-		hooks.AfterCollect(leaving)
-	}
-
-	// Phase 2 — install: each surviving target replays and syncs its
-	// bundle.
-	for _, cl := range done {
-		if err := md.Install(ctx, views[cl.move.To].MasterAddr, partitionMasterID, cl.bundle); err != nil {
-			return abortErr(fmt.Errorf("shard: install ranges on shard %d: %w", cl.move.To, err))
-		}
-	}
-
-	// Phase 3 — commit: record every moved range (with its destination) at
-	// the leaving shard's coordinator. All records target one coordinator,
-	// so rollback on a partial commit is simpler than growStep's: withdraw
-	// what landed; if a withdrawal fails, keep everything frozen (a drain
-	// re-run converges) rather than risk a recovery dropping live ranges.
-	var noted []collected
-	for _, cl := range done {
-		if err := md.AddMoved(ctx, coords[leaving], partitionMasterID, cl.move.Ranges, views[cl.move.To].MasterAddr); err != nil {
-			stuck := md.DelMoved(ctx, coords[leaving], partitionMasterID, cl.move.Ranges) != nil
-			for _, n := range noted {
-				if md.DelMoved(ctx, coords[leaving], partitionMasterID, n.move.Ranges) != nil {
-					stuck = true
-				}
-			}
-			if stuck {
-				return fmt.Errorf("shard: commit move to shard %d failed (%w); leaving shard %d kept its ranges frozen because a commit record could not be withdrawn — re-run the drain to finish the handoff", cl.move.To, err, leaving)
-			}
-			if !abort() {
-				return fmt.Errorf("shard: commit move to shard %d failed (%w); freeze records could not be withdrawn — re-run the drain", cl.move.To, err)
-			}
-			return fmt.Errorf("shard: commit move to shard %d: %w", cl.move.To, err)
-		}
-		_ = delFrozen(cl.move.Ranges)
-		noted = append(noted, cl)
-	}
-
-	// Phase 4 — complete: the source drops the moved ranges (forwarding
-	// transactions to each destination) and its backups are fenced before
-	// the flip — the same §A.1 stale-backup-read argument as growStep.
-	var completeErr error
-	var fenceErr error
-	for _, cl := range done {
-		if err := md.Complete(ctx, sourceView.MasterAddr, partitionMasterID, cl.move.Ranges, views[cl.move.To].MasterAddr); err != nil && completeErr == nil {
-			completeErr = err
-		}
-		if err := md.DropBackups(ctx, sourceView.BackupAddrs, partitionMasterID, cl.move.Ranges); err != nil && fenceErr == nil {
-			fenceErr = err
-		}
-	}
-	if fenceErr != nil {
-		return fmt.Errorf("shard: handoff committed but backup fencing incomplete; ring not flipped, ranges stay parked — re-run the drain: %w", fenceErr)
-	}
-
-	// Phase 5 — flip: publish the shrunk ring. From here no key routes to
-	// the leaving shard; it can be decommissioned.
-	flip(next)
-	if hooks.AfterFlip != nil {
-		hooks.AfterFlip(leaving)
-	}
-	if completeErr != nil {
-		return fmt.Errorf("shard: handoff committed but source cleanup incomplete (recovery will finish it): %w", completeErr)
-	}
-	return nil
-}
-
-// keysOf returns a map's keys, for error messages.
-func keysOf(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-// RebalanceEndpoints grows the ring from `from` shards to `to` shards over
-// a deployment addressed by per-partition coordinator addresses (index =
-// shard). It is the out-of-process rebalance path used by curpctl against
-// a live curpd deployment: the operator provisions the spare partitions
-// (curpd boots them), then drives the key handoff from anywhere with
-// network reach. Each grow step commits independently; on error, completed
-// steps stay committed and the returned ring reflects how far the ring
-// actually advanced.
+// RebalanceEndpoints moves the ring from `from` shards to `to` shards, one
+// handoff step at a time, over a deployment addressed by per-partition
+// coordinator addresses (index = shard). It is the out-of-process path
+// used by curpctl against a live curpd deployment. Growing (curpctl
+// rebalance): the operator provisions the spare partitions (curpd boots
+// them), then drives the key handoff from anywhere with network reach.
+// Shrinking (curpctl drain) drains the highest shard onto the survivors;
+// after each step the leaving shard serves no keys and the operator can
+// decommission its partition. Each step commits independently; on error,
+// completed steps stay committed and the returned ring reflects how far
+// the ring actually advanced.
 func RebalanceEndpoints(ctx context.Context, md *cluster.MigrationDriver, coords []string, from, to *Ring) (*Ring, error) {
 	cur := from
-	for cur.Shards() < to.Shards() {
+	for cur.Shards() != to.Shards() {
 		next := cur.Grow()
-		if err := growStep(ctx, md, coords, cur, next, &MigrationHooks{}, func(*Ring) {}); err != nil {
-			return cur, err
+		if to.Shards() < cur.Shards() {
+			var err error
+			if next, err = cur.Shrink(); err != nil {
+				return cur, err
+			}
 		}
-		cur = next
-	}
-	// Shrinks drain the highest shard onto the survivors, one at a time
-	// (the curpctl drain path): after each step the leaving shard serves
-	// no keys and the operator can decommission its partition.
-	for cur.Shards() > to.Shards() {
-		next, err := cur.Shrink()
-		if err != nil {
-			return cur, err
-		}
-		if err := shrinkStep(ctx, md, coords, cur, next, &MigrationHooks{}, func(*Ring) {}); err != nil {
+		if err := handoffStep(ctx, md, coords, cur, next, &MigrationHooks{}, func(*Ring) {}); err != nil {
 			return cur, err
 		}
 		cur = next
 	}
 	return cur, nil
-}
-
-// MovedKeyCount reports how many of the given keys change owner between
-// two rings — operator-facing accounting for rebalance output.
-func MovedKeyCount(old, new *Ring, keys [][]byte) int {
-	n := 0
-	for _, k := range keys {
-		if old.Shard(k) != new.Shard(k) {
-			n++
-		}
-	}
-	return n
-}
-
-// RangesFor returns the arcs that move from each source shard when cur
-// grows to next, keyed by source shard (introspection and tests).
-func RangesFor(cur, next *Ring) map[int][]witness.HashRange {
-	out := make(map[int][]witness.HashRange)
-	for _, m := range MovesBetween(cur, next) {
-		out[m.From] = append(out[m.From], m.Ranges...)
-	}
-	return out
 }

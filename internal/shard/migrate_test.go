@@ -7,15 +7,14 @@ import (
 	"time"
 )
 
-// movingKeys returns test keys that change owner when cur grows one shard,
-// mapped source shard → keys, plus a set of keys that stay put.
-func movingKeys(cur *Ring, prefix string, want int) (moving map[int][]string, staying []string) {
-	grown := cur.Grow()
+// keysBetween returns test keys that change owner when the ring steps from
+// cur to next, mapped source shard → keys, plus a set of keys that stay put.
+func keysBetween(cur, next *Ring, prefix string, want int) (moving map[int][]string, staying []string) {
 	moving = make(map[int][]string)
 	total := 0
 	for i := 0; total < want && i < 100000; i++ {
 		key := fmt.Sprintf("%s:%d", prefix, i)
-		if from, to := cur.ShardString(key), grown.ShardString(key); from != to {
+		if from, to := cur.ShardString(key), next.ShardString(key); from != to {
 			moving[from] = append(moving[from], key)
 			total++
 		} else if len(staying) < want {
@@ -23,6 +22,11 @@ func movingKeys(cur *Ring, prefix string, want int) (moving map[int][]string, st
 		}
 	}
 	return moving, staying
+}
+
+// movingKeys is keysBetween for the grow step cur → cur.Grow().
+func movingKeys(cur *Ring, prefix string, want int) (moving map[int][]string, staying []string) {
+	return keysBetween(cur, cur.Grow(), prefix, want)
 }
 
 // TestLiveMigrationMovesKeys: AddShard+Rebalance migrates exactly the
@@ -183,179 +187,246 @@ func TestRebalanceMultiStep(t *testing.T) {
 	}
 }
 
-// TestCrashDuringMigration kills the source master at two protocol stages
-// and asserts the moving range ends up on exactly one side — recovered at
-// the source when the migration aborted, installed at the target when it
-// committed — never both, and never lost.
+// TestCrashDuringMigration crashes servers at precise stages of the one
+// handoff step, in both directions it runs — a grow (AddShard+Rebalance:
+// many sources, one target) and a shrink (RemoveShard: one source, many
+// targets) — and asserts the moving ranges end up on exactly one side:
+// recovered at the source when the step aborted, installed at the targets
+// when it committed — never both, and never lost.
 func TestCrashDuringMigration(t *testing.T) {
-	seed := func(t *testing.T, c *Cluster, cl *Client) (moving map[int][]string, all []string) {
-		ctx := context.Background()
-		moving, staying := movingKeys(c.CurrentRing(), "cr", 18)
-		if len(moving) == 0 {
-			t.Fatal("no moving keys found")
+	directions := []struct {
+		// prefix names the direction's subtests; the grow direction keeps
+		// the bare scenario names it has always had.
+		prefix  string
+		shards  int
+		next    func(t *testing.T, cur *Ring) *Ring
+		prepare func(c *Cluster) error
+		step    func(ctx context.Context, c *Cluster) error
+	}{
+		{
+			prefix: "", shards: 3,
+			next:    func(_ *testing.T, cur *Ring) *Ring { return cur.Grow() },
+			prepare: func(c *Cluster) error { _, err := c.AddShard(); return err },
+			step:    func(ctx context.Context, c *Cluster) error { return c.Rebalance(ctx) },
+		},
+		{
+			prefix: "shrink-", shards: 4,
+			next: func(t *testing.T, cur *Ring) *Ring {
+				next, err := cur.Shrink()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return next
+			},
+			prepare: func(*Cluster) error { return nil },
+			step:    func(ctx context.Context, c *Cluster) error { return c.RemoveShard(ctx) },
+		},
+	}
+
+	for _, d := range directions {
+		// fixture is a seeded deployment about to take the step cur → next.
+		type fixture struct {
+			c         *Cluster
+			cl        *Client
+			cur, next *Ring
+			moving    map[int][]string // source shard → keys the step moves
+			all       []string
+			// src is the source whose servers the scenario crashes. With
+			// several sources contributing ranges (a grow), the
+			// highest-numbered one is collected last, so a BeforeCollect
+			// crash still exercises the abort of earlier sources' freezes.
+			src int
 		}
-		for _, keys := range moving {
-			all = append(all, keys...)
-		}
-		all = append(all, staying...)
-		for _, key := range all {
-			if _, err := cl.Put(ctx, []byte(key), []byte("val-"+key)); err != nil {
+		setup := func(t *testing.T) *fixture {
+			f := &fixture{c: startTestCluster(t, testOptions(d.shards)), src: -1}
+			f.cl = testClient(t, f.c, "app")
+			f.cur = f.c.CurrentRing()
+			f.next = d.next(t, f.cur)
+			var staying []string
+			f.moving, staying = keysBetween(f.cur, f.next, "cr", 18)
+			if len(f.moving) == 0 {
+				t.Fatal("no moving keys found")
+			}
+			for s, keys := range f.moving {
+				f.all = append(f.all, keys...)
+				f.src = max(f.src, s)
+			}
+			f.all = append(f.all, staying...)
+			for _, key := range f.all {
+				if _, err := f.cl.Put(context.Background(), []byte(key), []byte("val-"+key)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.prepare(f.c); err != nil {
 				t.Fatal(err)
 			}
+			return f
 		}
-		return moving, all
-	}
-	// crashSource picks the source shard whose ranges move and crashes it
-	// when the hook fires. With several sources contributing ranges, the
-	// highest-numbered one is collected last, so a BeforeCollect crash
-	// still exercises the abort of earlier sources' freezes.
-	pickSource := func(moving map[int][]string) int {
-		src := -1
-		for s := range moving {
-			if s > src {
-				src = s
-			}
-		}
-		return src
-	}
-
-	t.Run("abort-before-collect", func(t *testing.T) {
-		c := startTestCluster(t, testOptions(3))
-		cl := testClient(t, c, "app")
-		ctx := context.Background()
-		moving, all := seed(t, c, cl)
-		src := pickSource(moving)
-
-		if _, err := c.AddShard(); err != nil {
-			t.Fatal(err)
-		}
-		c.Hooks.BeforeCollect = func(int) { c.CrashMaster(src) }
-		if err := c.Rebalance(ctx); err == nil {
-			t.Fatal("Rebalance succeeded despite a source crash before collect")
-		}
-		// The ring never flipped: the range stays with its sources.
-		if r := c.CurrentRing(); r.Shards() != 3 || r.Epoch() != 0 {
-			t.Fatalf("ring after aborted rebalance: %d shards epoch %d", r.Shards(), r.Epoch())
-		}
-		if err := c.Recover(src, "master2"); err != nil {
-			t.Fatalf("recover source: %v", err)
-		}
-		// Every key — including the crashed source's moving range — is
-		// recovered at its ORIGINAL shard; the target holds nothing.
-		for _, key := range all {
-			cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-			v, ok, err := cl.Get(cctx, []byte(key))
-			cancel()
-			if err != nil || !ok || string(v) != "val-"+key {
-				t.Fatalf("key %q after aborted migration: %v %v %q", key, err, ok, v)
-			}
-		}
-		if n := c.Part(3).Master.Store().Len(); n != 0 {
-			t.Fatalf("target store holds %d objects after aborted migration", n)
-		}
-	})
-
-	t.Run("recover-during-step", func(t *testing.T) {
-		// The nastiest interleaving: the source crashes mid-step and an
-		// operator recovers it BEFORE the step commits. The coordinator's
-		// freeze record (written before collect) keeps the replacement
-		// master's ranges frozen, so it cannot accept writes that the
-		// committing step would silently strand — no split-brain.
-		c := startTestCluster(t, testOptions(3))
-		cl := testClient(t, c, "app")
-		ctx := context.Background()
-		moving, all := seed(t, c, cl)
-		src := pickSource(moving)
-
-		if _, err := c.AddShard(); err != nil {
-			t.Fatal(err)
-		}
-		c.Hooks.AfterCollect = func(int) {
-			c.CrashMaster(src)
-			if err := c.Recover(src, "master2"); err != nil {
-				t.Errorf("recover source mid-step: %v", err)
-			}
-		}
-		err := c.Rebalance(ctx)
-		// The step commits regardless (its bundle was exported before the
-		// crash); only the source-side cleanup may be left to recovery.
-		if r := c.CurrentRing(); r.Shards() != 4 || r.Epoch() != 1 {
-			t.Fatalf("ring after mid-step recovery: %d shards epoch %d (err=%v)", r.Shards(), r.Epoch(), err)
-		}
-		// Every key is served correctly through the routing client, and
-		// writes to moved keys land on the target, not the recovered
-		// source.
-		probe := moving[src][0]
-		cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		if _, err := cl.Put(cctx, []byte(probe), []byte("post-recovery")); err != nil {
-			t.Fatalf("put %q after mid-step recovery: %v", probe, err)
-		}
-		cancel()
-		if v, _, ok := c.Part(3).Master.Store().Get([]byte(probe)); !ok || string(v) != "post-recovery" {
-			t.Fatalf("post-recovery write landed off-target: %q ok=%v", v, ok)
-		}
-		for _, key := range all {
-			want := "val-" + key
-			if key == probe {
-				want = "post-recovery"
-			}
-			cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-			v, ok, err := cl.Get(cctx, []byte(key))
-			cancel()
-			if err != nil || !ok || string(v) != want {
-				t.Fatalf("key %q after mid-step recovery: %v %v %q", key, err, ok, v)
-			}
-		}
-	})
-
-	t.Run("commit-after-collect", func(t *testing.T) {
-		c := startTestCluster(t, testOptions(3))
-		cl := testClient(t, c, "app")
-		ctx := context.Background()
-		moving, all := seed(t, c, cl)
-		src := pickSource(moving)
-
-		if _, err := c.AddShard(); err != nil {
-			t.Fatal(err)
-		}
-		// The source dies after exporting its ranges: collect already
-		// drained them to its backups AND handed them to the driver, so
-		// the migration commits; only the source's local cleanup is left
-		// to its recovery.
-		c.Hooks.AfterCollect = func(int) { c.CrashMaster(src) }
-		err := c.Rebalance(ctx)
-		if r := c.CurrentRing(); r.Shards() != 4 || r.Epoch() != 1 {
-			t.Fatalf("ring after committed rebalance: %d shards epoch %d (err=%v)", r.Shards(), r.Epoch(), err)
-		}
-		if err := c.Recover(src, "master2"); err != nil {
-			t.Fatalf("recover source: %v", err)
-		}
-		// Exactly one side serves each moved key: the target's store has
-		// it, the recovered source's does not (its recovery applied the
-		// coordinator's moved-range record, dropping restored objects and
-		// skipping witness replays for the range).
-		for _, keys := range moving {
-			for _, key := range keys {
-				if _, _, ok := c.Part(3).Master.Store().Get([]byte(key)); !ok {
-					t.Fatalf("moved key %q missing on target after commit", key)
+		// readAll reads every seeded key through the routing client;
+		// override names keys whose value a scenario rewrote.
+		readAll := func(t *testing.T, f *fixture, override map[string]string) {
+			t.Helper()
+			for _, key := range f.all {
+				want, ok := override[key]
+				if !ok {
+					want = "val-" + key
+				}
+				cctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				v, found, err := f.cl.Get(cctx, []byte(key))
+				cancel()
+				if err != nil || !found || string(v) != want {
+					t.Fatalf("key %q: %v %v %q, want %q", key, err, found, v, want)
 				}
 			}
 		}
-		for _, key := range moving[src] {
-			if _, _, ok := c.Part(src).Master.Store().Get([]byte(key)); ok {
-				t.Fatalf("moved key %q resurrected on recovered source %d", key, src)
+		// stored reports whether shard s's live master holds key.
+		stored := func(f *fixture, s int, key string) bool {
+			_, _, ok := f.c.Part(s).Master.Store().Get([]byte(key))
+			return ok
+		}
+		assertRing := func(t *testing.T, f *fixture, want *Ring, when string, err error) {
+			t.Helper()
+			if r := f.c.CurrentRing(); r.Shards() != want.Shards() || r.Epoch() != want.Epoch() {
+				t.Fatalf("ring %s: %d shards epoch %d, want %d shards epoch %d (err=%v)",
+					when, r.Shards(), r.Epoch(), want.Shards(), want.Epoch(), err)
 			}
 		}
-		// And every key reads back correctly through the routing client.
-		for _, key := range all {
+		// assertOnTargets: every moved key lives on the shard next names.
+		assertOnTargets := func(t *testing.T, f *fixture) {
+			t.Helper()
+			for _, keys := range f.moving {
+				for _, key := range keys {
+					if to := f.next.ShardString(key); !stored(f, to, key) {
+						t.Fatalf("moved key %q missing on its target shard %d", key, to)
+					}
+				}
+			}
+		}
+
+		t.Run(d.prefix+"abort-before-collect", func(t *testing.T) {
+			f := setup(t)
+			ctx := context.Background()
+			f.c.Hooks.BeforeCollect = func(int) { f.c.CrashMaster(f.src) }
+			err := d.step(ctx, f.c)
+			if err == nil {
+				t.Fatal("step succeeded despite a source crash before collect")
+			}
+			// The ring never flipped: the ranges stay with their sources.
+			assertRing(t, f, f.cur, "after aborted step", err)
+			if err := f.c.Recover(f.src, "master2"); err != nil {
+				t.Fatalf("recover source: %v", err)
+			}
+			// Every key — including the crashed source's moving range — is
+			// recovered at its ORIGINAL shard; the targets hold nothing of
+			// the aborted moves.
+			readAll(t, f, nil)
+			for from, keys := range f.moving {
+				for _, key := range keys {
+					if !stored(f, from, key) {
+						t.Fatalf("key %q missing on its source shard %d after aborted step", key, from)
+					}
+					if to := f.next.ShardString(key); stored(f, to, key) {
+						t.Fatalf("target shard %d holds %q after aborted step", to, key)
+					}
+				}
+			}
+		})
+
+		t.Run(d.prefix+"recover-during-step", func(t *testing.T) {
+			// The nastiest interleaving: the source crashes mid-step and an
+			// operator recovers it BEFORE the step commits. The coordinator's
+			// freeze record (written before collect) keeps the replacement
+			// master's ranges frozen, so it cannot accept writes that the
+			// committing step would silently strand — no split-brain.
+			f := setup(t)
+			ctx := context.Background()
+			f.c.Hooks.AfterCollect = func(int) {
+				f.c.CrashMaster(f.src)
+				if err := f.c.Recover(f.src, "master2"); err != nil {
+					t.Errorf("recover source mid-step: %v", err)
+				}
+			}
+			err := d.step(ctx, f.c)
+			// The step commits regardless (its bundles were exported before
+			// the crash); only the source-side cleanup may be left to
+			// recovery.
+			assertRing(t, f, f.next, "after mid-step recovery", err)
+			// Every key is served correctly through the routing client, and
+			// writes to moved keys land on the target, not the recovered
+			// source.
+			probe := f.moving[f.src][0]
 			cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-			v, ok, err := cl.Get(cctx, []byte(key))
-			cancel()
-			if err != nil || !ok || string(v) != "val-"+key {
-				t.Fatalf("key %q after committed migration: %v %v %q", key, err, ok, v)
+			if _, err := f.cl.Put(cctx, []byte(probe), []byte("post-recovery")); err != nil {
+				t.Fatalf("put %q after mid-step recovery: %v", probe, err)
 			}
-		}
-	})
+			cancel()
+			to := f.next.ShardString(probe)
+			if v, _, ok := f.c.Part(to).Master.Store().Get([]byte(probe)); !ok || string(v) != "post-recovery" {
+				t.Fatalf("post-recovery write landed off-target: %q ok=%v", v, ok)
+			}
+			readAll(t, f, map[string]string{probe: "post-recovery"})
+		})
+
+		t.Run(d.prefix+"commit-after-collect", func(t *testing.T) {
+			f := setup(t)
+			ctx := context.Background()
+			// The source dies after exporting its ranges: collect already
+			// drained them to its backups AND handed them to the driver, so
+			// the migration commits; only the source's local cleanup is left
+			// to its recovery.
+			f.c.Hooks.AfterCollect = func(int) { f.c.CrashMaster(f.src) }
+			err := d.step(ctx, f.c)
+			assertRing(t, f, f.next, "after committed step", err)
+			if err := f.c.Recover(f.src, "master2"); err != nil {
+				t.Fatalf("recover source: %v", err)
+			}
+			// Exactly one side serves each moved key: the target's store has
+			// it, the recovered source's does not (its recovery applied the
+			// coordinator's moved-range record, dropping restored objects and
+			// skipping witness replays for the range).
+			assertOnTargets(t, f)
+			for _, key := range f.moving[f.src] {
+				if stored(f, f.src, key) {
+					t.Fatalf("moved key %q resurrected on recovered source %d", key, f.src)
+				}
+			}
+			readAll(t, f, nil)
+		})
+
+		t.Run(d.prefix+"fence-failure-parks-then-converges", func(t *testing.T) {
+			// A source backup dies before it can be fenced: the handoff is
+			// committed (moved records in place, sources dropped the ranges)
+			// but must NOT be published — an unfenced backup would serve the
+			// stale range after the flip. Once the backup is replaced, a
+			// re-run converges from exactly the parked state.
+			f := setup(t)
+			ctx := context.Background()
+			part := f.c.Part(f.src)
+			dead := part.BackupServers()[0]
+			f.c.Hooks.AfterCollect = func(int) { dead.Close() }
+			err := d.step(ctx, f.c)
+			if err == nil {
+				t.Fatal("step succeeded with an unfenced source backup")
+			}
+			assertRing(t, f, f.cur, "after fence failure", err)
+			assertOnTargets(t, f)
+
+			f.c.Hooks.AfterCollect = nil
+			fresh, err := part.SpareBackup(partitionMasterID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := part.Coord.ReplaceBackup(partitionMasterID, dead.Addr(), fresh); err != nil {
+				t.Fatalf("replace the dead backup: %v", err)
+			}
+			if err := d.step(ctx, f.c); err != nil {
+				t.Fatalf("re-run after backup replacement: %v", err)
+			}
+			assertRing(t, f, f.next, "after re-run", nil)
+			assertOnTargets(t, f)
+			readAll(t, f, nil)
+		})
+	}
 }
 
 // shrinkingKeys returns test keys the leaving shard hands off when cur
@@ -588,6 +659,42 @@ func TestMigrationKeepsTTL(t *testing.T) {
 	for _, key := range keys {
 		if v, ok, err := cl.Get(ctx, []byte(key)); err != nil || ok {
 			t.Fatalf("get %q past its expiry on the new shard: %v %v %q", key, err, ok, v)
+		}
+	}
+}
+
+// TestStepMovesSanity: a handoff step accepts exactly the rings one shard
+// apart that the deployment can host, names the joining or leaving shard as
+// the pivot, and every move it returns has the pivot at one end.
+func TestStepMovesSanity(t *testing.T) {
+	three := MustNewRing(3, 0)
+	four := three.Grow()
+	for _, tc := range []struct {
+		name      string
+		cur, next *Ring
+		parts     int
+		pivot     int // -1: rejected
+	}{
+		{"grow", three, four, 4, 3},
+		{"shrink", four, three, 4, 3},
+		{"grow without the partition", three, four, 3, -1},
+		{"two shards at once", three, four.Grow(), 5, -1},
+		{"no change", three, three, 3, -1},
+	} {
+		moves, pivot, err := stepMoves(tc.cur, tc.next, tc.parts)
+		if tc.pivot < 0 {
+			if err == nil {
+				t.Errorf("%s: accepted, want an error", tc.name)
+			}
+			continue
+		}
+		if err != nil || pivot != tc.pivot || len(moves) == 0 {
+			t.Errorf("%s: %d moves, pivot %d, err %v; want pivot %d", tc.name, len(moves), pivot, err, tc.pivot)
+		}
+		for _, m := range moves {
+			if (m.From == pivot) == (m.To == pivot) {
+				t.Errorf("%s: move %d→%d does not have pivot %d at exactly one end", tc.name, m.From, m.To, pivot)
+			}
 		}
 	}
 }

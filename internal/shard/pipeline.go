@@ -182,7 +182,7 @@ func (c *Client) FlushBatch(ctx context.Context, b *kv.Batch) {
 			failOutstanding(ops, fmt.Errorf("shard: pipeline op still moving after %v (%d redirects): %w", maxRedirectWait, attempt, core.ErrKeyMoved))
 			break
 		}
-		if !c.refreshRing() {
+		if !c.Refresh() {
 			// Same ring: the ranges are mid-transfer. Wait for the flip.
 			if perr := pauseRedirect(ctx, attempt); perr != nil {
 				failOutstanding(ops, perr)

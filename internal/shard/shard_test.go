@@ -50,13 +50,13 @@ func TestShardedRoutingStable(t *testing.T) {
 	perShard := make([]int, c.NumShards())
 	for i := 0; i < 64; i++ {
 		key := []byte(fmt.Sprintf("user:%d", i))
-		if cl.ShardFor(key) != c.CurrentRing().Shard(key) {
+		if cl.ShardOf(key) != c.CurrentRing().Shard(key) {
 			t.Fatalf("client and cluster ring disagree on %q", key)
 		}
 		if _, err := cl.Put(ctx, key, []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		perShard[cl.ShardFor(key)]++
+		perShard[cl.ShardOf(key)]++
 	}
 	// The write is in the owning partition's store and nowhere else.
 	for i := 0; i < 64; i++ {
@@ -311,8 +311,8 @@ func TestSingleShardDegeneratesToOnePartition(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		key := []byte(fmt.Sprintf("k%d", i))
-		if s := cl.ShardFor(key); s != 0 {
-			t.Fatalf("ShardFor(%q) = %d", key, s)
+		if s := cl.ShardOf(key); s != 0 {
+			t.Fatalf("ShardOf(%q) = %d", key, s)
 		}
 		if _, err := cl.Put(ctx, key, []byte("v")); err != nil {
 			t.Fatal(err)

@@ -46,16 +46,6 @@ func NewMemNetwork(latency LatencyModel) *MemNetwork {
 	}
 }
 
-// SetLatency replaces the latency model for subsequently sent messages.
-func (n *MemNetwork) SetLatency(m LatencyModel) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if m == nil {
-		m = NoLatency
-	}
-	n.latency = m
-}
-
 // Listen implements Network.
 func (n *MemNetwork) Listen(addr string) (net.Listener, error) {
 	n.mu.Lock()

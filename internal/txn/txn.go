@@ -47,10 +47,10 @@ import (
 	"curp/internal/witness"
 )
 
-// Backend is the deployment surface a transaction commits through: a
-// single CURP partition (every key maps to shard 0) or a sharded routing
-// client. Shard indices are stable for the lifetime of a routing snapshot;
-// Refresh adopts newer routing after a redirect.
+// Backend is the routing surface a transaction commits through: a single
+// CURP partition (every key maps to shard 0) or a sharded routing client.
+// Shard indices are stable for the lifetime of a routing snapshot; Refresh
+// adopts newer routing after a redirect.
 type Backend interface {
 	// ShardOf maps a key to its owning shard under current routing.
 	ShardOf(key []byte) int
@@ -60,44 +60,50 @@ type Backend interface {
 	// GetVersioned performs a linearizable read of key, returning the full
 	// result including the object version (routed by key, redirect-safe).
 	GetVersioned(ctx context.Context, key []byte) (*kv.Result, error)
-	// Apply commits a single-shard transaction atomically through the CURP
-	// update engine on shard. It must NOT re-route internally: a
-	// core.ErrKeyMoved surfaces so the coordinator can regroup.
-	Apply(ctx context.Context, shard int, t *kv.TxnCommand) (*kv.Result, error)
-	// HomeInfo returns shard's master coordinates (ID and address); the
-	// coordinator fills in the home key hash.
-	HomeInfo(ctx context.Context, shard int) (kv.TxnHome, error)
-	// MintTxnID allocates the transaction's RIFL ID from shard's session
-	// (shard must be the home shard: the ID doubles as the decide RPC's
-	// identity there).
-	MintTxnID(shard int) rifl.RPCID
-	// FinishTxnID releases the transaction ID once no server will ever
-	// need its completion record again.
-	FinishTxnID(shard int, id rifl.RPCID)
-	// Prepare runs phase one on shard; the result's Found is the vote.
-	Prepare(ctx context.Context, shard int, cmd *kv.Command) (*kv.Result, error)
-	// Decide runs phase two on shard (apply or discard prepared writes).
-	Decide(ctx context.Context, shard int, cmd *kv.Command) (*kv.Result, error)
-	// DecideHome records the transaction's decision on the home shard and
-	// returns the outcome that stuck (false when an orphan resolver
-	// recorded an abort first).
-	DecideHome(ctx context.Context, shard int, id rifl.RPCID, commit bool, homeHash uint64) (bool, error)
-	// ForgetDecision prunes the transaction's decision record on the home
-	// shard once every participant acknowledged the decide (decision-
-	// record GC). Best-effort: a failure just leaves the record until
-	// lease expiry reclaims it.
-	ForgetDecision(ctx context.Context, shard int, id rifl.RPCID, homeHash uint64)
+	// Partition returns shard's transaction endpoint, or an error when the
+	// deployment has no such shard.
+	Partition(shard int) (Partition, error)
 }
 
-// OutcomeRecorder is an optional Backend extension: a backend that keeps
-// client-side statistics implements it, and Commit reports every
-// transaction's final outcome through it. orphan marks aborts that were
-// decided by a server-side orphan resolver (the home shard recorded
-// abort-by-default before the coordinator's commit decision arrived) —
-// the client-observable signature of the presumed-abort recovery path.
-type OutcomeRecorder interface {
-	TxnCommitted()
-	TxnAborted(orphan bool)
+// Partition is one shard's transaction endpoint — the method set of
+// *cluster.Client, declared here because cluster imports this package.
+// None of its calls re-routes: a core.ErrKeyMoved surfaces so the
+// coordinator can regroup the whole transaction under fresh routing.
+type Partition interface {
+	// SubmitTxnApply commits a single-shard transaction atomically through
+	// the CURP update engine; the result's Found reports whether
+	// validation held.
+	SubmitTxnApply(ctx context.Context, t *kv.TxnCommand) (*kv.Result, error)
+	// TxnHomeInfo returns the partition's master coordinates (ID and
+	// address); the coordinator fills in the home key hash.
+	TxnHomeInfo(ctx context.Context) (kv.TxnHome, error)
+	// MintTxnID allocates the transaction's RIFL ID from the partition's
+	// session (home shard only: the ID doubles as the decide RPC's
+	// identity there).
+	MintTxnID() rifl.RPCID
+	// FinishTxnID releases the transaction ID once no server will ever
+	// need its completion record again.
+	FinishTxnID(id rifl.RPCID)
+	// TxnPrepare runs phase one; the result's Found is the vote.
+	TxnPrepare(ctx context.Context, cmd *kv.Command) (*kv.Result, error)
+	// TxnDecide runs phase two (apply or discard prepared writes).
+	TxnDecide(ctx context.Context, cmd *kv.Command) (*kv.Result, error)
+	// TxnDecideHome records the transaction's decision on this (home)
+	// partition and returns the outcome that stuck (false when an orphan
+	// resolver recorded an abort first).
+	TxnDecideHome(ctx context.Context, id rifl.RPCID, commit bool, homeHash uint64) (bool, error)
+	// ForgetTxnDecision prunes the transaction's decision record on this
+	// (home) partition once every participant acknowledged the decide
+	// (decision-record GC). Best-effort: a failure just leaves the record
+	// until lease expiry reclaims it.
+	ForgetTxnDecision(ctx context.Context, id rifl.RPCID, homeHash uint64)
+	// CountTxnCommit / CountTxnAbort land a transaction's final outcome in
+	// the partition client's statistics. orphan marks aborts that were
+	// decided by a server-side orphan resolver (the home shard recorded
+	// abort-by-default before the coordinator's commit decision arrived) —
+	// the client-observable signature of the presumed-abort recovery path.
+	CountTxnCommit()
+	CountTxnAbort(orphan bool)
 }
 
 // Errors returned by Commit.
@@ -330,12 +336,14 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return nil
 	}
 	err := t.commitLoop(ctx)
-	if rec, ok := t.b.(OutcomeRecorder); ok {
+	// Outcomes are counted on shard 0's client; the deployment's Stats
+	// sums over shards, so the total does not depend on which.
+	if p, perr := t.b.Partition(0); perr == nil {
 		switch {
 		case err == nil:
-			rec.TxnCommitted()
+			p.CountTxnCommit()
 		case errors.Is(err, ErrTxnAborted):
-			rec.TxnAborted(t.orphanAbort)
+			p.CountTxnAbort(t.orphanAbort)
 		}
 	}
 	return err
@@ -374,7 +382,11 @@ func (t *Txn) commitLoop(ctx context.Context) error {
 // commitSingle is the single-shard fast path: one atomic OpTxnApply
 // through the normal CURP engine.
 func (t *Txn) commitSingle(ctx context.Context, g *shardGroup) error {
-	res, err := t.b.Apply(ctx, g.shard, &kv.TxnCommand{Reads: g.reads, Writes: g.writes})
+	p, err := t.b.Partition(g.shard)
+	if err != nil {
+		return err
+	}
+	res, err := p.SubmitTxnApply(ctx, &kv.TxnCommand{Reads: g.reads, Writes: g.writes})
 	if err != nil {
 		return err
 	}
@@ -389,14 +401,17 @@ func (t *Txn) commitCross(ctx context.Context, groups []*shardGroup) error {
 	// The home shard anchors the decision: the shard owning the first key
 	// the transaction touched.
 	homeKey := []byte(t.order[0])
-	home := t.b.ShardOf(homeKey)
+	home, err := t.b.Partition(t.b.ShardOf(homeKey))
+	if err != nil {
+		return err
+	}
 	homeHash := witness.KeyHash(homeKey)
-	homeInfo, err := t.b.HomeInfo(ctx, home)
+	homeInfo, err := home.TxnHomeInfo(ctx)
 	if err != nil {
 		return err
 	}
 	homeInfo.KeyHash = homeHash
-	id := t.b.MintTxnID(home)
+	id := home.MintTxnID()
 
 	// Phase one, all participants in parallel.
 	type voteRes struct {
@@ -413,7 +428,12 @@ func (t *Txn) commitCross(ctx context.Context, groups []*shardGroup) error {
 				Reads:  g.reads,
 				Writes: g.writes,
 			})
-			res, err := t.b.Prepare(ctx, g.shard, &cmd)
+			p, err := t.b.Partition(g.shard)
+			if err != nil {
+				votes <- voteRes{g: g, err: err}
+				return
+			}
+			res, err := p.TxnPrepare(ctx, &cmd)
 			if err != nil {
 				votes <- voteRes{g: g, err: err}
 				return
@@ -453,7 +473,7 @@ func (t *Txn) commitCross(ctx context.Context, groups []*shardGroup) error {
 		// lock-timeout resolution, which presumes abort — consistent with
 		// this outcome by construction.
 		t.distributeDecide(ctx, id, false, append(prepared, unknown...))
-		t.b.FinishTxnID(home, id)
+		home.FinishTxnID(id)
 		switch {
 		case voteAbort:
 			return ErrTxnAborted
@@ -468,7 +488,7 @@ func (t *Txn) commitCross(ctx context.Context, groups []*shardGroup) error {
 	// decision RPC rides the normal update path under the transaction's own
 	// RIFL ID; if an orphan resolver recorded an abort first, the saved
 	// abort comes back and the transaction rolls back.
-	committed, err := t.b.DecideHome(ctx, home, id, true, homeHash)
+	committed, err := home.TxnDecideHome(ctx, id, true, homeHash)
 	if err != nil {
 		if errors.Is(err, core.ErrKeyMoved) {
 			// The home range moved before the decision landed: nothing is
@@ -476,7 +496,7 @@ func (t *Txn) commitCross(ctx context.Context, groups []*shardGroup) error {
 			// witness records are retracted), so abort cleanly and let the
 			// caller's loop retry under fresh routing.
 			t.distributeDecide(ctx, id, false, prepared)
-			t.b.FinishTxnID(home, id)
+			home.FinishTxnID(id)
 			return core.ErrKeyMoved
 		}
 		// In doubt: the decide may or may not have landed. Participants
@@ -492,9 +512,9 @@ func (t *Txn) commitCross(ctx context.Context, groups []*shardGroup) error {
 		// rollback it is garbage too.
 		settled, applied := t.distributeDecide(ctx, id, false, prepared)
 		if settled && applied {
-			t.b.ForgetDecision(ctx, home, id, homeHash)
+			home.ForgetTxnDecision(ctx, id, homeHash)
 		}
-		t.b.FinishTxnID(home, id)
+		home.FinishTxnID(id)
 		t.orphanAbort = true
 		return ErrTxnAborted
 	}
@@ -507,7 +527,7 @@ func (t *Txn) commitCross(ctx context.Context, groups []*shardGroup) error {
 	if settled, applied := t.distributeDecide(ctx, id, true, prepared); settled {
 		// Every participant settled: no completion record for the ID is
 		// needed anywhere anymore.
-		t.b.FinishTxnID(home, id)
+		home.FinishTxnID(id)
 		if applied {
 			// ...and every decide truly APPLIED (none bounced off a
 			// migrating range), so the home's decision record has no
@@ -516,7 +536,7 @@ func (t *Txn) commitCross(ctx context.Context, groups []*shardGroup) error {
 			// participant's prepared state settles through migration's
 			// force-resolution, which must still find the record; those
 			// records fall to lease expiry instead.
-			t.b.ForgetDecision(ctx, home, id, homeHash)
+			home.ForgetTxnDecision(ctx, id, homeHash)
 		}
 	}
 	return nil
@@ -541,7 +561,10 @@ func (t *Txn) distributeDecide(ctx context.Context, id rifl.RPCID, commit bool, 
 		go func(g *shardGroup) {
 			cmd := kv.TxnDecide(&kv.TxnCommand{ID: id, Commit: commit})
 			cmd.Hashes = g.hashes()
-			_, err := t.b.Decide(ctx, g.shard, &cmd)
+			p, err := t.b.Partition(g.shard)
+			if err == nil {
+				_, err = p.TxnDecide(ctx, &cmd)
+			}
 			done <- outcome{
 				settled: err == nil || errors.Is(err, core.ErrKeyMoved),
 				applied: err == nil,

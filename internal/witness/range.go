@@ -42,9 +42,6 @@ func (r HashRange) Contains(h uint64) bool {
 	return h > r.Lo || h <= r.Hi
 }
 
-// ContainsKey reports whether key's ring position lies in the arc.
-func (r HashRange) ContainsKey(key []byte) bool { return r.Contains(RingPoint(key)) }
-
 // RangesContain reports whether any arc in ranges contains ring position h.
 func RangesContain(ranges []HashRange, h uint64) bool {
 	for _, r := range ranges {

@@ -1,0 +1,26 @@
+#!/usr/bin/env bash
+# The tree counters ROADMAP.md and CHANGES.md quote, from one place:
+#
+#   scripts/tree_stats.sh                  # the four counters
+#   scripts/tree_stats.sh internal/shard   # plus non-test lines per directory
+#
+# bench/ is its own module with its own budget and is never counted.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+src() { find "${1:-.}" -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }
+tests() { find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }
+
+echo "non-test Go lines outside bench/: $(src | xargs cat | wc -l)"
+echo "time.Sleep calls in tests:        $(tests | xargs grep -o 'time\.Sleep(' | wc -l)"
+echo "fuzz targets:                     $(tests | xargs grep -h '^func Fuzz' | wc -l)"
+# Fields of curp.Options: names before the type on each field line of the
+# struct ("WitnessSlots, WitnessWays int" is two).
+echo "curp.Options fields:              $(awk '
+	/^type Options struct/ { in_struct = 1; next }
+	in_struct && /^}/      { exit }
+	in_struct && $1 !~ /^\/\// && NF >= 2 { k = 1; while ($k ~ /,$/) k++; n += k }
+	END { print n }' curp.go)"
+for dir in "$@"; do
+	echo "non-test Go lines in $dir: $(src "./${dir#./}" | xargs cat | wc -l)"
+done

@@ -211,7 +211,7 @@ type ShardedClient struct {
 func (c *ShardedClient) Close() { c.inner.Close() }
 
 // ShardFor returns the index of the shard an operation on key routes to.
-func (c *ShardedClient) ShardFor(key []byte) int { return c.inner.ShardFor(key) }
+func (c *ShardedClient) ShardFor(key []byte) int { return c.inner.ShardOf(key) }
 
 // Stats returns protocol counters summed over every shard's client.
 func (c *ShardedClient) Stats() Stats {

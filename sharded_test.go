@@ -2,7 +2,9 @@ package curp
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -154,4 +156,75 @@ func TestShardedSingleShardMatchesStart(t *testing.T) {
 	if st := cl.Stats(); st.FastPath == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// TestShardedStatsSumEveryCounter: ShardedClient.Stats sums ALL of the
+// per-shard clients' counters — transaction outcomes and the live pipeline
+// depth included.
+func TestShardedStatsSumEveryCounter(t *testing.T) {
+	// A small one-way delay keeps asynchronous updates outstanding long
+	// enough to observe the in-flight gauge.
+	c, err := StartSharded(Options{F: 1, Shards: 2, Latency: func(from, to string) time.Duration {
+		return 2 * time.Millisecond
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl, err := c.NewClient("stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	keys := crossShardTxnKeys(t, "st", 2, 2)
+
+	const commits = 3
+	for i := 0; i < commits; i++ {
+		tx := cl.Txn()
+		tx.Increment(keys[i%2], -1)
+		tx.Increment(keys[(i+1)%2], 1)
+		if err := tx.Commit(ctx); err != nil {
+			t.Fatalf("cross-shard commit %d: %v", i, err)
+		}
+	}
+	tx := cl.Txn()
+	if _, _, err := tx.Get(ctx, keys[0]); err != nil {
+		t.Fatal(err)
+	}
+	tx.Put(keys[1], []byte("must-not-land"))
+	if _, err := cl.Increment(ctx, keys[0], 1); err != nil { // invalidate the read
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctx); !errors.Is(err, ErrTxnAborted) {
+		t.Fatalf("invalidated commit: %v, want ErrTxnAborted", err)
+	}
+	if st := cl.Stats(); st.TxnCommits != commits || st.TxnAborts != 1 {
+		t.Fatalf("TxnCommits = %d, TxnAborts = %d, want %d and 1 (stats %+v)", st.TxnCommits, st.TxnAborts, commits, st)
+	}
+
+	var futs []*Future
+	for i := 0; i < 8; i++ {
+		futs = append(futs, cl.PutAsync(ctx, []byte(fmt.Sprintf("st-async:%d", i)), []byte("v")))
+	}
+	settled := make(chan struct{})
+	go func() {
+		defer close(settled)
+		for _, f := range futs {
+			if err := f.Err(); err != nil {
+				t.Errorf("async put: %v", err)
+			}
+		}
+	}()
+	sawDepth := false
+	for !sawDepth {
+		select {
+		case <-settled:
+			t.Fatal("PipelineDepth stayed 0 while 8 async puts were outstanding")
+		default:
+			sawDepth = cl.Stats().PipelineDepth > 0
+			runtime.Gosched()
+		}
+	}
+	<-settled
 }

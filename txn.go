@@ -50,13 +50,13 @@ type Txn struct {
 // keys share the one shard, so Commit always uses the 1-RTT-capable
 // single-shard path.
 func (c *Client) Txn() *Txn {
-	return &Txn{inner: txn.New(c.inner.TxnBackend())}
+	return &Txn{inner: txn.New(c.inner)}
 }
 
 // Txn opens an empty transaction spanning any subset of the deployment's
 // shards.
 func (c *ShardedClient) Txn() *Txn {
-	return &Txn{inner: txn.New(c.inner.TxnBackend())}
+	return &Txn{inner: txn.New(c.inner)}
 }
 
 // Get reads key within the transaction. The first read of a key is
