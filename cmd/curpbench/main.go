@@ -1,7 +1,9 @@
 // Command curpbench regenerates the evaluation artifacts of the CURP paper
 // (Park & Ousterhout, NSDI 2019): every figure and table of §5 and the
 // appendices, using the discrete-event simulator in internal/sim (README.md
-// describes it; bench/README.md has the real stack's measured baseline).
+// describes it). It measures nothing of the real stack: bench/ is the
+// benchmark (bench/README.md has the measured baseline), and recovery
+// windows and path costs are virtual-time tests (failover_bubble_test.go).
 //
 // Usage:
 //
@@ -19,9 +21,20 @@ import (
 	"curp/internal/sim"
 )
 
+// retired names the real-stack experiments this command used to run and
+// what answers their question now.
+var retired = map[string]string{
+	"pipeline":  "bash bench/run.sh -workload put-pipe16 (and put-seq for depth 1)",
+	"sharded":   "bash bench/run.sh -workload shard-txn",
+	"txn":       "bash bench/run.sh -workload shard-txn, and GOEXPERIMENT=synctest go test -run BubblePathCosts . for the commit paths in round trips",
+	"failover":  "GOEXPERIMENT=synctest go test -run Bubble .",
+	"coordfail": "GOEXPERIMENT=synctest go test -run Bubble .",
+}
+
 func main() {
+	order := []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "resources"}
 	experiment := flag.String("experiment", "all",
-		"comma-separated list: table1,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig12,fig13,resources,sharded,pipeline,txn,failover,coordfail,all")
+		"comma-separated list: "+strings.Join(order, ",")+",all")
 	ops := flag.Int("ops", 20000, "operations per simulated configuration")
 	flag.Parse()
 
@@ -40,13 +53,7 @@ func main() {
 		"fig12":     func() { sim.Fig12(w) },
 		"fig13":     func() { sim.Fig13(w) },
 		"resources": func() { sim.ResourceReport(w) },
-		"sharded":   func() { Sharded(w, *ops) },
-		"pipeline":  func() { Pipeline(w, *ops) },
-		"txn":       func() { Txn(w, *ops) },
-		"failover":  func() { Failover(w, *ops) },
-		"coordfail": func() { Coordfail(w, *ops) },
 	}
-	order := []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "resources", "sharded", "pipeline", "txn", "failover", "coordfail"}
 
 	var selected []string
 	if *experiment == "all" {
@@ -54,6 +61,10 @@ func main() {
 	} else {
 		for _, name := range strings.Split(*experiment, ",") {
 			name = strings.TrimSpace(strings.ToLower(name))
+			if use, ok := retired[name]; ok {
+				fmt.Fprintf(os.Stderr, "curpbench: -experiment %s was removed: bench/ is the only real-stack harness; use %s\n", name, use)
+				os.Exit(2)
+			}
 			if _, ok := runners[name]; !ok {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s, all)\n", name, strings.Join(order, ", "))
 				os.Exit(2)

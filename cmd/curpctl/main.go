@@ -126,7 +126,7 @@ func main() {
 	coordinators := flag.Int("coordinators", 1, "coordinator replicas per partition (curpd -coordinators layout: replica 0 on the shard's base port, replica i at +1+i); clients and status fail over across them")
 	shards := flag.Int("shards", 1, "total partitions; shard s's coordinator port = base port + s*1000")
 	fTol := flag.Int("f", 3, "trace: the deployment's fault-tolerance level (curpd -f), sizing the backup/witness endpoint scan")
-	traceEPs := flag.String("trace-endpoints", "", "trace: comma-separated extra /trace endpoints (host:port) beyond the port convention, e.g. a curpbench client's")
+	traceEPs := flag.String("trace-endpoints", "", "trace: comma-separated extra /trace endpoints (host:port) beyond the port convention, e.g. a load generator's (scripts/traceload)")
 	pin := flag.Int("shard", -1, "pin every operation to this partition instead of routing by key")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-operation timeout")
 	flag.Parse()

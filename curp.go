@@ -33,7 +33,7 @@
 // Deeper layers live in internal/: the protocol core, the witness and
 // RIFL components, the cluster runtime, a consensus (§A.2) extension, and
 // the discrete-event simulator that regenerates the paper's figures (see
-// bench_test.go and cmd/curpbench).
+// cmd/curpbench).
 package curp
 
 import (

@@ -131,70 +131,6 @@ func TestScrambledZipfianSpreadsHotKeys(t *testing.T) {
 	}
 }
 
-func TestMixFractions(t *testing.T) {
-	m := NewMix(NewUniform(100, 1), 0.5, 10, 2)
-	writes := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		op := m.Next()
-		if op.Kind == OpWrite {
-			writes++
-			if len(op.Value) != 10 {
-				t.Fatalf("value size = %d", len(op.Value))
-			}
-		} else if op.Value != nil {
-			t.Fatal("reads must not carry values")
-		}
-	}
-	frac := float64(writes) / n
-	if math.Abs(frac-0.5) > 0.01 {
-		t.Fatalf("write fraction %f, want 0.5", frac)
-	}
-}
-
-func TestMixAllReadsAllWrites(t *testing.T) {
-	r := NewMix(NewUniform(10, 1), 0, 8, 3)
-	w := NewMix(NewUniform(10, 1), 1, 8, 3)
-	for i := 0; i < 1000; i++ {
-		if r.Next().Kind != OpRead {
-			t.Fatal("writeFrac=0 must produce only reads")
-		}
-		if w.Next().Kind != OpWrite {
-			t.Fatal("writeFrac=1 must produce only writes")
-		}
-	}
-}
-
-func TestMixPanicsOnBadFraction(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewMix(NewUniform(10, 1), 1.5, 8, 1)
-}
-
-func TestYCSBMixes(t *testing.T) {
-	a := NewYCSBA(100, 1)
-	b := NewYCSBB(100, 1)
-	const n = 50000
-	aw, bw := 0, 0
-	for i := 0; i < n; i++ {
-		if a.Next().Kind == OpWrite {
-			aw++
-		}
-		if b.Next().Kind == OpWrite {
-			bw++
-		}
-	}
-	if f := float64(aw) / n; math.Abs(f-0.5) > 0.02 {
-		t.Fatalf("YCSB-A write fraction %f", f)
-	}
-	if f := float64(bw) / n; math.Abs(f-0.05) > 0.01 {
-		t.Fatalf("YCSB-B write fraction %f", f)
-	}
-}
-
 func TestKeyFormatting(t *testing.T) {
 	k := Key(42, 30)
 	if len(k) != 30 {

@@ -1,7 +1,8 @@
-// Package workload provides the key/operation generators used to drive the
-// CURP evaluation: uniform and Zipfian key choosers (including the YCSB
-// scrambled variant used for the paper's YCSB-A/B experiments), fixed-width
-// key formatting, and read/write operation mixes.
+// Package workload provides the key generators used to drive the CURP
+// evaluation: uniform and Zipfian key choosers (including the YCSB
+// scrambled variant used for the paper's YCSB-A/B experiments) and
+// fixed-width key and value formatting. Callers (bench/, internal/sim)
+// build their own read/write mixes on top.
 //
 // All generators are deterministic given a seed, so every experiment in the
 // benchmark harness is exactly reproducible.
@@ -11,14 +12,6 @@ import (
 	"math"
 	"math/rand"
 )
-
-// KeyChooser picks object indexes in [0, N) according to some distribution.
-type KeyChooser interface {
-	// Next returns the next key index.
-	Next() uint64
-	// N returns the size of the key space.
-	N() uint64
-}
 
 // Uniform chooses keys uniformly at random from [0, n).
 type Uniform struct {
