@@ -197,11 +197,11 @@ func worstPause(p time.Duration) time.Duration {
 
 // slowPutRTTs is the cost of a put the client must sync explicitly: the
 // update ‖ records (1), then the sync RPC (1) inside which the master
-// appends to its backups (1) and collects the witness gc (1).
+// appends to its backups (1). The witness gc is the sync's tail; the reply
+// does not wait for it.
 //
-// DEVIATION: §3.2.1's slow path is 3 — the gc is not on it (ROADMAP
-// item 3 (i)).
-const slowPutRTTs = 4
+// PAPER §3.2.1: the slow path is 3 round trips.
+const slowPutRTTs = 3
 
 // catchUpCeil is the longest a blocked client takes to notice a
 // replacement published at instant p after the kill: the retry pause it is
@@ -308,22 +308,16 @@ func TestBubbleWitnessKillWindow(t *testing.T) {
 
 // electionRound is the longest one election attempt takes to begin: the
 // lowest surviving rank stands once ElectionTimeout × (1 + rank/4), plus up
-// to a quarter more of jitter, has passed since it last heard a leader (or
-// last stood), which it notices on a quarter-timeout tick
-// (controlplane.electionLoop). Rank 1 is the worst survivor: 7/4.
-const electionRound = healElection * (4 + 1 + 1 + 1) / 4
+// to a quarter more of jitter drawn once for the silence, has passed since
+// it last heard a leader (controlplane.electionLoop sleeps until exactly
+// then). Rank 1 is the worst survivor: 6/4.
+const electionRound = healElection * (4 + 1 + 1) / 4
 
-// electionRounds is how many attempts the survivors may need.
-//
-// DEVIATION: Raft's randomised timeouts are there to make one round the
-// norm; here a second is routine. Both followers run the check on the SAME
-// quarter-timeout grid (they boot in the same instant and nothing ever
-// skews them), so whenever both timeouts lapse between two ticks they
-// stand on the same tick, vote for themselves and both lose. The rank
-// stagger does make the retry clean: rank 1's timeout range ends where
-// rank 2's begins. A ratchet: the PR that de-phases the grid lowers this
-// to 1 (ROADMAP item 2).
-const electionRounds = 2
+// electionRounds is how many attempts the survivors may need: one, as
+// Raft's randomised timeouts intend. The rank stagger keeps the survivors'
+// ranges apart — rank 1's ends where rank 2's begins — so the lower rank
+// has asked for the higher one's vote before that one's timeout lapses.
+const electionRounds = 1
 
 // electionCeil is the longest a 3-replica control plane goes without a
 // lease-holding leader: the rounds, then the winning round's votes and the
@@ -474,18 +468,32 @@ func TestBubblePathCostsInRTTs(t *testing.T) {
 		}
 		t.Logf("distinct-key put: 1 RTT (paper: 1), %d of 20 paid a second", extra)
 
-		// PAPER §3.2.2: an update that does not commute with an unsynced one
-		// is synced before the master replies: 2 RTT. Back-to-back blocking
-		// puts of one key alternate between finding the predecessor already
-		// synced in the background (1 RTT) and not.
+		// PAPER §3.2.3: an update that does not commute with an unsynced one
+		// is synced before the master replies: 2 RTT — the update, and the
+		// backup append inside it. The reply leaves at the sync's durable
+		// point; the witness gc is its tail. On an idle master that is exact:
+		// a fresh key is not hot, so nothing syncs it in the background and
+		// its re-put finds the slot free.
+		idle()
+		if d := timed(put("fresh-key")); d != rtt {
+			t.Errorf("put of a fresh key: %v, want 1 RTT", d)
+		}
+		reput := timed(put("fresh-key"))
+		t.Logf("re-put of a fresh key on an idle master: %d RTT (paper: 2)", reput/rtt)
+		if reput != 2*rtt {
+			t.Errorf("re-put of a fresh key on an idle master: %v = %.2f RTT, want 2", reput, float64(reput)/float64(rtt))
+		}
+
+		// Back-to-back blocking puts of one key alternate between finding the
+		// predecessor already synced in the background (1 RTT) and not.
 		//
-		// DEVIATION: the conflicting put costs up to 4 RTT, not 2. Its span
-		// tree shows 3 RTT inside the master: the op's sync queues behind
-		// the predecessor's background sync and that sync's witness gc
-		// (one outstanding sync; the gc holds the slot), then runs its own
-		// append, and the reply waits for its own gc scatter too. A ratchet:
-		// the PR that fixes ROADMAP item 3 (i) lowers this bound to 2.
-		const conflictCeil = 4 * rtt
+		// DEVIATION: behind an in-flight background sync the conflicting put
+		// costs up to 3 RTT, not 2: the key is hot by now, the predecessor's
+		// background sync holds the one sync slot through its gc tail, and
+		// the put's own append starts only when that tail ends (ROADMAP
+		// item 3 (i): releasing the slot at the durable point was measured
+		// and costs ycsb-a its fast path).
+		const conflictCeil = 3 * rtt
 		lo, hi := time.Duration(1<<62), time.Duration(0)
 		for i := 0; i < 10; i++ {
 			d := timed(put("same-key"))
@@ -553,21 +561,22 @@ func TestBubblePathCostsInRTTs(t *testing.T) {
 			t.Errorf("single-shard commit: %v, want 1 RTT", single)
 		}
 
-		// DEVIATION: the paper has no multi-partition transactions. This
-		// one is client-driven 2PC over CURP: prepare on every shard in
-		// parallel, the decision recorded on the home shard as an ordinary
-		// update (1 RTT, witness-backed), then decide on every shard in
-		// parallel. Prepare and decide are synced before the master
-		// replies, and a sync holds its slot through the witness gc (see
-		// conflictCeil): 3 RTT each — and 4 for the home shard's decide,
-		// which queues behind the background sync the decision record just
-		// kicked (two writes to the home key's hash make it look hot). So
-		// 3 + 1 + 4 where 2 + 1 + 2 would do. A ratchet, lowered with
-		// item 3 (i).
-		const crossRTTs = 8
+		// The paper has no multi-partition transactions. This one is
+		// client-driven 2PC over CURP: prepare on every shard in parallel,
+		// the decision recorded on the home shard as an ordinary update
+		// (1 RTT, witness-backed), then decide on every shard in parallel.
+		// Prepare and decide are synced before the master replies: 2 RTT
+		// each, so 2 + 1 + 2 = 5.
+		//
+		// DEVIATION: 6, not 5. The home shard's decide costs 3: its sync
+		// queues behind the gc tail of the background sync the decision
+		// record just kicked (two writes to the home key's hash make it look
+		// hot). A ratchet, lowered by the PR that stops that sync (ROADMAP
+		// item 3 (i)).
+		const crossRTTs = 6
 		idle()
 		cross := timed(commit(on[0][3], on[1][1]))
-		t.Logf("cross-shard commit: %d RTT (prepare 3 + decision 1 + decide 4)", cross/rtt)
+		t.Logf("cross-shard commit: %d RTT (prepare 2 + decision 1 + decide 3; 2 + 1 + 2 would do)", cross/rtt)
 		if cross != crossRTTs*rtt {
 			t.Errorf("cross-shard commit: %v = %.2f RTT, want %d", cross, float64(cross)/float64(rtt), crossRTTs)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"curp/internal/core"
+	"curp/internal/events"
 	"curp/internal/kv"
 	"curp/internal/rifl"
 	"curp/internal/rpc"
@@ -358,3 +359,46 @@ func TestClusterOverTCP(t *testing.T) {
 }
 
 func addrAt(port int) string { return fmt.Sprintf("127.0.0.1:%d", port) }
+
+// TestLostGCReplyIsJournaledOncePerOutage: a gc leg that fails is no longer
+// dropped on the floor — the master journals it, and once for the outage,
+// not once per sync.
+func TestLostGCReplyIsJournaledOncePerOutage(t *testing.T) {
+	c, _ := startTestCluster(t, testOptions())
+	cl := testClient(t, c, "client1")
+	ctx := context.Background()
+	lost := func() (n int) {
+		// The gc is the sync's tail: wait it out before reading the journal.
+		_ = c.Master.eng.HoldSync(func() error { return nil })
+		for _, ev := range c.Master.Events().Dump().Events {
+			if ev.Kind == events.KindWitnessGCLost {
+				if n++; ev.Err == "" || ev.Detail != "1 of 3 gc replies lost" {
+					t.Errorf("event = %+v", ev)
+				}
+			}
+		}
+		return n
+	}
+	if _, err := cl.Put(ctx, []byte("k"), []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Master.eng.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := lost(); n != 0 {
+		t.Fatalf("%d gc replies journaled lost on a healthy partition", n)
+	}
+	c.CrashWitness(0)
+	// Every put now takes the slow path: a sync, and a gc pass with a dead leg.
+	for i := 0; i < 4; i++ {
+		if _, err := cl.Put(ctx, []byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if syncs := c.Master.mSyncLat.Snapshot().Count(); syncs < 4 {
+		t.Fatalf("%d syncs: the puts did not each drive one", syncs)
+	}
+	if n := lost(); n != 1 {
+		t.Fatalf("lost gc replies journaled %d times across one outage, want 1", n)
+	}
+}

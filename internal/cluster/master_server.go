@@ -101,6 +101,7 @@ type MasterServer struct {
 	mLatDecide   *metrics.Histogram
 	mSyncEntries *metrics.Histogram
 	mSyncLat     *metrics.Histogram
+	mSlotWait    *metrics.Histogram
 	mLockWait    *metrics.Histogram
 	mTxnPrepares *metrics.Counter
 	mTxnDecides  *metrics.Counter
@@ -110,6 +111,10 @@ type MasterServer struct {
 	// map (core.PathNone has none).
 	mClass       [3][]*metrics.Counter
 	lastSyncNano atomic.Int64
+
+	// gcLegsLost: the last gc pass lost a reply. Only the sync-slot holder
+	// touches it.
+	gcLegsLost bool
 }
 
 // NewMasterServer creates and starts a master listening on addr. epoch is
@@ -131,8 +136,8 @@ func NewMasterServer(nw transport.Network, id uint64, addr string, epoch uint64,
 	ms.init(nw, addr, "master", opts.Node)
 	ms.beat = ms.loadBeat
 	ms.durableOld = make(map[string]staleEntry)
-	ms.eng = core.NewEngine(ms, opts.Core, ms.coll)
-	ms.buildMetrics()
+	ms.buildMetrics() // its callbacks read the engine at scrape time only
+	ms.eng = core.NewEngine(ms, opts.Core, ms.coll, ms.mSlotWait)
 	ms.resolveKick = make(chan txnResolveReq, 64)
 	ms.resolveBusy = make(map[rifl.RPCID]bool)
 	go ms.txnResolver()
@@ -228,7 +233,9 @@ func (ms *MasterServer) buildMetrics() {
 	ms.mSyncEntries = r.SizeHistogram("curp_master_sync_batch_entries",
 		"Log entries replicated per backup sync batch.")
 	ms.mSyncLat = r.Histogram("curp_master_sync_duration_seconds",
-		"Wall time of one backup sync (parallel append to all backups plus witness GC).")
+		"Wall time of one backup sync's flush (parallel append to all backups).")
+	ms.mSlotWait = r.Histogram("curp_master_sync_slot_wait_seconds",
+		"Time a sync request spent queued for the one sync slot (behind another sync's flush or gc tail); a request that rode the sync in flight is not counted.")
 	ms.mLockWait = r.Histogram("curp_txn_lock_wait_seconds",
 		"Age of prepared-transaction locks that operations bounced off.")
 	ms.mTxnPrepares = r.Counter("curp_txn_prepares_total",
@@ -751,32 +758,66 @@ func (ms *MasterServer) applyInternal(cmd kv.Command, id rifl.RPCID, keyHashes [
 	return ms.eng.ExecuteLocked(context.Background(), &req, core.Internal)
 }
 
-// CollectGarbage implements core.Substrate: one batched gc RPC per witness
-// (§4.5). Best effort — an unreachable witness's records age into the
-// stale reports of a later pass.
-func (ms *MasterServer) CollectGarbage(keys []witness.GCKey) []witness.Record {
+// StartGarbage implements core.Substrate: one batched gc RPC per witness
+// (§4.5), started and not awaited. Best effort — an unreachable witness's
+// records age into the stale reports of a later pass.
+func (ms *MasterServer) StartGarbage(keys []witness.GCKey) core.GarbageCall {
 	ms.peersMu.Lock()
 	witnesses := append([]*rpc.Peer(nil), ms.witnesses...)
 	ms.peersMu.Unlock()
 	if len(witnesses) == 0 {
-		return nil
+		return core.DoneGarbage(nil)
 	}
 	payload := (&gcRequest{MasterID: ms.id, Keys: keys}).encode()
-	calls := make([]*rpc.Call, len(witnesses))
-	for i, w := range witnesses {
-		calls[i] = w.Start(context.Background(), OpWitnessGC, payload)
+	g := &gcScatter{ms: ms}
+	g.calls = g.buf[:0]
+	for _, w := range witnesses {
+		g.calls = append(g.calls, w.Start(context.Background(), OpWitnessGC, payload))
 	}
+	return g
+}
+
+// gcScatter is one gc batch in flight to every witness: the legs' call
+// handles, in the same allocation for the usual few witnesses.
+type gcScatter struct {
+	ms    *MasterServer
+	calls []*rpc.Call
+	buf   [4]*rpc.Call
+}
+
+// Wait implements core.GarbageCall: every leg is collected under one
+// deadline. A leg that failed or did not decode contributes nothing.
+func (g *gcScatter) Wait() []witness.Record {
+	ms := g.ms
 	ctx, cancel := context.WithTimeout(context.Background(), ms.opts.RPCTimeout)
 	defer cancel()
 	var all []witness.Record
-	for _, call := range calls {
+	var lost int
+	var firstErr error
+	for _, call := range g.calls {
 		out, err := call.Wait(ctx)
+		var stale []witness.Record
+		if err == nil {
+			stale, err = decodeWitnessRecords(out)
+		}
 		if err != nil {
+			if lost++; firstErr == nil {
+				firstErr = err
+			}
 			continue
 		}
-		stale, _ := decodeWitnessRecords(out)
 		all = append(all, stale...)
 	}
+	// Journaled once per outage, not per pass: a dead witness loses a leg
+	// of every sync until it is replaced.
+	if lost > 0 && !ms.gcLegsLost {
+		ms.jrn.Record(events.Event{
+			Kind: events.KindWitnessGCLost, MasterID: ms.id, Epoch: ms.epoch,
+			Detail: fmt.Sprintf("%d of %d gc replies lost", lost, len(g.calls)),
+			Err:    firstErr.Error(),
+		})
+	}
+	ms.gcLegsLost = lost > 0
 	return all
 }
 

@@ -118,7 +118,7 @@ var _ core.Substrate = (*leader)(nil)
 // newLeader starts replica r, whose log is complete, as the leader of term.
 func newLeader(g *Group, r *Replica, term uint64) *leader {
 	l := &leader{g: g, self: r, term: term, store: r.SM()}
-	l.eng = core.NewEngine(l, core.MasterConfig{SyncBatchSize: 50}, nil)
+	l.eng = core.NewEngine(l, core.MasterConfig{SyncBatchSize: 50}, nil, nil)
 	for _, en := range l.store.EntriesSince(0) {
 		if !en.ID.IsZero() {
 			l.eng.Tracker().RecordKeyed(en.ID, en.Result.Encode(), en.Cmd.KeyHashes())
@@ -183,15 +183,16 @@ func (l *leader) Flush(_ context.Context, synced uint64) (uint64, []witness.GCKe
 	return uint64(entries[len(entries)-1].LSN), keys, nil
 }
 
-// CollectGarbage implements core.Substrate on the term's reachable witnesses.
-func (l *leader) CollectGarbage(keys []witness.GCKey) []witness.Record {
+// StartGarbage implements core.Substrate on the term's reachable witnesses:
+// direct-call objects, so the pass runs here and the call is complete.
+func (l *leader) StartGarbage(keys []witness.GCKey) core.GarbageCall {
 	var stale []witness.Record
 	for _, r := range l.g.replicas {
 		if w := r.Witness(); !r.down.Load() && w.MasterID() == l.term {
 			stale = append(stale, w.GC(keys)...)
 		}
 	}
-	return stale
+	return core.DoneGarbage(stale)
 }
 
 // superquorumWitness is the group's one logical witness.

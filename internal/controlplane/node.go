@@ -581,7 +581,14 @@ func (n *Node) HandleVote(req *VoteRequest) *VoteReply {
 	return &VoteReply{Term: n.term, Granted: true}
 }
 
-// electionLoop watches for leader silence and stands for election.
+// electionLoop watches for leader silence and stands for election. The
+// timeout is rank-staggered and jittered — lower ranks stand first, so
+// simultaneous silence rarely splits the vote — and drawn ONCE per silence
+// period, with the loop asleep until lastContact + timeout. Post-mortem,
+// PR 23: it used to be re-drawn on every pass of a quarter-timeout poll.
+// Followers boot together, so they polled on the same grid, and whenever
+// both timeouts lapsed between two ticks they stood on the same tick, voted
+// for themselves and both lost: a second round was routine.
 func (n *Node) electionLoop() {
 	defer n.wg.Done()
 	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(n.cfg.Rank)<<32))
@@ -589,25 +596,33 @@ func (n *Node) electionLoop() {
 	if tick <= 0 {
 		tick = time.Millisecond
 	}
+	var since time.Time // the contact the current timeout was drawn for
+	var timeout time.Duration
+	wait := tick
 	for {
 		select {
 		case <-n.closed:
 			return
-		case <-time.After(tick):
+		case <-time.After(wait):
 		}
 		n.mu.Lock()
 		if n.role == leader {
+			// No deadline to sleep until; look again in case it steps down.
 			n.mu.Unlock()
+			wait = tick
 			continue
 		}
-		// Rank-staggered, jittered timeout: lower ranks stand first, so
-		// simultaneous silence rarely splits the vote.
-		timeout := n.cfg.ElectionTimeout +
-			time.Duration(n.cfg.Rank)*n.cfg.ElectionTimeout/4 +
-			time.Duration(rng.Int63n(int64(n.cfg.ElectionTimeout)/4+1))
-		if !n.lastContact.IsZero() && time.Since(n.lastContact) < timeout {
-			n.mu.Unlock()
-			continue
+		if !n.lastContact.IsZero() { // a node that never heard anyone stands at once
+			if !n.lastContact.Equal(since) {
+				since = n.lastContact
+				timeout = n.cfg.ElectionTimeout +
+					time.Duration(n.cfg.Rank)*n.cfg.ElectionTimeout/4 +
+					time.Duration(rng.Int63n(int64(n.cfg.ElectionTimeout)/4+1))
+			}
+			if wait = timeout - time.Since(since); wait > 0 {
+				n.mu.Unlock()
+				continue
+			}
 		}
 		// Stand: bump the term, vote for self.
 		n.term++
@@ -625,6 +640,7 @@ func (n *Node) electionLoop() {
 		}
 		n.mu.Unlock()
 		n.runElection(req)
+		wait = 0 // the next pass draws the next attempt's timeout
 	}
 }
 

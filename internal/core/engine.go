@@ -58,7 +58,7 @@ type Executed struct {
 // Substrate is what a storage engine supplies to become a CURP master: how
 // to execute one request, and what "sync" means for its log (PAPER §5.4:
 // the Redis port is the same master with an AOF fsync where RAMCloud has a
-// backup append). Flush and CollectGarbage are only ever called by the
+// backup append). Flush and StartGarbage are only ever called by the
 // holder of the engine's one sync slot.
 type Substrate interface {
 	// Execute decodes and applies req's payload, logging mutations. It runs
@@ -70,10 +70,31 @@ type Substrate interface {
 	// head and returns that head with the witness gc keys of exactly the
 	// entries it made durable. On error nothing counts as durable.
 	Flush(ctx context.Context, synced uint64) (head uint64, durable []witness.GCKey, err error)
-	// CollectGarbage delivers one gc batch to every witness and returns the
-	// records they report as suspected uncollected garbage.
-	CollectGarbage(keys []witness.GCKey) []witness.Record
+	// StartGarbage puts one gc batch to every witness on the wire without
+	// waiting for the replies (PAPER §4.5: gc is sent after the sync; nobody
+	// waits for it). It does not fail: an unreachable witness's records age
+	// into the stale reports of a later pass.
+	StartGarbage(keys []witness.GCKey) GarbageCall
 }
+
+// GarbageCall is a started gc scatter, on the model of RecordCall. Wait must
+// be called exactly once: a call never collected would pin its transport's
+// pending entries.
+type GarbageCall interface {
+	// Wait blocks until every witness answered or the substrate's own
+	// deadline passed, and returns the records the witnesses report as
+	// suspected uncollected garbage.
+	Wait() []witness.Record
+}
+
+// DoneGarbage is the GarbageCall of a gc pass that already ran: what a
+// substrate whose witnesses are direct-call objects, with nothing to
+// overlap, returns from StartGarbage.
+func DoneGarbage(stale []witness.Record) GarbageCall { return doneGarbage(stale) }
+
+type doneGarbage []witness.Record
+
+func (d doneGarbage) Wait() []witness.Record { return d }
 
 // Path classifies a fresh Speculative-mode execution.
 type Path uint8
@@ -100,8 +121,9 @@ type Outcome struct {
 // table, the commutativity bookkeeping, the one-outstanding-sync rule with
 // its resident background syncer, and witness gc with the §4.5 stale retry.
 type Engine struct {
-	sub   Substrate
-	trace *metrics.Collector
+	sub      Substrate
+	trace    *metrics.Collector
+	slotWait *metrics.Histogram // nil: not observed
 
 	execMu  sync.Mutex
 	tracker *rifl.Tracker
@@ -109,7 +131,9 @@ type Engine struct {
 
 	// PAPER §4.4 / §C.1: "RAMCloud allows only one outstanding sync", which
 	// batches naturally — whatever executes during a sync rides the next.
-	// syncRound/syncErr tell coalesced waiters how their sync ended.
+	// A sync holds the slot from its flush to the end of its gc tail, but
+	// wakes its waiters in between, at the durable point; syncRound/syncErr
+	// tell those still parked when the slot is released how the round ended.
 	syncMu     sync.Mutex
 	syncCond   *sync.Cond
 	syncActive bool
@@ -123,33 +147,50 @@ type Engine struct {
 	// completed sync, throttling the pipelined path.
 	syncKick  chan struct{}
 	closeOnce sync.Once
-	closed    chan struct{}
+	closed    chan struct{} // closed under syncMu
+
+	// tails hands a sync's in-flight gc scatter, and with it the sync slot,
+	// to the one resident collector. Capacity 1 and never full at a send:
+	// one slot, so at most one tail.
+	tails chan GarbageCall
 
 	// gcRetry holds the gc pairs of §4.5 stale records until the next
-	// successful flush. Only the sync-slot holder touches it.
+	// successful flush. Only the sync-slot holder touches it (the collector
+	// IS the holder while it runs a tail).
 	gcRetry []witness.GCKey
 }
 
 // NewEngine starts a master engine over sub. trace, when non-nil, receives
-// the engine's own wait attribution (master-queue and sync-wait spans).
-func NewEngine(sub Substrate, cfg MasterConfig, trace *metrics.Collector) *Engine {
+// the engine's own wait attribution (master-queue and sync-wait spans);
+// slotWait, when non-nil, the time a sync spent queued for the sync slot.
+func NewEngine(sub Substrate, cfg MasterConfig, trace *metrics.Collector, slotWait *metrics.Histogram) *Engine {
 	e := &Engine{
 		sub:      sub,
 		trace:    trace,
+		slotWait: slotWait,
 		tracker:  rifl.NewTracker(),
 		state:    NewMasterState(cfg),
 		syncKick: make(chan struct{}, 1),
 		closed:   make(chan struct{}),
+		tails:    make(chan GarbageCall, 1),
 	}
 	e.syncCond = sync.NewCond(&e.syncMu)
 	go e.backgroundSync()
+	go e.collectTails()
 	return e
 }
 
-// Close stops the resident syncer. Idempotent. It does not wait out a flush
-// in flight: masters are closed precisely when backups may be unreachable,
-// and the substrate's own timeouts bound the flush.
-func (e *Engine) Close() { e.closeOnce.Do(func() { close(e.closed) }) }
+// Close stops the resident syncer and the tail collector. Idempotent. It
+// does not wait out a flush or a gc tail in flight: masters are closed
+// precisely when backups and witnesses may be unreachable, and the
+// substrate's own timeouts bound both; the collector ends with its tail.
+func (e *Engine) Close() {
+	e.closeOnce.Do(func() {
+		e.syncMu.Lock() // a hand-off is either before this, and drained, or sees it
+		close(e.closed)
+		e.syncMu.Unlock()
+	})
+}
 
 // State exposes the commutativity bookkeeping and protocol counters.
 func (e *Engine) State() *MasterState { return e.state }
@@ -369,17 +410,26 @@ func (e *Engine) backgroundSync() {
 // SyncTo blocks until the log is durable up to lsn, driving a sync itself
 // when none is in progress. PAPER §4.4: concurrent callers coalesce onto the
 // one outstanding sync; the flush's spans join the DRIVING caller's trace.
-// A waiter whose sync fails gets that failure instead of re-driving.
+// A waiter leaves at the sync's durable point if that covers lsn; otherwise
+// it stays for the slot, and gets the round's failure instead of re-driving.
 func (e *Engine) SyncTo(ctx context.Context, lsn uint64) error {
 	for e.state.SyncedLSN() < lsn {
 		e.syncMu.Lock()
 		if e.syncActive {
+			parked := time.Now()
 			round := e.syncRound
-			for e.syncRound == round {
+			for e.syncRound == round && e.state.SyncedLSN() < lsn {
 				e.syncCond.Wait()
 			}
-			err := e.syncErr
+			queued := e.syncRound != round // left with the slot's release, not at a durable point
+			var err error
+			if queued && e.state.SyncedLSN() < lsn {
+				err = e.syncErr
+			}
 			e.syncMu.Unlock()
+			if queued {
+				e.observeSlotWait(parked)
+			}
 			if err != nil {
 				return err
 			}
@@ -387,13 +437,17 @@ func (e *Engine) SyncTo(ctx context.Context, lsn uint64) error {
 		}
 		e.syncActive = true
 		e.syncMu.Unlock()
-		err := e.syncOnce(ctx)
-		e.endSync(err)
-		if err != nil {
+		if err := e.syncOnce(ctx); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func (e *Engine) observeSlotWait(since time.Time) {
+	if e.slotWait != nil {
+		e.slotWait.ObserveDuration(time.Since(since))
+	}
 }
 
 // endSync releases the sync slot and wakes every waiter with the result.
@@ -406,13 +460,17 @@ func (e *Engine) endSync(err error) {
 	e.syncMu.Unlock()
 }
 
-// HoldSync runs f while holding the sync slot, so no flush runs beside it
-// (a backup replacement seeds its log image under this exclusion, which
-// keeps the image gap-free).
+// HoldSync runs f while holding the sync slot, so no flush and no gc tail
+// runs beside it (a backup replacement seeds its log image under this
+// exclusion, which keeps the image gap-free).
 func (e *Engine) HoldSync(f func() error) error {
 	e.syncMu.Lock()
-	for e.syncActive {
-		e.syncCond.Wait()
+	if e.syncActive {
+		parked := time.Now()
+		for e.syncActive {
+			e.syncCond.Wait()
+		}
+		e.observeSlotWait(parked)
 	}
 	e.syncActive = true
 	e.syncMu.Unlock()
@@ -421,9 +479,11 @@ func (e *Engine) HoldSync(f func() error) error {
 	return err
 }
 
-// syncOnce is one sync, run by the sync-slot holder: flush, advance the
-// synced position, then collect exactly what became durable from the
-// witnesses. A failed flush advances nothing and collects nothing.
+// syncOnce is one sync, run by the sync-slot holder up to its durable
+// point: flush, advance the synced position, start collecting exactly what
+// became durable from the witnesses, wake the waiters that position covers,
+// and pass the slot with the in-flight gc to the collector. A failed flush
+// advances nothing, collects nothing and releases the slot with the error.
 //
 // PAPER §4.5: gc by exact (key hash, RPC ID) list, one batch per sync.
 // Post-mortem, PRs 3/4: gc used to snapshot everything a witness held. But
@@ -436,6 +496,7 @@ func (e *Engine) syncOnce(ctx context.Context) error {
 	synced := e.state.SyncedLSN()
 	head, keys, err := e.sub.Flush(ctx, synced)
 	if err != nil || head <= synced {
+		e.endSync(err)
 		return err
 	}
 	e.state.NoteSync(head)
@@ -443,10 +504,55 @@ func (e *Engine) syncOnce(ctx context.Context) error {
 		keys = append(e.gcRetry, keys...)
 		e.gcRetry = nil
 	}
-	if len(keys) > 0 {
-		e.retryStale(ctx, e.sub.CollectGarbage(keys))
+	if len(keys) == 0 {
+		e.endSync(nil)
+		return nil
+	}
+	// PAPER §4.5: the gc leaves after the sync and no reply waits for it.
+	// It is on the wire BEFORE any reply is, so on equal links a client's
+	// next record of a key cannot overtake the pair that frees its slot;
+	// and the slot stays taken until the tail ends, so gc passes never
+	// overlap flushes and records age against StaleGCThreshold one pass
+	// per sync, as they always did.
+	call := e.sub.StartGarbage(keys)
+	e.syncMu.Lock()
+	e.syncCond.Broadcast() // the durable point
+	select {
+	case <-e.closed: // the collector may be gone
+		e.syncMu.Unlock()
+		e.endTail(call)
+	default:
+		e.tails <- call
+		e.syncMu.Unlock()
 	}
 	return nil
+}
+
+// collectTails is the one resident collector: it holds the sync slot from a
+// sync's durable point to the end of its gc tail.
+func (e *Engine) collectTails() {
+	for {
+		select {
+		case <-e.closed:
+			select {
+			case call := <-e.tails:
+				e.endTail(call)
+			default:
+			}
+			return
+		case call := <-e.tails:
+			e.endTail(call)
+		}
+	}
+}
+
+// endTail is a sync's gc tail, run by whoever holds its slot: wait for the
+// witnesses' gc replies, retry what they report stale, release the slot.
+// The sync's driver has returned by now, so the retries run under no
+// request's context.
+func (e *Engine) endTail(call GarbageCall) {
+	e.retryStale(context.Background(), call.Wait())
+	e.endSync(nil)
 }
 
 // retryStale handles records the witnesses flagged as suspected uncollected

@@ -11,13 +11,14 @@ import (
 	"time"
 
 	"curp/internal/commute"
+	"curp/internal/metrics"
 	"curp/internal/rifl"
 	"curp/internal/witness"
 )
 
 // fakeSub is an in-memory Substrate: its log is a slice of requests, a
 // flush counts itself, can be made to fail or to block on a gate, and the
-// witnesses' gc replies are scripted.
+// witnesses' gc replies are scripted and can be held back by a gate too.
 type fakeSub struct {
 	mu       sync.Mutex
 	log      []*Request
@@ -28,12 +29,14 @@ type fakeSub struct {
 	gate     chan struct{} // when set, Flush announces itself on entered and blocks here
 	entered  chan struct{} // buffered; one token per gated Flush
 	gcCalls  [][]witness.GCKey
-	gcDone   chan struct{}      // buffered; one token per CollectGarbage
-	staleOut [][]witness.Record // scripted replies, consumed one per CollectGarbage
+	gcDone   chan struct{}      // buffered; one token per StartGarbage
+	gcGate   chan struct{}      // when set, a GarbageCall's Wait announces itself on gcParked and blocks here
+	gcParked chan struct{}      // buffered; one token per gated Wait
+	staleOut [][]witness.Record // scripted replies, consumed one per Wait
 }
 
 func newFakeSub() *fakeSub {
-	return &fakeSub{runs: map[rifl.RPCID]int{}, entered: make(chan struct{}, 16), gcDone: make(chan struct{}, 16)}
+	return &fakeSub{runs: map[rifl.RPCID]int{}, entered: make(chan struct{}, 16), gcDone: make(chan struct{}, 16), gcParked: make(chan struct{}, 16)}
 }
 
 func (s *fakeSub) Execute(_ context.Context, req *Request, mode Mode) Executed {
@@ -78,16 +81,32 @@ func (s *fakeSub) Flush(_ context.Context, synced uint64) (uint64, []witness.GCK
 	return head, keys, nil
 }
 
-func (s *fakeSub) CollectGarbage(keys []witness.GCKey) []witness.Record {
+func (s *fakeSub) StartGarbage(keys []witness.GCKey) GarbageCall {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gcCalls = append(s.gcCalls, keys)
 	s.gcDone <- struct{}{}
-	if len(s.staleOut) == 0 {
+	return fakeGC{s, s.gcGate}
+}
+
+// fakeGC is a started gc whose replies arrive when its gate opens.
+type fakeGC struct {
+	s    *fakeSub
+	gate chan struct{}
+}
+
+func (g fakeGC) Wait() []witness.Record {
+	if g.gate != nil {
+		g.s.gcParked <- struct{}{}
+		<-g.gate
+	}
+	g.s.mu.Lock()
+	defer g.s.mu.Unlock()
+	if len(g.s.staleOut) == 0 {
 		return nil
 	}
-	out := s.staleOut[0]
-	s.staleOut = s.staleOut[1:]
+	out := g.s.staleOut[0]
+	g.s.staleOut = g.s.staleOut[1:]
 	return out
 }
 
@@ -104,6 +123,18 @@ func (s *fakeSub) setGate() chan struct{} {
 	s.mu.Unlock()
 	return g
 }
+
+// setGCGate holds back the gc replies of every sync started from now on.
+func (s *fakeSub) setGCGate() chan struct{} {
+	g := make(chan struct{})
+	s.mu.Lock()
+	s.gcGate = g
+	s.mu.Unlock()
+	return g
+}
+
+// settle returns once no sync, gc tail included, holds the slot.
+func settle(e *Engine) { _ = e.HoldSync(func() error { return nil }) }
 
 // upd builds an update request on one key.
 func upd(client, seq uint64, key uint64, payload string) *Request {
@@ -355,9 +386,7 @@ func TestEngineConformance(t *testing.T) {
 			// The retry kicked a follow-up sync that makes the orphan durable
 			// and delivers its requeued gc pair.
 			await(t, s.gcDone, "follow-up gc")
-			if err := e.Sync(ctx); err != nil { // settle the follow-up's own retry
-				t.Fatal(err)
-			}
+			settle(e) // the follow-up's own retry
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			if s.runs[orphan.ID] != 1 {
@@ -380,8 +409,119 @@ func TestEngineConformance(t *testing.T) {
 			if err := e.Sync(ctx); err != nil {
 				t.Fatal(err)
 			}
+			settle(e)
 			if len(e.gcRetry) != 0 {
 				t.Fatalf("bounced record queued for gc: %+v", e.gcRetry)
+			}
+		}},
+		{"a gated reply leaves at the durable point, before the gc replies", noBatch, func(t *testing.T, e *Engine, s *fakeSub) {
+			gcGate := s.setGCGate()
+			e.Execute(ctx, upd(1, 1, 10, "a"), Speculative)
+			outs := []Outcome{e.Execute(ctx, upd(1, 2, 10, "b"), Speculative)}
+			if v := e.Reveal(ctx, outs); v != "conflict-sync" || !outs[0].Reply.Synced {
+				t.Fatalf("verdict = %q, reply = %+v", v, outs[0].Reply)
+			}
+			await(t, s.gcParked, "the tail's wait for the gc replies")
+			if _, gc := s.counts(); gc != 1 || e.State().SyncedLSN() != 2 {
+				t.Fatalf("gc started %d times, synced = %d", gc, e.State().SyncedLSN())
+			}
+			// The slot is still taken: a second sync queues behind the tail, and
+			// HoldSync's exclusion covers the tail too.
+			e.Execute(ctx, upd(1, 3, 11, "c"), Speculative)
+			second := make(chan error, 1)
+			go func() { second <- e.SyncTo(ctx, 3) }()
+			held := make(chan struct{})
+			go func() { _ = e.HoldSync(func() error { close(held); return nil }) }()
+			awaitParked(t, 1)
+			select {
+			case <-held:
+				t.Fatal("HoldSync ran inside a gc tail")
+			case err := <-second:
+				t.Fatalf("a second sync got the slot inside a gc tail (err = %v)", err)
+			default:
+			}
+			if f, _ := s.counts(); f != 1 {
+				t.Fatalf("flushes = %d inside the tail", f)
+			}
+			close(gcGate)
+			if err := <-second; err != nil {
+				t.Fatal(err)
+			}
+			await(t, held, "HoldSync after the tail")
+			if f, gc := s.counts(); f != 2 || gc != 2 {
+				t.Fatalf("flushes = %d, gc calls = %d after the gate opened", f, gc)
+			}
+			if n := e.slotWait.Snapshot().Count(); n != 2 {
+				t.Fatalf("slot waits observed = %d, want the second sync's and HoldSync's", n)
+			}
+		}},
+		{"a waiter leaves at the durable point only if it covers its LSN", noBatch, func(t *testing.T, e *Engine, s *fakeSub) {
+			gcGate := s.setGCGate()
+			e.Execute(ctx, upd(1, 1, 10, "a"), Speculative)
+			gate := s.setGate()
+			errs := make(chan error, 1)
+			go func() { errs <- e.SyncTo(ctx, 1) }() // the driver
+			await(t, s.entered, "driver's flush")
+			// Executed while the flush is in flight: the next sync's.
+			e.Execute(ctx, upd(1, 2, 11, "b"), Speculative)
+			covered, later := make(chan error, 1), make(chan error, 1)
+			go func() { covered <- e.SyncTo(ctx, 1) }()
+			go func() { later <- e.SyncTo(ctx, 2) }()
+			awaitParked(t, 2)
+			s.mu.Lock()
+			s.gate = nil
+			s.mu.Unlock()
+			close(gate)
+			for _, ch := range []chan error{errs, covered} {
+				if err := <-ch; err != nil {
+					t.Fatal(err)
+				}
+			}
+			await(t, s.gcParked, "the tail's wait for the gc replies")
+			awaitParked(t, 1)
+			select {
+			case err := <-later:
+				t.Fatalf("a waiter whose LSN the flush did not cover returned inside the tail (err = %v)", err)
+			default:
+			}
+			close(gcGate)
+			if err := <-later; err != nil {
+				t.Fatal(err)
+			}
+			if f, _ := s.counts(); f != 2 || e.State().SyncedLSN() != 2 {
+				t.Fatalf("flushes = %d, synced = %d", f, e.State().SyncedLSN())
+			}
+			if n := e.slotWait.Snapshot().Count(); n != 1 {
+				t.Fatalf("slot waits observed = %d: riding the sync in flight is not queueing for the slot", n)
+			}
+		}},
+		{"stale reports from a tail are retried and their pairs ride the next flush", noBatch, func(t *testing.T, e *Engine, s *fakeSub) {
+			orphan := witness.Record{KeyHashes: []uint64{77}, ID: rifl.RPCID{Client: 9, Seq: 1}, Request: []byte("orphan"), Class: commute.ClassWrite}
+			s.staleOut = [][]witness.Record{{orphan}}
+			gcGate := s.setGCGate()
+			e.Execute(ctx, upd(1, 1, 10, "a"), Speculative)
+			if err := e.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+			await(t, s.gcDone, "first gc")
+			await(t, s.gcParked, "the tail's wait for the gc replies")
+			s.mu.Lock()
+			ran := s.runs[orphan.ID]
+			s.gcGate = nil
+			s.mu.Unlock()
+			if ran != 0 {
+				t.Fatal("orphan executed before its stale report arrived")
+			}
+			close(gcGate)
+			await(t, s.gcDone, "follow-up gc") // kicked by the retry
+			settle(e)
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if s.runs[orphan.ID] != 1 || e.State().SyncedLSN() != 2 {
+				t.Fatalf("orphan executed %d times, synced = %d", s.runs[orphan.ID], e.State().SyncedLSN())
+			}
+			if len(s.gcCalls) != 2 || len(s.gcCalls[1]) != 2 || s.gcCalls[1][0] != (witness.GCKey{KeyHash: 77, ID: orphan.ID}) {
+				t.Fatalf("second gc = %+v, want the requeued pair and the orphan's own entry", s.gcCalls)
 			}
 		}},
 		{"a failed flush advances nothing and collects nothing", noBatch, func(t *testing.T, e *Engine, s *fakeSub) {
@@ -424,8 +564,8 @@ func TestEngineConformance(t *testing.T) {
 					t.Fatalf("waiter %d: err = %v", i, err)
 				}
 			}
-			if f, _ := s.counts(); f != 1 {
-				t.Fatalf("flushes = %d: a woken waiter re-drove the sync", f)
+			if f, gc := s.counts(); f != 1 || gc != 0 {
+				t.Fatalf("flushes = %d, gc calls = %d: a woken waiter re-drove the sync, or a failed flush collected", f, gc)
 			}
 		}},
 		{"concurrent waiters coalesce onto one flush", noBatch, func(t *testing.T, e *Engine, s *fakeSub) {
@@ -515,7 +655,7 @@ func TestEngineConformance(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newFakeSub()
-			e := NewEngine(s, MasterConfig{SyncBatchSize: tc.batch}, nil)
+			e := NewEngine(s, MasterConfig{SyncBatchSize: tc.batch}, nil, metrics.NewHistogram())
 			defer e.Close()
 			e.State().SetWitnessListVersion(1)
 			tc.run(t, e, s)
@@ -530,4 +670,40 @@ func (d demoting) Execute(ctx context.Context, req *Request, mode Mode) Executed
 	ex := d.Substrate.Execute(ctx, req, mode)
 	ex.Demote = true
 	return ex
+}
+
+// TestEngineCloseEndsCollector: Close with a gc tail in flight leaves no
+// goroutine behind once the substrate's wait returns, and releases the slot.
+func TestEngineCloseEndsCollector(t *testing.T) {
+	ctx := context.Background()
+	before := runtime.NumGoroutine()
+	s := newFakeSub()
+	e := NewEngine(s, MasterConfig{SyncBatchSize: 1 << 20}, nil, nil)
+	e.State().SetWitnessListVersion(1)
+	gcGate := s.setGCGate()
+	e.Execute(ctx, upd(1, 1, 10, "a"), Speculative)
+	if err := e.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	await(t, s.gcParked, "the tail's wait for the gc replies")
+	e.Close()
+	close(gcGate)
+	settle(e)
+	// A sync driven after Close runs its tail itself.
+	e.Execute(ctx, upd(1, 2, 11, "b"), Speculative)
+	if err := e.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	settle(e)
+	if _, gc := s.counts(); gc != 2 {
+		t.Fatalf("gc calls = %d, want 2", gc)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
+	}
 }

@@ -41,7 +41,7 @@ type Engine struct {
 // sync (fsync) batching policy.
 func NewEngine(id uint64, aof *AOF, cfg core.MasterConfig) *Engine {
 	e := &Engine{store: NewStore(), aof: aof, id: id}
-	e.E = core.NewEngine(e, cfg, nil)
+	e.E = core.NewEngine(e, cfg, nil, nil)
 	return e
 }
 
@@ -119,14 +119,15 @@ func (e *Engine) Flush(ctx context.Context, synced uint64) (uint64, []witness.GC
 	return head, append(again, keys...), nil
 }
 
-// CollectGarbage implements core.Substrate: one batched GC pass per witness
-// per sync (the paper's gc-by-RPC-ID-list, §4.5).
-func (e *Engine) CollectGarbage(keys []witness.GCKey) []witness.Record {
+// StartGarbage implements core.Substrate: one batched GC pass per witness
+// per sync (the paper's gc-by-RPC-ID-list, §4.5). The witnesses are
+// direct-call objects, so the pass runs here and the call is complete.
+func (e *Engine) StartGarbage(keys []witness.GCKey) core.GarbageCall {
 	var stale []witness.Record
 	for _, w := range e.witnesses {
 		stale = append(stale, w.GC(keys)...)
 	}
-	return stale
+	return core.DoneGarbage(stale)
 }
 
 // Recover rebuilds an engine after a crash: replay the durable AOF prefix

@@ -98,7 +98,7 @@ func TestEngineConflictFsyncsBeforeReply(t *testing.T) {
 		for _, rec := range w.SnapshotRecords() {
 			keys = append(keys, witness.GCKeys(rec.KeyHashes, rec.ID)...)
 		}
-		r.engine.CollectGarbage(keys)
+		w.GC(keys)
 	}
 	if r.witnesses[0].Len() != 0 {
 		t.Fatalf("witness len = %d after gc", r.witnesses[0].Len())

@@ -46,12 +46,12 @@ const (
 	KindLeaseLost     = "lease-lost"     // the lease expired or leadership moved
 
 	// Master-failover stages, in causal order (§3.3, §4.6, §4.7).
-	KindFailoverDetect  = "failover-detect"       // heartbeat deadline passed; heal begins
+	KindFailoverDetect  = "failover-detect"        // heartbeat deadline passed; heal begins
 	KindFailoverEpoch   = "failover-epoch-reserve" // successor epoch reserved through the quorum
-	KindFailoverFence   = "failover-fence"        // backups fenced at the new epoch (zombie defense)
-	KindFailoverRestore = "failover-restore"      // successor restored from backups + witness replay
-	KindFailoverPromote = "failover-promote"      // new master published through the control plane
-	KindFailoverDone    = "failover-recovered"    // heartbeats rewired; partition serving again
+	KindFailoverFence   = "failover-fence"         // backups fenced at the new epoch (zombie defense)
+	KindFailoverRestore = "failover-restore"       // successor restored from backups + witness replay
+	KindFailoverPromote = "failover-promote"       // new master published through the control plane
+	KindFailoverDone    = "failover-recovered"     // heartbeats rewired; partition serving again
 
 	// Live-migration stages.
 	KindMigrationFreeze = "migration-freeze" // source froze the moving ranges
@@ -71,6 +71,7 @@ const (
 	// Data-path incidents.
 	KindTxnOrphanResolved = "txn-orphan-resolved" // expired 2PC locks settled by the resolver
 	KindZombieFenced      = "zombie-fenced"       // deposed master froze itself
+	KindWitnessGCLost     = "witness-gc-lost"     // a gc pass lost a witness's reply (once per outage)
 
 	// Watchdog verdicts (Anomaly.Kind carries the specific detector).
 	KindAnomaly = "anomaly"

@@ -3,8 +3,6 @@ package sim
 import (
 	"testing"
 	"time"
-
-	"curp/internal/stats"
 )
 
 func TestEventLoopOrdering(t *testing.T) {
@@ -351,5 +349,4 @@ func TestWitnessServerCapacity(t *testing.T) {
 	if r.ThroughputOpsPerSec < 400_000 {
 		t.Fatalf("saturated CURP throughput = %.0f", r.ThroughputOpsPerSec)
 	}
-	_ = stats.Micros // keep stats imported for helpers used elsewhere
 }

@@ -65,8 +65,3 @@ func (t *Table) String() string {
 func FormatMicros(d time.Duration) string {
 	return fmt.Sprintf("%.1fus", float64(d.Nanoseconds())/1000.0)
 }
-
-// Micros converts a duration to float microseconds.
-func Micros(d time.Duration) float64 {
-	return float64(d.Nanoseconds()) / 1000.0
-}

@@ -150,7 +150,13 @@ type Witness struct {
 	nSets    int
 	recovery bool
 	gcPasses uint64
-	stats    Stats
+	// oldestEpoch is a lower bound on the gcEpoch of every occupied slot:
+	// exact after a GC pass that walked the table, and still a bound after
+	// any insert (stamped with the current pass) or drop. While it is
+	// younger than StaleGCThreshold no record can be stale, and GC skips the
+	// walk.
+	oldestEpoch uint64
+	stats       Stats
 }
 
 // ErrBadConfig reports an invalid witness configuration.
@@ -350,16 +356,31 @@ func (w *Witness) GC(keys []GCKey) []Record {
 			}
 		}
 	}
-	// Report stale survivors.
+	// Report stale survivors. Post-mortem, PR 23: this walked all the slots
+	// on every pass — once per sync per witness, under the mutex records
+	// wait for — to find, almost always, nothing.
+	threshold := uint64(w.cfg.StaleGCThreshold)
+	if w.gcPasses-w.oldestEpoch < threshold {
+		return nil
+	}
 	var stale []Record
-	seen := map[rifl.RPCID]bool{}
+	var seen map[rifl.RPCID]bool
+	oldest := w.gcPasses
 	for i := range w.sets {
 		s := &w.sets[i]
-		if s.occupied && w.gcPasses-s.gcEpoch >= uint64(w.cfg.StaleGCThreshold) && !seen[s.id] {
+		if !s.occupied {
+			continue
+		}
+		oldest = min(oldest, s.gcEpoch)
+		if w.gcPasses-s.gcEpoch >= threshold && !seen[s.id] {
+			if seen == nil {
+				seen = map[rifl.RPCID]bool{}
+			}
 			seen[s.id] = true
 			stale = append(stale, Record{KeyHashes: s.multiKey, ID: s.id, Request: s.request, Class: s.class})
 		}
 	}
+	w.oldestEpoch = oldest
 	return stale
 }
 
@@ -475,7 +496,7 @@ func (w *Witness) End() {
 	}
 	w.recovery = true
 	w.stats = Stats{}
-	w.gcPasses = 0
+	w.gcPasses, w.oldestEpoch = 0, 0
 }
 
 // Stats returns a snapshot of activity counters.

@@ -619,3 +619,80 @@ func TestRecordBatchPerRecordOutcomes(t *testing.T) {
 		}
 	}
 }
+
+// TestGCWalkSkipIsInvisible: the bound that lets GC skip its table walk
+// never hides a stale record. A twin witness whose bound is zeroed before
+// every pass — the unconditional walk — is fed the same randomized
+// record/gc/drop sequence and must report the same stale sets, in the same
+// passes and the same order.
+func TestGCWalkSkipIsInvisible(t *testing.T) {
+	cfg := Config{Slots: 64, Ways: 4, SlotBytes: 64, StaleGCThreshold: 3}
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		w, ref := MustNew(1, cfg), MustNew(1, cfg)
+		var live []GCKey // pairs of accepted records not yet named in a gc or drop
+		skipped, reported := 0, 0
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				keys := []uint64{uint64(rng.Intn(48))}
+				if rng.Intn(4) == 0 {
+					keys = append(keys, uint64(rng.Intn(48)))
+				}
+				rid, class := id(1, uint64(step+1)), commute.Class(rng.Intn(3))
+				got, want := w.Record(1, keys, rid, []byte("r"), class), ref.Record(1, keys, rid, []byte("r"), class)
+				if got != want {
+					t.Errorf("seed %d step %d: record = %v, unconditional walk's twin = %v", seed, step, got, want)
+					return false
+				}
+				if got.Ok() {
+					live = append(live, GCKeys(keys, rid)...)
+				}
+			case op < 9:
+				// A pass naming a random subset: what stays ages toward stale.
+				var batch, rest []GCKey
+				for _, k := range live {
+					if rng.Intn(3) > 0 {
+						batch = append(batch, k)
+					} else {
+						rest = append(rest, k)
+					}
+				}
+				live = rest
+				walked := w.gcPasses+1-w.oldestEpoch >= uint64(cfg.StaleGCThreshold)
+				ref.oldestEpoch = 0
+				got, want := w.GC(batch), ref.GC(batch)
+				if !walked {
+					skipped++
+				}
+				reported += len(want)
+				if len(got) != len(want) {
+					t.Errorf("seed %d step %d (walked=%v): stale = %+v, unconditional walk = %+v", seed, step, walked, got, want)
+					return false
+				}
+				for i := range got {
+					if got[i].ID != want[i].ID {
+						t.Errorf("seed %d step %d: stale[%d] = %v, unconditional walk = %v", seed, step, i, got[i].ID, want[i].ID)
+						return false
+					}
+				}
+			default:
+				if n := len(live); n > 0 {
+					k := live[rng.Intn(n)]
+					if w.DropRecords([]GCKey{k}) != nil || ref.DropRecords([]GCKey{k}) != nil {
+						t.Errorf("seed %d step %d: drop failed", seed, step)
+						return false
+					}
+				}
+			}
+		}
+		if skipped == 0 || reported == 0 {
+			t.Errorf("seed %d: %d passes skipped their walk, %d stale reports; the property was not exercised", seed, skipped, reported)
+			return false
+		}
+		return w.Stats() == ref.Stats()
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -81,11 +81,12 @@ done
 
 for s in $(seq 0 $((SHARDS - 1))); do
   base=$((PORT + s * 1000))
-  # Masters: the speculative-execution counter, the unsynced window, and
-  # the per-commutativity-class verdict breakdown.
+  # Masters: the speculative-execution counter, the unsynced window, the
+  # sync-slot queue, and the per-commutativity-class verdict breakdown.
   assert_series $((base + 501)) \
     curp_master_speculative_ops_total \
     curp_master_sync_lag_ops \
+    curp_master_sync_slot_wait_seconds \
     'curp_master_class_verdicts_total{class="counter"'
   # Coordinator dashboard: heal-loop counters (present at 0 from boot),
   # partition gauges, and the master's series merged in.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The tree counters ROADMAP.md and CHANGES.md quote, from one place:
 #
-#   scripts/tree_stats.sh                  # the five counters
+#   scripts/tree_stats.sh                  # the seven counters
 #   scripts/tree_stats.sh internal/shard   # plus non-test lines per directory
 #
 # bench/ is its own module with its own budget and is never counted.
@@ -25,6 +25,12 @@ echo "curp.Options fields:              $(awk '
 	in_struct && $1 !~ /^\/\// && NF >= 2 { k = 1; while ($k ~ /,$/) k++; n += k }
 	END { print n }' curp.go)"
 echo "bubble tests:                     $(tests | xargs grep -l "$bubble" | xargs grep -h '^func TestBubble' | wc -l)"
+# The fidelity ratchet (ROADMAP item 3): where the code cites the paper and
+# where it admits a departure, in non-test files and in the bubble tests
+# (the executable price list).
+marked() { { src; tests | xargs grep -l "$bubble"; } | xargs grep -o "$1" | wc -l; }
+echo "PAPER § markers:                  $(marked 'PAPER §')"
+echo "DEVIATION: markers:               $(marked 'DEVIATION:')"
 for dir in "$@"; do
 	echo "non-test Go lines in $dir: $(src "./${dir#./}" | xargs cat | wc -l)"
 done
