@@ -161,19 +161,21 @@ func (h *healing) beatGap() time.Duration {
 const detectCeil = healFailAfter + healOneWay + healHeartbeat
 
 // masterHealRTTs is the round trips one master recovery spends between the
-// verdict and the published replacement (FailoverEvent.Window): the
-// coordinator fences, the new master fetches and resets, and the
-// coordinator ends and starts witnesses ONE member at a time (5 × F), plus
-// the witness's recovery data and the final sync (2), plus the epoch
-// reservation and the publication, each a quorum commit when the control
-// plane is replicated (2).
+// verdict and the published replacement (FailoverEvent.Window), whatever F
+// is — every per-member step is one scatter: fence the backups (1), probe
+// their LSNs (1), pull the most advanced one's state (1 per chunk; this
+// state is one chunk), the witness's recovery data (1), re-seed the backups
+// in parallel (2: the install request, and inside it the backup's pull of
+// one chunk), the final sync (1), end the old witnesses (1), start the new
+// ones (1); plus the epoch reservation and the publication, each a quorum
+// commit when the control plane is replicated (2).
 //
-// DEVIATION: §3.3 needs one backup and one witness — 1 fetch ‖ fence, 1
-// replay, 1 sync; the per-member loops are serial here (ROADMAP item 1's
-// transfer primitive is where they go parallel). A ratchet: the PR that
-// does it lowers this number.
+// PAPER §3.3: restore from a backup, replay one witness, sync. What this
+// adds is the fence and the witness turnover (§4.7, §3.6) and what is still
+// serial: the probe does not ride the fence's replies, and a seed's first
+// chunk does not ride its request.
 func (h *healing) masterHealRTTs() int {
-	n := 5*healF + 2
+	n := 9
 	if h.replicas > 1 {
 		n += 2
 	}

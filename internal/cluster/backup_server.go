@@ -22,25 +22,29 @@ import (
 // replication requests from a crashed master").
 const ErrStaleEpoch = "backup: stale master epoch"
 
-// backupState is a backup's replica for one master: the log plus a
-// materialized store for §A.1 backup reads.
+// backupState is a backup's replica of one master: its state at the last
+// synced LSN. replica is replaced whole when a state transfer installs a
+// new one (handleInstall); every field is guarded by BackupServer.mu.
 type backupState struct {
-	log   *kv.Backup
-	store *kv.Store
-	epoch uint64
+	replica *kv.Backup
+	epoch   uint64
 	// moved are ring arcs the master handed off via live migration; reads
 	// touching them answer StatusKeyMoved so stale replicas of migrated
-	// keys are never served. Reset clears it (recovery re-marks).
+	// keys are never served. An installed replica brings its own.
 	moved []witness.HashRange
 }
 
-// BackupServer stores log replicas for one or more masters and serves
-// reads from the replicated (synced-only) state.
+// BackupServer holds state replicas for one or more masters, serves reads
+// from the replicated (synced-only) state, and is the source a recovering
+// master pulls that state from.
 type BackupServer struct {
 	node
 
 	mu     sync.Mutex
 	states map[uint64]*backupState
+
+	// transfers serves the state pulls of recovering masters.
+	transfers transferSource
 
 	mAppendEntries *metrics.Histogram
 	mAppendLat     *metrics.Histogram
@@ -57,15 +61,17 @@ func NewBackupServer(nw transport.Network, addr string) (*BackupServer, error) {
 // how Cluster boots its backups, spares included.
 func newBackupServer(nw transport.Network, addr string, o NodeOptions) (*BackupServer, error) {
 	bs := &BackupServer{states: make(map[uint64]*backupState)}
+	bs.transfers.capture = bs.captureState
 	bs.init(nw, addr, "backup", o)
 	bs.beat = func() health.Beat { return health.Beat{Role: health.RoleBackup, Addr: addr} }
 	bs.buildMetrics()
 	bs.rpc.Handle(OpBackupAppend, bs.handleAppend)
-	bs.rpc.Handle(OpBackupFetch, bs.handleFetch)
+	bs.rpc.Handle(OpBackupProbe, bs.handleProbe)
 	bs.rpc.Handle(OpBackupRead, bs.handleRead)
 	bs.rpc.Handle(OpBackupSetEpoch, bs.handleSetEpoch)
-	bs.rpc.Handle(OpBackupReset, bs.handleReset)
+	bs.rpc.Handle(OpBackupInstall, bs.handleInstall)
 	bs.rpc.Handle(OpBackupDropRange, bs.handleDropRange)
+	bs.rpc.Handle(OpStatePull, bs.transfers.serve)
 	if err := bs.serve(); err != nil {
 		return nil, err
 	}
@@ -84,36 +90,72 @@ func (bs *BackupServer) buildMetrics() {
 	bs.mStaleEpochs = r.Counter("curp_backup_stale_epoch_rejects_total",
 		"Appends rejected from deposed masters (zombie defense).")
 	r.GaugeFunc("curp_backup_replicas",
-		"Master logs replicated on this backup.",
+		"Masters whose state this backup replicates.",
 		func() float64 {
 			bs.mu.Lock()
 			defer bs.mu.Unlock()
 			return float64(len(bs.states))
 		})
+	// What a backup holds instead of a log: both are bounded by the live
+	// state, not by how many operations produced it.
+	sum := func(f func(*kv.Backup) int) func() float64 {
+		return func() float64 {
+			bs.mu.Lock()
+			defer bs.mu.Unlock()
+			n := 0
+			for _, st := range bs.states {
+				n += f(st.replica)
+			}
+			return float64(n)
+		}
+	}
+	r.GaugeFunc("curp_backup_replica_objects",
+		"Objects (tombstones included) in the state replicas this backup holds.",
+		sum((*kv.Backup).Objects))
+	r.GaugeFunc("curp_backup_completion_records",
+		"RIFL completion records this backup holds: operations no client ack or lease expiry has collected yet.",
+		sum((*kv.Backup).CompletionRecords))
 }
 
 // Close shuts the server down.
 func (bs *BackupServer) Close() { bs.shutdown(nil) }
 
-// SyncedLSN reports the backup's replicated log head for a master (tests).
+// SyncedLSN reports the log position a master's replica reflects (tests).
 func (bs *BackupServer) SyncedLSN(masterID uint64) kv.LSN {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if st := bs.states[masterID]; st != nil {
-		return st.log.SyncedLSN()
-	}
-	return 0
+	return bs.Replica(masterID).SyncedLSN()
 }
 
-func (bs *BackupServer) state(masterID uint64) *backupState {
+// Replica returns the backup's current state replica of a master.
+func (bs *BackupServer) Replica(masterID uint64) *kv.Backup {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
+	return bs.stateLocked(masterID).replica
+}
+
+// stateLocked returns (creating it empty) the state for a master. Must
+// hold bs.mu.
+func (bs *BackupServer) stateLocked(masterID uint64) *backupState {
 	st := bs.states[masterID]
 	if st == nil {
-		st = &backupState{log: kv.NewBackup(), store: kv.NewReplicaStore()}
+		st = &backupState{replica: kv.NewBackup()}
 		bs.states[masterID] = st
 	}
 	return st
+}
+
+// admit checks a master's epoch against the fence and adopts it, returning
+// the replica the master may write to. PAPER §4.7: backups reject
+// replication requests from a deposed master.
+func (bs *BackupServer) admit(masterID, epoch uint64, what string) (*kv.Backup, error) {
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	st := bs.stateLocked(masterID)
+	if epoch < st.epoch {
+		bs.mStaleEpochs.Inc()
+		return nil, fmt.Errorf("%s: %s by master %d epoch %d < %d", ErrStaleEpoch, what, masterID, epoch, st.epoch)
+	}
+	st.epoch = epoch
+	return st.replica, nil
 }
 
 func (bs *BackupServer) handleAppend(ctx context.Context, payload []byte) ([]byte, error) {
@@ -128,43 +170,103 @@ func (bs *BackupServer) handleAppend(ctx context.Context, payload []byte) ([]byt
 		bs.coll.RecordSpan(ctx, "backup-append", "append", verdict, start, time.Since(start), "")
 	}()
 	bs.mAppendEntries.Observe(int64(len(req.Entries)))
-	st := bs.state(req.MasterID)
-	bs.mu.Lock()
-	if cur := st.epoch; req.Epoch < cur {
-		bs.mu.Unlock()
-		bs.mStaleEpochs.Inc()
+	replica, err := bs.admit(req.MasterID, req.Epoch, "append")
+	if err != nil {
 		verdict = "stale-epoch"
-		return nil, fmt.Errorf("%s: master %d epoch %d < %d", ErrStaleEpoch, req.MasterID, req.Epoch, cur)
-	}
-	st.epoch = req.Epoch
-	bs.mu.Unlock()
-	before := st.log.SyncedLSN()
-	if err := st.log.Append(req.Entries); err != nil {
 		return nil, err
 	}
-	// Materialize newly appended entries so backup reads observe them.
-	for i := range req.Entries {
-		en := &req.Entries[i]
-		if en.LSN <= before {
-			continue
-		}
-		if err := st.store.ReplayEntry(en); err != nil {
-			return nil, err
-		}
+	if err := replica.Append(req.Entries); err != nil {
+		return nil, err
 	}
-	e := rpc.NewEncoder(8)
-	e.U64(uint64(st.log.SyncedLSN()))
-	return e.Bytes(), nil
+	return u64Payload(uint64(replica.SyncedLSN())), nil
 }
 
-func (bs *BackupServer) handleFetch(ctx context.Context, payload []byte) ([]byte, error) {
+// handleProbe answers how far this backup's state of a master goes.
+func (bs *BackupServer) handleProbe(ctx context.Context, payload []byte) ([]byte, error) {
 	d := rpc.NewDecoder(payload)
 	masterID := d.U64()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	st := bs.state(masterID)
-	return encodeEntries(st.log.Entries()), nil
+	return u64Payload(uint64(bs.SyncedLSN(masterID))), nil
+}
+
+// captureState is the backup's side of a state pull: its replica's state,
+// with the arcs it refuses to serve.
+func (bs *BackupServer) captureState(masterID uint64) (*stateImage, error) {
+	bs.mu.Lock()
+	st := bs.stateLocked(masterID)
+	replica, moved := st.replica, st.moved
+	bs.mu.Unlock()
+	return &stateImage{Snapshot: replica.Snapshot(), Moved: moved}, nil
+}
+
+// backupSink is the replica a backup builds aside while it pulls a state.
+type backupSink struct {
+	replica *kv.Backup
+	moved   []witness.HashRange
+}
+
+func (s *backupSink) install(chunk *stateImage) error {
+	s.moved = append(s.moved, chunk.Moved...)
+	return s.replica.Install(&chunk.Snapshot)
+}
+
+func (s *backupSink) finish(lsn kv.LSN) error { return s.replica.FinishInstall(lsn) }
+
+// installRequest is the payload of OpBackupInstall: pull master MasterID's
+// state from Source (the master itself) and serve it under Epoch.
+type installRequest struct {
+	MasterID, Epoch uint64
+	Source          string
+}
+
+func (r *installRequest) encode() []byte {
+	e := rpc.NewEncoder(24 + len(r.Source))
+	e.U64(r.MasterID)
+	e.U64(r.Epoch)
+	e.String(r.Source)
+	return e.Bytes()
+}
+
+// handleInstall replaces this backup's replica of a master with the
+// master's current state: a state transfer into a replica built ASIDE, put
+// in place only when the last chunk is in. Until then the old replica keeps
+// serving §A.1 reads and stays available to a recovery — a backup never
+// gives up a complete copy for an incomplete one.
+//
+// PAPER §3.3: recovery must leave the partition no less durable than it
+// found it; a master that died mid-seed must find every backup's previous
+// state intact.
+func (bs *BackupServer) handleInstall(ctx context.Context, payload []byte) ([]byte, error) {
+	d := rpc.NewDecoder(payload)
+	req := installRequest{MasterID: d.U64(), Epoch: d.U64(), Source: d.String()}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if _, err := bs.admit(req.MasterID, req.Epoch, "install"); err != nil {
+		return nil, err
+	}
+	ctx, cancel := bs.whileOpen(ctx)
+	defer cancel()
+	src := rpc.NewPeer(bs.nw, bs.addr, req.Source)
+	defer src.Close()
+	sink, stats, err := pullState(ctx, src, req.MasterID, func() *backupSink {
+		return &backupSink{replica: kv.NewBackup()}
+	}, bs.jrn)
+	if err != nil {
+		return nil, err
+	}
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	st := bs.stateLocked(req.MasterID)
+	if st.epoch != req.Epoch {
+		// Fenced for a newer master while the transfer ran: its recovery
+		// decides what this backup holds next, not a deposed master's seed.
+		return nil, fmt.Errorf("%s: install by master %d epoch %d, now %d", ErrStaleEpoch, req.MasterID, req.Epoch, st.epoch)
+	}
+	st.replica, st.moved = sink.replica, witness.MergeRanges(nil, sink.moved)
+	return u64Payload(uint64(stats.LSN)), nil
 }
 
 // handleRead serves a read-only command against the materialized replica:
@@ -188,9 +290,9 @@ func (bs *BackupServer) handleRead(ctx context.Context, payload []byte) ([]byte,
 	if !cmd.IsReadOnly() {
 		return (&core.Reply{Status: core.StatusError, Err: "backup: mutations not allowed"}).Encode(), nil
 	}
-	st := bs.state(masterID)
 	bs.mu.Lock()
-	moved := st.moved
+	st := bs.stateLocked(masterID)
+	replica, moved := st.replica, st.moved
 	bs.mu.Unlock()
 	if len(moved) > 0 {
 		for _, kh := range req.KeyHashes {
@@ -203,54 +305,28 @@ func (bs *BackupServer) handleRead(ctx context.Context, payload []byte) ([]byte,
 			}
 		}
 	}
-	res, _, err := st.store.Apply(cmd, req.ID)
+	res, err := replica.Read(cmd)
 	if err != nil {
 		return (&core.Reply{Status: core.StatusError, Err: err.Error()}).Encode(), nil
 	}
 	return (&core.Reply{Status: core.StatusOK, Synced: true, Payload: res.Encode()}).Encode(), nil
 }
 
-// handleReset clears a master's replica ahead of a full re-sync during
-// recovery (the coordinator reconciles backups by restoring the longest
-// log and replaying it from scratch).
-func (bs *BackupServer) handleReset(ctx context.Context, payload []byte) ([]byte, error) {
-	d := rpc.NewDecoder(payload)
-	masterID := d.U64()
-	epoch := d.U64()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	st := bs.state(masterID)
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if epoch < st.epoch {
-		return nil, fmt.Errorf("%s: reset epoch %d < %d", ErrStaleEpoch, epoch, st.epoch)
-	}
-	st.epoch = epoch
-	st.log.Reset()
-	// The moved-range fencing survives the reset: it is partition
-	// metadata, not log state, and the recovery re-seed is about to
-	// re-materialize handed-off keys this replica must keep refusing to
-	// serve (§A.1 reads from old-ring clients would otherwise see frozen
-	// pre-handoff values in the window before the coordinator re-marks).
-	bs.states[masterID] = &backupState{log: st.log, store: kv.NewReplicaStore(), epoch: epoch, moved: st.moved}
-	return nil, nil
-}
-
-// handleDropRange marks ranges as migrated away and frees their objects
-// from the materialized replica. The log keeps the entries (history); only
-// the read surface changes.
+// handleDropRange marks ranges as migrated away and drops their objects
+// from the replica: the replica IS the backup's state, so a recovery that
+// restores from it does not see them either.
 func (bs *BackupServer) handleDropRange(ctx context.Context, payload []byte) ([]byte, error) {
 	d := rpc.NewDecoder(payload)
 	masterID, rs := rangesIn(d)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	st := bs.state(masterID)
 	bs.mu.Lock()
+	st := bs.stateLocked(masterID)
 	st.moved = witness.MergeRanges(st.moved, rs)
+	replica := st.replica
 	bs.mu.Unlock()
-	st.store.DropRange(func(key []byte) bool {
+	replica.DropRange(func(key []byte) bool {
 		return witness.RangesContain(rs, witness.RingPoint(key))
 	})
 	return nil, nil
@@ -263,8 +339,8 @@ func (bs *BackupServer) handleSetEpoch(ctx context.Context, payload []byte) ([]b
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	st := bs.state(masterID)
 	bs.mu.Lock()
+	st := bs.stateLocked(masterID)
 	raised := epoch > st.epoch
 	if raised {
 		st.epoch = epoch

@@ -416,8 +416,8 @@ func (c *Cluster) SpareWitness(masterID uint64) (string, error) {
 }
 
 // SpareBackup implements SpareProvider: boot a fresh backup server and
-// hand its address to the heal loop (the master seeds it with its full log
-// image before swapping it into the sync set).
+// hand its address to the heal loop (it pulls the master's state before the
+// master swaps it into the sync set).
 func (c *Cluster) SpareBackup(masterID uint64) (string, error) {
 	return c.bootBackup(addrbook.SpareBackup, int(c.spareSeq.Add(1)))
 }

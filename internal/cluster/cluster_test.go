@@ -443,9 +443,14 @@ func TestLeaseExpirySyncsBeforeDrop(t *testing.T) {
 	if err := c.Master.ExpireClientLease(cl.Session().ClientID()); err != nil {
 		t.Fatal(err)
 	}
-	// The expiry forced a sync.
-	if c.Backups[0].SyncedLSN(1) != 1 {
-		t.Fatal("lease expiry must sync first")
+	// The expiry forced a sync of the write (entry 1), then logged and
+	// synced itself (entry 2): the backups drop the client's records at the
+	// same log position the master did.
+	if got := c.Backups[0].SyncedLSN(1); got != 2 {
+		t.Fatalf("backup synced to %d after the expiry, want the write and the expiry marker", got)
+	}
+	if n := c.Backups[0].Replica(1).CompletionRecords(); n != 0 {
+		t.Fatalf("backup still holds %d completion records of the expired client", n)
 	}
 	// New requests from the expired client are ignored.
 	if _, err := cl.Put(ctx, []byte("k2"), []byte("v2")); err == nil {

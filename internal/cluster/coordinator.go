@@ -183,12 +183,12 @@ func (c *Coordinator) call(ctx context.Context, addr string, op uint16, payload 
 	return dialCall(ctx, c.nw, c.addr, addr, c.RPCTimeout, op, payload)
 }
 
-// callEach sends one payload to every address in turn, stopping at the
+// callEach sends one payload to every address at once and reports the
 // first failure; what names the step for the error.
-func (c *Coordinator) callEach(addrs []string, op uint16, payload []byte, what string) error {
-	for _, addr := range addrs {
-		if _, err := c.call(context.Background(), addr, op, payload); err != nil {
-			return fmt.Errorf("coordinator: %s %s: %w", what, addr, err)
+func (c *Coordinator) callEach(ctx context.Context, addrs []string, op uint16, payload []byte, what string) error {
+	for i, leg := range scatter(ctx, c.nw, c.addr, addrs, c.RPCTimeout, op, payload) {
+		if leg.err != nil {
+			return fmt.Errorf("coordinator: %s %s: %w", what, addrs[i], leg.err)
 		}
 	}
 	return nil
@@ -901,14 +901,13 @@ func (c *Coordinator) AddMaster(ms *MasterServer, backupAddrs, witnessAddrs []st
 // given servers, bound to the witness-list version about to be published:
 // the instances turn away records sent under an older view (see instance).
 func (c *Coordinator) startWitnesses(masterID uint64, addrs []string, version uint64) error {
-	return c.callEach(addrs, OpWitnessStart, u64Payload(masterID, version), "start witness")
+	return c.callEach(context.Background(), addrs, OpWitnessStart, u64Payload(masterID, version), "start witness")
 }
 
-// endWitnesses decommissions witness instances, best effort.
+// endWitnesses decommissions witness instances, best effort: a witness that
+// cannot be reached holds an instance nobody will consult again.
 func (c *Coordinator) endWitnesses(masterID uint64, addrs []string) {
-	for _, addr := range addrs {
-		c.call(context.Background(), addr, OpWitnessEnd, u64Payload(masterID))
-	}
+	_ = c.callEach(context.Background(), addrs, OpWitnessEnd, u64Payload(masterID), "end witness")
 }
 
 // ReplaceWitness handles a crashed or decommissioned witness (§3.6): it
@@ -921,8 +920,8 @@ func (c *Coordinator) ReplaceWitness(masterID uint64, oldAddr, newAddr string) e
 }
 
 // ReplaceBackup swaps a dead backup out of a partition's sync set for a
-// fresh server: the master seeds the replacement with its full log image
-// and swaps it into the sync set (MasterServer.ReplaceBackup), then the
+// fresh server: the replacement pulls the master's state, the master swaps
+// it into the sync set (MasterServer.ReplaceBackup), then the
 // new set is published through the control log. The partition keeps
 // serving throughout — no deposal, no epoch bump.
 func (c *Coordinator) ReplaceBackup(masterID uint64, oldAddr, newAddr string) error {
@@ -1050,7 +1049,7 @@ func (c *Coordinator) recoverMasterLocked(masterID uint64, newAddr string, newWi
 
 	// PAPER §4.7 (zombie neutralization): fence the backups at the new
 	// epoch, so no stale-epoch master may sync to them from here on.
-	if err := c.callEach(p.Backups, OpBackupSetEpoch, u64Payload(masterID, newEpoch), "fence backup"); err != nil {
+	if err := c.callEach(fctx, p.Backups, OpBackupSetEpoch, u64Payload(masterID, newEpoch), "fence backup"); err != nil {
 		fsp.SetErr(err)
 		return nil, err
 	}
@@ -1074,41 +1073,23 @@ func (c *Coordinator) recoverMasterLocked(masterID uint64, newAddr string, newWi
 	newMaster.SetMovedForwards(p.Forwards)
 	newMaster.SetFrozenRanges(p.Frozen)
 	// PAPER §3.3/§4.6: restore from a backup, then replay the requests of
-	// ONE witness. Pick the first reachable one; freezing it via
+	// ONE witness — the first reachable one; freezing it via
 	// getRecoveryData stops clients completing updates against the old
 	// witness set ("the new master must wait" if none is reachable — we
-	// surface that as an error instead).
-	var recovered bool
-	var lastErr error
-	for _, wAddr := range p.Witnesses {
-		if err := newMaster.RecoverFrom(p.Backups, wAddr); err != nil {
-			lastErr = err
-			continue
-		}
-		recovered = true
-		break
-	}
-	if !recovered && len(p.Witnesses) > 0 {
+	// surface that as an error instead). The new master then re-seeds every
+	// backup with what it restored and replayed, dropped ranges and their
+	// marks included, so nothing is left to re-apply on the backups here.
+	restored, err := newMaster.RecoverFrom(fctx, p.Backups, p.Witnesses)
+	if err != nil {
 		newMaster.Close()
-		fsp.SetErr(lastErr)
-		return nil, fmt.Errorf("coordinator: recovery failed on all witnesses: %w", lastErr)
+		fsp.SetErr(err)
+		return nil, fmt.Errorf("coordinator: %w", err)
 	}
 	c.jrn.RecordTrace(tid, events.Event{
 		Kind: events.KindFailoverRestore, MasterID: masterID, Epoch: newEpoch,
 		NewAddr: newAddr,
-		Detail:  "backup image restored, witness replay done",
+		Detail:  restored,
 	})
-
-	// Backups were reset and re-seeded from the restored log during
-	// recovery, which wiped their moved-range marks and re-materialized
-	// handed-off keys; re-apply the migration drop from the coordinator's
-	// record.
-	if len(p.Moved) > 0 {
-		if err := c.callEach(p.Backups, OpBackupDropRange, encodeRangesPayload(masterID, p.Moved), "re-mark moved ranges on backup"); err != nil {
-			newMaster.Close()
-			return nil, err
-		}
-	}
 
 	// PAPER §3.6: fresh witness set for the new master under a bumped
 	// version.

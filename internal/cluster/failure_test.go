@@ -200,7 +200,12 @@ func TestStaleReadsServeDurableValues(t *testing.T) {
 	if _, err := cl.Put(ctx, []byte("k"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	// v2 is speculative (unsynced).
+	// v2 is speculative (unsynced) — once v1's sync has finished its gc
+	// tail: until then the witnesses still hold v1's record, would reject
+	// v2's, and the client's slow path would sync v2 as well.
+	if err := c.Master.eng.HoldSync(func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := cl.Put(ctx, []byte("k"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}

@@ -221,12 +221,70 @@ func FuzzUnmarshalBundle(f *testing.F) {
 			return
 		}
 		fits(t, "objects", cap(bundle.Objects), minMigratedObjectWireSize, len(b))
-		fits(t, "completions", cap(bundle.Completions), 16+4+4, len(b))
-		fits(t, "decisions", cap(bundle.Decisions), 16+1+8, len(b))
+		fits(t, "completions", cap(bundle.Completions), minCompletionWireSize, len(b))
+		fits(t, "decisions", cap(bundle.Decisions), minDecisionWireSize, len(b))
 		fits(t, "witness records", cap(bundle.WitnessRecords), minRecordWireSize, len(b))
 		again, err := unmarshalBundle(rpc.NewDecoder(encode(bundle)))
 		if err != nil || !reflect.DeepEqual(bundle, again) {
 			t.Fatalf("round trip: %+v -> %+v (%v)", bundle, again, err)
+		}
+	})
+}
+
+// FuzzDecodePullReply: a state transfer's receiver — a recovering master, a
+// backup being seeded — decodes a chunk per round trip from a source it
+// does not control the health of. Seeded from the sender's own cut of an
+// image, one chunk per section boundary.
+func FuzzDecodePullReply(f *testing.F) {
+	img := &stateImage{
+		Snapshot: kv.Snapshot{
+			LSN: 42,
+			Objects: []kv.MigratedObject{
+				{Key: []byte("k"), Value: []byte("v"), Version: 3},
+				{Key: []byte("gone"), Version: 9, Tombstone: true},
+				{Key: []byte("leased"), Value: []byte("v"), Version: 2, ExpireAt: 1_700_000_000_000_000_000},
+			},
+			Prepared: []kv.PreparedTxn{{
+				ID:     rifl.RPCID{Client: 4, Seq: 2},
+				Home:   kv.TxnHome{MasterID: 1, Addr: "m", KeyHash: 9},
+				Writes: []kv.TxnWrite{{Op: kv.OpIncrement, Key: []byte("w"), Delta: -5}, {Op: kv.OpPut, Key: []byte("p"), Value: []byte("x")}},
+				Keys:   [][]byte{[]byte("w"), []byte("p"), []byte("r")},
+			}},
+			Decisions:   []kv.TxnDecisionRecord{{ID: rifl.RPCID{Client: 4, Seq: 3}, Commit: true, HomeHash: 11}},
+			Completions: []rifl.Completion{{ID: rifl.RPCID{Client: 4, Seq: 1}, Result: []byte("r"), KeyHashes: []uint64{7}}},
+			Clients:     []rifl.ClientMark{{Client: 4, FirstUnacked: 1}, {Client: 5, Expired: true}},
+		},
+		Moved: []witness.HashRange{{Lo: 10, Hi: 20}},
+	}
+	f.Add((&pullReply{JobLost: true}).encode(0))
+	for _, budget := range []int{1, 64, 1 << 20} {
+		for cur, done := (transferCursor{}), false; !done; {
+			var reply pullReply
+			var size int
+			reply.Chunk, size, reply.Next, reply.Done = img.cut(cur, budget)
+			f.Add(reply.encode(size))
+			cur, done = reply.Next, reply.Done
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		reply, err := decodePullReply(b)
+		if err != nil {
+			return
+		}
+		c := &reply.Chunk
+		fits(t, "objects", cap(c.Objects), minMigratedObjectWireSize, len(b))
+		fits(t, "prepared", cap(c.Prepared), minPreparedWireSize, len(b))
+		for _, p := range c.Prepared {
+			fits(t, "prepared writes", cap(p.Writes), minTxnWriteWireSize, len(b))
+			fits(t, "prepared keys", cap(p.Keys), 4, len(b))
+		}
+		fits(t, "decisions", cap(c.Decisions), minDecisionWireSize, len(b))
+		fits(t, "completions", cap(c.Completions), minCompletionWireSize, len(b))
+		fits(t, "client marks", cap(c.Clients), minClientMarkWireSize, len(b))
+		fits(t, "moved ranges", cap(c.Moved), hashRangeWireSize, len(b))
+		again, err := decodePullReply(reply.encode(len(b)))
+		if err != nil || !reflect.DeepEqual(reply, again) {
+			t.Fatalf("round trip: %+v -> %+v (%v)", reply, again, err)
 		}
 	})
 }

@@ -15,7 +15,7 @@ import (
 // (heartbeat table, deadline detector); this loop turns a "node X is
 // dead" verdict into the recovery choreography the coordinator already
 // knows how to perform — RecoverMaster for a dead master (fence the old
-// epoch, restore backup image + witness replay, fresh witness set under a
+// epoch, restore a backup's state + witness replay, fresh witness set under a
 // bumped WitnessListVersion), ReplaceWitness / ReplaceBackup for a dead
 // witness or backup. Clients
 // learn the new configuration through the existing epoch-fenced paths:
@@ -37,9 +37,9 @@ type SpareProvider interface {
 	// server's heartbeat so the detector can watch the replacement.
 	SpareWitness(masterID uint64) (string, error)
 	// SpareBackup boots (or allocates) a RUNNING backup server and
-	// returns its address; the master seeds it with its full log image
-	// before swapping it into the sync set. The provider starts the
-	// server's heartbeat.
+	// returns its address; it pulls the master's state before the master
+	// swaps it into the sync set. The provider starts the server's
+	// heartbeat.
 	SpareBackup(masterID uint64) (string, error)
 }
 
@@ -60,7 +60,7 @@ const (
 	// after a deferral.
 	EventWitnessReplaceFailed
 	// EventBackupReplaced: a dead backup was swapped out of the sync set
-	// for a spare seeded from the master's full log image, restoring
+	// for a spare seeded with the master's state, restoring
 	// replication redundancy without deposing the master.
 	EventBackupReplaced
 	// EventBackupReplaceFailed: a replacement attempt failed; retried
@@ -252,7 +252,7 @@ func (h *healManager) healNode(n health.NodeStatus) {
 // healMember replaces a dead witness or backup with a spare
 // (Coordinator.replaceMember): a witness under a bumped
 // WitnessListVersion after a master sync, a backup by seeding the spare
-// with the master's full log image — restoring f-way redundancy without
+// with the master's state — restoring f-way redundancy without
 // deposing the master. replaceMember re-validates membership under
 // reconfMu, so a concurrent recovery that already rotated the dead node
 // out turns this into a deferred no-op.
@@ -316,7 +316,7 @@ func (h *healManager) spareFor(role health.Role, deadAddr string, masterID uint6
 
 // healMaster drives automatic failover of a dead master: promote a fresh
 // server at a spare address via the standard recovery path (epoch fence,
-// backup image + witness replay, migration arcs re-seeded from the
+// a backup's state + witness replay, migration arcs re-seeded from the
 // coordinator's records), under a witness set whose dead members are
 // replaced by spares. The whole action runs under reconfMu so the
 // verdict is re-validated against any concurrent manual recovery — a

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,6 +92,12 @@ type MasterServer struct {
 	// migration; requests touching them bounce with StatusKeyMoved.
 	migr migrationState
 
+	// transfers serves the state pulls of the backups this master seeds;
+	// seeding counts the seeds in flight. A seed ends by sending the entries
+	// logged since its image, so while one runs the log is not truncated.
+	transfers transferSource
+	seeding   atomic.Int32
+
 	// The pre-bound instruments the hot paths record into. Requests
 	// arriving with a wire trace context record their server-side stage
 	// attribution (master-queue, apply, sync-wait, backup-append,
@@ -133,6 +141,7 @@ func NewMasterServer(nw transport.Network, id uint64, addr string, epoch uint64,
 		opts:  opts,
 		store: kv.NewStore(),
 	}
+	ms.transfers.capture = ms.captureState
 	ms.init(nw, addr, "master", opts.Node)
 	ms.beat = ms.loadBeat
 	ms.durableOld = make(map[string]staleEntry)
@@ -153,6 +162,7 @@ func NewMasterServer(nw transport.Network, id uint64, addr string, epoch uint64,
 	ms.rpc.Handle(OpMigrateDrop, ms.handleMigrateDrop)
 	ms.rpc.Handle(OpMasterSetWitnessList, ms.handleSetWitnessList)
 	ms.rpc.Handle(OpMasterReplaceBackup, ms.handleReplaceBackup)
+	ms.rpc.Handle(OpStatePull, ms.transfers.serve)
 	ms.registerTxnHandlers()
 	if err := ms.serve(); err != nil {
 		ms.Close()
@@ -215,6 +225,9 @@ func (ms *MasterServer) buildMetrics() {
 			}
 			return time.Since(time.Unix(0, last)).Seconds()
 		})
+	r.GaugeFunc("curp_master_log_entries",
+		"Log entries the master retains: the window its backups have not acknowledged, plus whatever a running backup seed still needs (the sync backlog; it does not grow with history).",
+		func() float64 { return float64(ms.store.LogLen()) })
 	r.GaugeFunc("curp_master_flush_threshold_ops",
 		"Current background-flush batch threshold (load-adaptive when AdaptiveFlush is on).",
 		func() float64 { return float64(ms.State().FlushThreshold()) })
@@ -357,54 +370,100 @@ func (ms *MasterServer) handleReplaceBackup(ctx context.Context, payload []byte)
 }
 
 // ReplaceBackup swaps a dead backup out of the sync set for a fresh one,
-// restoring full replication redundancy without deposing the master:
-// make the current window durable on the surviving backups, seed the
-// replacement with the full log image under this master's epoch, then
-// swap it in. Concurrent syncs are excluded during the seed+swap, so
-// SyncedLSN cannot advance and the replacement's log is gap-free: the
-// next regular sync starts exactly where the seed ended (overlapping
-// entries are deduped by LSN on the backup).
+// restoring full replication redundancy without deposing the master: the
+// replacement pulls this master's state (seedBackup) while execution and
+// syncs go on, and is swapped in under the sync exclusion once it holds
+// everything logged up to that moment. The next regular sync starts where
+// the seed ended (overlapping entries are deduped by LSN on the backup).
 func (ms *MasterServer) ReplaceBackup(oldAddr, newAddr string) error {
-	// Surviving backups must hold everything executed so far: the store's
-	// log is about to become the seed image, and recovery reasons about
-	// backup logs as prefixes of it.
-	if err := ms.eng.Sync(context.Background()); err != nil {
-		return err
+	p := rpc.NewPeer(ms.nw, ms.addr, newAddr)
+	err := ms.seedBackup(context.Background(), p, func() error {
+		ms.peersMu.Lock()
+		defer ms.peersMu.Unlock()
+		for i, b := range ms.backups {
+			if b.Addr() == oldAddr {
+				b.Close()
+				ms.backups[i] = p
+				return nil
+			}
+		}
+		return fmt.Errorf("master %d: backup %s not in sync set", ms.id, oldAddr)
+	})
+	if err != nil {
+		p.Close()
 	}
-	return ms.eng.HoldSync(func() error { return ms.seedAndSwapBackup(oldAddr, newAddr) })
+	return err
 }
 
-// seedAndSwapBackup does ReplaceBackup's work under the sync exclusion:
-// reset the replacement under our epoch (a stale replica at that address
-// must not keep old state), push the full log, swap the peer.
-func (ms *MasterServer) seedAndSwapBackup(oldAddr, newAddr string) error {
-	p := rpc.NewPeer(ms.nw, ms.addr, newAddr)
-	ctx, cancel := context.WithTimeout(context.Background(), ms.opts.RPCTimeout)
+// seedBackup brings the backup behind p to this master's current state:
+// the backup pulls an image of it (a state transfer with this master as
+// the source) into a replica it builds aside, then — with syncs excluded,
+// so the synced position stands still — receives the entries logged since
+// the image and is put to use by swap. Execution is held only while the
+// image is captured; syncs go on during the transfer but truncate nothing.
+//
+// PAPER §3.3: how a backup that holds nothing (a spare) or something else
+// (another lineage, after a recovery) comes to hold this master's state.
+func (ms *MasterServer) seedBackup(ctx context.Context, p *rpc.Peer, swap func() error) error {
+	ms.seeding.Add(1)
+	defer ms.seeding.Add(-1)
+	ctx, cancel := context.WithTimeout(ctx, transferDeadline)
 	defer cancel()
-	if _, err := p.Call(ctx, OpBackupReset, ms.idPayload(true)); err != nil {
-		p.Close()
-		return fmt.Errorf("master %d: reset replacement backup %s: %w", ms.id, newAddr, err)
+	req := installRequest{MasterID: ms.id, Epoch: ms.epoch, Source: ms.addr}
+	out, err := p.Call(ctx, OpBackupInstall, req.encode())
+	if err != nil {
+		return fmt.Errorf("master %d: seed backup %s: %w", ms.id, p.Addr(), err)
 	}
-	if entries := ms.store.EntriesSince(0); len(entries) > 0 {
-		req := appendRequest{MasterID: ms.id, Epoch: ms.epoch, Entries: entries}
-		sctx, scancel := context.WithTimeout(context.Background(), ms.opts.RPCTimeout)
-		defer scancel()
-		if _, err := p.Call(sctx, OpBackupAppend, req.encode()); err != nil {
-			p.Close()
-			return fmt.Errorf("master %d: seed replacement backup %s: %w", ms.id, newAddr, err)
+	d := rpc.NewDecoder(out)
+	at := kv.LSN(d.U64())
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("master %d: seed backup %s: %w", ms.id, p.Addr(), err)
+	}
+	return ms.eng.HoldSync(func() error {
+		if err := ms.appendTo(ctx, p, ms.store.EntriesSince(at)); err != nil {
+			return fmt.Errorf("master %d: catch up backup %s from lsn %d: %w", ms.id, p.Addr(), at, err)
 		}
-	}
-	ms.peersMu.Lock()
-	defer ms.peersMu.Unlock()
-	for i, b := range ms.backups {
-		if b.Addr() == oldAddr {
-			b.Close()
-			ms.backups[i] = p
-			return nil
+		if swap != nil {
+			return swap()
 		}
+		return nil
+	})
+}
+
+// appendTo sends entries to one backup in batches under the chunk budget.
+func (ms *MasterServer) appendTo(ctx context.Context, p *rpc.Peer, entries []kv.Entry) error {
+	for len(entries) > 0 {
+		n, size := 0, 0
+		for n < len(entries) && (n == 0 || size < transferChunkBytes) {
+			size += kv.MinEntryWireSize + len(entries[n].Cmd.Key) + len(entries[n].Cmd.Value)
+			n++
+		}
+		req := appendRequest{MasterID: ms.id, Epoch: ms.epoch, Entries: entries[:n]}
+		cctx, cancel := context.WithTimeout(ctx, ms.opts.RPCTimeout)
+		_, err := p.Call(cctx, OpBackupAppend, req.encode())
+		cancel()
+		if err != nil {
+			return err
+		}
+		entries = entries[n:]
 	}
-	p.Close()
-	return fmt.Errorf("master %d: backup %s not in sync set", ms.id, oldAddr)
+	return nil
+}
+
+// captureState is the master's side of a state pull: its whole state at
+// the log head, taken under the execution lock so that store, completion
+// table and moved ranges belong to one log position. O(keys), no value
+// copied (kv.Snapshot); execution waits for the capture, not the transfer.
+func (ms *MasterServer) captureState(masterID uint64) (*stateImage, error) {
+	if masterID != ms.id {
+		return nil, fmt.Errorf("master %d: state pull addressed to %d", ms.id, masterID)
+	}
+	ms.eng.Lock()
+	defer ms.eng.Unlock()
+	img := &stateImage{Snapshot: ms.store.Snapshot(), Moved: ms.migr.movedRanges()}
+	img.Completions = ms.eng.Tracker().Snapshot()
+	img.Clients = ms.eng.Tracker().Marks()
+	return img, nil
 }
 
 // Freeze stops the master from serving (migration final step or deposal).
@@ -412,13 +471,20 @@ func (ms *MasterServer) Freeze() { ms.State().Freeze() }
 
 // ExpireClientLease drops a client's completion records after syncing all
 // operations to backups — the §4.8 ordering requirement that keeps witness
-// replay safe.
+// replay safe — and logs the expiry, so the backups' completion tables drop
+// them at the same log position and a recovery restores the client expired.
 func (ms *MasterServer) ExpireClientLease(c rifl.ClientID) error {
 	if err := ms.eng.Sync(context.Background()); err != nil {
 		return err
 	}
+	ms.eng.Lock()
+	out := ms.applyInternal(kv.ExpireClient(c), rifl.RPCID{}, nil)
 	ms.eng.Tracker().ExpireLease(c)
-	return nil
+	ms.eng.Unlock()
+	if out.Reply.Status != core.StatusOK {
+		return fmt.Errorf("master %d: log lease expiry of client %d: %s", ms.id, c, out.Reply.Err)
+	}
+	return ms.eng.SyncTo(context.Background(), out.SyncTo)
 }
 
 // staleEntry is one §A.3 durable-value cache record: the value (and
@@ -510,6 +576,11 @@ func (ms *MasterServer) Execute(ctx context.Context, req *core.Request, mode cor
 	if err != nil {
 		return core.Executed{Status: core.StatusError, Err: err.Error()}
 	}
+	if cmd.Op == kv.OpExpireClient && mode != core.Internal {
+		// Off the wire this would empty another client's completion records
+		// on the backups.
+		return core.Executed{Status: core.StatusError, Err: "master: expire-client is not a client operation"}
+	}
 	switch mode {
 	case core.ReadOnly:
 		if !cmd.IsReadOnly() {
@@ -544,7 +615,10 @@ func (ms *MasterServer) Execute(ctx context.Context, req *core.Request, mode cor
 			}
 		}
 	}
-	res, lsn, err := ms.store.Apply(cmd, req.ID)
+	// The request's ack rides the entry to the backups. A replayed witness
+	// record carries none (core.Engine.replay builds the request without
+	// it): PAPER §4.8, acks of replayed requests are ignored.
+	res, lsn, err := ms.store.ApplyAcked(cmd, req.ID, req.Ack)
 	if err != nil {
 		if lerr, ok := err.(*kv.LockedError); ok {
 			// Blocked behind a prepared transaction: the client retries with
@@ -707,6 +781,7 @@ func (ms *MasterServer) Flush(ctx context.Context, synced uint64) (uint64, []wit
 	ms.mSyncEntries.Observe(int64(len(entries)))
 	ms.mSyncLat.ObserveDuration(time.Since(syncStart))
 	ms.lastSyncNano.Store(time.Now().UnixNano())
+	ms.truncateLog(head)
 	ms.pruneDurableValues(head)
 	keys := make([]witness.GCKey, 0, len(entries))
 	var hashes [8]uint64 // scratch: most commands touch a key or two
@@ -718,6 +793,22 @@ func (ms *MasterServer) Flush(ctx context.Context, synced uint64) (uint64, []wit
 	}
 	ms.purgeExpired()
 	return uint64(head), keys, nil
+}
+
+// truncateLog drops the log entries every backup now holds, as tail work of
+// the sync that made them durable (the caller holds the sync slot).
+//
+// PAPER §3.2: synced operations survive on the backups; the master's log is
+// the unsynced window. While a backup seed runs nothing is dropped: the
+// seed still has to send every entry after its image's LSN, which is at or
+// past the head of any sync that found no seed in flight.
+func (ms *MasterServer) truncateLog(synced kv.LSN) {
+	if ms.seeding.Load() > 0 {
+		return
+	}
+	if err := ms.store.TruncateTo(synced); err != nil {
+		panic(err) // synced ≤ head: Flush took it from the log it truncates
+	}
 }
 
 // purgeExpired is the eager half of TTL support (the lazy half is reads
@@ -821,120 +912,156 @@ func (g *gcScatter) Wait() []witness.Record {
 	return all
 }
 
-// idPayload encodes this master's ID, and optionally its epoch: the
-// request of the backup fetch/reset and witness recovery-data RPCs.
-func (ms *MasterServer) idPayload(withEpoch bool) []byte {
-	e := rpc.NewEncoder(16)
-	e.U64(ms.id)
-	if withEpoch {
-		e.U64(ms.epoch)
-	}
-	return e.Bytes()
+// masterSink is the state a recovering master builds aside while it pulls:
+// a store, and the completion table's contents. Nothing of the master
+// changes before the last chunk is in, so a pull that fails half way and
+// starts over (or moves to another backup) starts clean.
+type masterSink struct {
+	ms          *MasterServer
+	store       *kv.Store
+	completions []rifl.Completion
+	clients     []rifl.ClientMark
 }
 
-// applyRecoveredEntry rebuilds one log entry during recovery restoration.
-func (ms *MasterServer) applyRecoveredEntry(en *kv.Entry) error {
-	if err := ms.store.ReplayEntry(en); err != nil {
+func (ms *MasterServer) newSink() *masterSink { return &masterSink{ms: ms, store: kv.NewStore()} }
+
+func (s *masterSink) install(chunk *stateImage) error {
+	s.store.Install(&chunk.Snapshot)
+	s.completions = append(s.completions, chunk.Completions...)
+	s.clients = append(s.clients, chunk.Clients...)
+	return nil
+}
+
+func (s *masterSink) finish(lsn kv.LSN) error {
+	if err := s.store.FinishInstall(lsn); err != nil {
 		return err
 	}
-	if !en.ID.IsZero() { // migration object installs carry no RPC identity
-		ms.eng.Tracker().RecordKeyed(en.ID, en.Result.Encode(), en.Cmd.KeyHashes())
+	if err := s.ms.store.Adopt(s.store); err != nil {
+		return err
 	}
+	// PAPER §4.8: the restored table answers duplicates of what the backup
+	// held (Completed) and refuses what its clients had acknowledged or
+	// whose lease had expired (Stale, Expired) — also during the witness
+	// replay, whose own acks are the ones that stay ignored.
+	s.ms.eng.Tracker().Restore(s.completions)
+	s.ms.eng.Tracker().RestoreMarks(s.clients)
 	return nil
+}
+
+// probeBackups asks every backup how far its state goes, in one scatter,
+// and returns the reachable ones, most advanced first.
+func (ms *MasterServer) probeBackups(ctx context.Context, addrs []string) []string {
+	lsn := make(map[string]uint64, len(addrs))
+	var up []string
+	for i, leg := range scatter(ctx, ms.nw, ms.addr, addrs, ms.opts.RPCTimeout, OpBackupProbe, u64Payload(ms.id)) {
+		d := rpc.NewDecoder(leg.payload)
+		if at := d.U64(); leg.err == nil && d.Err() == nil {
+			lsn[addrs[i]] = at
+			up = append(up, addrs[i])
+		}
+	}
+	slices.SortStableFunc(up, func(a, b string) int { return cmp.Compare(lsn[b], lsn[a]) })
+	return up
 }
 
 // RecoverFrom rebuilds this (fresh) master from a crashed predecessor's
 // backups and one witness, implementing §3.3/§4.6:
 //
-//  1. restore data from the longest backup log (all backup logs are
-//     prefixes of the crashed master's log, so the longest dominates);
-//  2. reset the other backups and re-seed them with the restored log
-//     under this master's higher epoch;
-//  3. freeze one witness via getRecoveryData and replay its requests,
-//     with RIFL filtering duplicates and client acks ignored (§4.8);
-//  4. sync to backups.
+//  1. probe every backup's LSN in one scatter and pull the state of the
+//     most advanced (every backup holds a state the crashed master's log
+//     passed through, so the most advanced dominates);
+//  2. freeze one witness via getRecoveryData — the first of witnessAddrs
+//     that answers — and replay its requests, with RIFL filtering
+//     duplicates and client acks ignored (§4.8);
+//  3. re-seed every backup, in parallel, with this master's state under
+//     its higher epoch, and sync.
+//
+// The state is restored ONCE: trying the next witness does not pull again.
+// Until a backup's re-seed is complete it keeps the state it had, so a
+// master that dies anywhere in here leaves every copy the partition had.
 //
 // The coordinator then assigns fresh witnesses and reopens the master.
-func (ms *MasterServer) RecoverFrom(backupAddrs []string, witnessAddr string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), ms.opts.RPCTimeout)
-	defer cancel()
-
-	// Step 1: fetch all reachable backup logs, keep the longest.
-	var longest []kv.Entry
-	fetchPayload := ms.idPayload(false)
-	reachable := 0
-	for _, addr := range backupAddrs {
-		p := rpc.NewPeer(ms.nw, ms.addr, addr)
-		out, err := p.Call(ctx, OpBackupFetch, fetchPayload)
-		p.Close()
+func (ms *MasterServer) RecoverFrom(ctx context.Context, backupAddrs, witnessAddrs []string) (string, error) {
+	// Step 1.
+	var restored transferStats
+	if len(backupAddrs) > 0 {
+		// The next most advanced backup is tried only when a pull fails.
+		err := errors.New("no backup reachable")
+		for _, addr := range ms.probeBackups(ctx, backupAddrs) {
+			src := rpc.NewPeer(ms.nw, ms.addr, addr)
+			_, restored, err = pullState(ctx, src, ms.id, ms.newSink, ms.jrn)
+			src.Close()
+			if err == nil {
+				break
+			}
+		}
 		if err != nil {
-			continue
-		}
-		entries, err := decodeEntries(out)
-		if err != nil {
-			continue
-		}
-		reachable++
-		if len(entries) > len(longest) {
-			longest = entries
-		}
-	}
-	if reachable == 0 && len(backupAddrs) > 0 {
-		return errors.New("recovery: no backup reachable")
-	}
-	for i := range longest {
-		if err := ms.applyRecoveredEntry(&longest[i]); err != nil {
-			return fmt.Errorf("recovery: restore: %w", err)
+			return "", fmt.Errorf("recovery: restore: %w", err)
 		}
 	}
 	// Ranges this partition handed off before the crash (seeded by the
-	// coordinator via SetMovedRanges) must not come back: the backup log
-	// still carries their history, so re-apply the migration drop.
+	// coordinator via SetMovedRanges) must not come back. A backup drops a
+	// moved range when the migration tells it to — after the coordinator
+	// recorded the move, which is the commit — so one restored from may
+	// still hold a range whose handoff committed just before the crash.
 	if moved := ms.migr.movedRanges(); len(moved) > 0 {
 		ms.dropMovedObjects(moved)
 	}
-	// Backups are reset below and re-seeded by the final sync, so the
-	// restored log counts as unsynced until then.
-	ms.State().InitRestored(uint64(ms.store.Head()), 0)
+	// Every backup is re-seeded below, whatever it holds: until then the
+	// restored state counts as synced (it came from a backup) and what the
+	// witness replay adds as unsynced.
+	ms.State().InitRestored(uint64(restored.LSN), uint64(restored.LSN))
 
-	// Step 2: reset backups under the new epoch, then re-seed below via a
-	// full sync (backup logs restart from LSN 1).
-	resetPayload := ms.idPayload(true)
-	for _, addr := range backupAddrs {
-		p := rpc.NewPeer(ms.nw, ms.addr, addr)
-		if _, err := p.Call(ctx, OpBackupReset, resetPayload); err != nil {
-			p.Close()
-			return fmt.Errorf("recovery: reset backup %s: %w", addr, err)
+	// Step 2. getRecoveryData irreversibly freezes the witness, so clients
+	// can no longer complete updates against the old witness set (§4.6).
+	var replayed int
+	if len(witnessAddrs) > 0 {
+		var records []witness.Record
+		err := errors.New("recovery: no witness")
+		for _, addr := range witnessAddrs {
+			var out []byte
+			if out, err = dialCall(ctx, ms.nw, ms.addr, addr, ms.opts.RPCTimeout, OpWitnessRecoveryData, u64Payload(ms.id)); err == nil {
+				records, err = decodeWitnessRecords(out)
+			}
+			if err == nil {
+				break
+			}
 		}
-		p.Close()
-	}
-
-	// Step 3: replay from one witness. getRecoveryData irreversibly
-	// freezes it, so clients can no longer complete updates against the
-	// old witness set (§4.6).
-	if witnessAddr != "" {
-		p := rpc.NewPeer(ms.nw, ms.addr, witnessAddr)
-		out, err := p.Call(ctx, OpWitnessRecoveryData, fetchPayload)
-		p.Close()
 		if err != nil {
-			return fmt.Errorf("recovery: witness unreachable: %w", err)
+			return "", fmt.Errorf("recovery: no witness reachable: %w", err)
 		}
-		records, err := decodeWitnessRecords(out)
-		if err != nil {
-			return err
-		}
-		// Replay through the engine: RIFL skips what the backup log already
-		// restored, acks are ignored (§4.8), moved ranges are skipped and
-		// commutative results scrubbed by Execute's Replay mode.
+		// Replay through the engine: RIFL skips what the restored state
+		// already holds — completed or acknowledged — acks are ignored
+		// (§4.8), moved ranges are skipped and commutative results scrubbed
+		// by Execute's Replay mode.
 		ms.eng.Recover(ctx, records)
+		replayed = len(records)
 	}
 
-	// Step 4: make the replayed operations durable.
-	// The full log is pushed because backups were reset. Entries synced
-	// here are garbage-collected from witnesses lazily; the frozen
-	// witness is decommissioned by the coordinator anyway.
-	if err := ms.eng.Sync(context.Background()); err != nil {
-		return fmt.Errorf("recovery: final sync: %w", err)
+	// Step 3. The seeds run in parallel; each backup swaps its new replica
+	// in by itself when its transfer completes.
+	ms.peersMu.Lock()
+	backups := append([]*rpc.Peer(nil), ms.backups...)
+	ms.peersMu.Unlock()
+	errs := make(chan error, len(backups))
+	for _, b := range backups {
+		go func() { errs <- ms.seedBackup(ctx, b, nil) }()
 	}
-	return nil
+	var seedErr error
+	for range backups {
+		if err := <-errs; err != nil && seedErr == nil {
+			seedErr = err
+		}
+	}
+	if seedErr != nil {
+		return "", fmt.Errorf("recovery: re-seed: %w", seedErr)
+	}
+	// The seeds carried everything; the sync tells the engine so. Entries
+	// synced here are garbage-collected from witnesses lazily; the frozen
+	// witness is decommissioned by the coordinator anyway.
+	if err := ms.eng.Sync(ctx); err != nil {
+		return "", fmt.Errorf("recovery: final sync: %w", err)
+	}
+	return fmt.Sprintf("state restored in %d chunks, %d bytes at lsn %d; %d witness records replayed; %d backups re-seeded",
+		restored.Chunks, restored.Bytes, restored.LSN, replayed, len(backups)), nil
 }

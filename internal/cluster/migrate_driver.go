@@ -50,6 +50,31 @@ func dialCall(ctx context.Context, nw transport.Network, self, addr string, time
 	return p.Call(ctx, op, payload)
 }
 
+// legReply is one leg's outcome of a scatter.
+type legReply struct {
+	payload []byte
+	err     error
+}
+
+// scatter puts op with payload on the wire to every address — a fresh dial
+// each, like dialCall — then collects the replies, in addrs' order, under
+// one deadline: a fan-out costs one round trip, not one per member.
+func scatter(ctx context.Context, nw transport.Network, self string, addrs []string, timeout time.Duration, op uint16, payload []byte) []legReply {
+	calls := make([]*rpc.Call, len(addrs))
+	for i, addr := range addrs {
+		p := rpc.NewPeer(nw, self, addr)
+		defer p.Close()
+		calls[i] = p.Start(ctx, op, payload)
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	out := make([]legReply, len(addrs))
+	for i, call := range calls {
+		out[i].payload, out[i].err = call.Wait(ctx)
+	}
+	return out
+}
+
 // Collect freezes ranges on the source master, waits for the drain, and
 // returns the exported bundle.
 func (md *MigrationDriver) Collect(ctx context.Context, masterAddr string, masterID uint64, rs []witness.HashRange) (*MigrationBundle, error) {

@@ -213,66 +213,98 @@ func encodeRangesPayload(masterID uint64, rs []witness.HashRange) []byte {
 	return e.Bytes()
 }
 
-// minMigratedObjectWireSize is the encoded size of an empty migrated
-// object: empty key and value, version, tombstone flag, expiry.
-const minMigratedObjectWireSize = 4 + 4 + 8 + 1 + 8
+// Element encodings. A migration bundle and a state-transfer chunk carry
+// the same kinds of things — objects, completion records, decision
+// records — so they share one wire form per kind; each min…WireSize is the
+// encoded size of an empty element, the floor a decoder's Count checks a
+// run against.
+const (
+	minMigratedObjectWireSize = 4 + 4 + 8 + 1 + 8 // empty key and value, version, tombstone flag, expiry
+	minCompletionWireSize     = 16 + 4 + 4        // RPC ID, empty result, no key hashes
+	minDecisionWireSize       = 16 + 1 + 8        // RPC ID, commit flag, home hash
+)
+
+func marshalObject(e *rpc.Encoder, o *kv.MigratedObject) {
+	e.Bytes32(o.Key)
+	e.Bytes32(o.Value)
+	e.U64(o.Version)
+	e.Bool(o.Tombstone)
+	e.I64(o.ExpireAt)
+}
+
+func unmarshalObject(d *rpc.Decoder) kv.MigratedObject {
+	return kv.MigratedObject{
+		Key:       d.BytesCopy32(),
+		Value:     d.BytesCopy32(),
+		Version:   d.U64(),
+		Tombstone: d.Bool(),
+		ExpireAt:  d.I64(),
+	}
+}
+
+func marshalRPCID(e *rpc.Encoder, id rifl.RPCID) {
+	e.U64(uint64(id.Client))
+	e.U64(uint64(id.Seq))
+}
+
+func unmarshalRPCID(d *rpc.Decoder) rifl.RPCID {
+	return rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())}
+}
+
+func marshalCompletion(e *rpc.Encoder, c *rifl.Completion) {
+	marshalRPCID(e, c.ID)
+	e.Bytes32(c.Result)
+	e.U64Slice(c.KeyHashes)
+}
+
+func unmarshalCompletion(d *rpc.Decoder) rifl.Completion {
+	return rifl.Completion{ID: unmarshalRPCID(d), Result: d.BytesCopy32(), KeyHashes: d.U64Slice()}
+}
+
+func marshalDecision(e *rpc.Encoder, r *kv.TxnDecisionRecord) {
+	marshalRPCID(e, r.ID)
+	e.Bool(r.Commit)
+	e.U64(r.HomeHash)
+}
+
+func unmarshalDecision(d *rpc.Decoder) kv.TxnDecisionRecord {
+	return kv.TxnDecisionRecord{ID: unmarshalRPCID(d), Commit: d.Bool(), HomeHash: d.U64()}
+}
+
+// marshalRun writes a counted run of elements.
+func marshalRun[T any](e *rpc.Encoder, run []T, marshal func(*rpc.Encoder, *T)) {
+	e.U32(uint32(len(run)))
+	for i := range run {
+		marshal(e, &run[i])
+	}
+}
+
+// unmarshalRun reads a counted run of elements of at least minSize bytes
+// each (nil when empty or when d fails).
+func unmarshalRun[T any](d *rpc.Decoder, minSize int, unmarshal func(*rpc.Decoder) T) []T {
+	n := d.Count(minSize)
+	if n == 0 {
+		return nil
+	}
+	run := make([]T, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		run = append(run, unmarshal(d))
+	}
+	return run
+}
 
 func (b *MigrationBundle) marshal(e *rpc.Encoder) {
-	e.U32(uint32(len(b.Objects)))
-	for _, o := range b.Objects {
-		e.Bytes32(o.Key)
-		e.Bytes32(o.Value)
-		e.U64(o.Version)
-		e.Bool(o.Tombstone)
-		e.I64(o.ExpireAt)
-	}
-	e.U32(uint32(len(b.Completions)))
-	for _, c := range b.Completions {
-		e.U64(uint64(c.ID.Client))
-		e.U64(uint64(c.ID.Seq))
-		e.Bytes32(c.Result)
-		e.U64Slice(c.KeyHashes)
-	}
-	e.U32(uint32(len(b.Decisions)))
-	for _, d := range b.Decisions {
-		e.U64(uint64(d.ID.Client))
-		e.U64(uint64(d.ID.Seq))
-		e.Bool(d.Commit)
-		e.U64(d.HomeHash)
-	}
+	marshalRun(e, b.Objects, marshalObject)
+	marshalRun(e, b.Completions, marshalCompletion)
+	marshalRun(e, b.Decisions, marshalDecision)
 	marshalRecords(e, b.WitnessRecords)
 }
 
 func unmarshalBundle(d *rpc.Decoder) (*MigrationBundle, error) {
-	b := &MigrationBundle{}
-	n := d.Count(minMigratedObjectWireSize)
-	b.Objects = make([]kv.MigratedObject, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		b.Objects = append(b.Objects, kv.MigratedObject{
-			Key:       d.BytesCopy32(),
-			Value:     d.BytesCopy32(),
-			Version:   d.U64(),
-			Tombstone: d.Bool(),
-			ExpireAt:  d.I64(),
-		})
-	}
-	n = d.Count(16 + 4 + 4) // RPC ID, empty result, no key hashes
-	b.Completions = make([]rifl.Completion, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		b.Completions = append(b.Completions, rifl.Completion{
-			ID:        rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
-			Result:    d.BytesCopy32(),
-			KeyHashes: d.U64Slice(),
-		})
-	}
-	n = d.Count(16 + 1 + 8) // RPC ID, commit flag, home hash
-	b.Decisions = make([]kv.TxnDecisionRecord, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		b.Decisions = append(b.Decisions, kv.TxnDecisionRecord{
-			ID:       rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
-			Commit:   d.Bool(),
-			HomeHash: d.U64(),
-		})
+	b := &MigrationBundle{
+		Objects:     unmarshalRun(d, minMigratedObjectWireSize, unmarshalObject),
+		Completions: unmarshalRun(d, minCompletionWireSize, unmarshalCompletion),
+		Decisions:   unmarshalRun(d, minDecisionWireSize, unmarshalDecision),
 	}
 	b.WitnessRecords = unmarshalRecords(d)
 	if err := d.Err(); err != nil {
@@ -439,7 +471,7 @@ func (ms *MasterServer) collectWitnessRecords(rs []witness.HashRange, executed m
 	ms.peersMu.Lock()
 	witnesses := append([]*rpc.Peer(nil), ms.witnesses...)
 	ms.peersMu.Unlock()
-	payload := ms.idPayload(false)
+	payload := u64Payload(ms.id)
 	seen := make(map[rifl.RPCID]bool)
 	var out []witness.Record
 	for _, w := range witnesses {

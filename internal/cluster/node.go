@@ -147,6 +147,21 @@ func (n *node) shutdown(teardown func()) {
 	n.rpc.Close()
 }
 
+// whileOpen derives a context that also ends when the node closes, for a
+// handler that drives a long exchange of its own: shutdown waits for
+// handlers, and must not wait for one to time out against a dead peer.
+func (n *node) whileOpen(ctx context.Context) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(ctx)
+	go func() {
+		select {
+		case <-n.closed:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	return ctx, cancel
+}
+
 // Addr returns the node's address.
 func (n *node) Addr() string { return n.addr }
 

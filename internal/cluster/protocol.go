@@ -50,10 +50,17 @@ const (
 
 	// Master / recovery → backup; coordinator → backup.
 	OpBackupAppend
-	OpBackupFetch
+	// OpBackupProbe asks how far a backup's state goes (its synced LSN):
+	// a recovering master probes every backup and pulls from the most
+	// advanced.
+	OpBackupProbe
 	OpBackupRead
 	OpBackupSetEpoch
-	OpBackupReset
+	// OpBackupInstall tells a backup to pull the master's whole state (a
+	// state transfer with the backup as receiver) into a replica built
+	// aside, and to swap it in when complete: how a master seeds a fresh
+	// backup and re-seeds every backup after a recovery.
+	OpBackupInstall
 
 	// Client / servers → coordinator.
 	OpGetView
@@ -155,6 +162,11 @@ const (
 	// ReplaceBackup(oldAddr, newAddr).
 	OpMasterSetWitnessList
 	OpMasterReplaceBackup
+
+	// Receiver → source (a fenced backup or a live master): the next chunk
+	// of a state transfer, (job, cursor) → (chunk, next cursor, done). See
+	// state_transfer.go.
+	OpStatePull
 )
 
 // recordRequest is the payload of OpWitnessRecord. Version is the
@@ -447,6 +459,8 @@ func decodeAppendRequest(b []byte) (*appendRequest, error) {
 }
 
 // unmarshalEntries reads a counted run of log entries (nil when empty).
+// The slice is the append batch and dies with it; what a backup keeps of an
+// entry it copies out.
 func unmarshalEntries(d *rpc.Decoder) ([]kv.Entry, error) {
 	n := d.Count(kv.MinEntryWireSize)
 	var entries []kv.Entry
@@ -462,18 +476,6 @@ func unmarshalEntries(d *rpc.Decoder) ([]kv.Entry, error) {
 	}
 	return entries, d.Err()
 }
-
-// encodeEntries serializes a backup's log for master recovery.
-func encodeEntries(entries []kv.Entry) []byte {
-	e := rpc.NewEncoder(64 * (1 + len(entries)))
-	e.U32(uint32(len(entries)))
-	for i := range entries {
-		entries[i].Marshal(e)
-	}
-	return e.Bytes()
-}
-
-func decodeEntries(b []byte) ([]kv.Entry, error) { return unmarshalEntries(rpc.NewDecoder(b)) }
 
 // PartitionHealth is the payload of an OpHealthStatus reply: one
 // partition's membership and liveness as the coordinator sees it.

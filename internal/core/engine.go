@@ -461,8 +461,9 @@ func (e *Engine) endSync(err error) {
 }
 
 // HoldSync runs f while holding the sync slot, so no flush and no gc tail
-// runs beside it (a backup replacement seeds its log image under this
-// exclusion, which keeps the image gap-free).
+// runs beside it (a backup seed sends the entries logged since its state
+// image under this exclusion, so the synced position stands still and the
+// backup joins the sync set without a gap).
 func (e *Engine) HoldSync(f func() error) error {
 	e.syncMu.Lock()
 	if e.syncActive {

@@ -68,6 +68,12 @@ const (
 	KindWitnessFrozen = "witness-frozen" // recovery data taken; instance stopped accepting
 	KindBackupFenced  = "backup-fenced"  // epoch raised ahead of appends (deposal fence)
 
+	// State transfers, journaled by the receiver (a recovering master, a
+	// backup being seeded): the detail names the job and the source, and at
+	// the end the snapshot LSN, chunks, bytes and any resumed-from cursor.
+	KindStateTransferStart = "state-transfer-start"
+	KindStateTransferDone  = "state-transfer-done"
+
 	// Data-path incidents.
 	KindTxnOrphanResolved = "txn-orphan-resolved" // expired 2PC locks settled by the resolver
 	KindZombieFenced      = "zombie-fenced"       // deposed master froze itself

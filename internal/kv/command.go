@@ -1,12 +1,15 @@
 // Package kv is the RAMCloud-like storage substrate the paper's §5.1
-// evaluation runs CURP on: an in-memory, log-structured key-value store
-// with versioned objects, a replicated operation log, and backup servers
-// that can rebuild a crashed master's state. It deliberately mirrors the
-// properties CURP relies on: every update appends a log entry carrying the
-// RIFL RPC ID and result (so completion records are durable exactly when
-// the update is, paper §3.3), and each object remembers the LSN of its last
-// update (so masters can tell synced from unsynced objects by comparing
-// against the last synced LSN, paper §4.3).
+// evaluation runs CURP on: an in-memory key-value store with versioned
+// objects, the log of updates its backups have not acknowledged yet, and
+// the backup's storage half, which materialises those updates into a
+// replica of the master's state — objects, completion records, prepared
+// transactions — and hands that state, not a history, to a recovering
+// master (Snapshot, Install). It deliberately mirrors the properties CURP
+// relies on: every update appends a log entry carrying the RIFL RPC ID and
+// result (so completion records are durable exactly when the update is,
+// paper §3.3), and each object remembers the LSN of its last update (so
+// masters can tell synced from unsynced objects by comparing against the
+// last synced LSN, paper §4.3).
 package kv
 
 import (
@@ -98,6 +101,12 @@ const (
 	// the log reaches the same state without consulting its own clock.
 	// Issued only by the master's sync tail, never by clients.
 	OpPurgeExpired
+	// OpExpireClient marks the expiry of a RIFL client lease in the log:
+	// Delta carries the client ID. It mutates no object. PAPER §4.8: the
+	// master drops an expired client's completion records after a sync; the
+	// marker is how the backups, whose completion tables follow the log,
+	// drop them too, at the same log position. Issued only by the master.
+	OpExpireClient
 )
 
 // String names the operation.
@@ -143,6 +152,8 @@ func (o CommandOp) String() string {
 		return "bucket-take"
 	case OpPurgeExpired:
 		return "purge-expired"
+	case OpExpireClient:
+		return "expire-client"
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }

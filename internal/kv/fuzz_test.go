@@ -16,7 +16,7 @@ func FuzzDecodeCommand(f *testing.F) {
 	empty := rpc.NewEncoder(0)
 	(&Entry{Cmd: &Command{}, Result: &Result{}}).Marshal(empty)
 	minCommand := len((&Command{}).Encode())
-	if en := len(empty.Bytes()); en != MinEntryWireSize || en != 3*8+minCommand+len((&Result{}).Encode()) {
+	if en := len(empty.Bytes()); en != MinEntryWireSize || en != 4*8+minCommand+len((&Result{}).Encode()) {
 		f.Fatalf("empty entry encodes to %d bytes, MinEntryWireSize = %d", en, MinEntryWireSize)
 	}
 	put := Command{Op: OpPut, Key: []byte("k"), Value: []byte("v"), ExpireAt: 99}

@@ -172,10 +172,7 @@ func TestMultiIncr(t *testing.T) {
 	if err := b.Append(s.EntriesSince(0)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := b.RestoreStore()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := restoreFrom(t, b)
 	v, _, _ = r.Get([]byte("b"))
 	if string(v) != "10" {
 		t.Fatalf("replayed b = %q", v)
@@ -371,16 +368,27 @@ func TestBackupAppendContiguity(t *testing.T) {
 	if err := b2.Append(s.EntriesSince(2)); err == nil {
 		t.Fatal("gap accepted")
 	}
-	if len(b.Entries()) != 6 {
-		t.Fatalf("entries = %d", len(b.Entries()))
-	}
-	b.Reset()
-	if b.SyncedLSN() != 0 || len(b.Entries()) != 0 {
-		t.Fatal("reset failed")
+	// What the backup keeps of six entries is their effect: six objects and,
+	// nobody having acked anything, six completion records. No entry.
+	if b.Objects() != 6 || b.CompletionRecords() != 6 {
+		t.Fatalf("objects = %d, completion records = %d", b.Objects(), b.CompletionRecords())
 	}
 }
 
-func TestBackupRestoreStore(t *testing.T) {
+// restoreFrom rebuilds a store from a backup's snapshot: what a recovering
+// master does with the state it pulls.
+func restoreFrom(t testing.TB, b *Backup) *Store {
+	t.Helper()
+	snap := b.Snapshot()
+	s := NewStore()
+	s.Install(&snap)
+	if err := s.FinishInstall(snap.LSN); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestBackupSnapshotRestoresStore(t *testing.T) {
 	s := NewStore()
 	s.Apply(&Command{Op: OpPut, Key: []byte("a"), Value: []byte("1")}, rid(1, 1))
 	s.Apply(&Command{Op: OpPut, Key: []byte("b"), Value: []byte("2")}, rid(1, 2))
@@ -392,10 +400,7 @@ func TestBackupRestoreStore(t *testing.T) {
 	if err := b.Append(s.EntriesSince(0)); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := b.RestoreStore()
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := restoreFrom(t, b)
 	if _, _, ok := restored.Get([]byte("a")); ok {
 		t.Fatal("deleted key revived")
 	}
@@ -410,14 +415,30 @@ func TestBackupRestoreStore(t *testing.T) {
 	if restored.Head() != s.Head() {
 		t.Fatalf("head %d vs %d", restored.Head(), s.Head())
 	}
-	// Per-key LSNs restored too.
-	if restored.KeyLSN([]byte("c")) != s.KeyLSN([]byte("c")) {
-		t.Fatal("key lsn not restored")
+	// Every restored object counts as last updated at the snapshot: synced.
+	if got := restored.KeyLSN([]byte("c")); got != s.Head() {
+		t.Fatalf("restored key lsn = %d, want the snapshot's %d", got, s.Head())
 	}
-	// The restored log carries RIFL IDs and results for tracker rebuild.
-	ents := restored.EntriesSince(0)
-	if len(ents) != 5 || ents[3].ID != rid(2, 1) {
-		t.Fatalf("restored entries = %d", len(ents))
+	// The restored store has state, not history: its log starts after the
+	// snapshot, and asking for what came before is a bug.
+	if restored.LogLen() != 0 || restored.Base() != s.Head() {
+		t.Fatalf("restored log holds %d entries from base %d", restored.LogLen(), restored.Base())
+	}
+	if _, lsn, err := restored.Apply(&Command{Op: OpPut, Key: []byte("d"), Value: []byte("4")}, rid(1, 4)); err != nil || lsn != s.Head()+1 {
+		t.Fatalf("first apply after restore: lsn %d err %v", lsn, err)
+	}
+	// The snapshot carries RIFL IDs and results for the tracker rebuild.
+	snap := b.Snapshot()
+	byID := map[rifl.RPCID][]byte{}
+	for _, c := range snap.Completions {
+		byID[c.ID] = c.Result
+	}
+	if len(byID) != 5 {
+		t.Fatalf("snapshot completions = %d, want 5", len(byID))
+	}
+	res, err := DecodeResult(byID[rid(2, 2)])
+	if err != nil || string(res.Value) != "42" {
+		t.Fatalf("completion of the second increment = %+v, %v", res, err)
 	}
 }
 
@@ -455,10 +476,7 @@ func TestStoreEquivalenceProperty(t *testing.T) {
 		if err := b.Append(s.EntriesSince(0)); err != nil {
 			return false
 		}
-		r, err := b.RestoreStore()
-		if err != nil {
-			return false
-		}
+		r := restoreFrom(t, b)
 		for _, k := range keys {
 			v1, ver1, ok1 := s.Get(k)
 			v2, ver2, ok2 := r.Get(k)

@@ -18,33 +18,42 @@ type LSN uint64
 // plus the RIFL identity and saved result, replicated to backups as a unit
 // so completion records are durable exactly when the update is (§3.3).
 type Entry struct {
-	LSN    LSN
-	Cmd    *Command
-	ID     rifl.RPCID
+	LSN LSN
+	Cmd *Command
+	ID  rifl.RPCID
+	// Ack is the RIFL acknowledgment the request carried ("all my RPCs below
+	// this sequence number are done"; 0 = none). PAPER §4.8: completion
+	// records are collected by client acks. It travels with the entry so a
+	// backup prunes its completion table at the same log position the master
+	// did, and a snapshot can say which of a client's operations must never
+	// run again although their records are gone.
+	Ack    rifl.Seq
 	Result *Result
 }
 
-// MinEntryWireSize is the smallest encoded Entry (LSN and RPC ID, an empty
-// command, an empty result): the floor for a log decoder's entry count.
-const MinEntryWireSize = 3*8 + minCommandWireSize + minResultWireSize
+// MinEntryWireSize is the smallest encoded Entry (LSN, RPC ID and ack, an
+// empty command, an empty result): the floor for a log decoder's entry count.
+const MinEntryWireSize = 4*8 + minCommandWireSize + minResultWireSize
 
 // Marshal appends the entry's wire form to e.
 func (en *Entry) Marshal(e *rpc.Encoder) {
 	e.U64(uint64(en.LSN))
 	e.U64(uint64(en.ID.Client))
 	e.U64(uint64(en.ID.Seq))
+	e.U64(uint64(en.Ack))
 	en.Cmd.Marshal(e)
 	en.Result.Marshal(e)
 }
 
 // UnmarshalEntry decodes an entry from d. The entry comes back by value —
-// a log decoder stores it straight into its slice — and its command and
-// result, which the log keeps for as long as the entry, share one
-// allocation.
+// a batch decoder stores it straight into its slice — and its command and
+// result, which a backup's completion table keeps until the client's ack,
+// share one allocation.
 func UnmarshalEntry(d *rpc.Decoder) (Entry, error) {
 	en := Entry{
 		LSN: LSN(d.U64()),
 		ID:  rifl.RPCID{Client: rifl.ClientID(d.U64()), Seq: rifl.Seq(d.U64())},
+		Ack: rifl.Seq(d.U64()),
 	}
 	body := new(struct {
 		cmd Command
@@ -77,8 +86,13 @@ type object struct {
 type Store struct {
 	mu      sync.RWMutex
 	objects map[string]*object
-	log     []Entry
-	head    LSN
+	// log holds the entries in (base, head], oldest first. A store nobody
+	// truncates keeps base at 0 and every entry; a master whose backups hold
+	// the state up to an LSN drops the entries at or below it (TruncateTo),
+	// so its log is the unsynced window, not history.
+	log  []Entry
+	base LSN
+	head LSN
 	// locks maps key → the prepared transaction holding it; prepared maps
 	// transaction ID → its prepared state; decisions is the home-shard
 	// decision table. See txn.go.
@@ -90,9 +104,8 @@ type Store struct {
 	// under mu within one Apply/ReplayEntry).
 	txnTouched [][]byte
 	// replica marks a materialized view replayed from someone else's log
-	// (a backup's read store): it tracks head and objects but does not
-	// retain log entries, since the authoritative log lives beside it and
-	// duplicating it doubles replication's memory and GC cost.
+	// (a backup's store): it tracks head and objects and retains no log
+	// entries — a backup holds state, not history.
 	replica bool
 	// expiry indexes keys with a pending TTL (key → expireAt), so the
 	// purge scan is O(keys-with-TTL), not O(keys).
@@ -122,7 +135,7 @@ func (s *Store) SetClock(now func() int64) {
 }
 
 // NewReplicaStore returns a store that materializes replayed entries
-// without retaining its own copy of the log (see Store.replica).
+// without retaining them (see Store.replica).
 func NewReplicaStore() *Store {
 	s := NewStore()
 	s.replica = true
@@ -133,6 +146,12 @@ func NewReplicaStore() *Store {
 // result and, for mutations, the entry's LSN (0 for pure reads and no-op
 // conditional writes). id is the RIFL identity stored in the log entry.
 func (s *Store) Apply(cmd *Command, id rifl.RPCID) (*Result, LSN, error) {
+	return s.ApplyAcked(cmd, id, 0)
+}
+
+// ApplyAcked is Apply for a request that carried a RIFL acknowledgment: the
+// ack is stored in the log entry (see Entry.Ack).
+func (s *Store) ApplyAcked(cmd *Command, id rifl.RPCID, ack rifl.Seq) (*Result, LSN, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out, mutated, err := s.exec(cmd)
@@ -144,8 +163,7 @@ func (s *Store) Apply(cmd *Command, id rifl.RPCID) (*Result, LSN, error) {
 		return res, 0, nil
 	}
 	s.head++
-	entry := Entry{LSN: s.head, Cmd: cmd, ID: id, Result: res}
-	s.log = append(s.log, entry)
+	s.log = append(s.log, Entry{LSN: s.head, Cmd: cmd, ID: id, Ack: ack, Result: res})
 	// Stamp each touched object with the entry's LSN so commutativity
 	// checks can compare it against the last synced LSN (§4.3).
 	s.stampKeys(cmd, s.head)
@@ -191,9 +209,10 @@ func (s *Store) exec(cmd *Command) (res Result, mutated bool, err error) {
 		if cmd.Txn == nil { // a malformed command off the wire
 			return Result{}, false, fmt.Errorf("kv: %v without txn payload", cmd.Op)
 		}
-	case OpMigrateObject, OpMigrateRecord:
+	case OpMigrateObject, OpMigrateRecord, OpExpireClient:
 		// Transactional ops (above) handle locks themselves; migration
-		// installs bypass them (installed state was resolved before export).
+		// installs bypass them (installed state was resolved before export),
+		// and a lease-expiry marker touches no key.
 	default:
 		// An operation touching a key locked by a prepared transaction
 		// must wait for the decision: its outcome would otherwise race the
@@ -427,6 +446,11 @@ func (s *Store) exec(cmd *Command) (res Result, mutated bool, err error) {
 		}
 		return *res, true, nil
 
+	case OpExpireClient:
+		// A pure log marker: the completion tables that read the log (a
+		// backup's, see Backup.Append) drop the client's records here.
+		return Result{Found: true}, true, nil
+
 	case OpTxnPrepare:
 		return s.execTxnPrepare(cmd)
 
@@ -590,15 +614,58 @@ func (s *Store) KeyLSN(key []byte) LSN {
 }
 
 // EntriesSince returns log entries with LSN in (after, head], i.e. the
-// suffix a backup sync must replicate.
+// suffix a backup sync must replicate. Asking for entries a truncation
+// already dropped panics: a silently short slice would be a replication
+// gap, and only a caller that lost track of what its backups hold can ask.
 func (s *Store) EntriesSince(after LSN) []Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if after >= s.head {
 		return nil
 	}
-	// Log entries are contiguous from LSN 1 at index 0.
-	return append([]Entry(nil), s.log[after:]...)
+	if after < s.base {
+		panic(fmt.Sprintf("kv: entries since %d requested, log truncated to %d", after, s.base))
+	}
+	// Log entries are contiguous from LSN base+1 at index 0.
+	return append([]Entry(nil), s.log[after-s.base:]...)
+}
+
+// TruncateTo drops the log entries with LSN ≤ lsn: the caller vouches that
+// every replica it syncs to holds the state up to there. Truncating past
+// the head is refused; truncating at or below the base is a no-op.
+//
+// PAPER §3.2: a completed operation survives through the backups' state and
+// the witnesses, never through the master's own log.
+func (s *Store) TruncateTo(lsn LSN) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if lsn > s.head {
+		return fmt.Errorf("kv: truncate to %d past head %d", lsn, s.head)
+	}
+	if lsn <= s.base {
+		return nil
+	}
+	// Compact in place: the window is a few entries, and a log that keeps
+	// its backing array never allocates again.
+	n := copy(s.log, s.log[lsn-s.base:])
+	clear(s.log[n:])
+	s.log = s.log[:n]
+	s.base = lsn
+	return nil
+}
+
+// LogLen returns how many entries the log retains: (base, head].
+func (s *Store) LogLen() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.log)
+}
+
+// Base returns the LSN the log was last truncated to (0: never).
+func (s *Store) Base() LSN {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.base
 }
 
 // Len returns the number of live keys (including tombstones).
@@ -638,6 +705,11 @@ func MigrateRecord(result []byte, hashes []uint64) Command {
 	return Command{Op: OpMigrateRecord, Value: result, Hashes: hashes}
 }
 
+// ExpireClient returns the log marker of a client's lease expiry.
+func ExpireClient(c rifl.ClientID) Command {
+	return Command{Op: OpExpireClient, Delta: int64(c)}
+}
+
 // PurgeExpired returns the command deleting those of keys whose stored
 // expiry is ≤ cutoff.
 func PurgeExpired(cutoff int64, keys [][]byte) Command {
@@ -668,9 +740,7 @@ func (s *Store) ExportRange(pred func(key []byte) bool) []MigratedObject {
 }
 
 // DropRange removes every object whose key matches pred from the object
-// table and returns how many were dropped. The operation log is left
-// intact — it is history, and recovery paths that replay it re-apply the
-// same drop from the coordinator's moved-range record.
+// table and returns how many were dropped.
 func (s *Store) DropRange(pred func(key []byte) bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -685,12 +755,18 @@ func (s *Store) DropRange(pred func(key []byte) bool) int {
 	return n
 }
 
-// ReplayEntry applies a log entry to a store being rebuilt during recovery.
-// Entries must be replayed in LSN order starting from an empty store. The
-// object table, per-key LSNs, and log head are all restored.
+// ReplayEntry applies a log entry to a store that follows someone else's
+// log (a backup's replica, a consensus follower). Entries must be replayed
+// in LSN order, each directly after the store's head. The object table,
+// per-key LSNs, and log head all advance.
 func (s *Store) ReplayEntry(en *Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.replay(en)
+}
+
+// replay is ReplayEntry's body. Must hold s.mu.
+func (s *Store) replay(en *Entry) error {
 	if en.LSN != s.head+1 {
 		return fmt.Errorf("kv: replay gap: entry %d after head %d", en.LSN, s.head)
 	}

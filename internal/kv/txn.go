@@ -17,8 +17,8 @@ package kv
 //   - OpTxnPrepare is phase one of the cross-shard path, executed on each
 //     participant shard: validate the shard's read versions, then lock every
 //     touched key and stash the shard's writes. The prepare is a log entry,
-//     so a participant crash recovers its locks and pending writes from the
-//     backup log.
+//     so a participant crash recovers its locks and pending writes from a
+//     backup's state (Snapshot.Prepared).
 //   - OpTxnDecide is phase two: on the transaction's HOME shard it records
 //     the commit/abort decision in the decision table (the transaction's
 //     durability point, RIFL-tracked so a duplicate decide returns the first

@@ -122,6 +122,16 @@ func NewTracker() *Tracker {
 	}
 }
 
+// client returns (creating it) a client's state. Must hold t.mu.
+func (t *Tracker) client(c ClientID) *clientState {
+	cs := t.clients[c]
+	if cs == nil {
+		cs = &clientState{completions: make(map[Seq]completion)}
+		t.clients[c] = cs
+	}
+	return cs
+}
+
 // Begin processes the RIFL header of an incoming RPC: it applies the
 // piggybacked acknowledgment (unless in recovery mode) and classifies the
 // RPC. For Completed, result holds the saved result. ack is the client's
@@ -133,11 +143,7 @@ func (t *Tracker) Begin(id RPCID, ack Seq) (outcome Outcome, result []byte) {
 	if t.expired[id.Client] {
 		return Expired, nil
 	}
-	cs := t.clients[id.Client]
-	if cs == nil {
-		cs = &clientState{completions: make(map[Seq]completion)}
-		t.clients[id.Client] = cs
-	}
+	cs := t.client(id.Client)
 	// §4.8: acknowledgments must be ignored during recovery from witnesses,
 	// since replays arrive in arbitrary order.
 	if !t.recovery && ack > cs.firstUnacked {
@@ -168,11 +174,7 @@ func (t *Tracker) Record(id RPCID, result []byte) {
 func (t *Tracker) RecordKeyed(id RPCID, result []byte, keyHashes []uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cs := t.clients[id.Client]
-	if cs == nil {
-		cs = &clientState{completions: make(map[Seq]completion)}
-		t.clients[id.Client] = cs
-	}
+	cs := t.client(id.Client)
 	if id.Seq < cs.firstUnacked {
 		// The record was concurrently acknowledged; nothing to keep.
 		return
@@ -245,11 +247,64 @@ func (t *Tracker) ExportRange(pred func(keyHash uint64) bool) []Completion {
 	return out
 }
 
-// Restore loads completion records into an empty tracker, used when a new
-// master rebuilds state from a backup.
+// Restore loads completion records into a tracker, used when a new master
+// rebuilds state from a backup.
 func (t *Tracker) Restore(records []Completion) {
 	for _, r := range records {
 		t.RecordKeyed(r.ID, r.Result, r.KeyHashes)
+	}
+}
+
+// ClientMark is what a snapshot keeps of the completion records that are
+// gone: the client acknowledged every RPC below FirstUnacked, or its lease
+// expired. Without it a restored table could not tell an acknowledged
+// operation from one it never saw, and a witness replay of the former would
+// execute it a second time.
+type ClientMark struct {
+	Client       ClientID
+	FirstUnacked Seq
+	Expired      bool
+}
+
+// Marks returns every client's acknowledgment watermark and expiry, for a
+// snapshot to carry beside Snapshot's records.
+func (t *Tracker) Marks() []ClientMark {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]ClientMark, 0, len(t.clients)+len(t.expired))
+	for cid, cs := range t.clients {
+		if cs.firstUnacked > 0 {
+			out = append(out, ClientMark{Client: cid, FirstUnacked: cs.firstUnacked})
+		}
+	}
+	for cid := range t.expired {
+		out = append(out, ClientMark{Client: cid, Expired: true})
+	}
+	return out
+}
+
+// RestoreMarks loads a snapshot's marks. A restored watermark only ever
+// rises. It holds in recovery mode too — Begin answers Stale below it —
+// because it was durable with the snapshot, unlike an ack that a replayed
+// request carries (paper §4.8 modification 1 is about those).
+func (t *Tracker) RestoreMarks(marks []ClientMark) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, m := range marks {
+		if m.Expired {
+			delete(t.clients, m.Client)
+			t.expired[m.Client] = true
+			continue
+		}
+		cs := t.client(m.Client)
+		if m.FirstUnacked > cs.firstUnacked {
+			for s := range cs.completions {
+				if s < m.FirstUnacked {
+					delete(cs.completions, s)
+				}
+			}
+			cs.firstUnacked = m.FirstUnacked
+		}
 	}
 }
 

@@ -22,7 +22,7 @@
 //     Any abort vote, redirect, or resolver race aborts cleanly.
 //
 // Failure handling: a participant crash recovers locks and stashed writes
-// from its backup log; a coordinator crash leaves orphaned locks that the
+// from a backup's state; a coordinator crash leaves orphaned locks that the
 // participant masters resolve after a timeout by asking the home shard,
 // which records abort-by-default when no decision exists — and because the
 // decision slot is the transaction's RIFL completion record, a coordinator

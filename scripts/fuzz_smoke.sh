@@ -12,7 +12,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MIN_TARGETS=16
+MIN_TARGETS=17
 FUZZTIME="${FUZZTIME:-10s}"
 
 # `go test -list` prints a package's matching names, then "ok <package> ...".

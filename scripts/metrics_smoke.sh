@@ -82,10 +82,12 @@ done
 for s in $(seq 0 $((SHARDS - 1))); do
   base=$((PORT + s * 1000))
   # Masters: the speculative-execution counter, the unsynced window, the
-  # sync-slot queue, and the per-commutativity-class verdict breakdown.
+  # retained log (that window, not history), the sync-slot queue, and the
+  # per-commutativity-class verdict breakdown.
   assert_series $((base + 501)) \
     curp_master_speculative_ops_total \
     curp_master_sync_lag_ops \
+    curp_master_log_entries \
     curp_master_sync_slot_wait_seconds \
     'curp_master_class_verdicts_total{class="counter"'
   # Coordinator dashboard: heal-loop counters (present at 0 from boot),
@@ -95,9 +97,12 @@ for s in $(seq 0 $((SHARDS - 1))); do
     curp_partition_nodes_alive \
     curp_master_speculative_ops_total \
     curp_master_sync_lag_ops
-  # Witnesses and backups carry their role series.
+  # Witnesses and backups carry their role series; a backup says what it
+  # holds instead of a log.
   assert_series $((base + 700)) curp_witness_accepts_total
-  assert_series $((base + 600)) curp_backup_append_entries
+  assert_series $((base + 600)) curp_backup_append_entries \
+    curp_backup_replica_objects \
+    curp_backup_completion_records
 done
 
 # The master accepted writes: speculative ops must be non-zero somewhere.
